@@ -52,8 +52,7 @@ show("projected into the ego frame", transform_state(predicted, rel))
 # The one-call version bundles both steps and carries the feature along.
 inst = Instance(state=car, feature=identity_embedding(7, 32), confidence=0.93,
                 class_id=0, track_id=4, source_agent=1, observed_at=0)
-aligned = align_instance(inst, coop_pose, ego_pose, seconds_to_micros(0.3),
-                         AlignmentConfig())
+aligned = align_instance(inst, rel, seconds_to_micros(0.3), AlignmentConfig())
 show("\nalign_instance (compensate + project)", aligned.state)
 print(f"identity preserved: track_id={aligned.track_id}, "
       f"source_agent={aligned.source_agent}, "

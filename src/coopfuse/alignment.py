@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    AgentPose,
     DegenerateHeading,
     Instance,
     RigidTransform,
@@ -23,7 +22,6 @@ from .core import (
     Timestamp,
     micros_to_seconds,
     normalize_feature,
-    relative_transform,
 )
 
 DEFAULT_COMPENSATION_HORIZON = 2.0
@@ -131,17 +129,17 @@ def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:
 
 def align_instance(
     inst: Instance,
-    coop_pose: AgentPose,
-    ego_pose: AgentPose,
+    rel: RigidTransform,
     t_ego: Timestamp,
     cfg: AlignmentConfig,
 ) -> Instance:
     """Bring a remote instance into the ego frame at the ego timestamp.
 
     Latency compensation runs first in the sender's frame, then the state
-    is projected through the relative transform built from the two poses
-    (each at its own stamp). The feature passes through the configured
-    aligner. The result is stamped ``t_ego``; identity fields are kept.
+    is projected through ``rel``, the sender-to-ego transform (see
+    ``relative_transform``; build it once per packet). The feature passes
+    through the configured aligner. The result is stamped ``t_ego``;
+    identity fields are kept.
 
     Raises:
         HorizonExceeded, DegenerateHeading: propagated from the two steps.
@@ -151,7 +149,6 @@ def align_instance(
         raise ValueError("instance observed after the ego timestamp")
     dt = micros_to_seconds(t_ego - inst.observed_at)
     state = compensate_latency(inst.state, dt, cfg.max_compensation_horizon)
-    rel = relative_transform(ego_pose, coop_pose)
     state = transform_state(state, rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)

@@ -32,11 +32,12 @@ from .core import (
     StateVector,
     Timestamp,
     invert,
+    relative_transform,
     seconds_to_micros,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .robustness import TransformNoiseParams, noisy_feature, perturb_transform
-from .wire import InstancePacket, decode_packet, encode_packet
+from .wire import MAX_CLASS_ID, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -155,6 +156,10 @@ class AgentSpec:
     ego: bool = False
     sensor: SensorModel = field(default_factory=SensorModel)
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.agent_id <= MAX_SENDER_ID:
+            raise ValueError(f"agent_id {self.agent_id} outside [0, {MAX_SENDER_ID}] (u16 on the wire)")
+
     def pose_at(self, t: Timestamp) -> AgentPose:
         t_s = t / 1e6
         pose = RigidTransform.from_yaw(
@@ -196,7 +201,8 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     to_agent = invert(pose.pose)
     half_fov = math.radians(sensor.fov_deg) / 2.0
 
-    raw: list[tuple[Instance, np.ndarray, np.ndarray]] = []
+    rot, trans = pose.pose.rotation, pose.pose.translation
+    raw: list[tuple[int, StateVector, np.ndarray, float, np.ndarray, np.ndarray]] = []
     for obj in world.objects:
         local = transform_state(obj.state, to_agent)
         r = math.hypot(local.x, local.y)
@@ -227,17 +233,10 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
             sin_yaw=local.sin_yaw, cos_yaw=local.cos_yaw,
             vx=float(vel[0]), vy=float(vel[1]), vz=float(vel[2]),
         )
-        inst = Instance(
-            state=state,
-            feature=noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng),
-            confidence=confidence,
-            class_id=obj.class_id,
-            track_id=None,  # assigned by continuation below
-            source_agent=spec.agent_id,
-            observed_at=t,
-        )
-        global_state = transform_state(state, pose.pose)
-        raw.append((inst, global_state.position, global_state.velocity))
+        feature = noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng)
+        gpos = rot @ (state.x, state.y, state.z) + trans
+        gvel = rot @ (state.vx, state.vy, state.vz)
+        raw.append((obj.class_id, state, feature, confidence, gpos, gvel))
 
     dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
     predicted = [
@@ -246,11 +245,11 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     available = set(range(len(predicted)))
     out: list[Instance] = []
     continued: list[_TrackedDetection] = []
-    for inst, gpos, gvel in raw:
+    for class_id, state, feature, confidence, gpos, gvel in raw:
         best_k, best_d = None, sensor.track_gate
         for k in available:
             trk, ppos = predicted[k]
-            if trk.class_id != inst.class_id:
+            if trk.class_id != class_id:
                 continue
             d = math.hypot(gpos[0] - ppos[0], gpos[1] - ppos[1])
             if d <= best_d:
@@ -261,8 +260,18 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
         else:
             tid = agent._next_track_id
             agent._next_track_id += 1
-        out.append(replace(inst, track_id=tid))
-        continued.append(_TrackedDetection(tid, inst.class_id, gpos, gvel))
+        out.append(
+            Instance(
+                state=state,
+                feature=feature,
+                confidence=confidence,
+                class_id=class_id,
+                track_id=tid,
+                source_agent=spec.agent_id,
+                observed_at=t,
+            )
+        )
+        continued.append(_TrackedDetection(tid, class_id, gpos, gvel))
     agent._prev = continued
     agent._prev_t = t
     return out
@@ -383,6 +392,15 @@ class ScenarioConfig:
             raise ValueError("speed_range must be non-negative and ordered")
         if self.object_count < 1:
             raise ValueError("object_count must be at least 1")
+        if not 1 <= self.class_count <= MAX_CLASS_ID + 1:
+            raise ValueError(
+                f"class_count {self.class_count} outside [1, {MAX_CLASS_ID + 1}] (u8 on the wire)"
+            )
+        first_index: dict[int, int] = {}
+        for i, a in enumerate(self.agents):
+            if a.agent_id in first_index:
+                raise ValueError(f"agents[{first_index[a.agent_id]}] and agents[{i}] share agent_id {a.agent_id}")
+            first_index[a.agent_id] = i
         egos = [a for a in self.agents if a.ego]
         if self.agents and len(egos) != 1:
             raise ValueError("exactly one agent must be marked ego")
@@ -516,16 +534,12 @@ class RunResult:
         return max(totals.values()) / window if totals else 0.0
 
 
-def _frame_ground_truth(
-    world: World, ego_pose: AgentPose, roi: Optional[RoiSpec]
-) -> tuple[GroundTruthObject, ...]:
+def _frame_ground_truth(world: World, ego_pose: AgentPose) -> tuple[GroundTruthObject, ...]:
     to_ego = invert(ego_pose.pose)
-    out = []
-    for obj in world.objects:
-        local = transform_state(obj.state, to_ego)
-        if roi is None or roi.contains(local):
-            out.append(GroundTruthObject(obj.object_id, obj.class_id, local))
-    return tuple(out)
+    return tuple(
+        GroundTruthObject(obj.object_id, obj.class_id, transform_state(obj.state, to_ego))
+        for obj in world.objects
+    )
 
 
 def _prefusion_error(
@@ -622,23 +636,22 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                 stamped_at=max(packet.send_timestamp, 0),
                 pose=packet.sender_pose(),
             )
+            rel = relative_transform(ego_pose, coop_pose)
             for inst in packet.to_instances():
                 if not pipe.compensate_latency:
                     inst = replace(inst, observed_at=t)
                 try:
-                    coop_aligned.append(
-                        align_instance(inst, coop_pose, ego_pose, t, pipe.alignment)
-                    )
+                    coop_aligned.append(align_instance(inst, rel, t, pipe.alignment))
                 except HorizonExceeded:
                     stale += 1
 
         # Ego senses and fuses.
         ego_dets = filter_roi(sense(ego, world, ego.rng), pipe.roi)
-        gt = _frame_ground_truth(world, ego_pose, pipe.roi)
         # The error diagnostic compares against the whole world so that
         # objects straddling the ROI edge don't get scored against a
         # distant stranger.
-        gt_all = _frame_ground_truth(world, ego_pose, None)
+        gt_all = _frame_ground_truth(world, ego_pose)
+        gt = tuple(g for g in gt_all if pipe.roi.contains(g.state))
         coop_in_roi = filter_roi(coop_aligned, pipe.roi)
         result = associate(ego_dets, coop_aligned, pipe.roi, pipe.r_int, pipe.weights)
         fused = []

@@ -1,25 +1,26 @@
 """Binary packet format for instance exchange.
 
-Layout (all little-endian, no padding):
+Layout (all little-endian, no padding), as packed numpy structured dtypes:
 
-    header:  magic u32 = 0x4B475121, version u16, sender_id u16,
-             send_timestamp i64 (microseconds), sender pose as 9 x f32
-             rotation (row-major) + 3 x f32 translation, count u16,
-             feature_dim u16                                  -> 68 bytes
-    record:  track_id u64 (0xFFFF...FF means untracked), class u8,
-             confidence f32, state 11 x f32, feature D x f32  -> 57 + 4D bytes
+    HEADER_DTYPE:     magic u32 = 0x4B475121, version u16, sender_id u16,
+                      send_timestamp i64 (microseconds), sender pose as
+                      9 x f32 rotation (row-major) + 3 x f32 translation,
+                      count u16, feature_dim u16              -> 68 bytes
+    record_dtype(D):  track_id u64 (0xFFFF...FF means untracked), class u8,
+                      confidence f32, state 11 x f32, feature D x f32
+                                                              -> 57 + 4D bytes
 
-Packets are value objects over exactly the f32-representable numbers that
+A packet is a header plus a record array over exactly the f32 values that
 live on the wire, so encode/decode round-trips are bit-exact. Conversion
 to and from ``Instance`` (which is float64 and validated) happens at the
-edges: headings and features are renormalized on the way in.
+edges: values round to f32 on the way out, and headings and features are
+renormalized on the way in.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,78 +37,68 @@ from .core import (
 MAGIC = 0x4B475121
 VERSION = 1
 NO_TRACK_ID = 0xFFFF_FFFF_FFFF_FFFF
+MAX_SENDER_ID = 0xFFFF
+MAX_CLASS_ID = 0xFF
 
-_HEADER = struct.Struct("<IHHq9f3fHH")
-HEADER_SIZE = _HEADER.size  # 68
-_RECORD_FIXED = struct.Struct("<QBf11f")
+HEADER_DTYPE = np.dtype(
+    [
+        ("magic", "<u4"),
+        ("version", "<u2"),
+        ("sender_id", "<u2"),
+        ("send_timestamp", "<i8"),
+        ("rotation", "<f4", (9,)),
+        ("translation", "<f4", (3,)),
+        ("count", "<u2"),
+        ("feature_dim", "<u2"),
+    ]
+)
+HEADER_SIZE = HEADER_DTYPE.itemsize  # 68
 
 
 class MalformedPacket(ValueError):
     """The byte stream is not a well-formed instance packet."""
 
 
+def record_dtype(feature_dim: int) -> np.dtype:
+    """The packed record layout for a given feature dimension."""
+    return np.dtype(
+        [
+            ("track_id", "<u8"),
+            ("class_id", "u1"),
+            ("confidence", "<f4"),
+            ("state", "<f4", (11,)),
+            ("feature", "<f4", (feature_dim,)),
+        ]
+    )
+
+
 def record_size(feature_dim: int) -> int:
     """Bytes per instance record for a given feature dimension."""
-    return _RECORD_FIXED.size + 4 * feature_dim
+    return record_dtype(feature_dim).itemsize
 
 
 def packet_size(count: int, feature_dim: int) -> int:
     return HEADER_SIZE + count * record_size(feature_dim)
 
 
-def _f32(value: float) -> float:
-    return float(np.float32(value))
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One instance as it appears on the wire (f32-exact values)."""
-
-    track_id: Optional[int]
-    class_id: int
-    confidence: float
-    state: tuple[float, ...]
-    feature: tuple[float, ...]
-
-    def to_instance(self, sender_id: int, send_timestamp: Timestamp) -> Instance:
-        """Validated Instance; renormalizes heading and feature after f32."""
-        values = list(self.state)
-        values[6], values[7] = normalize_heading(values[6], values[7])
-        return Instance(
-            state=StateVector.from_array(np.array(values)),
-            feature=normalize_feature(np.array(self.feature)),
-            confidence=min(max(self.confidence, 0.0), 1.0),
-            class_id=self.class_id,
-            track_id=self.track_id,
-            source_agent=sender_id,
-            observed_at=send_timestamp,
-        )
-
-    @classmethod
-    def from_instance(cls, inst: Instance) -> "PacketRecord":
-        tid = inst.track_id
-        if tid is not None and not 0 <= tid < NO_TRACK_ID:
-            raise ValueError(f"track_id {tid} does not fit the wire format")
-        return cls(
-            track_id=tid,
-            class_id=inst.class_id,
-            confidence=_f32(inst.confidence),
-            state=tuple(_f32(v) for v in inst.state.as_array()),
-            feature=tuple(_f32(v) for v in inst.feature),
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstancePacket:
-    """A decoded packet: header fields plus per-instance records."""
+    """A packet as wire values: one ``HEADER_DTYPE`` header and the records."""
 
-    version: int
-    sender_id: int
-    send_timestamp: Timestamp
-    rotation: tuple[float, ...]  # 9 entries, row-major
-    translation: tuple[float, ...]
-    feature_dim: int
-    records: tuple[PacketRecord, ...]
+    header: np.void
+    records: np.ndarray  # record_dtype(feature_dim), one entry per instance
+
+    @property
+    def sender_id(self) -> int:
+        return int(self.header["sender_id"])
+
+    @property
+    def send_timestamp(self) -> Timestamp:
+        return int(self.header["send_timestamp"])
+
+    @property
+    def feature_dim(self) -> int:
+        return int(self.header["feature_dim"])
 
     @property
     def count(self) -> int:
@@ -115,57 +106,50 @@ class InstancePacket:
 
     def sender_pose(self) -> RigidTransform:
         """The sender pose, re-orthonormalized after f32 quantization."""
-        rot = np.array(self.rotation).reshape(3, 3)
-        return RigidTransform(_orthonormalized(rot), np.array(self.translation))
+        rot = self.header["rotation"].astype(np.float64).reshape(3, 3)
+        return RigidTransform(_orthonormalized(rot), self.header["translation"].astype(np.float64))
 
     def to_instances(self) -> list[Instance]:
-        return [r.to_instance(self.sender_id, self.send_timestamp) for r in self.records]
+        """Validated Instances; renormalizes heading and feature after f32."""
+        recs = self.records
+        sender_id, send_timestamp = self.sender_id, self.send_timestamp
+        out = []
+        for tid, class_id, confidence, values, feature in zip(
+            recs["track_id"].tolist(),
+            recs["class_id"].tolist(),
+            recs["confidence"].tolist(),
+            recs["state"].tolist(),
+            recs["feature"].astype(np.float64),
+        ):
+            values[6], values[7] = normalize_heading(values[6], values[7])
+            out.append(
+                Instance(
+                    state=StateVector(*values),
+                    feature=normalize_feature(feature),
+                    confidence=min(max(confidence, 0.0), 1.0),
+                    class_id=class_id,
+                    track_id=None if tid == NO_TRACK_ID else tid,
+                    source_agent=sender_id,
+                    observed_at=send_timestamp,
+                )
+            )
+        return out
 
 
-def build_packet(
-    instances: Sequence[Instance],
-    pose: RigidTransform,
-    t: Timestamp,
-    sender_id: int,
-) -> InstancePacket:
-    """Quantize instances and pose into a wire-value packet."""
-    dims = {len(inst.feature) for inst in instances}
-    if len(dims) > 1:
-        raise ValueError(f"instances carry mixed feature dimensions: {sorted(dims)}")
-    feature_dim = dims.pop() if dims else 0
-    return InstancePacket(
-        version=VERSION,
-        sender_id=sender_id,
-        send_timestamp=t,
-        rotation=tuple(_f32(v) for v in pose.flat_rotation()),
-        translation=tuple(_f32(v) for v in pose.translation),
-        feature_dim=feature_dim,
-        records=tuple(PacketRecord.from_instance(inst) for inst in instances),
+def _record(inst: Instance) -> tuple:
+    tid = inst.track_id
+    if tid is not None and not 0 <= tid < NO_TRACK_ID:
+        raise ValueError(f"track_id {tid} does not fit the wire format")
+    if not 0 <= inst.class_id <= MAX_CLASS_ID:
+        raise ValueError(f"class_id {inst.class_id} does not fit the wire format")
+    return (
+        NO_TRACK_ID if tid is None else tid,
+        inst.class_id, inst.confidence, inst.state.as_array(), inst.feature,
     )
 
 
 def serialize_packet(packet: InstancePacket) -> bytes:
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            packet.version,
-            packet.sender_id,
-            packet.send_timestamp,
-            *packet.rotation,
-            *packet.translation,
-            packet.count,
-            packet.feature_dim,
-        )
-    ]
-    record_fmt = struct.Struct(f"<QBf11f{packet.feature_dim}f")
-    for rec in packet.records:
-        if len(rec.feature) != packet.feature_dim:
-            raise ValueError("record feature length disagrees with packet feature_dim")
-        tid = NO_TRACK_ID if rec.track_id is None else rec.track_id
-        parts.append(
-            record_fmt.pack(tid, rec.class_id, rec.confidence, *rec.state, *rec.feature)
-        )
-    return b"".join(parts)
+    return packet.header.tobytes() + packet.records.tobytes()
 
 
 def encode_packet(
@@ -175,7 +159,19 @@ def encode_packet(
     sender_id: int = 0,
 ) -> bytes:
     """Serialize a batch of instances plus the sender pose and timestamp."""
-    return serialize_packet(build_packet(instances, pose, t, sender_id))
+    dims = {len(inst.feature) for inst in instances}
+    if len(dims) > 1:
+        raise ValueError(f"instances carry mixed feature dimensions: {sorted(dims)}")
+    feature_dim = dims.pop() if dims else 0
+    if not 0 <= sender_id <= MAX_SENDER_ID:
+        raise ValueError(f"sender_id {sender_id} does not fit the wire format")
+    header = np.array(
+        (MAGIC, VERSION, sender_id, t, pose.rotation.reshape(-1), pose.translation,
+         len(instances), feature_dim),
+        dtype=HEADER_DTYPE,
+    )
+    records = np.array([_record(inst) for inst in instances], dtype=record_dtype(feature_dim))
+    return header.tobytes() + records.tobytes()
 
 
 def decode_packet(buf: bytes) -> InstancePacket:
@@ -187,39 +183,14 @@ def decode_packet(buf: bytes) -> InstancePacket:
     """
     if len(buf) < HEADER_SIZE:
         raise MalformedPacket(f"truncated header: {len(buf)} bytes")
-    (magic, version, sender_id, send_ts, *pose_fields) = _HEADER.unpack_from(buf, 0)
-    count, feature_dim = pose_fields[-2], pose_fields[-1]
-    rotation = tuple(pose_fields[:9])
-    translation = tuple(pose_fields[9:12])
-    if magic != MAGIC:
-        raise MalformedPacket(f"bad magic 0x{magic:08X}")
-    if version != VERSION:
-        raise MalformedPacket(f"unsupported version {version}")
+    header = np.frombuffer(buf, HEADER_DTYPE, count=1)[0]
+    if header["magic"] != MAGIC:
+        raise MalformedPacket(f"bad magic 0x{int(header['magic']):08X}")
+    if header["version"] != VERSION:
+        raise MalformedPacket(f"unsupported version {header['version']}")
+    count, feature_dim = int(header["count"]), int(header["feature_dim"])
     expected = packet_size(count, feature_dim)
     if len(buf) != expected:
         raise MalformedPacket(f"length {len(buf)} != declared {expected}")
-    record_fmt = struct.Struct(f"<QBf11f{feature_dim}f")
-    records = []
-    offset = HEADER_SIZE
-    for _ in range(count):
-        fields = record_fmt.unpack_from(buf, offset)
-        offset += record_fmt.size
-        tid = None if fields[0] == NO_TRACK_ID else fields[0]
-        records.append(
-            PacketRecord(
-                track_id=tid,
-                class_id=fields[1],
-                confidence=fields[2],
-                state=tuple(fields[3:14]),
-                feature=tuple(fields[14:]),
-            )
-        )
-    return InstancePacket(
-        version=version,
-        sender_id=sender_id,
-        send_timestamp=send_ts,
-        rotation=rotation,
-        translation=translation,
-        feature_dim=feature_dim,
-        records=tuple(records),
-    )
+    records = np.frombuffer(buf, record_dtype(feature_dim), count=count, offset=HEADER_SIZE)
+    return InstancePacket(header=header, records=records)

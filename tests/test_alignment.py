@@ -19,6 +19,7 @@ from coopfuse.core import (
     DegenerateHeading,
     RigidTransform,
     invert,
+    relative_transform,
     seconds_to_micros,
 )
 from conftest import make_instance, make_state
@@ -138,15 +139,15 @@ class TestFeaturePairRotation:
 
 
 class TestAlignInstance:
-    def _poses(self, ego_yaw=0.0, coop_xy=(0.0, 0.0), t=0):
+    def _rel(self, ego_yaw=0.0, coop_xy=(0.0, 0.0), t=0):
         ego = AgentPose(0, t, RigidTransform.from_yaw(ego_yaw))
         coop = AgentPose(1, t, RigidTransform(np.eye(3), np.array([*coop_xy, 0.0])))
-        return ego, coop
+        return relative_transform(ego, coop)
 
     def test_colocated_zero_latency_is_identity(self):
-        ego, coop = self._poses()
+        rel = self._rel()
         inst = make_instance(x=5.0, vx=10.0)
-        out = align_instance(inst, coop, ego, 0, AlignmentConfig())
+        out = align_instance(inst, rel, 0, AlignmentConfig())
         np.testing.assert_allclose(out.state.as_array(), inst.state.as_array(), atol=1e-12)
         np.testing.assert_array_equal(out.feature, inst.feature)
         assert out.track_id == inst.track_id
@@ -154,51 +155,50 @@ class TestAlignInstance:
 
     def test_headline_latency_case(self):
         # 300 ms at 10 m/s advances the shared instance by exactly 3 m.
-        ego, coop = self._poses()
+        rel = self._rel()
         inst = make_instance(x=5.0, vx=10.0, observed_at=0)
-        out = align_instance(inst, coop, ego, seconds_to_micros(0.3), AlignmentConfig())
+        out = align_instance(inst, rel, seconds_to_micros(0.3), AlignmentConfig())
         assert out.state.x == pytest.approx(8.0, abs=1e-12)
         assert out.observed_at == seconds_to_micros(0.3)
 
     def test_pure_rotation_matches_transform_state(self):
-        ego, coop = self._poses(ego_yaw=-math.pi / 2)
+        rel = self._rel(ego_yaw=-math.pi / 2)
         inst = make_instance(yaw=0.0, vx=1.0)
-        out = align_instance(inst, coop, ego, 0, AlignmentConfig())
+        out = align_instance(inst, rel, 0, AlignmentConfig())
         assert out.state.sin_yaw == pytest.approx(1.0)
         np.testing.assert_allclose(
             [out.state.vx, out.state.vy], [0.0, 1.0], atol=1e-12
         )
 
     def test_rejects_future_instances(self):
-        ego, coop = self._poses()
+        rel = self._rel()
         inst = make_instance(observed_at=100)
         with pytest.raises(ValueError):
-            align_instance(inst, coop, ego, 0, AlignmentConfig())
+            align_instance(inst, rel, 0, AlignmentConfig())
 
     def test_stale_instances_raise_horizon(self):
-        ego, coop = self._poses()
+        rel = self._rel()
         inst = make_instance(observed_at=0)
         with pytest.raises(HorizonExceeded):
-            align_instance(inst, coop, ego, seconds_to_micros(3.0), AlignmentConfig())
+            align_instance(inst, rel, seconds_to_micros(3.0), AlignmentConfig())
 
     def test_identity_aligner_keeps_cosine_similarity(self, rng):
-        ego, coop = self._poses(ego_yaw=0.8, coop_xy=(12.0, -7.0))
+        rel = self._rel(ego_yaw=0.8, coop_xy=(12.0, -7.0))
         a = make_instance(feature_seed=1, dim=16)
         b = make_instance(feature_seed=2, dim=16)
         before = float(np.dot(a.feature, b.feature))
         cfg = AlignmentConfig(feature_aligner=FeatureAligner.IDENTITY)
-        a2 = align_instance(a, coop, ego, 0, cfg)
-        b2 = align_instance(b, coop, ego, 0, cfg)
+        a2 = align_instance(a, rel, 0, cfg)
+        b2 = align_instance(b, rel, 0, cfg)
         assert float(np.dot(a2.feature, b2.feature)) == pytest.approx(before, abs=1e-12)
 
     def test_yaw_conditioned_aligner_unit_norm_and_zero_yaw_identity(self):
         cfg = AlignmentConfig(feature_aligner=FeatureAligner.YAW_CONDITIONED)
-        ego, coop = self._poses(ego_yaw=0.0, coop_xy=(3.0, 4.0))  # zero relative yaw
+        rel = self._rel(ego_yaw=0.0, coop_xy=(3.0, 4.0))  # zero relative yaw
         inst = make_instance(feature_seed=3, dim=16)
-        out = align_instance(inst, coop, ego, 0, cfg)
+        out = align_instance(inst, rel, 0, cfg)
         np.testing.assert_allclose(out.feature, inst.feature, atol=1e-12)
-        ego_rot = AgentPose(0, 0, RigidTransform.from_yaw(1.0))
-        rotated = align_instance(inst, coop, ego_rot, 0, cfg)
+        rotated = align_instance(inst, self._rel(ego_yaw=1.0, coop_xy=(3.0, 4.0)), 0, cfg)
         assert abs(np.linalg.norm(rotated.feature) - 1.0) < 1e-6
         assert not np.allclose(rotated.feature, inst.feature)
 
@@ -208,6 +208,7 @@ class TestAlignInstance:
             ego = AgentPose(0, 0, RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3)))
             coop = AgentPose(1, 0, RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3)))
             inst = make_instance(x=rng.uniform(-10, 10), vx=rng.uniform(-10, 10))
-            out = align_instance(inst, coop, ego, seconds_to_micros(rng.uniform(0, 1)), cfg)
+            rel = relative_transform(ego, coop)
+            out = align_instance(inst, rel, seconds_to_micros(rng.uniform(0, 1)), cfg)
             state = out.state
             assert (state.l, state.w, state.h) == (inst.state.l, inst.state.w, inst.state.h)

@@ -68,6 +68,39 @@ class TestLoadScenario:
             )
 
 
+def _two_agents(ego_id=0, coop_id=1, class_count=2):
+    return {
+        "scenario": {"class_count": class_count},
+        "agents": [
+            {"agent_id": ego_id, "ego": True, "sensor": {"feature_dim": 8}},
+            {"agent_id": coop_id, "sensor": {"feature_dim": 8}},
+        ],
+    }
+
+
+class TestWireBoundFields:
+    """Fields that land in u16/u8 wire slots are checked when loaded."""
+
+    def test_duplicate_agent_ids_rejected(self):
+        with pytest.raises(ConfigError, match=r"scenario: agents\[0\] and agents\[1\] share agent_id 3"):
+            scenario_from_dict(_two_agents(ego_id=3, coop_id=3))
+
+    @pytest.mark.parametrize("agent_id", [-1, 65536, 70000])
+    def test_agent_id_outside_u16_rejected(self, agent_id):
+        with pytest.raises(ConfigError, match=rf"agents\[1\]: agent_id {agent_id} outside \[0, 65535\]"):
+            scenario_from_dict(_two_agents(coop_id=agent_id))
+
+    @pytest.mark.parametrize("class_count", [0, 257, 300])
+    def test_class_count_outside_u8_rejected(self, class_count):
+        with pytest.raises(ConfigError, match=rf"scenario: class_count {class_count} outside \[1, 256\]"):
+            scenario_from_dict(_two_agents(class_count=class_count))
+
+    def test_wire_limits_accepted(self):
+        cfg = scenario_from_dict(_two_agents(coop_id=65535, class_count=256))
+        assert cfg.agents[1].agent_id == 65535
+        assert cfg.class_count == 256
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
         "name,factory",
