@@ -32,6 +32,7 @@ CASES = (
     ("range_study_sweep", "sweep-rint", "range_study.yaml", ("rint_sweep.csv",)),
     ("latency_study_sweep", "sweep-latency", "latency_study.yaml", ("latency_sweep.csv",)),
     (LOSSY, "run", None, ("metrics.csv", "events.csv")),
+    ("quickstart_robustness", "robustness", "quickstart.yaml", ("robustness.csv",)),
 )
 
 
