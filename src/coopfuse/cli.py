@@ -67,6 +67,12 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # argparse reports int()'s ValueError as a usage error too
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopfuse",
@@ -78,16 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="scenario YAML path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel replicas (default 1)")
 
     common(sub.add_parser("run", help="run one scenario and write metrics"))
 
     p = sub.add_parser("sweep-rint", help="sweep the interaction range")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel sweep points (default 1)")
     p.add_argument("--r-int", type=_float_list, default=None, help="comma-separated ranges in meters")
 
     p = sub.add_parser("sweep-latency", help="sweep the channel latency")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="parallel sweep points (default 1)")
     p.add_argument("--latency-ms", type=_float_list, default=None, help="comma-separated latencies")
     p.add_argument(
         "--no-compensation",
@@ -98,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="perturbation-harness association sweep")
     common(p)
     p.add_argument("--alpha", type=_float_list, default=None, help="appearance weights to sweep")
-    p.add_argument("--scenes", type=int, default=200, help="seeded scenes per point")
+    p.add_argument("--scenes", type=_positive_int, default=200, help="seeded scenes (default 200)")
 
     p = sub.add_parser("bench-bandwidth", help="transmission-cost accounting")
     common(p)

@@ -190,11 +190,14 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
         if translation.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {translation.shape}")
+        # Written so that NaN fails them: NaN compares false to everything.
         drift = np.max(np.abs(rotation @ rotation.T - np.eye(3)))
-        if drift > ROTATION_TOL:
+        if not drift <= ROTATION_TOL:
             raise ValueError(f"rotation is not orthonormal, drift {drift:.3e}")
-        if abs(np.linalg.det(rotation) - 1.0) > ROTATION_TOL:
+        if not abs(np.linalg.det(rotation) - 1.0) <= ROTATION_TOL:
             raise ValueError("rotation must have determinant +1")
+        if not np.all(np.isfinite(translation)):
+            raise ValueError("translation is not finite")
         rotation.setflags(write=False)
         translation.setflags(write=False)
         object.__setattr__(self, "rotation", rotation)
@@ -214,9 +217,6 @@ class RigidTransform:
     def flat_rotation(self) -> tuple[float, ...]:
         """The 9 rotation entries in row-major order (the wire layout)."""
         return tuple(float(v) for v in self.rotation.reshape(-1))
-
-    def apply_point(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(point, dtype=np.float64) + self.translation
 
     @property
     def yaw(self) -> float:

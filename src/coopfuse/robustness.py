@@ -11,7 +11,7 @@ is measurable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Mapping, Optional, Sequence
 
@@ -245,6 +245,26 @@ def match_accuracy(
     return accuracy, precision, recall
 
 
+def aligned_denoising_scene(
+    gt_objects: Sequence[GroundTruthObject],
+    seed: int,
+    obs_p: ObservationNoiseParams,
+    tf_p: TransformNoiseParams,
+    true_transform: Optional[RigidTransform] = None,
+    feature_dim: int = 64,
+    feature_noise_sigma: float = 0.3,
+) -> tuple[list[Instance], list[Instance], CorrespondenceOracle]:
+    """One seeded scene with its coop view aligned through the corrupted transform."""
+    ego_view, coop_view, oracle, corrupted = generate_denoising_scene(
+        gt_objects, np.random.default_rng(seed), obs_p, tf_p,
+        true_transform=true_transform,
+        feature_dim=feature_dim,
+        feature_noise_sigma=feature_noise_sigma,
+    )
+    aligned = [replace(inst, state=transform_state(inst.state, corrupted)) for inst in coop_view]
+    return ego_view, aligned, oracle
+
+
 def run_denoising_trial(
     gt_objects: Sequence[GroundTruthObject],
     seed: int,
@@ -256,27 +276,10 @@ def run_denoising_trial(
     feature_noise_sigma: float = 0.3,
 ) -> tuple[float, float, float]:
     """One seeded scene: generate, align the coop view, match, score."""
-    rng = np.random.default_rng(seed)
-    ego_view, coop_view, oracle, corrupted = generate_denoising_scene(
-        gt_objects, rng, obs_p, tf_p,
-        true_transform=true_transform,
-        feature_dim=feature_dim,
-        feature_noise_sigma=feature_noise_sigma,
+    ego_view, aligned, oracle = aligned_denoising_scene(
+        gt_objects, seed, obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
     )
-    aligned = [
-        Instance(
-            state=transform_state(inst.state, corrupted),
-            feature=inst.feature,
-            confidence=inst.confidence,
-            class_id=inst.class_id,
-            track_id=inst.track_id,
-            source_agent=inst.source_agent,
-            observed_at=inst.observed_at,
-        )
-        for inst in coop_view
-    ]
-    result = match(ego_view, aligned, weights)
-    return match_accuracy(result, oracle)
+    return match_accuracy(match(ego_view, aligned, weights), oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -336,34 +339,31 @@ def alpha_sweep_rows(
 ) -> list[dict]:
     """Mean association quality per appearance weight over seeded scenes.
 
-    Every alpha sees the same scenes (same seeds), so rows are directly
-    comparable. Noise defaults to the harness defaults.
+    Each scene is built and aligned once and scored at every alpha, so rows
+    are directly comparable. Noise defaults to the harness defaults.
+
+    Raises:
+        ValueError: for an empty ``alphas`` or fewer than one scene.
     """
+    if len(alphas) == 0 or scenes < 1:
+        raise ValueError(f"need an alpha and a scene, got {len(alphas)} alphas, {scenes} scenes")
     obs_p = obs_p or ObservationNoiseParams()
     tf_p = tf_p or TransformNoiseParams()
-    rows = []
-    for alpha in alphas:
-        weights = MatchWeights(alpha=alpha, cost_threshold=HARNESS_COST_THRESHOLD)
-        scores = []
-        for s in range(scenes):
-            scene_seed = seed + s
-            objects = make_cluttered_objects(
-                object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)
-            )
-            scores.append(
-                run_denoising_trial(
-                    objects, scene_seed, obs_p, tf_p, weights,
-                    feature_dim=feature_dim,
-                    feature_noise_sigma=feature_noise_sigma,
-                )
-            )
-        acc, prec, rec = (float(np.mean([s[i] for s in scores])) for i in range(3))
-        rows.append(
-            {
-                "alpha": float(alpha),
-                "mean_accuracy": acc,
-                "mean_precision": prec,
-                "mean_recall": rec,
-            }
+    weights = [MatchWeights(alpha=a, cost_threshold=HARNESS_COST_THRESHOLD) for a in alphas]
+    scores = np.empty((len(alphas), 3, scenes))  # (accuracy, precision, recall) by scene
+    for s, scene_seed in enumerate(range(seed, seed + scenes)):
+        objects = make_cluttered_objects(
+            object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)
         )
+        ego_view, aligned, oracle = aligned_denoising_scene(
+            objects, scene_seed, obs_p, tf_p,
+            feature_dim=feature_dim,
+            feature_noise_sigma=feature_noise_sigma,
+        )
+        for k, w in enumerate(weights):
+            scores[k, :, s] = match_accuracy(match(ego_view, aligned, w), oracle)
+    rows = []
+    for alpha, per_alpha in zip(alphas, scores):
+        means = (float(np.mean(column)) for column in per_alpha)
+        rows.append(dict(zip(ALPHA_SWEEP_COLUMNS, (float(alpha), *means))))
     return rows

@@ -412,13 +412,6 @@ class ScenarioConfig:
     def frame_count(self) -> int:
         return max(1, round(self.duration_s / self.tick_s))
 
-    @property
-    def ego_spec(self) -> AgentSpec:
-        for a in self.agents:
-            if a.ego:
-                return a
-        raise ValueError("scenario has no ego agent")
-
 
 def _min_separation_over_run(
     a_pos: np.ndarray, a_vel: np.ndarray, b_pos: np.ndarray, b_vel: np.ndarray, duration: float

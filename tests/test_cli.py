@@ -123,6 +123,21 @@ class TestRobustnessAndBandwidth:
         assert lines[0] == "alpha,mean_accuracy,mean_precision,mean_recall"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("scenes", ["0", "-3", "two"])
+    def test_robustness_rejects_bad_scene_count(self, tiny_config, tmp_path, scenes):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["robustness", "--config", tiny_config, "--out", str(out),
+                  "--scenes", scenes])
+        assert exc.value.code == EXIT_CONFIG  # argparse's usage error
+        assert not (out / "robustness.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "robustness", "bench-bandwidth"])
+    def test_jobs_belongs_to_the_sweeps_only(self, tiny_config, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", tiny_config, "--out", str(tmp_path), "--jobs", "2"])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_bandwidth_outputs(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["bench-bandwidth", "--config", tiny_config, "--out", str(out)]) == EXIT_OK

@@ -94,6 +94,19 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(mirror, np.zeros(3))
 
+    def test_rejects_nan_rotation(self):
+        with pytest.raises(ValueError):
+            RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(ValueError):
+            RigidTransform(np.eye(3), np.array([0.0, bad, 0.0]))
+
+    def test_rejects_nan_yaw(self):
+        with pytest.raises(ValueError):
+            RigidTransform.from_yaw(float("nan"))
+
     def test_flat_rotation_row_major(self):
         t = RigidTransform.from_yaw(math.pi / 2)
         flat = t.flat_rotation()

@@ -13,6 +13,7 @@ from coopfuse.robustness import (
     EmptyOracle,
     ObservationNoiseParams,
     TransformNoiseParams,
+    alpha_sweep_rows,
     generate_denoising_scene,
     identity_embedding,
     make_cluttered_objects,
@@ -230,3 +231,39 @@ class TestAppearanceHelpsInClutter:
                 accuracy, _, _ = run_denoising_trial(objects, seed, params, tf, weights)
                 scores[alpha].append(accuracy)
         assert np.mean(scores[1.0]) > np.mean(scores[0.0])
+
+
+class TestAlphaSweep:
+    def test_rows_equal_per_alpha_trial_means(self):
+        # Reference: every alpha re-runs every scene through the public
+        # one-scene function, on the sweep's own scene seeds.
+        alphas, scenes, seed, spacing, dim = [2.0, 0.0, 0.5, 0.0], 20, 7, 4.0, 16
+        rows = alpha_sweep_rows(alphas, scenes=scenes, seed=seed, spacing=spacing,
+                                feature_dim=dim)
+        expected = []
+        for alpha in alphas:
+            weights = MatchWeights(alpha=alpha, cost_threshold=15.0)
+            scores = [
+                run_denoising_trial(
+                    make_cluttered_objects(12, spacing, np.random.default_rng(s ^ 0xC1_0770)),
+                    s, ObservationNoiseParams(), TransformNoiseParams(), weights,
+                    feature_dim=dim,
+                )
+                for s in range(seed, seed + scenes)
+            ]
+            expected.append({
+                "alpha": alpha,
+                "mean_accuracy": float(np.mean([a for a, _, _ in scores])),
+                "mean_precision": float(np.mean([p for _, p, _ in scores])),
+                "mean_recall": float(np.mean([r for _, _, r in scores])),
+            })
+        assert rows == expected
+
+    @pytest.mark.parametrize("scenes", [0, -1])
+    def test_rejects_fewer_than_one_scene(self, scenes):
+        with pytest.raises(ValueError):
+            alpha_sweep_rows([0.0, 1.0], scenes=scenes)
+
+    def test_rejects_empty_alphas(self):
+        with pytest.raises(ValueError):
+            alpha_sweep_rows([], scenes=5)

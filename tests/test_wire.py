@@ -8,6 +8,7 @@ import pytest
 
 from coopfuse.core import RigidTransform
 from coopfuse.wire import (
+    HEADER_DTYPE,
     HEADER_SIZE,
     MAGIC,
     NO_TRACK_ID,
@@ -114,6 +115,13 @@ class TestRoundTrip:
             packet = decode_packet(encode_packet([], pose, 0))
             recovered = packet.sender_pose()  # validates orthonormality internally
             np.testing.assert_allclose(recovered.rotation, pose.rotation, atol=1e-6)
+
+    def test_sender_pose_rejects_nan_translation(self):
+        data = bytearray(encode_packet([], RigidTransform.identity(), 0))
+        offset = HEADER_DTYPE.fields["translation"][1]
+        data[offset:offset + 4] = np.float32(np.nan).tobytes()
+        with pytest.raises(ValueError):
+            decode_packet(bytes(data)).sender_pose()
 
 
 class TestMalformed:
