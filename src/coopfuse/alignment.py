@@ -50,7 +50,7 @@ class AlignmentConfig:
     max_compensation_horizon: float = DEFAULT_COMPENSATION_HORIZON
 
     def __post_init__(self) -> None:
-        if self.max_compensation_horizon <= 0:
+        if not self.max_compensation_horizon > 0:
             raise ValueError("max_compensation_horizon must be positive")
 
 

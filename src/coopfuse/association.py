@@ -32,9 +32,9 @@ class RoiSpec:
     z_max: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.x_half <= 0 or self.y_half <= 0:
+        if not (self.x_half > 0 and self.y_half > 0):
             raise ValueError("ROI half-extents must be positive")
-        if self.z_min >= self.z_max:
+        if not self.z_min < self.z_max:
             raise ValueError("ROI requires z_min < z_max")
 
     def contains(self, state) -> bool:
@@ -65,11 +65,11 @@ class MatchWeights:
 
     def __post_init__(self) -> None:
         weights = (self.w_pos, self.w_dim, self.w_heading, self.w_vel, self.alpha)
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise ValueError("weights must be non-negative")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one weight must be positive")
-        if self.cost_threshold <= 0:
+        if not self.cost_threshold > 0:
             raise ValueError("cost_threshold must be positive")
 
     def state_weights(self) -> np.ndarray:

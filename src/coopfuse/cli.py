@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -62,9 +63,12 @@ def _configure_logging() -> None:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+    if any(math.isnan(v) for v in values):
+        raise argparse.ArgumentTypeError(f"NaN is not allowed: {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:

@@ -214,10 +214,6 @@ class RigidTransform:
         rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return cls(rotation, np.asarray(translation, dtype=np.float64))
 
-    def flat_rotation(self) -> tuple[float, ...]:
-        """The 9 rotation entries in row-major order (the wire layout)."""
-        return tuple(float(v) for v in self.rotation.reshape(-1))
-
     @property
     def yaw(self) -> float:
         """Rotation angle about +z implied by the first column."""

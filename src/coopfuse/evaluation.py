@@ -3,9 +3,10 @@
 Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
-over an 11-point recall grid. The claims these support are trends and
-properties, not leaderboard numbers, and every output is deterministic
-given the scenario seed.
+over an 11-point recall grid. Every metric is derived from one greedy
+match of each frame per distinct distance threshold. The claims these
+support are trends and properties, not leaderboard numbers, and every
+output is deterministic given the scenario seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,13 +68,14 @@ class MetricsReport:
 
 
 Frame = tuple[TrackSet, FrameGroundTruth]
+Match = tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]
 
 
 def _greedy_match(
     preds: Sequence[Instance],
     gt_objects: Sequence[GroundTruthObject],
     dist_threshold: float,
-) -> tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]:
+) -> Match:
     available = list(range(len(gt_objects)))
     tp, fp = [], []
     for pred in sorted(preds, key=lambda p: -p.confidence):
@@ -94,31 +96,37 @@ def _greedy_match(
     return tp, fp, fn
 
 
-def match_to_gt(
-    tracks: TrackSet, gt: FrameGroundTruth, dist_threshold: float
-) -> tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]:
+def match_to_gt(tracks: TrackSet, gt: FrameGroundTruth, dist_threshold: float) -> Match:
     """Greedy confidence-ordered one-to-one matching by planar distance."""
     if tracks.timestamp != gt.timestamp:
         raise ValueError("track set and ground truth are from different frames")
     return _greedy_match(tracks.instances, gt.objects, dist_threshold)
 
 
-def _pr_curve(frames: Sequence[Frame], dist_threshold: float):
+def _match_frames(frames: Sequence[Frame], dist_threshold: float) -> list[Match]:
+    return [match_to_gt(tracks, gt, dist_threshold) for tracks, gt in frames]
+
+
+def _total_gt(matches: Sequence[Match]) -> int:
+    return sum(len(tp) + len(fn) for tp, _, fn in matches)
+
+
+def _ranked(matches: Sequence[Match]) -> tuple[list[float], list[float], list[float]]:
+    """Confidence, recall and precision at each rank of the pooled predictions."""
     scored: list[tuple[float, bool]] = []
-    total_gt = 0
-    for tracks, gt in frames:
-        total_gt += len(gt.objects)
-        tp, fp, _ = match_to_gt(tracks, gt, dist_threshold)
+    for tp, fp, _ in matches:
         scored.extend((pred.confidence, True) for pred, _, _ in tp)
         scored.extend((pred.confidence, False) for pred in fp)
     scored.sort(key=lambda item: -item[0])
-    recalls, precisions = [], []
+    total_gt = _total_gt(matches)
+    confidences, recalls, precisions = [], [], []
     tp_cum = 0
-    for rank, (_conf, is_tp) in enumerate(scored, start=1):
+    for rank, (conf, is_tp) in enumerate(scored, start=1):
         tp_cum += is_tp
+        confidences.append(conf)
         precisions.append(tp_cum / rank)
         recalls.append(tp_cum / total_gt if total_gt else 0.0)
-    return recalls, precisions
+    return confidences, recalls, precisions
 
 
 def _interpolated_ap(recalls: Sequence[float], precisions: Sequence[float]) -> float:
@@ -139,43 +147,43 @@ def compute_ap(
     """Average precision: 11-point interpolation, averaged over thresholds."""
     if not frames:
         raise ValueError("need at least one frame")
-    return float(
-        np.mean([_interpolated_ap(*_pr_curve(frames, thr)) for thr in thresholds])
-    )
+    return float(np.mean([
+        _interpolated_ap(*_ranked(_match_frames(frames, thr))[1:]) for thr in thresholds
+    ]))
 
 
-def _tracking_pass(
-    frames: Sequence[Frame],
-    dist_threshold: float,
-    conf_min: Optional[float] = None,
-) -> tuple[int, int, int, int, int, list[float]]:
-    fp_count = fn_count = switches = total_gt = tp_count = 0
+def _mota_at(matches: Sequence[Match], total_gt: int, conf_min: float) -> tuple[float, int]:
+    """(mota_like, id_switches) of the predictions with confidence >= conf_min.
+
+    The greedy matcher visits predictions in stable descending-confidence
+    order, so a cut keeps a prefix of that order and its matches are
+    exactly the full matches restricted to the kept predictions.
+    """
+    errors = switches = 0
     last_track: dict[int, int] = {}
-    tp_dists: list[float] = []
-    for tracks, gt in frames:
-        preds = [
-            inst
-            for inst in tracks.instances
-            if conf_min is None or inst.confidence >= conf_min
-        ]
-        tp, fp, fn = _greedy_match(preds, gt.objects, dist_threshold)
-        fp_count += len(fp)
-        fn_count += len(fn)
-        total_gt += len(gt.objects)
-        tp_count += len(tp)
-        for pred, g, d in tp:
-            tp_dists.append(d)
+    for tp, fp, fn in matches:
+        kept = [(pred, g) for pred, g, _ in tp if pred.confidence >= conf_min]
+        errors += len(fn) + len(tp) - len(kept)
+        errors += sum(pred.confidence >= conf_min for pred in fp)
+        for pred, g in kept:
             prev = last_track.get(g.object_id)
             if prev is not None and prev != pred.track_id:
                 switches += 1
             last_track[g.object_id] = pred.track_id
-    return fp_count, fn_count, switches, total_gt, tp_count, tp_dists
-
-
-def _mota(fp: int, fn: int, idsw: int, total_gt: int) -> float:
     if total_gt == 0:
-        return 0.0
-    return max(0.0, 1.0 - (fp + fn + idsw) / total_gt)
+        return 0.0, switches
+    return max(0.0, 1.0 - (errors + switches) / total_gt), switches
+
+
+def _tracking(matches: Sequence[Match]) -> tuple[float, float, int]:
+    total_gt = _total_gt(matches)
+    mota, idsw = _mota_at(matches, total_gt, 0.0)
+    confidences, recalls, _ = _ranked(matches)
+    motas = [mota]
+    for target in RECALL_GRID[1:]:
+        rank = next((i for i, r in enumerate(recalls) if r >= target - 1e-12), None)
+        motas.append(0.0 if rank is None else _mota_at(matches, total_gt, confidences[rank])[0])
+    return mota, float(np.mean(motas)), idsw
 
 
 def compute_tracking(
@@ -189,36 +197,21 @@ def compute_tracking(
     reaches it is evaluated (target 0 uses everything); unreachable targets
     score 0.
     """
-    fp, fn, idsw, total_gt, tp_count, _ = _tracking_pass(frames, dist_threshold)
-    mota = _mota(fp, fn, idsw, total_gt)
+    return _tracking(_match_frames(frames, dist_threshold))
 
-    # Confidence-threshold candidates for the recall sweep, from the
-    # full-output TP flags.
-    scored: list[tuple[float, bool]] = []
-    for tracks, gt in frames:
-        tp, fps, _ = match_to_gt(tracks, gt, dist_threshold)
-        scored.extend((pred.confidence, True) for pred, _, _ in tp)
-        scored.extend((pred.confidence, False) for pred in fps)
-    scored.sort(key=lambda item: -item[0])
 
-    motas = []
-    for target in RECALL_GRID:
-        if target == 0.0 or total_gt == 0:
-            motas.append(mota if total_gt else 0.0)
-            continue
-        threshold = None
-        tp_cum = 0
-        for conf, is_tp in scored:
-            tp_cum += is_tp
-            if tp_cum / total_gt >= target - 1e-12:
-                threshold = conf
-                break
-        if threshold is None:
-            motas.append(0.0)
-            continue
-        sfp, sfn, sidsw, sgt, _, _ = _tracking_pass(frames, dist_threshold, threshold)
-        motas.append(_mota(sfp, sfn, sidsw, sgt))
-    return mota, float(np.mean(motas)), idsw
+def _duplicate_rate(matches: Sequence[Match], dist_threshold: float) -> float:
+    duplicates = 0
+    for tp, fp, _ in matches:
+        for pred in fp:
+            duplicates += any(
+                g.class_id == pred.class_id
+                and math.hypot(pred.state.x - g.state.x, pred.state.y - g.state.y)
+                <= dist_threshold
+                for _, g, _ in tp
+            )
+    total_gt = _total_gt(matches)
+    return duplicates / total_gt if total_gt else 0.0
 
 
 def duplicate_rate(
@@ -226,21 +219,7 @@ def duplicate_rate(
 ) -> float:
     """Fraction of GT picked up more than once: extra same-class predictions
     within the threshold of an already-matched object, over total GT."""
-    duplicates = 0
-    total_gt = 0
-    for tracks, gt in frames:
-        total_gt += len(gt.objects)
-        tp, fp, _ = match_to_gt(tracks, gt, dist_threshold)
-        matched = [(g, pred.class_id) for pred, g, _ in tp]
-        for pred in fp:
-            hit = any(
-                cls == pred.class_id
-                and math.hypot(pred.state.x - g.state.x, pred.state.y - g.state.y)
-                <= dist_threshold
-                for g, cls in matched
-            )
-            duplicates += hit
-    return duplicates / total_gt if total_gt else 0.0
+    return _duplicate_rate(_match_frames(frames, dist_threshold), dist_threshold)
 
 
 def run_frames(run: RunResult) -> list[Frame]:
@@ -255,14 +234,15 @@ def compute_metrics(
 ) -> MetricsReport:
     """Full metric report for one scenario run."""
     frames = run_frames(run)
+    matches = {thr: _match_frames(frames, thr) for thr in {*thresholds, TRACKING_THRESHOLD}}
     curves = {}
-    ap_per = {}
     for thr in thresholds:
-        recalls, precisions = _pr_curve(frames, thr)
+        _, recalls, precisions = _ranked(matches[thr])
         curves[thr] = (tuple(recalls), tuple(precisions))
-        ap_per[thr] = _interpolated_ap(recalls, precisions)
-    mota, amota, idsw = compute_tracking(frames)
-    _, _, _, _, _, tp_dists = _tracking_pass(frames, TRACKING_THRESHOLD)
+    ap_per = {thr: _interpolated_ap(*curve) for thr, curve in curves.items()}
+    tracked = matches[TRACKING_THRESHOLD]
+    mota, amota, idsw = _tracking(tracked)
+    tp_dists = [d for tp, _, _ in tracked for _, _, d in tp]
     rmse = float(np.sqrt(np.mean(np.square(tp_dists)))) if tp_dists else math.nan
     prefusion = [rec.coop_prefusion_err for rec in run.frames if not math.isnan(rec.coop_prefusion_err)]
     return MetricsReport(
@@ -272,7 +252,7 @@ def compute_metrics(
         mota_like=mota,
         amota_like=amota,
         id_switches=idsw,
-        duplicate_rate=duplicate_rate(frames),
+        duplicate_rate=_duplicate_rate(tracked, TRACKING_THRESHOLD),
         rmse_pos=rmse,
         bps_sent=run.bps_sent,
         bps_received=run.bps_received,

@@ -30,7 +30,7 @@ class FusionConfig:
     confidence_fusion: str = "max"  # or "noisy_or"
 
     def __post_init__(self) -> None:
-        if self.dedup_radius <= 0:
+        if not self.dedup_radius > 0:
             raise ValueError("dedup_radius must be positive")
         for gain in (self.smoothing_gain_pos, self.smoothing_gain_vel):
             if not 0.0 < gain <= 1.0:
@@ -56,10 +56,6 @@ class TrackSet:
             raise ValueError("every track-set instance needs a track_id")
         if len(set(ids)) != len(ids):
             raise ValueError("track_ids must be unique within a frame")
-
-    @property
-    def track_ids(self) -> frozenset[int]:
-        return frozenset(inst.track_id for inst in self.instances)
 
 
 class TrackIdRegistry:

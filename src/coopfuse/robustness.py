@@ -45,7 +45,7 @@ class ObservationNoiseParams:
     other_range: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.pos_range < 0 or self.other_range < 0:
+        if not (self.pos_range >= 0 and self.other_range >= 0):
             raise ValueError("noise ranges must be non-negative")
 
 
@@ -58,7 +58,7 @@ class TransformNoiseParams:
     three_axis: bool = False
 
     def __post_init__(self) -> None:
-        if self.trans_sigma < 0 or self.rot_sigma_deg < 0:
+        if not (self.trans_sigma >= 0 and self.rot_sigma_deg >= 0):
             raise ValueError("noise sigmas must be non-negative")
 
 

@@ -126,7 +126,7 @@ class SensorModel:
     track_gate: float = 4.0  # NN continuation radius, meters
 
     def __post_init__(self) -> None:
-        if self.max_range <= 0:
+        if not self.max_range > 0:
             raise ValueError("max_range must be positive")
         for name in ("detect_prob_near", "detect_prob_far", "confidence_near", "confidence_far"):
             value = getattr(self, name)
@@ -134,7 +134,7 @@ class SensorModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.feature_dim < 1:
             raise ValueError("feature_dim must be at least 1")
-        if self.pos_noise_range_power <= 0:
+        if not self.pos_noise_range_power > 0:
             raise ValueError("pos_noise_range_power must be positive")
 
     def _mix(self, near: float, far: float, r: float, power: float = 1.0) -> float:
@@ -296,11 +296,11 @@ class ChannelModel:
     accounting_window_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0 or self.jitter_ms < 0:
+        if not (self.latency_ms >= 0 and self.jitter_ms >= 0):
             raise ValueError("latency and jitter must be non-negative")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if self.accounting_window_s < 0:
+        if not self.accounting_window_s >= 0:
             raise ValueError("accounting_window_s must be non-negative")
 
 
@@ -355,7 +355,7 @@ class PipelineConfig:
     transmit_confidence_min: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.r_int <= 0:
+        if not self.r_int > 0:
             raise ValueError("r_int must be positive")
         if self.transmit_top_k < 1:
             raise ValueError("transmit_top_k must be at least 1")
@@ -384,11 +384,11 @@ class ScenarioConfig:
     pose_noise: Optional[TransformNoiseParams] = None  # sender localization error
 
     def __post_init__(self) -> None:
-        if self.tick_s <= 0:
+        if not self.tick_s > 0:
             raise ValueError("tick_s must be positive")
-        if self.duration_s < self.tick_s:
+        if not self.duration_s >= self.tick_s:
             raise ValueError("duration_s must be at least one tick")
-        if self.speed_range[0] < 0 or self.speed_range[1] < self.speed_range[0]:
+        if not 0 <= self.speed_range[0] <= self.speed_range[1]:
             raise ValueError("speed_range must be non-negative and ordered")
         if self.object_count < 1:
             raise ValueError("object_count must be at least 1")
@@ -679,147 +679,4 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         events=events,
         bytes_sent=bytes_sent,
         bytes_received=bytes_received,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Reference scenarios
-
-
-def constant_velocity_scenario(seed: int = 0) -> ScenarioConfig:
-    """Noise-free straight-line world with two flawless agents.
-
-    Useful as a fixture: tracking must be perfect here, and anything
-    nondeterministic shows up as an immediate diff.
-    """
-    perfect = SensorModel(
-        max_range=200.0,
-        detect_prob_near=1.0,
-        detect_prob_far=1.0,
-        pos_noise_sigma=0.0,
-        feature_noise_sigma=0.0,
-        confidence_near=0.9,
-        confidence_far=0.9,
-        feature_dim=32,
-    )
-    return ScenarioConfig(
-        duration_s=12.0,
-        tick_s=0.5,
-        seed=seed,
-        object_count=10,
-        spawn_x=(-15.0, 15.0),
-        spawn_y=(-15.0, 15.0),
-        speed_range=(0.3, 1.2),
-        min_clearance=6.0,
-        agents=(
-            AgentSpec(agent_id=0, ego=True, sensor=perfect),
-            AgentSpec(agent_id=1, x=20.0, y=20.0, yaw_deg=-135.0, sensor=perfect),
-        ),
-        channel=ChannelModel(),
-        pipeline=PipelineConfig(),
-    )
-
-
-def latency_study_scenario(seed: int = 0) -> ScenarioConfig:
-    """Fast objects, short-range ego, wide-coverage remote: latency bites.
-
-    The remote agent covers far more of the scene than the ego sensor, so
-    whatever error latency induces in the shared instances lands directly
-    on the output. Objects are fast (>= 10 m/s) to make the stakes visible.
-    """
-    ego_sensor = SensorModel(
-        max_range=40.0,
-        detect_prob_near=0.95,
-        detect_prob_far=0.85,
-        pos_noise_sigma=0.2,
-        vel_noise_sigma=0.05,
-        feature_noise_sigma=0.25,
-        confidence_near=0.95,
-        confidence_far=0.6,
-        feature_dim=64,
-    )
-    coop_sensor = SensorModel(
-        max_range=140.0,
-        detect_prob_near=0.98,
-        detect_prob_far=0.92,
-        pos_noise_sigma=0.2,
-        vel_noise_sigma=0.05,
-        feature_noise_sigma=0.25,
-        confidence_near=0.9,
-        confidence_far=0.75,
-        feature_dim=64,
-    )
-    return ScenarioConfig(
-        duration_s=8.0,
-        tick_s=0.1,
-        seed=seed,
-        object_count=12,
-        spawn_x=(-45.0, 45.0),
-        spawn_y=(-45.0, 45.0),
-        speed_range=(10.5, 15.0),
-        min_clearance=8.0,
-        agents=(
-            AgentSpec(agent_id=0, ego=True, sensor=ego_sensor),
-            AgentSpec(agent_id=1, x=30.0, y=30.0, yaw_deg=135.0, sensor=coop_sensor),
-        ),
-        channel=ChannelModel(latency_ms=0.0),
-        pipeline=PipelineConfig(transmit_top_k=15),
-    )
-
-
-def interaction_range_scenario(seed: int = 0) -> ScenarioConfig:
-    """Degraded far-field ego sensing against a uniformly good remote.
-
-    Near the ego both views are solid, and fusing them suppresses the
-    duplicates that sender-pose error would otherwise leave behind. Far
-    away the ego estimate is camera-like junk: too weak to publish on its
-    own, but blended into a good remote estimate it drags it off target
-    and churns its identity. Sweeping the interaction range trades those
-    failure modes against each other.
-    """
-    ego_sensor = SensorModel(
-        max_range=45.0,
-        detect_prob_near=1.0,
-        detect_prob_far=0.8,
-        pos_noise_sigma=0.25,
-        pos_noise_far_factor=20.0,
-        pos_noise_range_power=3.0,
-        vel_noise_sigma=0.1,
-        feature_noise_sigma=0.3,
-        confidence_near=0.95,
-        confidence_far=0.45,
-        feature_dim=64,
-        track_gate=8.0,
-    )
-    coop_sensor = SensorModel(
-        max_range=140.0,
-        detect_prob_near=0.98,
-        detect_prob_far=0.9,
-        pos_noise_sigma=0.2,
-        vel_noise_sigma=0.05,
-        feature_noise_sigma=0.3,
-        confidence_near=0.85,
-        confidence_far=0.8,
-        feature_dim=64,
-    )
-    return ScenarioConfig(
-        duration_s=24.0,
-        tick_s=0.5,
-        seed=seed,
-        object_count=20,
-        spawn_x=(-42.0, 42.0),
-        spawn_y=(-42.0, 42.0),
-        speed_range=(3.0, 8.0),
-        min_clearance=8.0,
-        agents=(
-            AgentSpec(agent_id=0, ego=True, sensor=ego_sensor),
-            AgentSpec(agent_id=1, x=35.0, y=35.0, yaw_deg=-135.0, sensor=coop_sensor),
-        ),
-        channel=ChannelModel(latency_ms=100.0),
-        pose_noise=TransformNoiseParams(trans_sigma=1.0, rot_sigma_deg=0.5),
-        pipeline=PipelineConfig(
-            weights=MatchWeights(cost_threshold=6.5),
-            fusion=FusionConfig(dedup_radius=0.8, output_confidence_threshold=0.5),
-            transmit_top_k=25,
-        ),
     )

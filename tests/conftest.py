@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from coopfuse.configio import load_scenario
 from coopfuse.core import Instance, StateVector
 from coopfuse.robustness import identity_embedding
+from coopfuse.simulator import ScenarioConfig
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped(name: str, seed: int = 0) -> ScenarioConfig:
+    """The shipped scene ``configs/<name>.yaml``, run under ``seed``."""
+    return replace(load_scenario(CONFIG_DIR / f"{name}.yaml"), seed=seed)
 
 
 def make_state(

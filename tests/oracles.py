@@ -7,6 +7,7 @@ first-principles arithmetic, sharing no code path with the library.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -70,3 +71,119 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 2] = -q[:, 2]
     return q
+
+
+def brute_force_greedy_match(preds, gts, dist_threshold):
+    """Greedy matching written from its definition.
+
+    ``preds`` are ``(x, y, confidence, class_id, track_id)`` and ``gts`` are
+    ``(object_id, x, y, class_id)``. Predictions are visited by descending
+    confidence, ties in input order; each claims the nearest free
+    same-class object within the threshold, the later object winning an
+    exact distance tie. Returns ``(pairs, unmatched, free)``: ``pairs`` holds
+    ``(pred index, gt index, distance)`` in visiting order, ``unmatched``
+    the unmatched prediction indices in visiting order, ``free`` the
+    unclaimed gt indices.
+    """
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i][2], i))
+    free = set(range(len(gts)))
+    pairs, unmatched = [], []
+    for i in order:
+        x, y, _, cls, _ = preds[i]
+        candidates = [
+            (math.hypot(x - gts[k][1], y - gts[k][2]), -k)
+            for k in free
+            if gts[k][3] == cls
+        ]
+        candidates = [c for c in candidates if c[0] <= dist_threshold]
+        if candidates:
+            d, neg_k = min(candidates)
+            free.remove(-neg_k)
+            pairs.append((i, -neg_k, d))
+        else:
+            unmatched.append(i)
+    return pairs, unmatched, free
+
+
+def _ranked_hits(frames, dist_threshold):
+    """(confidence, is_tp) of every prediction, by descending confidence.
+
+    Ties keep frame order and, within a frame, matched before unmatched,
+    each in visiting order.
+    """
+    scored = []
+    for preds, gts in frames:
+        pairs, unmatched, _ = brute_force_greedy_match(preds, gts, dist_threshold)
+        scored += [(preds[i][2], True) for i, _, _ in pairs]
+        scored += [(preds[i][2], False) for i in unmatched]
+    return sorted(scored, key=lambda item: -item[0])
+
+
+def brute_force_scores(frames, thresholds, tracking_threshold):
+    """AP, MOTA, AMOTA, ID switches, duplicate rate and RMSE, from scratch.
+
+    ``frames`` is a list of ``(preds, gts)`` in the tuple layout of
+    :func:`brute_force_greedy_match`. AP is the 11-point interpolated
+    precision averaged over ``thresholds``. Every confidence cut of the
+    AMOTA recall grid is greedy-matched again from the kept predictions.
+    """
+    grid = [k / 10 for k in range(11)]
+    total_gt = sum(len(gts) for _, gts in frames)
+
+    def ap_at(dist_threshold):
+        tp_cum, recalls, precisions = 0, [], []
+        for rank, (_, is_tp) in enumerate(_ranked_hits(frames, dist_threshold), start=1):
+            tp_cum += is_tp
+            recalls.append(tp_cum / total_gt if total_gt else 0.0)
+            precisions.append(tp_cum / rank)
+        return sum(
+            max([p for r, p in zip(recalls, precisions) if r >= target - 1e-12], default=0.0)
+            for target in grid
+        ) / len(grid)
+
+    def mota_at(conf_min):
+        errors = switches = 0
+        last_track = {}
+        for preds, gts in frames:
+            kept = [p for p in preds if p[2] >= conf_min]
+            pairs, unmatched, free = brute_force_greedy_match(kept, gts, tracking_threshold)
+            errors += len(unmatched) + len(free)
+            for i, k, _ in pairs:
+                object_id, track_id = gts[k][0], kept[i][4]
+                if object_id in last_track and last_track[object_id] != track_id:
+                    switches += 1
+                last_track[object_id] = track_id
+        mota = max(0.0, 1.0 - (errors + switches) / total_gt) if total_gt else 0.0
+        return mota, switches
+
+    mota, switches = mota_at(-math.inf)
+    ranked = _ranked_hits(frames, tracking_threshold)
+    motas = [mota]
+    for target in grid[1:]:
+        tp_cum, cut = 0, None
+        for conf, is_tp in ranked:
+            tp_cum += is_tp
+            if total_gt and tp_cum / total_gt >= target - 1e-12:
+                cut = conf
+                break
+        motas.append(0.0 if cut is None else mota_at(cut)[0])
+
+    duplicates, distances = 0, []
+    for preds, gts in frames:
+        pairs, unmatched, _ = brute_force_greedy_match(preds, gts, tracking_threshold)
+        distances += [d for _, _, d in pairs]
+        claimed = [gts[k] for _, k, _ in pairs]
+        for i in unmatched:
+            x, y, _, cls, _ = preds[i]
+            duplicates += any(
+                g[3] == cls and math.hypot(x - g[1], y - g[2]) <= tracking_threshold
+                for g in claimed
+            )
+    return {
+        "ap": sum(ap_at(t) for t in thresholds) / len(thresholds),
+        "mota": mota,
+        "amota": sum(motas) / len(motas),
+        "id_switches": switches,
+        "duplicate_rate": duplicates / total_gt if total_gt else 0.0,
+        "rmse": math.sqrt(sum(d * d for d in distances) / len(distances)) if distances else math.nan,
+    }

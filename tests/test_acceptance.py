@@ -31,15 +31,9 @@ from coopfuse.robustness import (
     perturb_observation,
     perturb_transform,
 )
-from coopfuse.simulator import (
-    bev_baseline_cost,
-    constant_velocity_scenario,
-    interaction_range_scenario,
-    latency_study_scenario,
-    run_scenario,
-)
+from coopfuse.simulator import bev_baseline_cost, run_scenario
 from coopfuse.wire import decode_packet, packet_size, record_size, serialize_packet
-from conftest import make_state
+from conftest import make_state, shipped
 from oracles import brute_force_min_total
 from test_wire import random_packet_bytes
 
@@ -135,7 +129,7 @@ def test_03_codec():
 def test_04_latency_robustness():
     """Compensation keeps shared instances accurate as the channel lags."""
     with criterion(4, "latency robustness"):
-        cfg = latency_study_scenario(seed=0)
+        cfg = shipped("latency_study")
         rows = sweep_latency(cfg, DEFAULT_LATENCY_SWEEP_MS, compensation="both")
         by_key = {(r["latency_ms"], r["compensated"]): r for r in rows}
 
@@ -160,7 +154,7 @@ def test_05_interaction_range_tradeoff():
     """Duplicates fall as the fusion radius grows; quality peaks inside it."""
     with criterion(5, "interaction-range trade-off"):
         reference = sweep_interaction_range(
-            interaction_range_scenario(seed=0), DEFAULT_RANGE_SWEEP
+            shipped("range_study"), DEFAULT_RANGE_SWEEP
         )
         dups = [row["duplicate_rate"] for row in reference]
         for earlier, later in zip(dups, dups[1:]):
@@ -169,7 +163,7 @@ def test_05_interaction_range_tradeoff():
         interior = 0
         for seed in range(10):
             rows = sweep_interaction_range(
-                interaction_range_scenario(seed=seed), DEFAULT_RANGE_SWEEP
+                shipped("range_study", seed=seed), DEFAULT_RANGE_SWEEP
             )
             amota = [row["amota_like"] for row in rows]
             best = amota.index(max(amota))
@@ -223,7 +217,7 @@ def test_08_bandwidth_scaling():
         ss_tot = float(np.sum((bps - bps.mean()) ** 2))
         assert 1.0 - ss_res / ss_tot > 0.999
 
-        cfg = constant_velocity_scenario(seed=0)
+        cfg = shipped("quickstart")
         small = run_scenario(cfg)
         wide = run_scenario(
             replace(cfg, spawn_x=(-25.0, 25.0), spawn_y=(-25.0, 25.0))
@@ -243,7 +237,7 @@ def test_08_bandwidth_scaling():
 def test_09_tracking_sanity_and_determinism(tmp_path):
     """A noise-free world tracks perfectly, and outputs are byte-stable."""
     with criterion(9, "tracking sanity and determinism"):
-        cfg = constant_velocity_scenario(seed=0)
+        cfg = shipped("quickstart")
         metrics = compute_metrics(run_scenario(cfg))
         assert metrics.id_switches == 0, metrics.id_switches
         assert metrics.mota_like == 1.0, metrics.mota_like

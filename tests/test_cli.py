@@ -76,6 +76,14 @@ class TestRun:
         assert manifest["seed"] == 9
         assert (out1 / "metrics.csv").read_bytes() != (out2 / "metrics.csv").read_bytes()
 
+    def test_nan_config_value_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.yaml"
+        path.write_text(TINY + "pipeline: {r_int: .nan}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "pipeline: r_int must be positive" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
 
 class TestSweeps:
     def test_rint_single_value(self, tiny_config, tmp_path):
@@ -131,6 +139,17 @@ class TestRobustnessAndBandwidth:
                   "--scenes", scenes])
         assert exc.value.code == EXIT_CONFIG  # argparse's usage error
         assert not (out / "robustness.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["robustness", "--alpha", "nan"], ["sweep-rint", "--r-int", "10,nan"],
+         ["sweep-latency", "--latency-ms", "NaN"]],
+        ids=["robustness", "sweep-rint", "sweep-latency"],
+    )
+    def test_number_lists_reject_nan(self, tiny_config, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", tiny_config, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["run", "robustness", "bench-bandwidth"])
     def test_jobs_belongs_to_the_sweeps_only(self, tiny_config, tmp_path, command):

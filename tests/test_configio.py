@@ -1,17 +1,18 @@
-"""Config loading: schema, key-path errors, round trips with the presets."""
+"""Config loading: schema, key-path errors, round trips of the shipped configs."""
 
-from pathlib import Path
+import math
+import re
 
 import pytest
 
-from coopfuse.configio import ConfigError, dump_scenario, load_scenario, scenario_from_dict
-from coopfuse.simulator import (
-    constant_velocity_scenario,
-    interaction_range_scenario,
-    latency_study_scenario,
+from coopfuse.configio import (
+    ConfigError,
+    dump_scenario,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
 )
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import shipped
 
 MINIMAL = """
 scenario:
@@ -101,24 +102,55 @@ class TestWireBoundFields:
         assert cfg.class_count == 256
 
 
-class TestShippedConfigs:
+NAN = math.nan
+NAN_FIELDS = [
+    ("scenario", "tick_s", NAN),
+    ("scenario", "duration_s", NAN),
+    ("scenario", "speed_range", [NAN, 8.0]),
+    ("scenario", "speed_range", [3.0, NAN]),
+    ("agents[0].sensor", "max_range", NAN),
+    ("agents[0].sensor", "pos_noise_range_power", NAN),
+    ("channel", "latency_ms", NAN),
+    ("channel", "jitter_ms", NAN),
+    ("channel", "accounting_window_s", NAN),
+    ("pipeline", "r_int", NAN),
+    ("pipeline.roi", "x_half", NAN),
+    ("pipeline.roi", "y_half", NAN),
+    ("pipeline.roi", "z_min", NAN),
+    ("pipeline.roi", "z_max", NAN),
+    ("pipeline.weights", "w_pos", NAN),
+    ("pipeline.weights", "w_dim", NAN),
+    ("pipeline.weights", "w_heading", NAN),
+    ("pipeline.weights", "w_vel", NAN),
+    ("pipeline.weights", "alpha", NAN),
+    ("pipeline.weights", "cost_threshold", NAN),
+    ("pipeline.fusion", "dedup_radius", NAN),
+    ("pipeline.alignment", "max_compensation_horizon", NAN),
+    ("pose_noise", "trans_sigma", NAN),
+    ("pose_noise", "rot_sigma_deg", NAN),
+]
+
+
+class TestNanRejected:
+    """A NaN fails every range check, so it is reported at its section."""
+
     @pytest.mark.parametrize(
-        "name,factory",
-        [
-            ("quickstart.yaml", constant_velocity_scenario),
-            ("latency_study.yaml", latency_study_scenario),
-            ("range_study.yaml", interaction_range_scenario),
-        ],
+        "section,key,value", NAN_FIELDS, ids=[f"{s}.{k}" for s, k, _ in NAN_FIELDS]
     )
-    def test_matches_preset(self, name, factory):
-        assert load_scenario(CONFIG_DIR / name) == factory()
+    def test_nan_field_rejected(self, section, key, value):
+        raw = scenario_to_dict(shipped("range_study"))
+        node = raw
+        for part in section.replace("[0]", ".0").split("."):
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
+            scenario_from_dict(raw)
 
 
 class TestRoundTrip:
     def test_dump_then_load_identity(self, tmp_path):
-        for factory in (constant_velocity_scenario, latency_study_scenario,
-                        interaction_range_scenario):
-            cfg = factory(seed=13)
+        for name in ("quickstart", "latency_study", "range_study"):
+            cfg = shipped(name, seed=13)
             path = tmp_path / "cfg.yaml"
             dump_scenario(cfg, path)
             assert load_scenario(path) == cfg

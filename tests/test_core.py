@@ -107,13 +107,6 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform.from_yaw(float("nan"))
 
-    def test_flat_rotation_row_major(self):
-        t = RigidTransform.from_yaw(math.pi / 2)
-        flat = t.flat_rotation()
-        assert len(flat) == 9
-        assert flat[1] == pytest.approx(-1.0)  # row 0, col 1 of a +90 yaw
-        assert flat[3] == pytest.approx(1.0)
-
 
 class TestComposeInvert:
     def test_identity_law(self):

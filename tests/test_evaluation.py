@@ -1,9 +1,14 @@
 """Detection/tracking metrics and sweep plumbing."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from coopfuse import evaluation
 from coopfuse.core import GroundTruthObject
 from coopfuse.evaluation import (
+    DETECTION_THRESHOLDS,
+    TRACKING_THRESHOLD,
     FrameGroundTruth,
     compute_ap,
     compute_metrics,
@@ -14,8 +19,9 @@ from coopfuse.evaluation import (
     write_csv,
 )
 from coopfuse.fusion import TrackSet
-from coopfuse.simulator import constant_velocity_scenario, run_scenario
-from conftest import make_instance, make_state
+from coopfuse.simulator import FrameRecord, RunResult, run_scenario
+from conftest import make_instance, make_state, shipped
+from oracles import brute_force_greedy_match, brute_force_scores
 
 
 def _gt(objects, t=0):
@@ -169,6 +175,95 @@ class TestDuplicateRate:
         assert duplicate_rate(frames) == pytest.approx(1.0)
 
 
+GRID = st.integers(0, 6).map(lambda k: 0.5 * k)
+CLASSES = st.integers(0, 1)
+
+
+@st.composite
+def plain_frames(draw):
+    """Frames as ``(preds, gts)`` tuples in the oracle's layout.
+
+    Half-metre grid positions give distance ties and distances exactly on
+    the thresholds, four confidence levels give confidence ties, and track
+    ids reused across frames on other objects give ID switches.
+    """
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        object_ids = draw(st.lists(st.integers(0, 3), unique=True, max_size=4))
+        gts = [(oid, draw(GRID), draw(GRID), draw(CLASSES)) for oid in object_ids]
+        track_ids = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+        preds = [
+            (draw(GRID), draw(GRID), draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])), draw(CLASSES), tid)
+            for tid in track_ids
+        ]
+        frames.append((preds, gts))
+    return frames
+
+
+def _library_frames(frames):
+    out = []
+    for k, (preds, gts) in enumerate(frames):
+        t = k * 500_000
+        instances = [
+            make_instance(x=x, y=y, confidence=conf, class_id=cls, track_id=tid, feature_seed=tid)
+            for x, y, conf, cls, tid in preds
+        ]
+        objects = [_gt_obj(oid, x=x, y=y, class_id=cls) for oid, x, y, cls in gts]
+        out.append((_tracks(instances, t), _gt(objects, t)))
+    return out
+
+
+class TestScoringOracle:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(plain_frames())
+    def test_scores_equal_brute_force(self, frames):
+        lib_frames = _library_frames(frames)
+        for (tracks, gt), (preds, gts) in zip(lib_frames, frames):
+            for thr in DETECTION_THRESHOLDS:
+                tp, fp, fn = match_to_gt(tracks, gt, thr)
+                pairs, unmatched, free = brute_force_greedy_match(preds, gts, thr)
+                assert [(p.track_id, g.object_id) for p, g, _ in tp] == [
+                    (preds[i][4], gts[k][0]) for i, k, _ in pairs
+                ]
+                assert [p.track_id for p in fp] == [preds[i][4] for i in unmatched]
+                assert len(fn) == len(free)
+
+        expected = brute_force_scores(frames, DETECTION_THRESHOLDS, TRACKING_THRESHOLD)
+        mota, amota, idsw = compute_tracking(lib_frames)
+        assert idsw == expected["id_switches"]
+        assert mota == pytest.approx(expected["mota"], abs=1e-12)
+        assert amota == pytest.approx(expected["amota"], abs=1e-12)
+        assert compute_ap(lib_frames) == pytest.approx(expected["ap"], abs=1e-12)
+        assert duplicate_rate(lib_frames) == pytest.approx(expected["duplicate_rate"], abs=1e-12)
+
+        run = RunResult(
+            config=shipped("quickstart"),
+            frames=[FrameRecord(tracks.timestamp, tracks, gt.objects) for tracks, gt in lib_frames],
+            events=[],
+            bytes_sent=0,
+            bytes_received=0,
+        )
+        report = compute_metrics(run)
+        assert report.id_switches == expected["id_switches"]
+        assert (report.mota_like, report.amota_like, report.ap, report.duplicate_rate) == pytest.approx(
+            (expected["mota"], expected["amota"], expected["ap"], expected["duplicate_rate"]), abs=1e-12
+        )
+        assert report.rmse_pos == pytest.approx(expected["rmse"], abs=1e-12, nan_ok=True)
+
+    def test_compute_metrics_matches_each_frame_once_per_threshold(self, monkeypatch):
+        calls = []
+        real = evaluation._greedy_match
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_greedy_match", counting)
+        run = run_scenario(shipped("quickstart"))
+        compute_metrics(run)
+        assert len(calls) == len(run.frames) * len({0.5, 1.0, 2.0, 4.0})
+
+
 class TestCsvAndSweeps:
     def test_write_csv_deterministic(self, tmp_path):
         rows = [{"a": 1.0 / 3.0, "b": 2}, {"a": 0.5, "b": -1}]
@@ -179,7 +274,7 @@ class TestCsvAndSweeps:
         assert p1.read_text().splitlines()[0] == "a,b"
 
     def test_latency_sweep_zero_latency_rows_identical(self):
-        cfg = constant_velocity_scenario(seed=2)
+        cfg = shipped("quickstart", seed=2)
         rows = sweep_latency(cfg, [0.0], compensation="both")
         assert len(rows) == 2
         on, off = rows
@@ -188,7 +283,7 @@ class TestCsvAndSweeps:
         assert on["rmse"] == off["rmse"]
 
     def test_compute_metrics_report_fields(self):
-        result = run_scenario(constant_velocity_scenario(seed=1))
+        result = run_scenario(shipped("quickstart", seed=1))
         metrics = compute_metrics(result)
         assert 0.0 <= metrics.ap <= 1.0
         assert 0.0 <= metrics.mota_like <= 1.0

@@ -26,6 +26,11 @@ from conftest import make_instance, make_state
 
 
 class TestPerturbObservation:
+    @pytest.mark.parametrize("field", ["pos_range", "other_range"])
+    def test_rejects_nan_range(self, field):
+        with pytest.raises(ValueError):
+            ObservationNoiseParams(**{field: float("nan")})
+
     def test_zero_noise_is_identity(self, rng):
         state = make_state(x=3.0, yaw=0.4, vx=2.0)
         out = perturb_observation(state, rng, ObservationNoiseParams(0.0, 0.0))

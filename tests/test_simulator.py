@@ -15,15 +15,12 @@ from coopfuse.simulator import (
     WorldObject,
     bev_baseline_cost,
     build_world,
-    constant_velocity_scenario,
-    interaction_range_scenario,
-    latency_study_scenario,
     run_scenario,
     sense,
     step_world,
     transmit,
 )
-from conftest import make_state
+from conftest import make_state, shipped
 
 
 def _world(*objects):
@@ -168,14 +165,14 @@ class TestBevBaselineCost:
 
 class TestBuildWorld:
     def test_counts_and_speed_range(self, rng):
-        cfg = constant_velocity_scenario()
+        cfg = shipped("quickstart")
         world = build_world(cfg, rng)
         assert len(world.objects) == cfg.object_count
         for obj in world.objects:
             assert cfg.speed_range[0] <= obj.state.speed <= cfg.speed_range[1]
 
     def test_clearance_held_over_run(self, rng):
-        cfg = latency_study_scenario()
+        cfg = shipped("latency_study")
         world = build_world(cfg, rng)
         steps = int(cfg.duration_s / cfg.tick_s)
         min_dist = math.inf
@@ -190,7 +187,7 @@ class TestBuildWorld:
 
 class TestRunScenario:
     def test_deterministic_events_and_frames(self):
-        cfg = constant_velocity_scenario(seed=3)
+        cfg = shipped("quickstart", seed=3)
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         assert a.events == b.events
@@ -204,7 +201,7 @@ class TestRunScenario:
                 np.testing.assert_array_equal(ia.state.as_array(), ib.state.as_array())
 
     def test_causality_under_latency(self):
-        cfg = latency_study_scenario(seed=1)
+        cfg = shipped("latency_study", seed=1)
         from dataclasses import replace
         cfg = replace(cfg, channel=ChannelModel(latency_ms=200.0))
         result = run_scenario(cfg)
@@ -222,7 +219,7 @@ class TestRunScenario:
 
     def test_bytes_accounted_even_when_dropped(self):
         from dataclasses import replace
-        cfg = constant_velocity_scenario(seed=0)
+        cfg = shipped("quickstart")
         lossless = run_scenario(cfg)
         lossy = run_scenario(replace(cfg, channel=ChannelModel(drop_prob=1.0)))
         assert lossy.bytes_sent == lossless.bytes_sent
@@ -230,13 +227,13 @@ class TestRunScenario:
         assert not [e for e in lossy.events if e.kind == "consume"]
 
     def test_peak_bps_at_least_average(self):
-        cfg = constant_velocity_scenario(seed=0)
+        cfg = shipped("quickstart")
         result = run_scenario(cfg)
         assert result.peak_bps_sent(1.0) >= result.bps_sent - 1e-9
         assert result.peak_bps_sent() == result.bps_sent  # window defaults off
 
     def test_frame_ground_truth_inside_roi(self):
-        cfg = interaction_range_scenario(seed=0)
+        cfg = shipped("range_study")
         result = run_scenario(cfg)
         roi = cfg.pipeline.roi
         for frame in result.frames:
