@@ -43,6 +43,10 @@ class FeatureAligner(enum.Enum):
     IDENTITY = "identity"
     YAW_CONDITIONED = "yaw_conditioned"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown aligner {value!r}")
+
 
 @dataclass(frozen=True)
 class AlignmentConfig:

@@ -67,6 +67,8 @@ class MatchWeights:
         weights = (self.w_pos, self.w_dim, self.w_heading, self.w_vel, self.alpha)
         if not all(w >= 0 for w in weights):
             raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("weights must be finite")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one weight must be positive")
         if not self.cost_threshold > 0:

@@ -38,7 +38,7 @@ from .evaluation import (
     write_csv,
 )
 from .robustness import ALPHA_SWEEP_COLUMNS, alpha_sweep_rows
-from .simulator import bev_baseline_cost, run_scenario
+from .simulator import SimEvent, bev_baseline_cost, run_scenario
 from .wire import packet_size
 
 log = logging.getLogger("coopfuse")
@@ -49,7 +49,7 @@ EXIT_CONFIG = 2
 
 BEV_COLUMNS = ("range_m", "cell_m", "channels", "bytes_per_elem", "rate_hz", "bps")
 BANDWIDTH_COLUMNS = ("k", "bytes_per_packet", "bps_sparse")
-EVENT_COLUMNS = ("t_us", "kind", "agent_id", "size_bytes", "detail_us")
+EVENT_COLUMNS = SimEvent._fields
 
 
 def _configure_logging() -> None:
@@ -66,15 +66,18 @@ def _float_list(text: str) -> list[float]:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
-    if any(math.isnan(v) for v in values):
-        raise argparse.ArgumentTypeError(f"NaN is not allowed: {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"numbers must be finite: {text!r}")
     return values
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:  # argparse reports int()'s ValueError as a usage error too
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:  # argparse reports int()'s ValueError as a usage error too
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scenario YAML path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (default: out)")
 
     common(sub.add_parser("run", help="run one scenario and write metrics"))
@@ -109,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="perturbation-harness association sweep")
     common(p)
     p.add_argument("--alpha", type=_float_list, default=None, help="appearance weights to sweep")
-    p.add_argument("--scenes", type=_positive_int, default=200, help="seeded scenes (default 200)")
+    p.add_argument("--scenes", type=_int_at_least(1), default=200, help="seeded scenes (default 200)")
 
     p = sub.add_parser("bench-bandwidth", help="transmission-cost accounting")
     common(p)
@@ -152,14 +155,7 @@ def _cmd_run(args) -> int:
     result = run_scenario(cfg)
     metrics = compute_metrics(result)
     write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, [metrics_row(metrics)])
-    event_rows = [
-        {
-            "t_us": e.t_us, "kind": e.kind, "agent_id": e.agent_id,
-            "size_bytes": e.size_bytes, "detail_us": e.detail_us,
-        }
-        for e in result.events
-    ]
-    write_csv(out_dir / "events.csv", EVENT_COLUMNS, event_rows)
+    write_csv(out_dir / "events.csv", EVENT_COLUMNS, [e._asdict() for e in result.events])
     runtime = time.perf_counter() - started
     _write_manifest(out_dir, cfg, cfg.seed, "run", runtime, ["metrics.csv", "events.csv"])
     print(f"run complete in {runtime:.2f}s: ap={metrics.ap:.3f} amota={metrics.amota_like:.3f}")

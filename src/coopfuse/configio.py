@@ -1,33 +1,45 @@
 """Scenario configuration files: YAML in, validated dataclasses out.
 
-The schema mirrors the config dataclasses section by section. Unknown or
-ill-typed keys fail with the full key path in the message, so a config
-error is always attributable to one line of the file.
+The config dataclasses are the schema. Each YAML value is read through the
+type of the field it fills: nested dataclasses are mappings, tuples are
+lists, enums are their values, an int field takes only an int, a float
+field an int or a float, and a bool field only a bool. Every number must
+be finite. Unknown or ill-typed keys fail with the full key path in the
+message, so a config error is always attributable to one line of the file.
+
+The file puts ``ScenarioConfig``'s plain fields under ``scenario:`` and
+each field that holds config dataclasses (``agents``, ``channel``,
+``pipeline``, ``pose_noise``) in a top-level section of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import enum
+import functools
+import math
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .alignment import AlignmentConfig, FeatureAligner
-from .association import MatchWeights, RoiSpec
-from .fusion import FusionConfig
-from .robustness import TransformNoiseParams
-from .simulator import (
-    AgentSpec,
-    ChannelModel,
-    PipelineConfig,
-    ScenarioConfig,
-    SensorModel,
-)
+from .simulator import ScenarioConfig
 
 
 class ConfigError(ValueError):
     """A configuration file problem, with the offending key in the message."""
+
+
+@functools.cache
+def _hints(cls) -> dict[str, Any]:
+    """The resolved type of each constructor field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+def _is_section(tp) -> bool:
+    return any(is_dataclass(t) for t in (tp, *typing.get_args(tp)))
 
 
 def _require_mapping(value: Any, path: str) -> dict:
@@ -38,85 +50,76 @@ def _require_mapping(value: Any, path: str) -> dict:
     return dict(value)
 
 
-def _pair(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a [low, high] pair")
-    return float(value[0]), float(value[1])
+def _read(value: Any, tp, path: str) -> Any:
+    """``value`` read as type ``tp``; ``path`` is its key in messages."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # Optional[X]
+        return None if value is None else _read(value, args[0], path)
+    if is_dataclass(tp):
+        return _build(tp, value, path)
+    if typing.get_origin(tp) is tuple:
+        if args[-1] is Ellipsis:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{path}: expected a list, got {type(value).__name__}")
+            args = (args[0],) * len(value)
+        elif not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ConfigError(f"{path}: expected a [low, high] pair")
+        return tuple(_read(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if type(value) is not tp:
+        raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
+    return value
 
 
-def _build(cls, data: dict, path: str):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(data) - known
+def _check_finite(obj, path: str) -> None:
+    for name in _hints(type(obj)):
+        value = getattr(obj, name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+            raise ConfigError(f"{path}: {name} must be finite, got {value!r}")
+
+
+def _build(cls, data: Any, path: str, key_paths: dict[str, str] | None = None):
+    """Construct config dataclass ``cls`` from a mapping named ``path``.
+
+    ``key_paths`` overrides the message path of some keys.
+    """
+    data = _require_mapping(data, path)
+    hints = _hints(cls)
+    key_paths = key_paths or {}
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+    kwargs = {
+        key: _read(value, hints[key], key_paths.get(key, f"{path}.{key}"))
+        for key, value in data.items()
+    }
     try:
-        return cls(**data)
+        obj = cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_agent(data: Any, path: str) -> AgentSpec:
-    data = _require_mapping(data, path)
-    if "sensor" in data:
-        data["sensor"] = _build(
-            SensorModel, _require_mapping(data["sensor"], f"{path}.sensor"), f"{path}.sensor"
-        )
-    return _build(AgentSpec, data, path)
-
-
-def _build_pipeline(data: Any, path: str) -> PipelineConfig:
-    data = _require_mapping(data, path)
-    nested = {
-        "roi": RoiSpec,
-        "weights": MatchWeights,
-        "fusion": FusionConfig,
-    }
-    for key, cls in nested.items():
-        if key in data:
-            data[key] = _build(
-                cls, _require_mapping(data[key], f"{path}.{key}"), f"{path}.{key}"
-            )
-    if "alignment" in data:
-        align = _require_mapping(data["alignment"], f"{path}.alignment")
-        if "feature_aligner" in align:
-            name = str(align["feature_aligner"])
-            try:
-                align["feature_aligner"] = FeatureAligner(name)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}.alignment.feature_aligner: unknown aligner {name!r}"
-                ) from None
-        data["alignment"] = _build(AlignmentConfig, align, f"{path}.alignment")
-    return _build(PipelineConfig, data, path)
+    _check_finite(obj, path)
+    return obj
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Assemble a ScenarioConfig from a parsed YAML mapping."""
     raw = _require_mapping(raw, "config")
-    unknown = set(raw) - {"scenario", "agents", "channel", "pipeline", "pose_noise"}
+    sections = {name for name, tp in _hints(ScenarioConfig).items() if _is_section(tp)}
+    unknown = set(raw) - sections - {"scenario"}
     if unknown:
         raise ConfigError(f"config.{sorted(unknown)[0]}: unknown key")
-
-    fields = _require_mapping(raw.get("scenario", {}), "scenario")
-    for key in ("spawn_x", "spawn_y", "spawn_z", "speed_range", "yaw_rate_range"):
-        if key in fields:
-            fields[key] = _pair(fields[key], f"scenario.{key}")
-
-    agents_raw = raw.get("agents", [])
-    if not isinstance(agents_raw, list):
-        raise ConfigError("agents: expected a list of agent mappings")
-    fields["agents"] = tuple(
-        _build_agent(a, f"agents[{i}]") for i, a in enumerate(agents_raw)
-    )
-    fields["channel"] = _build(
-        ChannelModel, _require_mapping(raw.get("channel", {}), "channel"), "channel"
-    )
-    fields["pipeline"] = _build_pipeline(raw.get("pipeline", {}), "pipeline")
-    if raw.get("pose_noise") is not None:
-        fields["pose_noise"] = _build(
-            TransformNoiseParams, _require_mapping(raw["pose_noise"], "pose_noise"), "pose_noise"
-        )
-    return _build(ScenarioConfig, fields, "scenario")
+    data = _require_mapping(raw.pop("scenario", None), "scenario")
+    clash = set(data) & sections
+    if clash:
+        raise ConfigError(f"scenario.{sorted(clash)[0]}: unknown key")
+    return _build(ScenarioConfig, {**data, **raw}, "scenario", {s: s for s in sections})
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -138,53 +141,26 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(raw)
 
 
+def _dump(value: Any) -> Any:
+    if is_dataclass(value):
+        dumped = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _dump(v) for name, v in dumped if v is not None}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """The YAML-ready mapping for a scenario (inverse of scenario_from_dict)."""
-    scenario = {
-        "duration_s": cfg.duration_s,
-        "tick_s": cfg.tick_s,
-        "seed": cfg.seed,
-        "object_count": cfg.object_count,
-        "spawn_x": list(cfg.spawn_x),
-        "spawn_y": list(cfg.spawn_y),
-        "spawn_z": list(cfg.spawn_z),
-        "speed_range": list(cfg.speed_range),
-        "yaw_rate_range": list(cfg.yaw_rate_range),
-        "class_count": cfg.class_count,
-        "min_clearance": cfg.min_clearance,
+    data = _dump(cfg)
+    sections = {
+        name: data.pop(name)
+        for name, tp in _hints(ScenarioConfig).items()
+        if _is_section(tp) and name in data
     }
-    agents = [
-        {
-            "agent_id": a.agent_id,
-            "x": a.x, "y": a.y, "z": a.z,
-            "yaw_deg": a.yaw_deg, "vx": a.vx, "vy": a.vy,
-            "ego": a.ego,
-            "sensor": asdict(a.sensor),
-        }
-        for a in cfg.agents
-    ]
-    pipeline = {
-        "r_int": cfg.pipeline.r_int,
-        "compensate_latency": cfg.pipeline.compensate_latency,
-        "transmit_top_k": cfg.pipeline.transmit_top_k,
-        "transmit_confidence_min": cfg.pipeline.transmit_confidence_min,
-        "roi": asdict(cfg.pipeline.roi),
-        "weights": asdict(cfg.pipeline.weights),
-        "fusion": asdict(cfg.pipeline.fusion),
-        "alignment": {
-            "feature_aligner": cfg.pipeline.alignment.feature_aligner.value,
-            "max_compensation_horizon": cfg.pipeline.alignment.max_compensation_horizon,
-        },
-    }
-    out = {
-        "scenario": scenario,
-        "agents": agents,
-        "channel": asdict(cfg.channel),
-        "pipeline": pipeline,
-    }
-    if cfg.pose_noise is not None:
-        out["pose_noise"] = asdict(cfg.pose_noise)
-    return out
+    return {"scenario": data, **sections}
 
 
 def dump_scenario(cfg: ScenarioConfig, path) -> None:

@@ -103,12 +103,6 @@ class StateVector:
              self.sin_yaw, self.cos_yaw, self.vx, self.vy, self.vz]
         )
 
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "StateVector":
-        if len(values) != 11:
-            raise ValueError(f"expected 11 components, got {len(values)}")
-        return cls(*(float(v) for v in values))
-
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])

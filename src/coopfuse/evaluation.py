@@ -344,13 +344,4 @@ def write_csv(path, columns: Sequence[str], rows: Sequence[dict]) -> None:
 
 
 def metrics_row(metrics: MetricsReport) -> dict:
-    return {
-        "ap": metrics.ap,
-        "mota_like": metrics.mota_like,
-        "amota_like": metrics.amota_like,
-        "id_switches": metrics.id_switches,
-        "duplicate_rate": metrics.duplicate_rate,
-        "rmse_pos": metrics.rmse_pos,
-        "bps_sent": metrics.bps_sent,
-        "bps_received": metrics.bps_received,
-    }
+    return {column: getattr(metrics, column) for column in METRICS_COLUMNS}

@@ -392,6 +392,8 @@ class ScenarioConfig:
             raise ValueError("speed_range must be non-negative and ordered")
         if self.object_count < 1:
             raise ValueError("object_count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 1 <= self.class_count <= MAX_CLASS_ID + 1:
             raise ValueError(
                 f"class_count {self.class_count} outside [1, {MAX_CLASS_ID + 1}] (u8 on the wire)"

@@ -210,3 +210,10 @@ class TestAssociate:
         assert result.unmatched_ego == [ego[1]]  # beyond r_int, kept as ego-only
         assert result.unmatched_coop_near == []
         assert result.coop_far == [coop[1]]
+
+
+class TestMatchWeightsValidation:
+    @pytest.mark.parametrize("name", ["w_pos", "w_dim", "w_heading", "w_vel", "alpha"])
+    def test_rejects_infinite_weight(self, name):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            MatchWeights(**{name: float("inf")})

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output files, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -176,3 +177,52 @@ class TestRobustnessAndBandwidth:
         slope, intercept = np.polyfit(k, bps, 1)
         residuals = bps - (slope * k + intercept)
         assert np.max(np.abs(residuals)) < 1e-6
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "args",
+        [["robustness", "--alpha", "inf"], ["sweep-rint", "--r-int", "10,inf"],
+         ["sweep-latency", "--latency-ms", "0,inf"]],
+        ids=["robustness", "sweep-rint", "sweep-latency"],
+    )
+    def test_number_lists_reject_infinity(self, tiny_config, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", tiny_config, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_seed_flag_rejects_negative(self, tiny_config, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", tiny_config, "--out", str(tmp_path), "--seed", "-1"])
+        assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("seed", "-3", "scenario: seed must be non-negative"),
+         ("object_count", "2.5", "scenario.object_count: expected int, got 2.5")],
+    )
+    def test_validate_config_rejects_bad_scenario_value(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "bad.yaml"
+        path.write_text(re.sub(rf"^  {key}: .*$", f"  {key}: {value}", TINY, count=1, flags=re.M))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,digest",
+        [
+            ("configs/quickstart.yaml",
+             "bf7e539c4240d6c24b39818a1c8dda6c69fab8eaa5d84cd4898a5c1b00f0813a"),
+            ("configs/latency_study.yaml",
+             "5abedc9fc74e9b6a648d1e92734c81edf94d8a4ccb2f46f545a66f2451c3112e"),
+            ("configs/range_study.yaml",
+             "c4e5fad2c6c6b7e08acd1e5f5687a90227632ae21656bad9b046bb894574b73a"),
+            ("perfbench/configs/crowd.yaml",
+             "0eb1851542a3fa67d6a3ebc4b68e3343a0a9ce34b3c3b6c88c13aea70c4b6a56"),
+        ],
+    )
+    def test_manifest_config_hash_is_stable(self, tmp_path, config, digest):
+        path = CONFIG_DIR.parent / config
+        assert main(["bench-bandwidth", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "manifest.json").read_text())["config_sha256"] == digest

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
@@ -11,6 +12,17 @@ from coopfuse.configio import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
+)
+from coopfuse.alignment import AlignmentConfig, FeatureAligner
+from coopfuse.association import MatchWeights, RoiSpec
+from coopfuse.fusion import FusionConfig
+from coopfuse.robustness import TransformNoiseParams
+from coopfuse.simulator import (
+    AgentSpec,
+    ChannelModel,
+    PipelineConfig,
+    ScenarioConfig,
+    SensorModel,
 )
 from conftest import shipped
 
@@ -154,3 +166,131 @@ class TestRoundTrip:
             path = tmp_path / "cfg.yaml"
             dump_scenario(cfg, path)
             assert load_scenario(path) == cfg
+
+
+NON_FINITE_FIELDS = [
+    (section, key, bad(value))
+    for section, key, bad in [
+        ("agents[0].sensor", "track_gate", lambda v: v),
+        ("scenario", "min_clearance", lambda v: v),
+        ("agents[0].sensor", "pos_noise_sigma", lambda v: v),
+        ("scenario", "spawn_x", lambda v: [-42.0, v]),
+        ("agents[0]", "x", lambda v: v),
+    ]
+    for value in (math.nan, math.inf, -math.inf)
+]
+
+
+class TestNonFiniteRejected:
+    """Every number must be finite, range-checked or not."""
+
+    @pytest.mark.parametrize(
+        "section,key,value", NON_FINITE_FIELDS,
+        ids=[f"{s}.{k}={v}" for s, k, v in NON_FINITE_FIELDS],
+    )
+    def test_non_finite_field_rejected(self, section, key, value):
+        raw = scenario_to_dict(shipped("range_study"))
+        node = raw
+        for part in section.replace("[0]", ".0").split("."):
+            node = node[int(part)] if part.isdigit() else node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: {key} must be finite"):
+            scenario_from_dict(raw)
+
+    def test_infinite_r_int_rejected(self):
+        with pytest.raises(ConfigError, match=r"^pipeline: r_int must be finite"):
+            scenario_from_dict({"pipeline": {"r_int": math.inf}})
+
+
+class TestFieldTypes:
+    """Each value is read through the type of the field it fills."""
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ({"scenario": {"object_count": 2.5}}, "scenario.object_count: expected int, got 2.5"),
+            ({"scenario": {"seed": 1.5}}, "scenario.seed: expected int, got 1.5"),
+            ({"scenario": {"class_count": 2.0}}, "scenario.class_count: expected int, got 2.0"),
+            ({"agents": [{"agent_id": 0, "ego": "no"}]}, "agents[0].ego: expected bool, got 'no'"),
+            ({"agents": [{"agent_id": True, "ego": True}]}, "agents[0].agent_id: expected int"),
+            ({"scenario": {"spawn_x": ["a", 1.0]}}, "scenario.spawn_x[0]: expected float, got 'a'"),
+        ],
+    )
+    def test_ill_typed_value_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            scenario_from_dict(raw)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^scenario: seed must be non-negative"):
+            scenario_from_dict({"scenario": {"seed": -3}})
+
+    def test_int_accepted_for_float(self):
+        cfg = scenario_from_dict({"scenario": {"duration_s": 12, "spawn_x": [-10, 10]}})
+        assert cfg.duration_s == 12.0 and type(cfg.duration_s) is float
+        assert cfg.spawn_x == (-10.0, 10.0) and type(cfg.spawn_x[0]) is float
+
+
+def _sensor(k: int) -> SensorModel:
+    return SensorModel(
+        max_range=60.0 + k, fov_deg=180.0 + k, detect_prob_near=0.9 - k / 100,
+        detect_prob_far=0.7 - k / 100, pos_noise_sigma=0.3 + k, pos_noise_far_factor=3.0 + k,
+        pos_noise_range_power=2.0 + k, vel_noise_sigma=0.2 + k, dim_noise_sigma=0.1 + k,
+        feature_noise_sigma=0.4 + k, confidence_near=0.8 - k / 100, confidence_far=0.4 - k / 100,
+        feature_dim=32, track_gate=5.0 + k,
+    )
+
+
+EVERY_FIELD_SET = ScenarioConfig(
+    duration_s=7.5, tick_s=0.25, seed=11, object_count=9,
+    spawn_x=(-30.0, 31.0), spawn_y=(-32.0, 33.0), spawn_z=(0.5, 1.5),
+    speed_range=(1.0, 4.0), yaw_rate_range=(-0.1, 0.2), class_count=3, min_clearance=2.5,
+    agents=tuple(
+        AgentSpec(agent_id=7 + k, x=1.5 + k, y=-2.5 + k, z=0.25 + k, yaw_deg=30.0 + k,
+                  vx=0.5 + k, vy=-0.5 + k, ego=k == 1, sensor=_sensor(k))
+        for k in range(3)
+    ),
+    channel=ChannelModel(latency_ms=80.0, jitter_ms=20.0, drop_prob=0.05, accounting_window_s=1.0),
+    pipeline=PipelineConfig(
+        roi=RoiSpec(x_half=40.0, y_half=30.0, z_min=-2.0, z_max=4.0),
+        r_int=25.0,
+        weights=MatchWeights(w_pos=2.0, w_dim=0.25, w_heading=0.75, w_vel=0.125,
+                             alpha=1.5, cost_threshold=7.0),
+        fusion=FusionConfig(dedup_radius=1.5, smoothing_gain_pos=0.5, smoothing_gain_vel=0.3,
+                            output_confidence_threshold=0.4, confidence_fusion="noisy_or"),
+        alignment=AlignmentConfig(feature_aligner=FeatureAligner.YAW_CONDITIONED,
+                                  max_compensation_horizon=1.5),
+        compensate_latency=False, transmit_top_k=20, transmit_confidence_min=0.2,
+    ),
+    pose_noise=TransformNoiseParams(trans_sigma=0.5, rot_sigma_deg=1.0, three_axis=True),
+)
+
+
+def _field_coverage(obj, seen: set, changed: set) -> None:
+    """Collect ``Class.field`` for every field of a config dataclass tree,
+    and separately those holding a non-default value somewhere in it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        children = value if isinstance(value, tuple) else (value,)
+        if children and all(is_dataclass(c) for c in children):
+            for child in children:
+                _field_coverage(child, seen, changed)
+            continue
+        name = f"{type(obj).__name__}.{f.name}"
+        seen.add(name)
+        if f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            default = f.default
+        if value != default:
+            changed.add(name)
+
+
+class TestSchemaCoverage:
+    def test_every_field_round_trips(self, tmp_path):
+        seen, changed = set(), set()
+        _field_coverage(EVERY_FIELD_SET, seen, changed)
+        assert seen - changed == set(), "give every config field a non-default value"
+        assert {"TransformNoiseParams.three_axis", "AgentSpec.ego", "SensorModel.track_gate"} <= seen
+        path = tmp_path / "cfg.yaml"
+        dump_scenario(EVERY_FIELD_SET, path)
+        assert load_scenario(path) == EVERY_FIELD_SET

@@ -56,11 +56,6 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(0, 0, 0, 4, 2, 1.5, 0.5, 0.5, 0, 0, 0)
 
-    def test_array_round_trip(self):
-        state = make_state(x=1.5, yaw=0.7, vx=3.0)
-        again = StateVector.from_array(state.as_array())
-        assert state == again
-
     def test_yaw_accessor(self):
         assert make_state(yaw=0.7).yaw == pytest.approx(0.7)
 

@@ -272,3 +272,7 @@ class TestAlphaSweep:
     def test_rejects_empty_alphas(self):
         with pytest.raises(ValueError):
             alpha_sweep_rows([], scenes=5)
+
+    def test_rejects_infinite_alpha(self):
+        with pytest.raises(ValueError, match="finite"):
+            alpha_sweep_rows([math.inf], scenes=1)

@@ -260,3 +260,7 @@ class TestScenarioConfigValidation:
     def test_rejects_bad_tick(self):
         with pytest.raises(ValueError):
             ScenarioConfig(tick_s=0.0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            ScenarioConfig(seed=-3)
