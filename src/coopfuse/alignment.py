@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,11 +78,10 @@ def compensate_latency(
         raise HorizonExceeded(f"dt {dt:.3f}s exceeds horizon {max_horizon:.3f}s")
     if dt == 0.0:
         return state
-    return replace(
-        state,
-        x=state.x + state.vx * dt,
-        y=state.y + state.vy * dt,
-        z=state.z + state.vz * dt,
+    s = state
+    return StateVector._trusted(
+        (s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt,
+         s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz)
     )
 
 
@@ -99,17 +98,14 @@ def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
             (only possible for rotations that tip the plane on its side).
     """
     rot = t.rotation
-    px, py, pz = rot @ (state.x, state.y, state.z) + t.translation
-    vx, vy, vz = rot @ (state.vx, state.vy, state.vz)
-    hx, hy, _hz = rot @ (state.cos_yaw, state.sin_yaw, 0.0)
+    px, py, pz = (rot @ (state.x, state.y, state.z) + t.translation).tolist()
+    vx, vy, vz = (rot @ (state.vx, state.vy, state.vz)).tolist()
+    hx, hy, _hz = (rot @ (state.cos_yaw, state.sin_yaw, 0.0)).tolist()
     norm = math.hypot(hx, hy)
     if norm < 1e-9:
         raise DegenerateHeading("rotation leaves no planar heading component")
-    return StateVector(
-        x=px, y=py, z=pz,
-        l=state.l, w=state.w, h=state.h,
-        sin_yaw=hy / norm, cos_yaw=hx / norm,
-        vx=vx, vy=vy, vz=vz,
+    return StateVector._trusted(
+        (px, py, pz, state.l, state.w, state.h, hy / norm, hx / norm, vx, vy, vz)
     )
 
 
@@ -156,9 +152,10 @@ def align_instance(
     state = transform_state(state, rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)
+        feature.setflags(write=False)
     else:
         feature = inst.feature
-    return Instance(
+    return Instance._trusted(
         state=state,
         feature=feature,
         confidence=inst.confidence,

@@ -61,14 +61,22 @@ def _configure_logging() -> None:
     )
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"numbers must be finite: {text!r}")
-    return values
+def _float_list(low: float, strict: bool = False):
+    """A parser of comma-separated finite numbers, each >= ``low`` (> if ``strict``)."""
+
+    def parse(text: str) -> list[float]:
+        try:
+            values = [float(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise argparse.ArgumentTypeError(f"numbers must be finite: {text!r}")
+        if not all(v > low if strict else v >= low for v in values):
+            bound = f"{'>' if strict else '>='} {low:g}"
+            raise argparse.ArgumentTypeError(f"numbers must be {bound}: {text!r}")
+        return values
+
+    return parse
 
 
 def _int_at_least(low: int):
@@ -96,13 +104,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-rint", help="sweep the interaction range")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep points (default 1)")
-    p.add_argument("--r-int", type=_float_list, default=None, help="comma-separated ranges in meters")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
+    p.add_argument(
+        "--r-int", type=_float_list(0.0, strict=True), default=None, help="comma-separated ranges in meters"
+    )
 
     p = sub.add_parser("sweep-latency", help="sweep the channel latency")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep points (default 1)")
-    p.add_argument("--latency-ms", type=_float_list, default=None, help="comma-separated latencies")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
+    p.add_argument("--latency-ms", type=_float_list(0.0), default=None, help="comma-separated latencies")
     p.add_argument(
         "--no-compensation",
         action="store_true",
@@ -111,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="perturbation-harness association sweep")
     common(p)
-    p.add_argument("--alpha", type=_float_list, default=None, help="appearance weights to sweep")
+    p.add_argument("--alpha", type=_float_list(0.0), default=None, help="appearance weights to sweep")
     p.add_argument("--scenes", type=_int_at_least(1), default=200, help="seeded scenes (default 200)")
 
     p = sub.add_parser("bench-bandwidth", help="transmission-cost accounting")

@@ -5,13 +5,20 @@ are carried redundantly as (sin, cos) pairs so that the in-memory layout,
 the wire layout, and the arithmetic all use the same encoding. Timestamps
 are integer microseconds since the scenario epoch so latency arithmetic is
 exact; conversion to float seconds happens only at the kinematics boundary.
+
+Values are validated once, where they enter: the public constructors,
+sensing, wire decode and config loading. A value computed from already
+valid values (a transformed, compensated, fused or smoothed state, a
+composed or inverted transform, a relabelled instance) is built through the
+type's private ``_trusted`` constructor, which skips the checks. Only code
+inside the package calls ``_trusted``, and only with such derived values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +89,7 @@ class StateVector:
     def __post_init__(self) -> None:
         for name in self.__slots__:
             value = getattr(self, name)
-            if not isinstance(value, float):
+            if type(value) is not float:  # numpy scalars become plain floats too
                 object.__setattr__(self, name, float(value))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"state component {name} is not finite")
@@ -96,6 +103,14 @@ class StateVector:
                 f"heading (sin, cos) must be unit norm, off by {unit_err:.3e}"
             )
 
+    @classmethod
+    def _trusted(cls, values: Sequence[float]) -> StateVector:
+        """The state of 11 plain floats derived from valid states, unchecked."""
+        self = object.__new__(cls)
+        for set_slot, value in zip(_STATE_SLOT_SETTERS, values):
+            set_slot(self, value)
+        return self
+
     def as_array(self) -> np.ndarray:
         """The 11 components as a float64 array, in declaration order."""
         return np.array(
@@ -104,20 +119,15 @@ class StateVector:
         )
 
     @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz])
-
-    @property
     def yaw(self) -> float:
         return math.atan2(self.sin_yaw, self.cos_yaw)
 
     @property
     def speed(self) -> float:
         return math.hypot(self.vx, self.vy)
+
+
+_STATE_SLOT_SETTERS = tuple(StateVector.__dict__[name].__set__ for name in StateVector.__slots__)
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:
@@ -159,6 +169,14 @@ class Instance:
         if self.observed_at < 0:
             raise ValueError("observed_at must be non-negative")
 
+    @classmethod
+    def _trusted(cls, **fields) -> Instance:
+        """Every field by name, derived from valid values; unchecked. The
+        ``feature`` must already be a read-only unit-norm float64 array."""
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
+
 
 def _orthonormalized(matrix: np.ndarray) -> np.ndarray:
     # Gram-Schmidt on the first two columns; the third comes from the cross
@@ -198,6 +216,16 @@ class RigidTransform:
         object.__setattr__(self, "translation", translation)
 
     @classmethod
+    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> RigidTransform:
+        """The transform of a rotation and translation derived from valid ones, unchecked."""
+        self = object.__new__(cls)
+        for name, value in (("rotation", rotation), ("translation", translation)):
+            value = np.array(value, dtype=np.float64)
+            value.setflags(write=False)
+            self.__dict__[name] = value
+        return self
+
+    @classmethod
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
@@ -221,13 +249,13 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     drift = np.max(np.abs(rotation @ rotation.T - np.eye(3)))
     if drift > ROTATION_TOL:
         rotation = _orthonormalized(rotation)
-    return RigidTransform(rotation, translation)
+    return RigidTransform._trusted(rotation, translation)
 
 
 def invert(t: RigidTransform) -> RigidTransform:
     """The inverse motion: R^T, -R^T t."""
     rt = t.rotation.T
-    return RigidTransform(rt, -(rt @ t.translation))
+    return RigidTransform._trusted(rt, -(rt @ t.translation))
 
 
 @dataclass(frozen=True)

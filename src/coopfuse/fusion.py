@@ -121,18 +121,20 @@ def coarse_fuse(ego: Instance, coop: Instance, confidence_fusion: str = "max") -
     norm = math.hypot(hx, hy)
     if norm < 1e-9:
         raise DegenerateHeading("matched headings cancel exactly")
-    state = StateVector(
-        x=w_ego * a.x + w_coop * b.x,
-        y=w_ego * a.y + w_coop * b.y,
-        z=w_ego * a.z + w_coop * b.z,
-        l=w_ego * a.l + w_coop * b.l,
-        w=w_ego * a.w + w_coop * b.w,
-        h=w_ego * a.h + w_coop * b.h,
-        sin_yaw=hy / norm,
-        cos_yaw=hx / norm,
-        vx=w_ego * a.vx + w_coop * b.vx,
-        vy=w_ego * a.vy + w_coop * b.vy,
-        vz=w_ego * a.vz + w_coop * b.vz,
+    state = StateVector._trusted(
+        (
+            w_ego * a.x + w_coop * b.x,
+            w_ego * a.y + w_coop * b.y,
+            w_ego * a.z + w_coop * b.z,
+            w_ego * a.l + w_coop * b.l,
+            w_ego * a.w + w_coop * b.w,
+            w_ego * a.h + w_coop * b.h,
+            hy / norm,
+            hx / norm,
+            w_ego * a.vx + w_coop * b.vx,
+            w_ego * a.vy + w_coop * b.vy,
+            w_ego * a.vz + w_coop * b.vz,
+        )
     )
     blended = w_ego * ego.feature + w_coop * coop.feature
     blended_norm = float(np.linalg.norm(blended))
@@ -140,7 +142,8 @@ def coarse_fuse(ego: Instance, coop: Instance, confidence_fusion: str = "max") -
         feature = ego.feature  # antipodal features cancel; keep the survivor's
     else:
         feature = blended / blended_norm
-    return Instance(
+        feature.setflags(write=False)
+    return Instance._trusted(
         state=state,
         feature=feature,
         confidence=_fuse_confidence(ego.confidence, coop.confidence, confidence_fusion),
@@ -164,6 +167,7 @@ def refine_tracks(
     if dt <= 0:
         raise ValueError("dt must be positive")
     prev_by_id = {inst.track_id: inst for inst in previous.instances}
+    gain_pos, gain_vel = cfg.smoothing_gain_pos, cfg.smoothing_gain_vel
     refined = []
     for inst in current.instances:
         prev = prev_by_id.get(inst.track_id)
@@ -171,19 +175,16 @@ def refine_tracks(
             refined.append(inst)
             continue
         pred = compensate_latency(prev.state, dt, max_horizon=math.inf)
-        innov = inst.state.position - pred.position
-        pos = pred.position + cfg.smoothing_gain_pos * innov
-        vel = prev.state.velocity + cfg.smoothing_gain_vel * innov / dt
-        refined.append(
-            replace(
-                inst,
-                state=replace(
-                    inst.state,
-                    x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
-                    vx=float(vel[0]), vy=float(vel[1]), vz=float(vel[2]),
-                ),
+        s, p, v = inst.state, pred, prev.state
+        ix, iy, iz = s.x - p.x, s.y - p.y, s.z - p.z
+        state = StateVector._trusted(
+            (
+                p.x + gain_pos * ix, p.y + gain_pos * iy, p.z + gain_pos * iz,
+                s.l, s.w, s.h, s.sin_yaw, s.cos_yaw,
+                v.vx + gain_vel * ix / dt, v.vy + gain_vel * iy / dt, v.vz + gain_vel * iz / dt,
             )
         )
+        refined.append(Instance._trusted(**(vars(inst) | {"state": state})))
     return replace(current, instances=tuple(refined))
 
 
@@ -228,12 +229,13 @@ def assemble_output(
     combined: list[Instance] = []
     for inst in list(fused) + list(unmatched_ego):
         if inst.track_id is None:
-            inst = replace(inst, track_id=ids.resolve(inst.source_agent, None, taken))
+            tid = ids.resolve(inst.source_agent, None, taken)
+            inst = Instance._trusted(**(vars(inst) | {"track_id": tid}))
         combined.append(inst)
         taken.add(inst.track_id)
     for inst in list(unmatched_coop_near) + list(coop_far):
         tid = ids.resolve(inst.source_agent, inst.track_id, taken)
-        combined.append(replace(inst, track_id=tid))
+        combined.append(Instance._trusted(**(vars(inst) | {"track_id": tid})))
         taken.add(tid)
     survivors = [
         inst

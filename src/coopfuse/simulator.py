@@ -21,6 +21,7 @@ from .alignment import (
     AlignmentConfig,
     HorizonExceeded,
     align_instance,
+    compensate_latency,
     transform_state,
 )
 from .association import MatchWeights, RoiSpec, associate, filter_roi
@@ -73,24 +74,17 @@ def step_world(world: World, dt: float) -> World:
     for obj in world.objects:
         s = obj.state
         if abs(obj.yaw_rate) < 1e-12:
-            state = replace(
-                s, x=s.x + s.vx * dt, y=s.y + s.vy * dt, z=s.z + s.vz * dt
-            )
+            state = compensate_latency(s, dt, max_horizon=math.inf)
         else:
             speed = s.speed
             theta0 = s.yaw
             theta1 = theta0 + obj.yaw_rate * dt
             radius = speed / obj.yaw_rate
-            state = replace(
-                s,
-                x=s.x + radius * (math.sin(theta1) - math.sin(theta0)),
-                y=s.y - radius * (math.cos(theta1) - math.cos(theta0)),
-                z=s.z + s.vz * dt,
-                sin_yaw=math.sin(theta1),
-                cos_yaw=math.cos(theta1),
-                vx=speed * math.cos(theta1),
-                vy=speed * math.sin(theta1),
-            )
+            sin1, cos1 = math.sin(theta1), math.cos(theta1)
+            state = StateVector._trusted((
+                s.x + radius * (sin1 - math.sin(theta0)), s.y - radius * (cos1 - math.cos(theta0)),
+                s.z + s.vz * dt, s.l, s.w, s.h, sin1, cos1, speed * cos1, speed * sin1, s.vz,
+            ))
         advanced.append(replace(obj, state=state))
     return World(time_us=world.time_us + seconds_to_micros(dt), objects=tuple(advanced))
 
@@ -169,11 +163,13 @@ class AgentSpec:
         return AgentPose(agent_id=self.agent_id, stamped_at=t, pose=pose)
 
 
-class _TrackedDetection(NamedTuple):
-    track_id: int
-    class_id: int
-    position: np.ndarray  # global frame
-    velocity: np.ndarray
+class _Tracks(NamedTuple):
+    """An agent's detections of its last pass, kept for track continuation."""
+
+    track_ids: list[int]
+    class_ids: np.ndarray  # (n,)
+    positions: np.ndarray  # (n, 3), global frame
+    velocities: np.ndarray  # (n, 3), global frame
 
 
 class Agent:
@@ -182,9 +178,15 @@ class Agent:
     def __init__(self, spec: AgentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        self._prev: list[_TrackedDetection] = []
+        self._prev = _Tracks([], np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)))
         self._prev_t: Optional[Timestamp] = None
         self._next_track_id = 1
+
+
+def _rotate_rows(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # One mat-vec per row keeps each row's bits equal to ``rot @ row``;
+    # ``rows @ rot.T`` differs in the last bit on most rows.
+    return (rot @ rows[:, :, None])[:, :, 0]
 
 
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance]:
@@ -197,84 +199,102 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     spec = agent.spec
     sensor = spec.sensor
     t = world.time_us
-    pose = spec.pose_at(t)
-    to_agent = invert(pose.pose)
+    pose = spec.pose_at(t).pose
+    to_agent = invert(pose)
     half_fov = math.radians(sensor.fov_deg) / 2.0
 
-    rot, trans = pose.pose.rotation, pose.pose.translation
-    raw: list[tuple[int, StateVector, np.ndarray, float, np.ndarray, np.ndarray]] = []
-    for obj in world.objects:
-        local = transform_state(obj.state, to_agent)
-        r = math.hypot(local.x, local.y)
+    # Every object's position, velocity and heading direction in the agent
+    # frame, in one batch; the RNG draws below stay per object, in order.
+    vectors = np.array(
+        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in (o.state for o in world.objects)]
+    ).reshape(-1, 3)
+    local = _rotate_rows(to_agent.rotation, vectors).reshape(-1, 3, 3)
+    local[:, 0] += to_agent.translation
+
+    detected: list[tuple[int, StateVector, np.ndarray, float]] = []
+    for obj, ((px, py, pz), (vx, vy, vz), (hx, hy, _hz)) in zip(world.objects, local.tolist()):
+        r = math.hypot(px, py)
         if r > sensor.max_range:
             continue
-        if sensor.fov_deg < 360.0 and abs(math.atan2(local.y, local.x)) > half_fov:
+        if sensor.fov_deg < 360.0 and abs(math.atan2(py, px)) > half_fov:
             continue
         if rng.random() >= sensor._mix(sensor.detect_prob_near, sensor.detect_prob_far, r):
             continue
         sigma = sensor.pos_noise_sigma * sensor._mix(
             1.0, sensor.pos_noise_far_factor, r, sensor.pos_noise_range_power
         )
-        pos = local.position
         if sensor.pos_noise_sigma > 0:
-            planar = rng.normal(0.0, sigma, 2)
-            height = rng.normal(0.0, sensor.pos_noise_sigma)
-            pos = pos + np.array([planar[0], planar[1], height])
-        dims = np.array([local.l, local.w, local.h])
+            nx, ny = rng.normal(0.0, sigma, 2).tolist()
+            nz = float(rng.normal(0.0, sensor.pos_noise_sigma))
+            px, py, pz = px + nx, py + ny, pz + nz
+        l, w, h = obj.state.l, obj.state.w, obj.state.h
         if sensor.dim_noise_sigma > 0:
-            dims = np.maximum(dims + rng.normal(0.0, sensor.dim_noise_sigma, 3), 0.01)
-        vel = local.velocity
+            dl, dw, dh = rng.normal(0.0, sensor.dim_noise_sigma, 3).tolist()
+            l, w, h = max(l + dl, 0.01), max(w + dw, 0.01), max(h + dh, 0.01)
         if sensor.vel_noise_sigma > 0:
-            vel = vel + rng.normal(0.0, sensor.vel_noise_sigma, 3)
+            nx, ny, nz = rng.normal(0.0, sensor.vel_noise_sigma, 3).tolist()
+            vx, vy, vz = vx + nx, vy + ny, vz + nz
         confidence = min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0)
-        state = StateVector(
-            x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
-            l=float(dims[0]), w=float(dims[1]), h=float(dims[2]),
-            sin_yaw=local.sin_yaw, cos_yaw=local.cos_yaw,
-            vx=float(vel[0]), vy=float(vel[1]), vz=float(vel[2]),
-        )
+        norm = math.hypot(hx, hy)
+        state = StateVector(px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz)
         feature = noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng)
-        gpos = rot @ (state.x, state.y, state.z) + trans
-        gvel = rot @ (state.vx, state.vy, state.vz)
-        raw.append((obj.class_id, state, feature, confidence, gpos, gvel))
+        detected.append((obj.class_id, state, feature, confidence))
 
-    dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
-    predicted = [
-        (trk, trk.position + trk.velocity * dt) for trk in agent._prev
-    ]
-    available = set(range(len(predicted)))
-    out: list[Instance] = []
-    continued: list[_TrackedDetection] = []
-    for class_id, state, feature, confidence, gpos, gvel in raw:
-        best_k, best_d = None, sensor.track_gate
-        for k in available:
-            trk, ppos = predicted[k]
-            if trk.class_id != class_id:
-                continue
-            d = math.hypot(gpos[0] - ppos[0], gpos[1] - ppos[1])
-            if d <= best_d:
-                best_k, best_d = k, d
-        if best_k is not None:
-            available.discard(best_k)
-            tid = predicted[best_k][0].track_id
-        else:
-            tid = agent._next_track_id
-            agent._next_track_id += 1
-        out.append(
-            Instance(
-                state=state,
-                feature=feature,
-                confidence=confidence,
-                class_id=class_id,
-                track_id=tid,
-                source_agent=spec.agent_id,
-                observed_at=t,
-            )
-        )
-        continued.append(_TrackedDetection(tid, class_id, gpos, gvel))
-    agent._prev = continued
+    # Each detection's global position and velocity, kept for the next pass.
+    moved = np.array([(s.x, s.y, s.z, s.vx, s.vy, s.vz) for _c, s, _f, _p in detected]).reshape(-1, 3)
+    moved = _rotate_rows(pose.rotation, moved).reshape(-1, 2, 3)
+    class_ids = np.array([d[0] for d in detected], dtype=np.int64)
+    positions = moved[:, 0] + pose.translation
+    track_ids = _continue_tracks(agent, t, class_ids, positions)
+    agent._prev = _Tracks(track_ids, class_ids, positions, moved[:, 1])
     agent._prev_t = t
-    return out
+    return [
+        Instance(
+            state=state,
+            feature=feature,
+            confidence=confidence,
+            class_id=class_id,
+            track_id=tid,
+            source_agent=spec.agent_id,
+            observed_at=t,
+        )
+        for (class_id, state, feature, confidence), tid in zip(detected, track_ids)
+    ]
+
+
+def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, positions: np.ndarray) -> list[int]:
+    """Track IDs for this pass's detections, in detection order.
+
+    Each detection in turn takes the nearest untaken previous detection of
+    its class, predicted to ``t``, within ``track_gate`` (of equally near
+    ones, the later); failing that, a new ID.
+    """
+    prev, gate = agent._prev, agent.spec.sensor.track_gate
+    dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
+    predicted = prev.positions + prev.velocities * dt
+    dx = positions[:, None, 0] - predicted[:, 0]
+    dy = positions[:, None, 1] - predicted[:, 1]
+    # hypot(dx, dy) >= max(|dx|, |dy|), so only pairs in the gate's bounding
+    # box can continue; math.hypot (np.hypot differs) keeps distances exact.
+    rows, cols = np.nonzero((class_ids[:, None] == prev.class_ids) & (abs(dx) <= gate) & (abs(dy) <= gate))
+    candidates: list[list[tuple[int, float]]] = [[] for _ in class_ids]
+    dists = map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist())
+    for i, k, d in zip(rows.tolist(), cols.tolist(), dists):
+        candidates[i].append((k, d))
+    taken: set[int] = set()
+    track_ids = []
+    for row in candidates:
+        best_k, best_d = None, gate
+        for k, d in row:  # ascending k with <=: the later of tied tracks wins
+            if d <= best_d and k not in taken:
+                best_k, best_d = k, d
+        if best_k is None:
+            track_ids.append(agent._next_track_id)
+            agent._next_track_id += 1
+        else:
+            taken.add(best_k)
+            track_ids.append(prev.track_ids[best_k])
+    return track_ids
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +654,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             rel = relative_transform(ego_pose, coop_pose)
             for inst in packet.to_instances():
                 if not pipe.compensate_latency:
-                    inst = replace(inst, observed_at=t)
+                    inst = Instance._trusted(**(vars(inst) | {"observed_at": t}))
                 try:
                     coop_aligned.append(align_instance(inst, rel, t, pipe.alignment))
                 except HorizonExceeded:

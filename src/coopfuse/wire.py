@@ -25,12 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DEGENERATE_TOL,
     Instance,
     RigidTransform,
     StateVector,
     Timestamp,
     _orthonormalized,
-    normalize_feature,
     normalize_heading,
 )
 
@@ -110,22 +110,44 @@ class InstancePacket:
         return RigidTransform(_orthonormalized(rot), self.header["translation"].astype(np.float64))
 
     def to_instances(self) -> list[Instance]:
-        """Validated Instances; renormalizes heading and feature after f32."""
+        """Validated Instances; renormalizes heading and feature after f32.
+
+        The records are checked as one batch, before any Instance is built.
+
+        Raises:
+            ValueError: on a non-finite state or feature value, a box
+                dimension <= 0, a NaN confidence, a zero feature or a
+                negative timestamp; DegenerateHeading on a zero heading.
+        """
         recs = self.records
         sender_id, send_timestamp = self.sender_id, self.send_timestamp
+        states, features = recs["state"], recs["feature"].astype(np.float64)
+        if len(recs) and send_timestamp < 0:
+            raise ValueError("observed_at must be non-negative")
+        if not (
+            np.isfinite(states).all() and np.isfinite(features).all()
+            and (states[:, 3:6] > 0).all() and not np.isnan(recs["confidence"]).any()
+        ):
+            raise ValueError("a record has a non-finite value, a box dimension <= 0 or a NaN confidence")
+        # vecdot, unlike norm(axis=1), gives each row's norm bit for bit.
+        norms = np.sqrt(np.vecdot(features, features))
+        if (norms < DEGENERATE_TOL).any():
+            raise ValueError("cannot normalize a zero feature vector")
+        features /= norms[:, None]
+        features.setflags(write=False)
         out = []
         for tid, class_id, confidence, values, feature in zip(
             recs["track_id"].tolist(),
             recs["class_id"].tolist(),
             recs["confidence"].tolist(),
-            recs["state"].tolist(),
-            recs["feature"].astype(np.float64),
+            states.tolist(),
+            features,
         ):
             values[6], values[7] = normalize_heading(values[6], values[7])
             out.append(
-                Instance(
-                    state=StateVector(*values),
-                    feature=normalize_feature(feature),
+                Instance._trusted(
+                    state=StateVector._trusted(values),
+                    feature=feature,
                     confidence=min(max(confidence, 0.0), 1.0),
                     class_id=class_id,
                     track_id=None if tid == NO_TRACK_ID else tid,

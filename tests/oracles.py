@@ -187,3 +187,33 @@ def brute_force_scores(frames, thresholds, tracking_threshold):
         "duplicate_rate": duplicates / total_gt if total_gt else 0.0,
         "rmse": math.sqrt(sum(d * d for d in distances) / len(distances)) if distances else math.nan,
     }
+
+
+def reference_track_ids(previous, detections, dt, gate, next_id):
+    """Track IDs of one sensing pass, continued from the pass before it.
+
+    ``previous`` lists the last pass's detections in order as
+    ``(track_id, class_id, x, y, vx, vy)`` in the global frame; ``detections``
+    lists this pass's as ``(class_id, x, y)``. Each detection in turn takes
+    the nearest previous detection of its class that no earlier detection
+    took, moved on by ``velocity * dt``, if that planar distance is at most
+    ``gate``; of equally near ones the later in ``previous`` wins. Any other
+    detection gets the next fresh ID. Returns the IDs and the next fresh ID.
+    """
+    taken = [False] * len(previous)
+    ids = []
+    for class_id, x, y in detections:
+        best, best_d = None, gate
+        for k, (track_id, prev_class, px, py, vx, vy) in enumerate(previous):
+            if taken[k] or prev_class != class_id:
+                continue
+            d = math.hypot(x - (px + vx * dt), y - (py + vy * dt))
+            if d <= best_d:
+                best, best_d = k, d
+        if best is None:
+            ids.append(next_id)
+            next_id += 1
+        else:
+            taken[best] = True
+            ids.append(previous[best][0])
+    return ids, next_id

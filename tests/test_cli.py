@@ -192,6 +192,31 @@ class TestInputBoundary:
         assert exc.value.code == EXIT_CONFIG
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "args",
+        [["sweep-rint", "--r-int", "0"], ["sweep-rint", "--r-int=10,-3"],
+         ["sweep-latency", "--latency-ms=-5"], ["robustness", "--alpha=-1"],
+         ["robustness", "--alpha=0,-0.5"], ["sweep-rint", "--jobs", "0"],
+         ["sweep-latency", "--jobs=-2"]],
+        ids=["r-int-zero", "r-int-negative", "latency-negative", "alpha-negative",
+             "alpha-list-negative", "jobs-zero", "jobs-negative"],
+    )
+    def test_out_of_range_flags_are_usage_errors(self, tiny_config, tmp_path, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", tiny_config, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "args,csv",
+        [(["sweep-latency", "--latency-ms", "0", "--no-compensation", "--jobs", "1"], "latency_sweep.csv"),
+         (["robustness", "--alpha", "0", "--scenes", "2"], "robustness.csv")],
+        ids=["latency-zero", "alpha-zero"],
+    )
+    def test_range_bounds_themselves_are_accepted(self, tiny_config, tmp_path, args, csv):
+        assert main(args + ["--config", tiny_config, "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / csv).exists()
+
     def test_seed_flag_rejects_negative(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", tiny_config, "--out", str(tmp_path), "--seed", "-1"])

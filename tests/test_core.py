@@ -59,6 +59,12 @@ class TestStateVector:
     def test_yaw_accessor(self):
         assert make_state(yaw=0.7).yaw == pytest.approx(0.7)
 
+    def test_numpy_scalars_become_plain_floats(self):
+        values = [np.float64(1.5), np.float32(2.0), 0, 4, 2, 1.5, 0.0, np.float64(1.0), 3, 0.5, 0.0]
+        state = StateVector(*values)
+        assert [type(getattr(state, name)) for name in StateVector.__slots__] == [float] * 11
+        assert state.as_array().tolist() == [float(v) for v in values]
+
 
 class TestInstance:
     def test_rejects_non_unit_feature(self):

@@ -1,10 +1,16 @@
 """World stepping, sensing, channel behavior, and whole-run properties."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coopfuse import simulator
+from coopfuse.core import StateVector
+from coopfuse.wire import InstancePacket
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
@@ -21,6 +27,17 @@ from coopfuse.simulator import (
     transmit,
 )
 from conftest import make_state, shipped
+from oracles import reference_track_ids
+
+# Half-metre positions and velocities with 0.5 s ticks keep every predicted
+# position and distance exact, so equal distances and distances exactly at
+# the gate (e.g. 1.5-2-2.5) really occur.
+_HALF = st.integers(-8, 8).map(lambda v: v / 2)
+_OBJECTS = st.lists(
+    st.tuples(st.integers(0, 1), _HALF, _HALF, st.integers(-3, 3).map(lambda v: v / 2),
+              st.integers(-3, 3).map(lambda v: v / 2)),
+    max_size=7,
+)
 
 
 def _world(*objects):
@@ -124,6 +141,86 @@ class TestSense:
         near = next(d for d in detections if d.state.x < 50)
         far = next(d for d in detections if d.state.x > 50)
         assert near.confidence > far.confidence
+
+
+class TestTrackContinuation:
+    @given(
+        passes=st.lists(_OBJECTS, min_size=1, max_size=4),
+        gate=st.sampled_from([0.5, 1.0, 2.0, 2.5]),
+        origin=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_track_ids_equal_reference(self, passes, gate, origin):
+        sensor = SensorModel(max_range=1000.0, feature_dim=2, track_gate=gate)
+        spec = AgentSpec(agent_id=1, x=float(origin[0]), y=float(origin[1]), sensor=sensor)
+        agent = Agent(spec, np.random.default_rng(0))
+        previous, next_id = [], 1
+        for k, objects in enumerate(passes):
+            world = World(
+                time_us=k * 500_000,
+                objects=tuple(
+                    WorldObject(i, c, make_state(x=x, y=y, vx=vx, vy=vy))
+                    for i, (c, x, y, vx, vy) in enumerate(objects)
+                ),
+            )
+            got = [inst.track_id for inst in sense(agent, world, agent.rng)]
+            want, next_id = reference_track_ids(
+                previous, [(c, x, y) for c, x, y, _vx, _vy in objects], 0.5 if k else 0.0, gate, next_id
+            )
+            assert got == want
+            previous = [(tid, *obj) for tid, obj in zip(want, objects)]
+
+
+class TestValidateOnce:
+    def test_run_validates_only_sensed_and_decoded_states(self, monkeypatch):
+        counts = {"validated": 0, "sensed": 0, "decoded": 0}
+        post_init, real_sense = StateVector.__post_init__, simulator.sense
+        real_build, real_to_instances = simulator.build_world, InstancePacket.to_instances
+
+        def counting_post_init(state):
+            counts["validated"] += 1
+            post_init(state)
+
+        def build_world(*args):
+            # The world's objects are the scene's input, validated once when built.
+            world = real_build(*args)
+            counts["validated"] = 0
+            return world
+
+        def counting_sense(*args):
+            out = real_sense(*args)
+            counts["sensed"] += len(out)
+            return out
+
+        def counting_to_instances(packet):
+            out = real_to_instances(packet)
+            counts["decoded"] += len(out)
+            return out
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(simulator, "build_world", build_world)
+        monkeypatch.setattr(simulator, "sense", counting_sense)
+        monkeypatch.setattr(InstancePacket, "to_instances", counting_to_instances)
+        cfg = shipped("quickstart")
+        one_frame = simulator.run_scenario(replace(cfg, duration_s=cfg.tick_s))
+        assert len(one_frame.frames) == 1 and counts["decoded"] > 0
+        assert counts["validated"] <= counts["sensed"] + counts["decoded"]
+        counts.update(validated=0, sensed=0, decoded=0)
+        simulator.run_scenario(shipped("latency_study"))
+        assert counts["decoded"] > 0
+        assert counts["validated"] <= counts["sensed"] + counts["decoded"]
+
+    def test_every_state_component_is_a_plain_float(self):
+        cfg = shipped("latency_study")
+        run = run_scenario(replace(cfg, duration_s=10 * cfg.tick_s))
+        states = [
+            s
+            for frame in run.frames
+            for s in [i.state for i in frame.tracks.instances] + [g.state for g in frame.ground_truth]
+        ]
+        assert states
+        for state in states:
+            assert all(type(getattr(state, name)) is float for name in StateVector.__slots__), state
 
 
 class TestTransmit:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from coopfuse.core import RigidTransform
+from coopfuse.core import DegenerateHeading, RigidTransform
 from coopfuse.wire import (
     HEADER_DTYPE,
     HEADER_SIZE,
@@ -153,6 +153,48 @@ class TestMalformed:
 
     def test_magic_value(self):
         assert MAGIC == 0x4B475121
+
+
+def _tampered(mutate) -> bytes:
+    """Two valid records, encoded, with ``mutate`` applied to the record array."""
+    instances = [make_instance(x=3.0, yaw=0.4, dim=8), make_instance(y=-2.0, track_id=2, dim=8)]
+    packet = decode_packet(encode_packet(instances, RigidTransform.identity(), 5, 1))
+    records = packet.records.copy()
+    mutate(records)
+    return packet.header.tobytes() + records.tobytes()
+
+
+class TestDecodeBoundary:
+    """Decode is where wire values become trusted; bad records stop here."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,column", [("state", 0), ("state", 7), ("state", 9), ("feature", 0), ("feature", 5)])
+    def test_non_finite_record_value_rejected(self, field, column, value):
+        def mutate(records):
+            records[field][1, column] = value
+
+        with pytest.raises(ValueError):
+            decode_packet(_tampered(mutate)).to_instances()
+
+    def test_zero_heading_rejected(self):
+        def mutate(records):
+            records["state"][0, 6:8] = 0.0
+
+        with pytest.raises(DegenerateHeading):
+            decode_packet(_tampered(mutate)).to_instances()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda r: r["state"].__setitem__((1, 4), 0.0), lambda r: r["feature"].__setitem__(0, 0.0),
+         lambda r: r["confidence"].__setitem__(1, np.nan)],
+        ids=["zero-width", "zero-feature", "nan-confidence"],
+    )
+    def test_degenerate_record_rejected(self, mutate):
+        with pytest.raises(ValueError):
+            decode_packet(_tampered(mutate)).to_instances()
+
+    def test_untampered_records_decode(self):
+        assert len(decode_packet(_tampered(lambda records: None)).to_instances()) == 2
 
 
 class TestEncodePacket:
