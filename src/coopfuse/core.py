@@ -174,7 +174,8 @@ class Instance:
         """Every field by name, derived from valid values; unchecked. The
         ``feature`` must already be a read-only unit-norm float64 array."""
         self = object.__new__(cls)
-        self.__dict__.update(fields)
+        for name, value in fields.items():  # one by one, so instances share dict keys
+            object.__setattr__(self, name, value)
         return self
 
 

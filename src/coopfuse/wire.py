@@ -133,17 +133,20 @@ class InstancePacket:
         norms = np.sqrt(np.vecdot(features, features))
         if (norms < DEGENERATE_TOL).any():
             raise ValueError("cannot normalize a zero feature vector")
-        features /= norms[:, None]
-        features.setflags(write=False)
         out = []
-        for tid, class_id, confidence, values, feature in zip(
+        for tid, class_id, confidence, values, feature, norm in zip(
             recs["track_id"].tolist(),
             recs["class_id"].tolist(),
             recs["confidence"].tolist(),
             states.tolist(),
             features,
+            norms.tolist(),
         ):
             values[6], values[7] = normalize_heading(values[6], values[7])
+            # Each row gets its own array: a view would keep the whole
+            # packet alive for as long as any one of its instances lives.
+            feature = feature / norm
+            feature.setflags(write=False)
             out.append(
                 Instance._trusted(
                     state=StateVector._trusted(values),

@@ -196,6 +196,12 @@ class TestDecodeBoundary:
     def test_untampered_records_decode(self):
         assert len(decode_packet(_tampered(lambda records: None)).to_instances()) == 2
 
+    def test_decoded_features_own_their_memory(self):
+        # A view into the packet's array would keep every record's feature
+        # alive for as long as any one decoded instance is kept.
+        for inst in decode_packet(_tampered(lambda records: None)).to_instances():
+            assert inst.feature.base is None and not inst.feature.flags.writeable
+
 
 class TestEncodePacket:
     def test_rejects_mixed_feature_dims(self):
