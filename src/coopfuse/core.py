@@ -162,7 +162,7 @@ class Instance:
         feature.setflags(write=False)
         object.__setattr__(self, "feature", feature)
         norm_err = abs(float(np.linalg.norm(feature)) - 1.0)
-        if norm_err > FEATURE_UNIT_TOL:
+        if not norm_err <= FEATURE_UNIT_TOL:  # NaN fails it too
             raise ValueError(f"feature must be unit norm, off by {norm_err:.3e}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")

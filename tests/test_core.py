@@ -71,6 +71,11 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(make_state(), np.ones(4), 0.5, 0, None, 0, 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_feature(self, bad):
+        with pytest.raises(ValueError):
+            Instance(make_state(), np.array([bad, 0.0, 0.0, 0.0]), 0.5, 0, None, 0, 0)
+
     def test_rejects_bad_confidence(self):
         feature = np.zeros(4)
         feature[0] = 1.0
