@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \
-        --workload crowd --seeds 1-10 --out BENCH_6.json
+        --workload crowd --seeds 1-10 --out BENCH.json
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds N
 --trace 0`` once in each checkout, one process at a time, and alternates
