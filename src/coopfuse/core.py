@@ -10,8 +10,10 @@ Values are validated once, where they enter: the public constructors,
 sensing, wire decode and config loading. A value computed from already
 valid values (a transformed, compensated, fused or smoothed state, a
 composed or inverted transform, a relabelled instance) is built through the
-type's private ``_trusted`` constructor, which skips the checks. Only code
-inside the package calls ``_trusted``, and only with such derived values.
+type's private ``_trusted`` constructor (or ``Instance._trusted_replace``),
+which skips the checks. Only code inside the package calls them, and only
+with such derived values. The rules for a valid value live here alone:
+wire decode checks its record array as one batch with ``_check_records``.
 """
 
 from __future__ import annotations
@@ -177,6 +179,37 @@ class Instance:
         for name, value in fields.items():  # one by one, so instances share dict keys
             object.__setattr__(self, name, value)
         return self
+
+    def _trusted_replace(self, **changes) -> Instance:
+        """A copy with the named fields changed to values derived from valid ones; unchecked."""
+        return Instance._trusted(**(vars(self) | changes))
+
+
+def _check_records(
+    states: np.ndarray, features: np.ndarray, confidence: np.ndarray, observed_at: Timestamp
+) -> np.ndarray:
+    """Check N decoded records as one batch; return each feature's norm.
+
+    Features are not yet unit norm nor confidences clipped to [0, 1];
+    ``normalize_heading`` checks each heading as decode normalizes it.
+
+    Raises:
+        ValueError: on a non-finite state or feature value, a box dimension
+            <= 0, a NaN confidence, a zero feature or (with records) a
+            negative timestamp.
+    """
+    if len(states) and observed_at < 0:
+        raise ValueError("observed_at must be non-negative")
+    if not (
+        np.isfinite(states).all() and np.isfinite(features).all()
+        and (states[:, 3:6] > 0).all() and not np.isnan(confidence).any()
+    ):
+        raise ValueError("a record has a non-finite value, a box dimension <= 0 or a NaN confidence")
+    # vecdot, unlike norm(axis=1), gives each row's norm bit for bit.
+    norms = np.sqrt(np.vecdot(features, features))
+    if (norms < DEGENERATE_TOL).any():
+        raise ValueError("cannot normalize a zero feature vector")
+    return norms
 
 
 def _orthonormalized(matrix: np.ndarray) -> np.ndarray:

@@ -184,7 +184,7 @@ def refine_tracks(
                 v.vx + gain_vel * ix / dt, v.vy + gain_vel * iy / dt, v.vz + gain_vel * iz / dt,
             )
         )
-        refined.append(Instance._trusted(**(vars(inst) | {"state": state})))
+        refined.append(inst._trusted_replace(state=state))
     return replace(current, instances=tuple(refined))
 
 
@@ -230,12 +230,12 @@ def assemble_output(
     for inst in list(fused) + list(unmatched_ego):
         if inst.track_id is None:
             tid = ids.resolve(inst.source_agent, None, taken)
-            inst = Instance._trusted(**(vars(inst) | {"track_id": tid}))
+            inst = inst._trusted_replace(track_id=tid)
         combined.append(inst)
         taken.add(inst.track_id)
     for inst in list(unmatched_coop_near) + list(coop_far):
         tid = ids.resolve(inst.source_agent, inst.track_id, taken)
-        combined.append(Instance._trusted(**(vars(inst) | {"track_id": tid})))
+        combined.append(inst._trusted_replace(track_id=tid))
         taken.add(tid)
     survivors = [
         inst

@@ -654,7 +654,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             rel = relative_transform(ego_pose, coop_pose)
             for inst in packet.to_instances():
                 if not pipe.compensate_latency:
-                    inst = Instance._trusted(**(vars(inst) | {"observed_at": t}))
+                    inst = inst._trusted_replace(observed_at=t)
                 try:
                     coop_aligned.append(align_instance(inst, rel, t, pipe.alignment))
                 except HorizonExceeded:

@@ -25,11 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DEGENERATE_TOL,
     Instance,
     RigidTransform,
     StateVector,
     Timestamp,
+    _check_records,
     _orthonormalized,
     normalize_heading,
 )
@@ -112,27 +112,14 @@ class InstancePacket:
     def to_instances(self) -> list[Instance]:
         """Validated Instances; renormalizes heading and feature after f32.
 
-        The records are checked as one batch, before any Instance is built.
-
         Raises:
-            ValueError: on a non-finite state or feature value, a box
-                dimension <= 0, a NaN confidence, a zero feature or a
-                negative timestamp; DegenerateHeading on a zero heading.
+            ValueError: on records ``core._check_records`` rejects, checked
+                as one batch first; DegenerateHeading on a zero heading.
         """
         recs = self.records
         sender_id, send_timestamp = self.sender_id, self.send_timestamp
         states, features = recs["state"], recs["feature"].astype(np.float64)
-        if len(recs) and send_timestamp < 0:
-            raise ValueError("observed_at must be non-negative")
-        if not (
-            np.isfinite(states).all() and np.isfinite(features).all()
-            and (states[:, 3:6] > 0).all() and not np.isnan(recs["confidence"]).any()
-        ):
-            raise ValueError("a record has a non-finite value, a box dimension <= 0 or a NaN confidence")
-        # vecdot, unlike norm(axis=1), gives each row's norm bit for bit.
-        norms = np.sqrt(np.vecdot(features, features))
-        if (norms < DEGENERATE_TOL).any():
-            raise ValueError("cannot normalize a zero feature vector")
+        norms = _check_records(states, features, recs["confidence"], send_timestamp)
         out = []
         for tid, class_id, confidence, values, feature, norm in zip(
             recs["track_id"].tolist(),

@@ -5,7 +5,7 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py --parent ../parent --change . \
         --workload crowd --seeds 1-10 --out BENCH.json
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds N
+Each pair runs ``perfbench/run.py --workload W --seed S --seconds 20
 --trace 0`` once in each checkout, one process at a time, and alternates
 which side goes first. For every run the file keeps the ``env`` line and
 the last line (the result JSON) of perfbench's stdout exactly as printed.
@@ -25,6 +25,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+# Every run lasts the same, on both sides and in every file.
+SECONDS = 20
+
 
 def parse_seeds(text: str) -> list[int]:
     seeds = []
@@ -40,9 +43,9 @@ def git_sha(checkout: Path) -> str:
     ).stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     env = next(line for line in lines if line.startswith("env "))
@@ -85,7 +88,6 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=parse_seeds, required=True, help="e.g. 1-10 or 4242")
-    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--label", default="", help="suffix of the summary group, e.g. held-out")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
@@ -102,10 +104,10 @@ def main(argv=None) -> int:
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if (first_pair + i) % 2 else ("change", "parent")
         for side in order:
-            run = run_once(checkouts[side], args.workload, seed, args.seconds)
+            run = run_once(checkouts[side], args.workload, seed)
             record["runs"].append({"group": group, "pair": first_pair + i, "seed": seed, "side": side,
                                    "command_args": f"--workload {args.workload} --seed {seed} "
-                                                   f"--seconds {args.seconds:g} --trace 0", **run})
+                                                   f"--seconds {SECONDS} --trace 0", **run})
             value = json.loads(run["result"])["metrics"]["throughput"]["value"]
             print(f"{group} pair {first_pair + i} seed {seed} {side}: throughput {value:.4g}", flush=True)
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
