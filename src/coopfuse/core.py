@@ -18,9 +18,10 @@ wire decode checks its record array as one batch with ``_check_records``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -321,3 +322,44 @@ class GroundTruthObject(NamedTuple):
     object_id: int
     class_id: int
     state: StateVector
+
+
+Point = tuple[float, float, int]  # planar x, y and class id
+
+
+def neighbours(queries: Iterable[Point], refs: Iterable[Point], radius: float) -> list[list[tuple[int, float]]]:
+    """Each query's same-class refs within ``radius``: ``(ref index, distance)``, by index.
+
+    The distance is ``math.hypot(qx - x, qy - y)``. Each ref reads only the
+    queries whose x lies in a window around its own, sorted by x per class.
+    """
+    ordered = sorted((qx, i, qy, c) for i, (qx, qy, c) in enumerate(queries))
+    columns: dict[int, list[tuple[float, int, float]]] = {}
+    for qx, i, qy, c in ordered:
+        columns.setdefault(c, []).append((qx, i, qy))
+    rows: list[list[tuple[int, float]]] = [[] for _ in ordered]
+    for k, (x, y, c) in enumerate(refs):
+        column = columns.get(c, [])
+        # hypot(dx, dy) >= |dx|, and the window's slack exceeds the rounding
+        # of x +- reach and of qx - x, so it drops no pair within the radius.
+        reach = radius + (radius + abs(x)) * 2.0**-50
+        lo, hi = bisect.bisect_left(column, (x - reach,)), bisect.bisect_right(column, (x + reach, math.inf))
+        for qx, i, qy in column[lo:hi]:
+            if (d := math.hypot(qx - x, qy - y)) <= radius:
+                rows[i].append((k, d))
+    return rows
+
+
+def greedy_nearest(rows: Iterable[Sequence[tuple[int, float]]], limit: float) -> list[Optional[tuple[int, float]]]:
+    """Each row of ``neighbours`` in turn takes its nearest candidate within ``limit`` that
+    no earlier row took, the later index of equally near ones: ``(index, distance)`` or None."""
+    taken: set[int] = set()
+    picks: list[Optional[tuple[int, float]]] = []
+    for row in rows:
+        best_k, best_d = None, limit
+        for k, d in row:
+            if d <= best_d and k not in taken:
+                best_k, best_d = k, d
+        taken.add(best_k)  # None never matches an index
+        picks.append(None if best_k is None else (best_k, best_d))
+    return picks

@@ -3,10 +3,11 @@
 Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
-over an 11-point recall grid. Every metric is derived from one greedy
-match of each frame per distinct distance threshold. The claims these
-support are trends and properties, not leaderboard numbers, and every
-output is deterministic given the scenario seed.
+over an 11-point recall grid. One neighbour scan per frame finds the
+same-class pairs within the largest distance threshold, and every metric
+derives from one greedy match per distinct threshold over those pairs. The
+claims these support are trends and properties, not leaderboard numbers,
+and every output is deterministic given the scenario seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruthObject, Instance, Timestamp
+from .core import GroundTruthObject, Instance, Timestamp, greedy_nearest, neighbours
 from .fusion import TrackSet
 from .simulator import RunResult, ScenarioConfig, run_scenario
 
@@ -69,38 +70,36 @@ class MetricsReport:
 
 Frame = tuple[TrackSet, FrameGroundTruth]
 Match = tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]
+Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]]]
+
+
+def _scan(tracks: TrackSet, gt: FrameGroundTruth, radius: float) -> Scan:
+    """The predictions in matching order (descending confidence, stable), the
+    objects, and each prediction's same-class objects within ``radius``."""
+    if tracks.timestamp != gt.timestamp:
+        raise ValueError("track set and ground truth are from different frames")
+    order = sorted(tracks.instances, key=lambda p: -p.confidence)
+    points = [[(o.state.x, o.state.y, o.class_id) for o in group] for group in (order, gt.objects)]
+    return order, gt.objects, neighbours(*points, radius)
 
 
 def _greedy_match(
-    preds: Sequence[Instance],
-    gt_objects: Sequence[GroundTruthObject],
-    dist_threshold: float,
+    order: list[Instance], gt_objects: Sequence[GroundTruthObject], candidates: list, dist_threshold: float
 ) -> Match:
-    available = list(range(len(gt_objects)))
-    tp, fp = [], []
-    for pred in sorted(preds, key=lambda p: -p.confidence):
-        best_k, best_d = None, dist_threshold
-        for k in available:
-            g = gt_objects[k]
-            if g.class_id != pred.class_id:
-                continue
-            d = math.hypot(pred.state.x - g.state.x, pred.state.y - g.state.y)
-            if d <= best_d:
-                best_k, best_d = k, d
-        if best_k is None:
+    tp, fp, claimed = [], [], set()
+    for pred, pick in zip(order, greedy_nearest(candidates, dist_threshold)):
+        if pick is None:
             fp.append(pred)
         else:
-            available.remove(best_k)
-            tp.append((pred, gt_objects[best_k], best_d))
-    fn = [gt_objects[k] for k in available]
+            claimed.add(pick[0])
+            tp.append((pred, gt_objects[pick[0]], pick[1]))
+    fn = [g for k, g in enumerate(gt_objects) if k not in claimed]
     return tp, fp, fn
 
 
 def match_to_gt(tracks: TrackSet, gt: FrameGroundTruth, dist_threshold: float) -> Match:
     """Greedy confidence-ordered one-to-one matching by planar distance."""
-    if tracks.timestamp != gt.timestamp:
-        raise ValueError("track set and ground truth are from different frames")
-    return _greedy_match(tracks.instances, gt.objects, dist_threshold)
+    return _greedy_match(*_scan(tracks, gt, dist_threshold), dist_threshold)
 
 
 def _match_frames(frames: Sequence[Frame], dist_threshold: float) -> list[Match]:
@@ -200,16 +199,16 @@ def compute_tracking(
     return _tracking(_match_frames(frames, dist_threshold))
 
 
-def _duplicate_rate(matches: Sequence[Match], dist_threshold: float) -> float:
+def _duplicate_rate(scans: Sequence[Scan], matches: Sequence[Match], dist_threshold: float) -> float:
     duplicates = 0
-    for tp, fp, _ in matches:
-        for pred in fp:
-            duplicates += any(
-                g.class_id == pred.class_id
-                and math.hypot(pred.state.x - g.state.x, pred.state.y - g.state.y)
-                <= dist_threshold
-                for _, g, _ in tp
-            )
+    for (order, gt_objects, candidates), (tp, fp, _) in zip(scans, matches):
+        unmatched = set(fp)
+        claimed = {g.object_id for _, g, _ in tp}
+        duplicates += sum(
+            pred in unmatched
+            and any(d <= dist_threshold and gt_objects[k].object_id in claimed for k, d in row)
+            for pred, row in zip(order, candidates)
+        )
     total_gt = _total_gt(matches)
     return duplicates / total_gt if total_gt else 0.0
 
@@ -219,7 +218,8 @@ def duplicate_rate(
 ) -> float:
     """Fraction of GT picked up more than once: extra same-class predictions
     within the threshold of an already-matched object, over total GT."""
-    return _duplicate_rate(_match_frames(frames, dist_threshold), dist_threshold)
+    scans = [_scan(tracks, gt, dist_threshold) for tracks, gt in frames]
+    return _duplicate_rate(scans, [_greedy_match(*scan, dist_threshold) for scan in scans], dist_threshold)
 
 
 def run_frames(run: RunResult) -> list[Frame]:
@@ -233,8 +233,9 @@ def compute_metrics(
     run: RunResult, thresholds: Sequence[float] = DETECTION_THRESHOLDS
 ) -> MetricsReport:
     """Full metric report for one scenario run."""
-    frames = run_frames(run)
-    matches = {thr: _match_frames(frames, thr) for thr in {*thresholds, TRACKING_THRESHOLD}}
+    radii = {*thresholds, TRACKING_THRESHOLD}
+    scans = [_scan(tracks, gt, max(radii)) for tracks, gt in run_frames(run)]
+    matches = {thr: [_greedy_match(*scan, thr) for scan in scans] for thr in radii}
     curves = {}
     for thr in thresholds:
         _, recalls, precisions = _ranked(matches[thr])
@@ -252,7 +253,7 @@ def compute_metrics(
         mota_like=mota,
         amota_like=amota,
         id_switches=idsw,
-        duplicate_rate=_duplicate_rate(tracked, TRACKING_THRESHOLD),
+        duplicate_rate=_duplicate_rate(scans, tracked, TRACKING_THRESHOLD),
         rmse_pos=rmse,
         bps_sent=run.bps_sent,
         bps_received=run.bps_received,

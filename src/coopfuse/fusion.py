@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alignment import compensate_latency
-from .core import DegenerateHeading, Instance, StateVector, Timestamp
+from .core import DegenerateHeading, Instance, StateVector, Timestamp, neighbours
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -47,8 +47,6 @@ class TrackSet:
 
     timestamp: Timestamp
     instances: tuple[Instance, ...]
-    new_track_ids: frozenset[int] = frozenset()
-    dropped_track_ids: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         ids = [inst.track_id for inst in self.instances]
@@ -73,7 +71,6 @@ class TrackIdRegistry:
         self._fresh: dict[tuple[int, int], int] = {}
         self._ego_alias: dict[tuple[int, int], int] = {}
         self._counters: dict[int, int] = {}
-        self.last_frame_ids: frozenset[int] = frozenset()
 
     def record_match(self, source_agent: int, coop_track_id: Optional[int], ego_track_id: int) -> None:
         if coop_track_id is not None:
@@ -192,22 +189,17 @@ def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
     """Suppress same-class instances within ``radius`` of a stronger one.
 
     Instances are visited in descending confidence (stable under ties); an
-    instance is dropped when a kept instance of the same class lies within
-    the planar radius. Output is in confidence order.
+    instance is dropped when one kept before it is of its class and within
+    the planar radius. Output is in visiting order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    kept: list[Instance] = []
-    for inst in sorted(instances, key=lambda i: -i.confidence):
-        close = any(
-            other.class_id == inst.class_id
-            and math.hypot(other.state.x - inst.state.x, other.state.y - inst.state.y)
-            <= radius
-            for other in kept
-        )
-        if not close:
-            kept.append(inst)
-    return kept
+    ranked = sorted(instances, key=lambda i: -i.confidence)
+    points = [(i.state.x, i.state.y, i.class_id) for i in ranked]
+    keep: list[bool] = []
+    for i, row in enumerate(neighbours(points, points, radius)):
+        keep.append(not any(keep[k] for k, _ in row if k < i))
+    return [inst for inst, kept in zip(ranked, keep) if kept]
 
 
 def assemble_output(
@@ -222,8 +214,7 @@ def assemble_output(
     """Concatenate the four association groups into a deduplicated TrackSet.
 
     Remote-only instances get stable IDs from the registry, duplicates are
-    suppressed, and low-confidence outputs are cut. New/dropped bookkeeping
-    is computed against the registry's previous frame.
+    suppressed, and low-confidence outputs are cut.
     """
     taken: set[int] = set()
     combined: list[Instance] = []
@@ -242,12 +233,4 @@ def assemble_output(
         for inst in deduplicate(combined, cfg.dedup_radius)
         if inst.confidence >= cfg.output_confidence_threshold
     ]
-    current_ids = frozenset(inst.track_id for inst in survivors)
-    track_set = TrackSet(
-        timestamp=timestamp,
-        instances=tuple(survivors),
-        new_track_ids=current_ids - ids.last_frame_ids,
-        dropped_track_ids=ids.last_frame_ids - current_ids,
-    )
-    ids.last_frame_ids = current_ids
-    return track_set
+    return TrackSet(timestamp=timestamp, instances=tuple(survivors))

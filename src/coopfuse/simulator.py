@@ -9,6 +9,7 @@ is single-threaded and fully determined by the scenario seed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import logging
 import math
@@ -17,22 +18,19 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .alignment import (
-    AlignmentConfig,
-    HorizonExceeded,
-    align_instance,
-    compensate_latency,
-    transform_state,
-)
+from .alignment import AlignmentConfig, HorizonExceeded, align_instance, compensate_latency
 from .association import MatchWeights, RoiSpec, associate, filter_roi
 from .core import (
     AgentPose,
+    DegenerateHeading,
     GroundTruthObject,
     Instance,
     RigidTransform,
     StateVector,
     Timestamp,
+    greedy_nearest,
     invert,
+    neighbours,
     relative_transform,
     seconds_to_micros,
 )
@@ -153,11 +151,16 @@ class AgentSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.agent_id <= MAX_SENDER_ID:
             raise ValueError(f"agent_id {self.agent_id} outside [0, {MAX_SENDER_ID}] (u16 on the wire)")
+        for name in ("x", "y", "z", "yaw_deg", "vx", "vy"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     def pose_at(self, t: Timestamp) -> AgentPose:
         t_s = t / 1e6
-        pose = RigidTransform.from_yaw(
-            math.radians(self.yaw_deg),
+        yaw = math.radians(self.yaw_deg)
+        c, s = math.cos(yaw), math.sin(yaw)
+        pose = RigidTransform._trusted(
+            ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)),
             (self.x + self.vx * t_s, self.y + self.vy * t_s, self.z),
         )
         return AgentPose(agent_id=self.agent_id, stamped_at=t, pose=pose)
@@ -167,7 +170,7 @@ class _Tracks(NamedTuple):
     """An agent's detections of its last pass, kept for track continuation."""
 
     track_ids: list[int]
-    class_ids: np.ndarray  # (n,)
+    class_ids: list[int]
     positions: np.ndarray  # (n, 3), global frame
     velocities: np.ndarray  # (n, 3), global frame
 
@@ -178,7 +181,7 @@ class Agent:
     def __init__(self, spec: AgentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        self._prev = _Tracks([], np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)))
+        self._prev = _Tracks([], [], np.zeros((0, 3)), np.zeros((0, 3)))
         self._prev_t: Optional[Timestamp] = None
         self._next_track_id = 1
 
@@ -187,6 +190,23 @@ def _rotate_rows(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
     # One mat-vec per row keeps each row's bits equal to ``rot @ row``;
     # ``rows @ rot.T`` differs in the last bit on most rows.
     return (rot @ rows[:, :, None])[:, :, 0]
+
+
+def _to_frame(objects: Sequence[WorldObject], to_frame: RigidTransform) -> list[tuple[float, ...]]:
+    """Each object's 11 state components in the frame ``to_frame`` maps into, bit for bit
+    as ``transform_state`` gives them (raising DegenerateHeading where it does)."""
+    vectors = np.array(
+        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in (o.state for o in objects)]
+    ).reshape(-1, 3)
+    local = _rotate_rows(to_frame.rotation, vectors).reshape(-1, 3, 3)
+    local[:, 0] += to_frame.translation
+    rows = []
+    for obj, (position, velocity, (hx, hy, _hz)) in zip(objects, local.tolist()):
+        norm = math.hypot(hx, hy)
+        if norm < 1e-9:
+            raise DegenerateHeading("rotation leaves no planar heading component")
+        rows.append((*position, obj.state.l, obj.state.w, obj.state.h, hy / norm, hx / norm, *velocity))
+    return rows
 
 
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance]:
@@ -203,16 +223,11 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     to_agent = invert(pose)
     half_fov = math.radians(sensor.fov_deg) / 2.0
 
-    # Every object's position, velocity and heading direction in the agent
-    # frame, in one batch; the RNG draws below stay per object, in order.
-    vectors = np.array(
-        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in (o.state for o in world.objects)]
-    ).reshape(-1, 3)
-    local = _rotate_rows(to_agent.rotation, vectors).reshape(-1, 3, 3)
-    local[:, 0] += to_agent.translation
-
+    # Every object in the agent frame, in one batch; the RNG draws below
+    # stay per object, in order.
     detected: list[tuple[int, StateVector, np.ndarray, float]] = []
-    for obj, ((px, py, pz), (vx, vy, vz), (hx, hy, _hz)) in zip(world.objects, local.tolist()):
+    local = _to_frame(world.objects, to_agent)
+    for obj, (px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz) in zip(world.objects, local):
         r = math.hypot(px, py)
         if r > sensor.max_range:
             continue
@@ -227,7 +242,6 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
             nx, ny = rng.normal(0.0, sigma, 2).tolist()
             nz = float(rng.normal(0.0, sensor.pos_noise_sigma))
             px, py, pz = px + nx, py + ny, pz + nz
-        l, w, h = obj.state.l, obj.state.w, obj.state.h
         if sensor.dim_noise_sigma > 0:
             dl, dw, dh = rng.normal(0.0, sensor.dim_noise_sigma, 3).tolist()
             l, w, h = max(l + dl, 0.01), max(w + dw, 0.01), max(h + dh, 0.01)
@@ -235,15 +249,14 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
             nx, ny, nz = rng.normal(0.0, sensor.vel_noise_sigma, 3).tolist()
             vx, vy, vz = vx + nx, vy + ny, vz + nz
         confidence = min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0)
-        norm = math.hypot(hx, hy)
-        state = StateVector(px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz)
+        state = StateVector(px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz)
         feature = noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng)
         detected.append((obj.class_id, state, feature, confidence))
 
     # Each detection's global position and velocity, kept for the next pass.
     moved = np.array([(s.x, s.y, s.z, s.vx, s.vy, s.vz) for _c, s, _f, _p in detected]).reshape(-1, 3)
     moved = _rotate_rows(pose.rotation, moved).reshape(-1, 2, 3)
-    class_ids = np.array([d[0] for d in detected], dtype=np.int64)
+    class_ids = [d[0] for d in detected]
     positions = moved[:, 0] + pose.translation
     track_ids = _continue_tracks(agent, t, class_ids, positions)
     agent._prev = _Tracks(track_ids, class_ids, positions, moved[:, 1])
@@ -262,7 +275,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     ]
 
 
-def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, positions: np.ndarray) -> list[int]:
+def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], positions: np.ndarray) -> list[int]:
     """Track IDs for this pass's detections, in detection order.
 
     Each detection in turn takes the nearest untaken previous detection of
@@ -272,28 +285,16 @@ def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, position
     prev, gate = agent._prev, agent.spec.sensor.track_gate
     dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
     predicted = prev.positions + prev.velocities * dt
-    dx = positions[:, None, 0] - predicted[:, 0]
-    dy = positions[:, None, 1] - predicted[:, 1]
-    # hypot(dx, dy) >= max(|dx|, |dy|), so only pairs in the gate's bounding
-    # box can continue; math.hypot (np.hypot differs) keeps distances exact.
-    rows, cols = np.nonzero((class_ids[:, None] == prev.class_ids) & (abs(dx) <= gate) & (abs(dy) <= gate))
-    candidates: list[list[tuple[int, float]]] = [[] for _ in class_ids]
-    dists = map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist())
-    for i, k, d in zip(rows.tolist(), cols.tolist(), dists):
-        candidates[i].append((k, d))
-    taken: set[int] = set()
+    rows = neighbours(
+        zip(*positions[:, :2].T.tolist(), class_ids), zip(*predicted[:, :2].T.tolist(), prev.class_ids), gate
+    )
     track_ids = []
-    for row in candidates:
-        best_k, best_d = None, gate
-        for k, d in row:  # ascending k with <=: the later of tied tracks wins
-            if d <= best_d and k not in taken:
-                best_k, best_d = k, d
-        if best_k is None:
+    for pick in greedy_nearest(rows, gate):
+        if pick is None:
             track_ids.append(agent._next_track_id)
             agent._next_track_id += 1
         else:
-            taken.add(best_k)
-            track_ids.append(prev.track_ids[best_k])
+            track_ids.append(prev.track_ids[pick[0]])
     return track_ids
 
 
@@ -436,21 +437,25 @@ class ScenarioConfig:
 
 
 def _min_separation_over_run(
-    a_pos: np.ndarray, a_vel: np.ndarray, b_pos: np.ndarray, b_vel: np.ndarray, duration: float
-) -> float:
-    # Closest planar approach of two linear trajectories on [0, duration].
-    dp = (a_pos - b_pos)[:2]
-    dv = (a_vel - b_vel)[:2]
-    speed2 = float(dv @ dv)
-    t_star = 0.0 if speed2 < 1e-12 else min(max(-float(dp @ dv) / speed2, 0.0), duration)
-    closest = dp + dv * t_star
-    return float(np.hypot(closest[0], closest[1]))
+    pos: np.ndarray, vel: np.ndarray, placed_pos: np.ndarray, placed_vel: np.ndarray, duration: float
+) -> np.ndarray:
+    """Closest planar approach on [0, duration] of one linear trajectory to each placed one."""
+    dp = (pos - placed_pos)[:, :2]
+    dv = (vel - placed_vel)[:, :2]
+    # vecdot matches the 2-element ``dp @ dv`` bit for bit; (dp * dv).sum(1)
+    # and einsum do not.
+    speed2 = np.vecdot(dv, dv)
+    moving = speed2 >= 1e-12
+    t_star = np.zeros(len(dp))
+    t_star[moving] = np.clip(-np.vecdot(dp[moving], dv[moving]) / speed2[moving], 0.0, duration)
+    closest = dp + dv * t_star[:, None]
+    return np.hypot(closest[:, 0], closest[:, 1])
 
 
 def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     """Spawn objects, rejecting placements that would violate clearance."""
     objects: list[WorldObject] = []
-    placed: list[tuple[np.ndarray, np.ndarray]] = []
+    placed_pos, placed_vel = np.zeros((cfg.object_count, 3)), np.zeros((cfg.object_count, 3))
     for object_id in range(cfg.object_count):
         for _ in range(200):
             pos = np.array(
@@ -463,15 +468,14 @@ def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
             speed = rng.uniform(*cfg.speed_range)
             theta = rng.uniform(-math.pi, math.pi)
             vel = np.array([speed * math.cos(theta), speed * math.sin(theta), 0.0])
-            ok = all(
-                _min_separation_over_run(pos, vel, p, v, cfg.duration_s) >= cfg.min_clearance
-                for p, v in placed
+            separations = _min_separation_over_run(
+                pos, vel, placed_pos[:object_id], placed_vel[:object_id], cfg.duration_s
             )
-            if ok or cfg.min_clearance <= 0:
+            if (separations >= cfg.min_clearance).all() or cfg.min_clearance <= 0:
                 break
         else:
             log.warning("object %d placed without clearance after 200 attempts", object_id)
-        placed.append((pos, vel))
+        placed_pos[object_id], placed_vel[object_id] = pos, vel
         yaw_rate = rng.uniform(*cfg.yaw_rate_range)
         state = StateVector(
             x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
@@ -550,10 +554,9 @@ class RunResult:
 
 
 def _frame_ground_truth(world: World, ego_pose: AgentPose) -> tuple[GroundTruthObject, ...]:
-    to_ego = invert(ego_pose.pose)
+    local = _to_frame(world.objects, invert(ego_pose.pose))
     return tuple(
-        GroundTruthObject(obj.object_id, obj.class_id, transform_state(obj.state, to_ego))
-        for obj in world.objects
+        GroundTruthObject(o.object_id, o.class_id, StateVector._trusted(s)) for o, s in zip(world.objects, local)
     )
 
 
@@ -563,15 +566,25 @@ def _prefusion_error(
     # Nearest same-class reference distance; a proxy for true position error
     # that needs no oracle plumbed through the honest pipeline. Valid while
     # object clearance exceeds the alignment error.
-    errors = []
+    columns: dict[int, list[tuple[float, float]]] = {}
+    for g in sorted(gt, key=lambda g: (g.state.x, g.state.y)):
+        columns.setdefault(g.class_id, []).append((g.state.x, g.state.y))
+    errors = []  # in aligned order: np.mean's sum depends on the order
     for inst in aligned:
-        dists = [
-            math.hypot(inst.state.x - g.state.x, inst.state.y - g.state.y)
-            for g in gt
-            if g.class_id == inst.class_id
-        ]
-        if dists:
-            errors.append(min(dists))
+        column = columns.get(inst.class_id)
+        if not column:
+            continue
+        x, y = inst.state.x, inst.state.y
+        split = bisect.bisect_left(column, (x,))
+        best = math.inf
+        # Search outward from x; hypot(dx, dy) >= |dx|, so each direction
+        # stops at the first reference whose |dx| alone exceeds the best.
+        for side in (column[split:], reversed(column[:split])):
+            for gx, gy in side:
+                if abs(x - gx) > best:
+                    break
+                best = min(best, math.hypot(x - gx, y - gy))
+        errors.append(best)
     return float(np.mean(errors)) if errors else math.nan
 
 

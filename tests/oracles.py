@@ -217,3 +217,49 @@ def reference_track_ids(previous, detections, dt, gate, next_id):
             taken[best] = True
             ids.append(previous[best][0])
     return ids, next_id
+
+
+def reference_deduplicate(items, radius):
+    """Indices of the instances duplicate suppression keeps, in output order.
+
+    ``items`` are ``(x, y, confidence, class_id)``. Items are visited by
+    descending confidence, ties in input order; an item is dropped when an
+    item kept before it has its class and lies within ``radius`` of it.
+    """
+    kept = []
+    for i in sorted(range(len(items)), key=lambda i: -items[i][2]):
+        x, y, _, cls = items[i]
+        if not any(
+            items[k][3] == cls and math.hypot(items[k][0] - x, items[k][1] - y) <= radius
+            for k in kept
+        ):
+            kept.append(i)
+    return kept
+
+
+def reference_prefusion_error(aligned, gt):
+    """Mean distance from each aligned point to its nearest same-class object.
+
+    Points are ``(x, y, class_id)``. Aligned points with no object of their
+    class are skipped; the mean is taken in aligned order, NaN if empty.
+    """
+    errors = []
+    for x, y, cls in aligned:
+        dists = [math.hypot(x - gx, y - gy) for gx, gy, gcls in gt if gcls == cls]
+        if dists:
+            errors.append(min(dists))
+    return float(np.mean(errors)) if errors else math.nan
+
+
+def reference_min_separation(a_pos, a_vel, b_pos, b_vel, duration):
+    """Closest planar approach of two linear trajectories on [0, duration].
+
+    Positions and velocities are 3-vectors; z is ignored. The approach time
+    is clamped to the interval and is 0 for (near-)equal velocities.
+    """
+    dp = (a_pos - b_pos)[:2]
+    dv = (a_vel - b_vel)[:2]
+    speed2 = float(dv @ dv)
+    t_star = 0.0 if speed2 < 1e-12 else min(max(-float(dp @ dv) / speed2, 0.0), duration)
+    closest = dp + dv * t_star
+    return float(np.hypot(closest[0], closest[1]))

@@ -12,7 +12,9 @@ from coopfuse.core import (
     RigidTransform,
     StateVector,
     compose,
+    greedy_nearest,
     invert,
+    neighbours,
     normalize_heading,
     relative_transform,
 )
@@ -197,3 +199,18 @@ class TestRelativeTransform:
             round_trip = compose(relative_transform(ego, coop), relative_transform(coop, ego))
             np.testing.assert_allclose(round_trip.rotation, np.eye(3), atol=1e-9)
             np.testing.assert_allclose(round_trip.translation, np.zeros(3), atol=1e-9)
+
+
+class TestNeighbours:
+    def test_pair_at_the_radius_past_a_rounded_window_edge(self):
+        # -3.7 + 2.0 rounds to -1.7000000000000002, below the query at -1.7,
+        # yet -1.7 - -3.7 is exactly 2.0: a window of x + radius misses it.
+        assert neighbours([(-1.7, 0.0, 0)], [(-3.7, 0.0, 0)], 2.0) == [[(0, 2.0)]]
+
+    def test_rows_by_ref_index_and_class(self):
+        refs = [(3.0, 0.0, 0), (0.0, 1.0, 0), (0.0, 0.0, 1), (-1.0, 0.0, 0)]
+        assert neighbours([(0.0, 0.0, 0), (9.0, 9.0, 0)], refs, 3.0) == [[(0, 3.0), (1, 1.0), (3, 1.0)], []]
+
+    def test_greedy_takes_the_later_of_tied_candidates(self):
+        rows = [[(0, 1.0), (1, 1.0), (2, 0.5)], [(0, 1.0), (1, 1.0)], [(1, 0.2)], [(0, 2.0)]]
+        assert greedy_nearest(rows, 1.5) == [(2, 0.5), (1, 1.0), None, None]

@@ -264,6 +264,20 @@ class TestScoringOracle:
         assert len(calls) == len(run.frames) * len({0.5, 1.0, 2.0, 4.0})
 
 
+    def test_compute_metrics_scans_each_frame_once(self, monkeypatch):
+        scans = []
+        real = evaluation._scan
+
+        def counting(*args):
+            scans.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "_scan", counting)
+        run = run_scenario(shipped("quickstart"))
+        compute_metrics(run)
+        assert len(scans) == len(run.frames)
+
+
 class TestCsvAndSweeps:
     def test_write_csv_deterministic(self, tmp_path):
         rows = [{"a": 1.0 / 3.0, "b": 2}, {"a": 0.5, "b": -1}]

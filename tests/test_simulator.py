@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse import simulator
-from coopfuse.core import StateVector
+from coopfuse.core import GroundTruthObject, StateVector
 from coopfuse.wire import InstancePacket
 from coopfuse.simulator import (
     Agent,
@@ -26,8 +26,8 @@ from coopfuse.simulator import (
     step_world,
     transmit,
 )
-from conftest import make_state, shipped
-from oracles import reference_track_ids
+from conftest import make_instance, make_state, shipped
+from oracles import reference_min_separation, reference_prefusion_error, reference_track_ids
 
 # Half-metre positions and velocities with 0.5 s ticks keep every predicted
 # position and distance exact, so equal distances and distances exactly at
@@ -282,6 +282,45 @@ class TestBuildWorld:
         assert min_dist >= cfg.min_clearance - 1e-6
 
 
+    @given(
+        placed=st.lists(st.tuples(_HALF, _HALF, _HALF, _HALF), max_size=6),
+        mover=st.tuples(_HALF, _HALF, _HALF, _HALF),
+        duration=st.sampled_from([0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_min_separation_equals_reference(self, placed, mover, duration):
+        # Half-metre grids give equal velocities (no relative motion) and
+        # approach times clamped at both ends of the run.
+        pos, vel = np.array([*mover[:2], 0.0]), np.array([*mover[2:], 0.0])
+        placed_pos = np.array([(x, y, 0.0) for x, y, _, _ in placed]).reshape(-1, 3)
+        placed_vel = np.array([(vx, vy, 0.0) for _, _, vx, vy in placed]).reshape(-1, 3)
+        got = simulator._min_separation_over_run(pos, vel, placed_pos, placed_vel, duration)
+        want = [reference_min_separation(pos, vel, p, v, duration) for p, v in zip(placed_pos, placed_vel)]
+        assert got.tolist() == want
+
+    def test_min_separation_is_exact_off_the_grid(self, rng):
+        pos, vel = rng.uniform(-50, 50, 3), rng.uniform(-8, 8, 3)
+        placed_pos, placed_vel = rng.uniform(-50, 50, (500, 3)), rng.uniform(-8, 8, (500, 3))
+        got = simulator._min_separation_over_run(pos, vel, placed_pos, placed_vel, 12.0)
+        want = [reference_min_separation(pos, vel, p, v, 12.0) for p, v in zip(placed_pos, placed_vel)]
+        assert got.tolist() == want
+
+
+class TestPrefusionError:
+    @given(
+        aligned=st.lists(st.tuples(_HALF, _HALF, st.integers(0, 2)), max_size=8),
+        gt=st.lists(st.tuples(_HALF, _HALF, st.integers(0, 1)), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, aligned, gt):
+        # Class 2 has no reference object, so some instances are skipped.
+        instances = [make_instance(x=x, y=y, class_id=c, feature_seed=i) for i, (x, y, c) in enumerate(aligned)]
+        objects = [GroundTruthObject(i, c, make_state(x=x, y=y)) for i, (x, y, c) in enumerate(gt)]
+        got = simulator._prefusion_error(instances, objects)
+        want = reference_prefusion_error(aligned, gt)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 class TestRunScenario:
     def test_deterministic_events_and_frames(self):
         cfg = shipped("quickstart", seed=3)
@@ -357,6 +396,12 @@ class TestScenarioConfigValidation:
     def test_rejects_bad_tick(self):
         with pytest.raises(ValueError):
             ScenarioConfig(tick_s=0.0)
+
+    @pytest.mark.parametrize("name", ["x", "y", "z", "yaw_deg", "vx", "vy"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_agent_rejects_non_finite_pose(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AgentSpec(agent_id=0, **{name: value})
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
