@@ -327,12 +327,17 @@ class GroundTruthObject(NamedTuple):
 Point = tuple[float, float, int]  # planar x, y and class id
 
 
-def neighbours(queries: Iterable[Point], refs: Iterable[Point], radius: float) -> list[list[tuple[int, float]]]:
-    """Each query's same-class refs within ``radius``: ``(ref index, distance)``, by index.
+def x_window(column: Sequence[tuple[float, ...]], x: float, radius: float) -> slice:
+    """The part of ``column`` (tuples sorted, x first) that may lie within ``radius`` of x:
+    hypot(dx, dy) >= |dx|, and the slack exceeds the rounding of x +- reach and of a
+    difference ``qx - x``, so the window drops no such point."""
+    reach = radius + (radius + abs(x)) * 2.0**-50
+    return slice(bisect.bisect_left(column, (x - reach,)), bisect.bisect_right(column, (x + reach, math.inf)))
 
-    The distance is ``math.hypot(qx - x, qy - y)``. Each ref reads only the
-    queries whose x lies in a window around its own, sorted by x per class.
-    """
+
+def neighbours(queries: Iterable[Point], refs: Iterable[Point], radius: float) -> list[list[tuple[int, float]]]:
+    """Each query's same-class refs within ``radius``: ``(ref index, distance)``, by
+    index, with distance ``math.hypot(qx - x, qy - y)``."""
     ordered = sorted((qx, i, qy, c) for i, (qx, qy, c) in enumerate(queries))
     columns: dict[int, list[tuple[float, int, float]]] = {}
     for qx, i, qy, c in ordered:
@@ -340,11 +345,7 @@ def neighbours(queries: Iterable[Point], refs: Iterable[Point], radius: float) -
     rows: list[list[tuple[int, float]]] = [[] for _ in ordered]
     for k, (x, y, c) in enumerate(refs):
         column = columns.get(c, [])
-        # hypot(dx, dy) >= |dx|, and the window's slack exceeds the rounding
-        # of x +- reach and of qx - x, so it drops no pair within the radius.
-        reach = radius + (radius + abs(x)) * 2.0**-50
-        lo, hi = bisect.bisect_left(column, (x - reach,)), bisect.bisect_right(column, (x + reach, math.inf))
-        for qx, i, qy in column[lo:hi]:
+        for qx, i, qy in column[x_window(column, x, radius)]:
             if (d := math.hypot(qx - x, qy - y)) <= radius:
                 rows[i].append((k, d))
     return rows

@@ -3,9 +3,8 @@
 Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
-over an 11-point recall grid. One neighbour scan per frame finds the
-same-class pairs within the largest distance threshold, and every metric
-derives from one greedy match per distinct threshold over those pairs. The
+over an 11-point recall grid. Every metric derives from one greedy match
+per distinct distance threshold over one neighbour scan per frame. The
 claims these support are trends and properties, not leaderboard numbers,
 and every output is deterministic given the scenario seed.
 """

@@ -8,6 +8,7 @@ by confidence, and remote-only tracks get stable namespaced identifiers.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .alignment import compensate_latency
-from .core import DegenerateHeading, Instance, StateVector, Timestamp, neighbours
+from .core import DegenerateHeading, Instance, StateVector, Timestamp, x_window
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -189,17 +190,20 @@ def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
     """Suppress same-class instances within ``radius`` of a stronger one.
 
     Instances are visited in descending confidence (stable under ties); an
-    instance is dropped when one kept before it is of its class and within
-    the planar radius. Output is in visiting order.
+    instance is dropped when one kept before it, read from an x-sorted window,
+    is of its class and within the planar radius. Output is in visiting order.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    ranked = sorted(instances, key=lambda i: -i.confidence)
-    points = [(i.state.x, i.state.y, i.class_id) for i in ranked]
-    keep: list[bool] = []
-    for i, row in enumerate(neighbours(points, points, radius)):
-        keep.append(not any(keep[k] for k, _ in row if k < i))
-    return [inst for inst, kept in zip(ranked, keep) if kept]
+    kept: list[Instance] = []
+    by_x: list[tuple[float, float, int]] = []  # (x, y, class) of the kept instances, sorted
+    for inst in sorted(instances, key=lambda i: -i.confidence):
+        x, y, c = inst.state.x, inst.state.y, inst.class_id
+        near = by_x[x_window(by_x, x, radius)]
+        if not any(kc == c and math.hypot(kx - x, ky - y) <= radius for kx, ky, kc in near):
+            kept.append(inst)
+            bisect.insort(by_x, (x, y, c))
+    return kept
 
 
 def assemble_output(

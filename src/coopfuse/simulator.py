@@ -436,12 +436,10 @@ class ScenarioConfig:
         return max(1, round(self.duration_s / self.tick_s))
 
 
-def _min_separation_over_run(
-    pos: np.ndarray, vel: np.ndarray, placed_pos: np.ndarray, placed_vel: np.ndarray, duration: float
-) -> np.ndarray:
-    """Closest planar approach on [0, duration] of one linear trajectory to each placed one."""
-    dp = (pos - placed_pos)[:, :2]
-    dv = (vel - placed_vel)[:, :2]
+def _min_separation_over_run(pos: np.ndarray, vel: np.ndarray, placed: np.ndarray, duration: float) -> np.ndarray:
+    """Closest planar approach on [0, duration] of one trajectory to each placed (position, velocity)."""
+    dp = (pos - placed[:, 0])[:, :2]
+    dv = (vel - placed[:, 1])[:, :2]
     # vecdot matches the 2-element ``dp @ dv`` bit for bit; (dp * dv).sum(1)
     # and einsum do not.
     speed2 = np.vecdot(dv, dv)
@@ -455,7 +453,7 @@ def _min_separation_over_run(
 def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     """Spawn objects, rejecting placements that would violate clearance."""
     objects: list[WorldObject] = []
-    placed_pos, placed_vel = np.zeros((cfg.object_count, 3)), np.zeros((cfg.object_count, 3))
+    placed = np.zeros((cfg.object_count, 2, 3))
     for object_id in range(cfg.object_count):
         for _ in range(200):
             pos = np.array(
@@ -468,14 +466,12 @@ def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
             speed = rng.uniform(*cfg.speed_range)
             theta = rng.uniform(-math.pi, math.pi)
             vel = np.array([speed * math.cos(theta), speed * math.sin(theta), 0.0])
-            separations = _min_separation_over_run(
-                pos, vel, placed_pos[:object_id], placed_vel[:object_id], cfg.duration_s
-            )
+            separations = _min_separation_over_run(pos, vel, placed[:object_id], cfg.duration_s)
             if (separations >= cfg.min_clearance).all() or cfg.min_clearance <= 0:
                 break
         else:
             log.warning("object %d placed without clearance after 200 attempts", object_id)
-        placed_pos[object_id], placed_vel[object_id] = pos, vel
+        placed[object_id] = pos, vel
         yaw_rate = rng.uniform(*cfg.yaw_rate_range)
         state = StateVector(
             x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),

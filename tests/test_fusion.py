@@ -137,6 +137,12 @@ class TestDeduplicate:
         weak = make_instance(x=0.5, confidence=0.4, track_id=2, feature_seed=2)
         assert deduplicate([weak, strong], 1.0) == [strong]
 
+    def test_duplicate_at_the_radius_past_a_rounded_window_edge(self):
+        # -3.7 + 2.0 rounds below -1.7, yet the two lie exactly 2.0 apart.
+        strong = make_instance(x=-1.7, confidence=0.9, track_id=1, feature_seed=1)
+        weak = make_instance(x=-3.7, confidence=0.4, track_id=2, feature_seed=2)
+        assert deduplicate([weak, strong], 2.0) == [strong]
+
     def test_class_scoped(self):
         a = make_instance(x=0.0, class_id=0, track_id=1, feature_seed=1)
         b = make_instance(x=0.5, class_id=1, track_id=2, feature_seed=2)

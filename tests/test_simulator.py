@@ -292,17 +292,16 @@ class TestBuildWorld:
         # Half-metre grids give equal velocities (no relative motion) and
         # approach times clamped at both ends of the run.
         pos, vel = np.array([*mover[:2], 0.0]), np.array([*mover[2:], 0.0])
-        placed_pos = np.array([(x, y, 0.0) for x, y, _, _ in placed]).reshape(-1, 3)
-        placed_vel = np.array([(vx, vy, 0.0) for _, _, vx, vy in placed]).reshape(-1, 3)
-        got = simulator._min_separation_over_run(pos, vel, placed_pos, placed_vel, duration)
-        want = [reference_min_separation(pos, vel, p, v, duration) for p, v in zip(placed_pos, placed_vel)]
+        rows = np.array([((x, y, 0.0), (vx, vy, 0.0)) for x, y, vx, vy in placed]).reshape(-1, 2, 3)
+        got = simulator._min_separation_over_run(pos, vel, rows, duration)
+        want = [reference_min_separation(pos, vel, p, v, duration) for p, v in rows]
         assert got.tolist() == want
 
     def test_min_separation_is_exact_off_the_grid(self, rng):
         pos, vel = rng.uniform(-50, 50, 3), rng.uniform(-8, 8, 3)
-        placed_pos, placed_vel = rng.uniform(-50, 50, (500, 3)), rng.uniform(-8, 8, (500, 3))
-        got = simulator._min_separation_over_run(pos, vel, placed_pos, placed_vel, 12.0)
-        want = [reference_min_separation(pos, vel, p, v, 12.0) for p, v in zip(placed_pos, placed_vel)]
+        rows = np.stack([rng.uniform(-50, 50, (500, 3)), rng.uniform(-8, 8, (500, 3))], axis=1)
+        got = simulator._min_separation_over_run(pos, vel, rows, 12.0)
+        want = [reference_min_separation(pos, vel, p, v, 12.0) for p, v in rows]
         assert got.tolist() == want
 
 
