@@ -263,7 +263,6 @@ class TestScoringOracle:
         compute_metrics(run)
         assert len(calls) == len(run.frames) * len({0.5, 1.0, 2.0, 4.0})
 
-
     def test_compute_metrics_scans_each_frame_once(self, monkeypatch):
         scans = []
         real = evaluation._scan

@@ -171,7 +171,6 @@ class TestDeduplicate:
                 if a.class_id == b.class_id:
                     assert math.hypot(a.state.x - b.state.x, a.state.y - b.state.y) > 1.0
 
-
     @given(
         items=st.lists(
             st.tuples(_HALF, _HALF, st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 1)), max_size=12

@@ -281,7 +281,6 @@ class TestBuildWorld:
             world = step_world(world, cfg.tick_s)
         assert min_dist >= cfg.min_clearance - 1e-6
 
-
     @given(
         placed=st.lists(st.tuples(_HALF, _HALF, _HALF, _HALF), max_size=6),
         mover=st.tuples(_HALF, _HALF, _HALF, _HALF),
