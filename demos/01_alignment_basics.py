@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from coopfuse import (
-    AgentPose,
     AlignmentConfig,
     Instance,
     RigidTransform,
@@ -42,8 +41,10 @@ show("predicted 300 ms forward", predicted)
 # (b) Coordinate projection. The remote agent sits 50 m east of the ego
 # vehicle and faces west (yaw 180 deg), so the car lands in front of the
 # ego with its heading and velocity flipped into the ego convention.
-ego_pose = AgentPose(0, seconds_to_micros(0.3), RigidTransform.identity())
-coop_pose = AgentPose(1, 0, RigidTransform.from_yaw(math.pi, (50.0, 0.0, 0.0)))
+# Each pose is taken at its agent's own time: the ego's at t = 0.3 s, the
+# remote agent's at t = 0, when it saw the car.
+ego_pose = RigidTransform.identity()
+coop_pose = RigidTransform.from_yaw(math.pi, (50.0, 0.0, 0.0))
 rel = relative_transform(ego_pose, coop_pose)
 print(f"\nrelative transform: yaw={math.degrees(rel.yaw):6.1f} deg, "
       f"origin offset={np.round(rel.translation, 2)}")

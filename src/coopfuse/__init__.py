@@ -8,7 +8,6 @@ measures the interaction-range and latency trade-offs end to end.
 """
 
 from .core import (
-    AgentPose,
     DegenerateHeading,
     GroundTruthObject,
     Instance,
@@ -36,7 +35,6 @@ from .association import (
     associate,
     filter_roi,
     gate_interaction,
-    geo_appearance_cost,
     match,
 )
 from .fusion import (
@@ -49,7 +47,6 @@ from .fusion import (
     refine_tracks,
 )
 from .robustness import (
-    CorrespondenceOracle,
     EmptyOracle,
     ObservationNoiseParams,
     TransformNoiseParams,

@@ -4,6 +4,9 @@ Alignment is two steps, in a fixed order: (a) latency compensation with a
 constant-velocity motion model, performed in the sender's frame, then
 (b) projection through the relative rigid transform. The two steps only
 commute for pure translations, so the order matters.
+
+``transform_states`` is the one frame transform of the package: sensing,
+ground truth and alignment all move states between frames through it.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -85,28 +89,42 @@ def compensate_latency(
     )
 
 
-def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
-    """Express a state in the frame the transform maps into.
+def _rotate_rows(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # One mat-vec per row keeps each row's bits equal to ``rot @ row``;
+    # ``rows @ rot.T`` differs in the last bit on most rows.
+    return (rot @ rows[:, :, None])[:, :, 0]
+
+
+def transform_states(states: Sequence[StateVector], t: RigidTransform) -> list[tuple[float, ...]]:
+    """Each state's 11 components in the frame the transform maps into.
 
     Position is rotated and translated; velocity is rotated only (it is a
     frame-local direction, not a point); the heading is carried by rotating
     the planar direction vector (cos, sin, 0) and renormalizing its xy
-    projection. Dimensions are frame-independent.
+    projection. Dimensions are frame-independent. A row's bits do not
+    depend on the other rows, so one state alone transforms the same.
 
     Raises:
-        DegenerateHeading: if the rotated heading has no xy projection left
+        DegenerateHeading: if a rotated heading has no xy projection left
             (only possible for rotations that tip the plane on its side).
     """
-    rot = t.rotation
-    px, py, pz = (rot @ (state.x, state.y, state.z) + t.translation).tolist()
-    vx, vy, vz = (rot @ (state.vx, state.vy, state.vz)).tolist()
-    hx, hy, _hz = (rot @ (state.cos_yaw, state.sin_yaw, 0.0)).tolist()
-    norm = math.hypot(hx, hy)
-    if norm < 1e-9:
-        raise DegenerateHeading("rotation leaves no planar heading component")
-    return StateVector._trusted(
-        (px, py, pz, state.l, state.w, state.h, hy / norm, hx / norm, vx, vy, vz)
-    )
+    vectors = np.array(
+        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in states]
+    ).reshape(-1, 3)
+    local = _rotate_rows(t.rotation, vectors).reshape(-1, 3, 3)
+    local[:, 0] += t.translation
+    rows = []
+    for s, (position, velocity, (hx, hy, _hz)) in zip(states, local.tolist()):
+        norm = math.hypot(hx, hy)
+        if norm < 1e-9:
+            raise DegenerateHeading("rotation leaves no planar heading component")
+        rows.append((*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity))
+    return rows
+
+
+def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
+    """Express one state in the frame the transform maps into (see ``transform_states``)."""
+    return StateVector._trusted(transform_states((state,), t)[0])
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:

@@ -115,15 +115,6 @@ def gate_interaction(
     return near, far
 
 
-def geo_appearance_cost(ego: Instance, coop: Instance, w: MatchWeights) -> float:
-    """Weighted L1 state distance plus alpha times cosine feature distance."""
-    geo = float(
-        np.dot(w.state_weights(), np.abs(ego.state.as_array() - coop.state.as_array()))
-    )
-    appearance = w.alpha * (1.0 - float(np.dot(ego.feature, coop.feature)))
-    return geo + appearance
-
-
 def _cost_matrix(
     egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights
 ) -> np.ndarray:

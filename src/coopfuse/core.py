@@ -1,4 +1,4 @@
-"""Core value types: kinematic state vectors, instances, rigid transforms, poses.
+"""Core value types: kinematic state vectors, instances, rigid transforms.
 
 Everything here is an immutable value; functions return new objects. Angles
 are carried redundantly as (sin, cos) pairs so that the in-memory layout,
@@ -293,27 +293,14 @@ def invert(t: RigidTransform) -> RigidTransform:
     return RigidTransform._trusted(rt, -(rt @ t.translation))
 
 
-@dataclass(frozen=True)
-class AgentPose:
-    """An agent's pose (agent frame -> global frame) at a point in time."""
-
-    agent_id: int
-    stamped_at: Timestamp
-    pose: RigidTransform
-
-    def __post_init__(self) -> None:
-        if self.stamped_at < 0:
-            raise ValueError("stamped_at must be non-negative")
-
-
-def relative_transform(ego: AgentPose, coop: AgentPose) -> RigidTransform:
+def relative_transform(ego: RigidTransform, coop: RigidTransform) -> RigidTransform:
     """Transform mapping coop-frame coordinates into the ego frame.
 
-    The two poses may carry different timestamps; each agent's pose is
-    taken at its own stamp, which is exactly what a latency-compensated
-    pipeline needs.
+    Both arguments are agent poses (agent frame -> global frame). They may
+    be taken at different times; each agent's pose at its own time is
+    exactly what a latency-compensated pipeline needs.
     """
-    return compose(invert(ego.pose), coop.pose)
+    return compose(invert(ego), coop)
 
 
 class GroundTruthObject(NamedTuple):

@@ -70,6 +70,7 @@ class MetricsReport:
 Frame = tuple[TrackSet, FrameGroundTruth]
 Match = tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]
 Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]]]
+Ranked = tuple[list[float], list[float], list[float]]
 
 
 def _scan(tracks: TrackSet, gt: FrameGroundTruth, radius: float) -> Scan:
@@ -109,7 +110,7 @@ def _total_gt(matches: Sequence[Match]) -> int:
     return sum(len(tp) + len(fn) for tp, _, fn in matches)
 
 
-def _ranked(matches: Sequence[Match]) -> tuple[list[float], list[float], list[float]]:
+def _ranked(matches: Sequence[Match]) -> Ranked:
     """Confidence, recall and precision at each rank of the pooled predictions."""
     scored: list[tuple[float, bool]] = []
     for tp, fp, _ in matches:
@@ -173,10 +174,11 @@ def _mota_at(matches: Sequence[Match], total_gt: int, conf_min: float) -> tuple[
     return max(0.0, 1.0 - (errors + switches) / total_gt), switches
 
 
-def _tracking(matches: Sequence[Match]) -> tuple[float, float, int]:
+def _tracking(matches: Sequence[Match], ranked: Ranked) -> tuple[float, float, int]:
+    """(mota_like, amota_like, id_switches) of ``matches``; ``ranked`` is ``_ranked(matches)``."""
     total_gt = _total_gt(matches)
     mota, idsw = _mota_at(matches, total_gt, 0.0)
-    confidences, recalls, _ = _ranked(matches)
+    confidences, recalls, _ = ranked
     motas = [mota]
     for target in RECALL_GRID[1:]:
         rank = next((i for i, r in enumerate(recalls) if r >= target - 1e-12), None)
@@ -195,7 +197,8 @@ def compute_tracking(
     reaches it is evaluated (target 0 uses everything); unreachable targets
     score 0.
     """
-    return _tracking(_match_frames(frames, dist_threshold))
+    matches = _match_frames(frames, dist_threshold)
+    return _tracking(matches, _ranked(matches))
 
 
 def _duplicate_rate(scans: Sequence[Scan], matches: Sequence[Match], dist_threshold: float) -> float:
@@ -235,13 +238,11 @@ def compute_metrics(
     radii = {*thresholds, TRACKING_THRESHOLD}
     scans = [_scan(tracks, gt, max(radii)) for tracks, gt in run_frames(run)]
     matches = {thr: [_greedy_match(*scan, thr) for scan in scans] for thr in radii}
-    curves = {}
-    for thr in thresholds:
-        _, recalls, precisions = _ranked(matches[thr])
-        curves[thr] = (tuple(recalls), tuple(precisions))
+    ranked = {thr: _ranked(matches[thr]) for thr in radii}
+    curves = {thr: (tuple(ranked[thr][1]), tuple(ranked[thr][2])) for thr in thresholds}
     ap_per = {thr: _interpolated_ap(*curve) for thr, curve in curves.items()}
     tracked = matches[TRACKING_THRESHOLD]
-    mota, amota, idsw = _tracking(tracked)
+    mota, amota, idsw = _tracking(tracked, ranked[TRACKING_THRESHOLD])
     tp_dists = [d for tp, _, _ in tracked for _, _, d in tp]
     rmse = float(np.sqrt(np.mean(np.square(tp_dists)))) if tp_dists else math.nan
     prefusion = [rec.coop_prefusion_err for rec in run.frames if not math.isnan(rec.coop_prefusion_err)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ _EMBEDDING_SEED_OFFSET = 0x5EED
 
 
 class EmptyOracle(ValueError):
-    """Accuracy against an empty correspondence set is undefined."""
+    """Accuracy over a scene with no objects is undefined."""
 
 
 @dataclass(frozen=True)
@@ -60,34 +60,6 @@ class TransformNoiseParams:
     def __post_init__(self) -> None:
         if not (self.trans_sigma >= 0 and self.rot_sigma_deg >= 0):
             raise ValueError("noise sigmas must be non-negative")
-
-
-@dataclass(frozen=True)
-class CorrespondenceOracle:
-    """Ground-truth pairing between two views of the same objects.
-
-    ``pairs`` maps ego-view indices to coop-view indices; the index lookup
-    tables are keyed by the (unique) track IDs both views inherited from
-    the reference objects.
-    """
-
-    pairs: Mapping[int, int]
-    ego_index_by_track: Mapping[int, int]
-    coop_index_by_track: Mapping[int, int]
-
-    def __post_init__(self) -> None:
-        values = list(self.pairs.values())
-        if len(set(values)) != len(values):
-            raise ValueError("oracle mapping must be injective")
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def is_correct(self, ego: Instance, coop: Instance) -> bool:
-        e = self.ego_index_by_track.get(ego.track_id)
-        c = self.coop_index_by_track.get(coop.track_id)
-        return e is not None and c is not None and self.pairs.get(e) == c
 
 
 @lru_cache(maxsize=4096)
@@ -177,11 +149,13 @@ def generate_denoising_scene(
     true_transform: Optional[RigidTransform] = None,
     feature_dim: int = 64,
     feature_noise_sigma: float = 0.3,
-) -> tuple[list[Instance], list[Instance], CorrespondenceOracle, RigidTransform]:
+) -> tuple[list[Instance], list[Instance], RigidTransform]:
     """Build two perturbed views of the same objects with a known pairing.
 
-    The ego view is observation-perturbed in the ego frame. The coop view
-    is observation-perturbed in the coop frame (reached through
+    Both views carry each object's (unique) ID as the track ID, so a match
+    is correct exactly when the two track IDs are equal. The ego view is
+    observation-perturbed in the ego frame. The coop view is
+    observation-perturbed in the coop frame (reached through
     ``true_transform``), and the returned transform back into the ego frame
     is itself corrupted by the transformation noise, so aligning the coop
     view exercises exactly the error the pipeline must survive.
@@ -217,31 +191,25 @@ def generate_denoising_scene(
         )
         for obj in gt_objects
     ]
-    oracle = CorrespondenceOracle(
-        pairs={i: i for i in range(len(gt_objects))},
-        ego_index_by_track={obj.object_id: i for i, obj in enumerate(gt_objects)},
-        coop_index_by_track={obj.object_id: i for i, obj in enumerate(gt_objects)},
-    )
     corrupted = perturb_transform(true_transform, rng, tf_p)
-    return ego_view, coop_view, oracle, corrupted
+    return ego_view, coop_view, corrupted
 
 
-def match_accuracy(
-    result: AssociationResult, oracle: CorrespondenceOracle
-) -> tuple[float, float, float]:
-    """(accuracy, precision, recall) of matched pairs against the oracle.
+def match_accuracy(result: AssociationResult, object_count: int) -> tuple[float, float, float]:
+    """(accuracy, precision, recall) of the matches in a denoising scene of
+    ``object_count`` objects: a match is correct when its track IDs agree.
 
     Precision over an empty match set is defined as 0.
 
     Raises:
-        EmptyOracle: when the oracle holds no pairs.
+        EmptyOracle: when the scene holds no objects.
     """
-    if oracle.size == 0:
+    if object_count == 0:
         raise EmptyOracle("no ground-truth correspondences to score against")
-    correct = sum(1 for ego, coop, _ in result.matched if oracle.is_correct(ego, coop))
-    accuracy = correct / oracle.size
+    correct = sum(1 for ego, coop, _ in result.matched if ego.track_id == coop.track_id)
+    accuracy = correct / object_count
     precision = correct / len(result.matched) if result.matched else 0.0
-    recall = correct / oracle.size
+    recall = correct / object_count
     return accuracy, precision, recall
 
 
@@ -253,16 +221,16 @@ def aligned_denoising_scene(
     true_transform: Optional[RigidTransform] = None,
     feature_dim: int = 64,
     feature_noise_sigma: float = 0.3,
-) -> tuple[list[Instance], list[Instance], CorrespondenceOracle]:
+) -> tuple[list[Instance], list[Instance]]:
     """One seeded scene with its coop view aligned through the corrupted transform."""
-    ego_view, coop_view, oracle, corrupted = generate_denoising_scene(
+    ego_view, coop_view, corrupted = generate_denoising_scene(
         gt_objects, np.random.default_rng(seed), obs_p, tf_p,
         true_transform=true_transform,
         feature_dim=feature_dim,
         feature_noise_sigma=feature_noise_sigma,
     )
     aligned = [replace(inst, state=transform_state(inst.state, corrupted)) for inst in coop_view]
-    return ego_view, aligned, oracle
+    return ego_view, aligned
 
 
 def run_denoising_trial(
@@ -276,10 +244,10 @@ def run_denoising_trial(
     feature_noise_sigma: float = 0.3,
 ) -> tuple[float, float, float]:
     """One seeded scene: generate, align the coop view, match, score."""
-    ego_view, aligned, oracle = aligned_denoising_scene(
+    ego_view, aligned = aligned_denoising_scene(
         gt_objects, seed, obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
     )
-    return match_accuracy(match(ego_view, aligned, weights), oracle)
+    return match_accuracy(match(ego_view, aligned, weights), len(ego_view))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +323,13 @@ def alpha_sweep_rows(
         objects = make_cluttered_objects(
             object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)
         )
-        ego_view, aligned, oracle = aligned_denoising_scene(
+        ego_view, aligned = aligned_denoising_scene(
             objects, scene_seed, obs_p, tf_p,
             feature_dim=feature_dim,
             feature_noise_sigma=feature_noise_sigma,
         )
         for k, w in enumerate(weights):
-            scores[k, :, s] = match_accuracy(match(ego_view, aligned, w), oracle)
+            scores[k, :, s] = match_accuracy(match(ego_view, aligned, w), len(ego_view))
     rows = []
     for alpha, per_alpha in zip(alphas, scores):
         means = (float(np.mean(column)) for column in per_alpha)

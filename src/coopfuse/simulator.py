@@ -18,11 +18,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentConfig, HorizonExceeded, align_instance, compensate_latency
+from .alignment import AlignmentConfig, HorizonExceeded, align_instance, compensate_latency, transform_states
 from .association import MatchWeights, RoiSpec, associate, filter_roi
 from .core import (
-    AgentPose,
-    DegenerateHeading,
     GroundTruthObject,
     Instance,
     RigidTransform,
@@ -155,15 +153,15 @@ class AgentSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
-    def pose_at(self, t: Timestamp) -> AgentPose:
+    def pose_at(self, t: Timestamp) -> RigidTransform:
+        """The agent's pose (agent frame -> global frame) at time ``t``."""
         t_s = t / 1e6
         yaw = math.radians(self.yaw_deg)
         c, s = math.cos(yaw), math.sin(yaw)
-        pose = RigidTransform._trusted(
+        return RigidTransform._trusted(
             ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)),
             (self.x + self.vx * t_s, self.y + self.vy * t_s, self.z),
         )
-        return AgentPose(agent_id=self.agent_id, stamped_at=t, pose=pose)
 
 
 class _Tracks(NamedTuple):
@@ -186,29 +184,6 @@ class Agent:
         self._next_track_id = 1
 
 
-def _rotate_rows(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # One mat-vec per row keeps each row's bits equal to ``rot @ row``;
-    # ``rows @ rot.T`` differs in the last bit on most rows.
-    return (rot @ rows[:, :, None])[:, :, 0]
-
-
-def _to_frame(objects: Sequence[WorldObject], to_frame: RigidTransform) -> list[tuple[float, ...]]:
-    """Each object's 11 state components in the frame ``to_frame`` maps into, bit for bit
-    as ``transform_state`` gives them (raising DegenerateHeading where it does)."""
-    vectors = np.array(
-        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in (o.state for o in objects)]
-    ).reshape(-1, 3)
-    local = _rotate_rows(to_frame.rotation, vectors).reshape(-1, 3, 3)
-    local[:, 0] += to_frame.translation
-    rows = []
-    for obj, (position, velocity, (hx, hy, _hz)) in zip(objects, local.tolist()):
-        norm = math.hypot(hx, hy)
-        if norm < 1e-9:
-            raise DegenerateHeading("rotation leaves no planar heading component")
-        rows.append((*position, obj.state.l, obj.state.w, obj.state.h, hy / norm, hx / norm, *velocity))
-    return rows
-
-
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance]:
     """One sensing pass: detect, noise, and continue track identities.
 
@@ -219,14 +194,13 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     spec = agent.spec
     sensor = spec.sensor
     t = world.time_us
-    pose = spec.pose_at(t).pose
-    to_agent = invert(pose)
+    pose = spec.pose_at(t)
     half_fov = math.radians(sensor.fov_deg) / 2.0
 
     # Every object in the agent frame, in one batch; the RNG draws below
     # stay per object, in order.
     detected: list[tuple[int, StateVector, np.ndarray, float]] = []
-    local = _to_frame(world.objects, to_agent)
+    local = transform_states([o.state for o in world.objects], invert(pose))
     for obj, (px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz) in zip(world.objects, local):
         r = math.hypot(px, py)
         if r > sensor.max_range:
@@ -254,12 +228,11 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
         detected.append((obj.class_id, state, feature, confidence))
 
     # Each detection's global position and velocity, kept for the next pass.
-    moved = np.array([(s.x, s.y, s.z, s.vx, s.vy, s.vz) for _c, s, _f, _p in detected]).reshape(-1, 3)
-    moved = _rotate_rows(pose.rotation, moved).reshape(-1, 2, 3)
+    moved = np.array(transform_states([d[1] for d in detected], pose)).reshape(-1, 11)
     class_ids = [d[0] for d in detected]
-    positions = moved[:, 0] + pose.translation
+    positions = moved[:, :3]
     track_ids = _continue_tracks(agent, t, class_ids, positions)
-    agent._prev = _Tracks(track_ids, class_ids, positions, moved[:, 1])
+    agent._prev = _Tracks(track_ids, class_ids, positions, moved[:, 8:])
     agent._prev_t = t
     return [
         Instance(
@@ -424,6 +397,9 @@ class ScenarioConfig:
             if a.agent_id in first_index:
                 raise ValueError(f"agents[{first_index[a.agent_id]}] and agents[{i}] share agent_id {a.agent_id}")
             first_index[a.agent_id] = i
+            # Motion is linear, so a position finite at both ends is finite throughout.
+            if not math.isfinite(a.x + a.vx * self.duration_s) or not math.isfinite(a.y + a.vy * self.duration_s):
+                raise ValueError(f"agents[{i}]: position at duration_s is not finite")
         egos = [a for a in self.agents if a.ego]
         if self.agents and len(egos) != 1:
             raise ValueError("exactly one agent must be marked ego")
@@ -549,8 +525,8 @@ class RunResult:
         return max(totals.values()) / window if totals else 0.0
 
 
-def _frame_ground_truth(world: World, ego_pose: AgentPose) -> tuple[GroundTruthObject, ...]:
-    local = _to_frame(world.objects, invert(ego_pose.pose))
+def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[GroundTruthObject, ...]:
+    local = transform_states([o.state for o in world.objects], invert(ego_pose))
     return tuple(
         GroundTruthObject(o.object_id, o.class_id, StateVector._trusted(s)) for o, s in zip(world.objects, local)
     )
@@ -625,7 +601,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
             ]
             eligible.sort(key=lambda d: -d.confidence)
             payload = eligible[: pipe.transmit_top_k]
-            sent_pose = agent.spec.pose_at(t).pose
+            sent_pose = agent.spec.pose_at(t)
             if cfg.pose_noise is not None:
                 sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
             packet = encode_packet(payload, sent_pose, t, agent.spec.agent_id)
@@ -655,12 +631,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         stale = 0
         for sender in sorted(newest):
             packet = newest[sender]
-            coop_pose = AgentPose(
-                agent_id=packet.sender_id,
-                stamped_at=max(packet.send_timestamp, 0),
-                pose=packet.sender_pose(),
-            )
-            rel = relative_transform(ego_pose, coop_pose)
+            rel = relative_transform(ego_pose, packet.sender_pose())
             for inst in packet.to_instances():
                 if not pipe.compensate_latency:
                     inst = inst._trusted_replace(observed_at=t)

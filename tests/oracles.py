@@ -60,6 +60,25 @@ def brute_force_matched_total(cost: np.ndarray, threshold: float) -> float:
     return float(sum(cost[i, j] for i, j in best_pairs if cost[i, j] <= threshold))
 
 
+def reference_pair_cost(ego, coop, w):
+    """Matching cost of one (ego, coop) pair, from its definition: the L1
+    distance between the two states with each component group weighted by
+    ``w``, plus ``w.alpha`` times the cosine distance of the unit features."""
+    groups = (
+        (w.w_pos, ("x", "y", "z")),
+        (w.w_dim, ("l", "w", "h")),
+        (w.w_heading, ("sin_yaw", "cos_yaw")),
+        (w.w_vel, ("vx", "vy", "vz")),
+    )
+    geo = sum(
+        weight * abs(getattr(ego.state, name) - getattr(coop.state, name))
+        for weight, names in groups
+        for name in names
+    )
+    cosine = sum(a * b for a, b in zip(ego.feature.tolist(), coop.feature.tolist()))
+    return geo + w.alpha * (1.0 - cosine)
+
+
 def rotation_difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 

@@ -1,9 +1,12 @@
 """Latency compensation, frame projection, and whole-instance alignment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from coopfuse.alignment import (
     AlignmentConfig,
@@ -13,17 +16,22 @@ from coopfuse.alignment import (
     compensate_latency,
     rotate_feature_pairs,
     transform_state,
+    transform_states,
 )
+from coopfuse.association import MatchWeights, RoiSpec, associate
 from coopfuse.core import (
-    AgentPose,
     DegenerateHeading,
+    Instance,
     RigidTransform,
+    StateVector,
+    compose,
     invert,
     relative_transform,
     seconds_to_micros,
 )
+from coopfuse.robustness import identity_embedding
 from conftest import make_instance, make_state
-from oracles import random_rotation
+from oracles import random_rotation, reference_pair_cost
 
 
 class TestCompensateLatency:
@@ -68,6 +76,16 @@ class TestCompensateLatency:
 
 
 class TestTransformState:
+    def test_batch_rows_equal_single_states_bit_for_bit(self, rng):
+        states = [
+            make_state(x=x, y=y, z=z, yaw=yaw, vx=vx, vy=vy)
+            for x, y, z, yaw, vx, vy in rng.uniform(-50, 50, (40, 6))
+        ]
+        for rotation in (RigidTransform.from_yaw(rng.uniform(-3, 3)).rotation, random_rotation(rng)):
+            t = RigidTransform(rotation, rng.uniform(-100, 100, 3))
+            batch = [StateVector._trusted(row) for row in transform_states(states, t)]
+            assert batch == [transform_state(s, t) for s in states]
+
     def test_identity(self):
         state = make_state(x=1, y=2, z=0.5, yaw=0.3, vx=4)
         out = transform_state(state, RigidTransform.identity())
@@ -140,8 +158,8 @@ class TestFeaturePairRotation:
 
 class TestAlignInstance:
     def _rel(self, ego_yaw=0.0, coop_xy=(0.0, 0.0), t=0):
-        ego = AgentPose(0, t, RigidTransform.from_yaw(ego_yaw))
-        coop = AgentPose(1, t, RigidTransform(np.eye(3), np.array([*coop_xy, 0.0])))
+        ego = RigidTransform.from_yaw(ego_yaw)
+        coop = RigidTransform(np.eye(3), np.array([*coop_xy, 0.0]))
         return relative_transform(ego, coop)
 
     def test_colocated_zero_latency_is_identity(self):
@@ -205,10 +223,94 @@ class TestAlignInstance:
     def test_never_alters_dimensions(self, rng):
         cfg = AlignmentConfig()
         for _ in range(50):
-            ego = AgentPose(0, 0, RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3)))
-            coop = AgentPose(1, 0, RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3)))
+            ego = RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3))
+            coop = RigidTransform.from_yaw(rng.uniform(-3, 3), rng.uniform(-20, 20, 3))
             inst = make_instance(x=rng.uniform(-10, 10), vx=rng.uniform(-10, 10))
             rel = relative_transform(ego, coop)
             out = align_instance(inst, rel, seconds_to_micros(rng.uniform(0, 1)), cfg)
             state = out.state
             assert (state.l, state.w, state.h) == (inst.state.l, inst.state.w, inst.state.h)
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_POSE = st.tuples(_ANGLE, st.floats(-60, 60), st.floats(-60, 60))
+_OBJECT = st.tuples(st.floats(-40, 40), st.floats(-40, 40), _ANGLE, st.floats(-10, 10), st.floats(-10, 10))
+_OFFSET = st.none() | st.tuples(st.floats(-3, 3), st.floats(-3, 3))  # None: the sender misses it
+
+
+def _seen_by(state, pose, object_id, source_agent, observed_at):
+    return Instance(
+        state=transform_state(state, invert(pose)),
+        feature=identity_embedding(object_id, 8),
+        confidence=0.9,
+        class_id=0,
+        track_id=object_id,
+        source_agent=source_agent,
+        observed_at=observed_at,
+    )
+
+
+class TestRigidMotionInvariance:
+    """Moving the ego, the sender and every object by one rigid motion moves
+    nothing the ego computes in its own frame."""
+
+    ROI = RoiSpec()
+    R_INT = 30.0
+    WEIGHTS = MatchWeights()
+
+    def _receive(self, objects, ego_pose, coop_pose, offsets, t_ego):
+        ego = [_seen_by(s, ego_pose, k, 0, t_ego) for k, s in enumerate(objects)]
+        coop = []
+        for k, (s, offset) in enumerate(zip(objects, offsets)):
+            if offset is not None:
+                inst = _seen_by(s, coop_pose, k, 1, 0)
+                coop.append(replace(inst, state=replace(inst.state, x=inst.state.x + offset[0],
+                                                        y=inst.state.y + offset[1])))
+        rel = relative_transform(ego_pose, coop_pose)
+        aligned = [align_instance(inst, rel, t_ego, AlignmentConfig()) for inst in coop]
+        return ego, aligned, associate(ego, aligned, self.ROI, self.R_INT, self.WEIGHTS)
+
+    def _clear_of_boundaries(self, ego, aligned):
+        # Rounding moves values by ~1e-13; keep every decision far from a tie.
+        for inst in ego + aligned:
+            assume(abs(math.hypot(inst.state.x, inst.state.y) - self.R_INT) > 1e-6)
+        for inst in aligned:
+            assume(abs(abs(inst.state.x) - self.ROI.x_half) > 1e-6)
+            assume(abs(abs(inst.state.y) - self.ROI.y_half) > 1e-6)
+        for e in ego:
+            for c in aligned:
+                assume(abs(reference_pair_cost(e, c, self.WEIGHTS) - self.WEIGHTS.cost_threshold) > 1e-6)
+
+    # No explain phase: it traces every line run under numpy, and on a
+    # failing example it grew past 2 GB without finishing.
+    @settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    @given(
+        objects=st.lists(_OBJECT, min_size=1, max_size=6),
+        offsets=st.lists(_OFFSET, min_size=6, max_size=6),
+        ego=_POSE,
+        coop=_POSE,
+        motion=_POSE,
+        t_ego=st.integers(0, 1_000_000),
+    )
+    def test_matches_and_ego_frame_states_are_unchanged(self, objects, offsets, ego, coop, motion, t_ego):
+        def pose(yaw, x, y):
+            return RigidTransform.from_yaw(yaw, (x, y, 0.0))
+
+        states = [make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy) for x, y, yaw, vx, vy in objects]
+        g = pose(*motion)
+        base = self._receive(states, pose(*ego), pose(*coop), offsets, t_ego)
+        self._clear_of_boundaries(*base[:2])
+        moved = self._receive(
+            [transform_state(s, g) for s in states], compose(g, pose(*ego)), compose(g, pose(*coop)), offsets, t_ego
+        )
+
+        def groups(result):
+            return (
+                [(e.track_id, c.track_id) for e, c, _ in result.matched],
+                [[i.track_id for i in group] for group in (result.unmatched_ego, result.unmatched_coop_near,
+                                                           result.coop_far)],
+            )
+
+        assert groups(moved[2]) == groups(base[2])
+        for a, b in zip(base[0] + base[1], moved[0] + moved[1]):
+            np.testing.assert_allclose(b.state.as_array(), a.state.as_array(), rtol=0, atol=1e-9)

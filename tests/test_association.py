@@ -6,15 +6,19 @@ import pytest
 from coopfuse.association import (
     MatchWeights,
     RoiSpec,
+    _cost_matrix,
     associate,
     filter_roi,
     gate_interaction,
-    geo_appearance_cost,
     match,
     solve_assignment,
 )
 from conftest import make_instance
-from oracles import brute_force_matched_total, brute_force_min_total
+from oracles import brute_force_matched_total, brute_force_min_total, reference_pair_cost
+
+
+def pair_cost(ego, coop, w):
+    return float(_cost_matrix([ego], [coop], w)[0, 0])
 
 
 class TestFilterRoi:
@@ -62,19 +66,19 @@ class TestGeoAppearanceCost:
     def test_identical_is_zero(self):
         a = make_instance(feature_seed=5)
         b = make_instance(feature_seed=5)
-        assert geo_appearance_cost(a, b, MatchWeights()) == pytest.approx(0.0, abs=1e-12)
+        assert pair_cost(a, b, MatchWeights()) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_features(self):
         f1 = np.zeros(4); f1[0] = 1.0
         f2 = np.zeros(4); f2[1] = 1.0
         a = make_instance(feature=f1)
         b = make_instance(feature=f2)
-        assert geo_appearance_cost(a, b, MatchWeights(alpha=1.0)) == pytest.approx(1.0)
+        assert pair_cost(a, b, MatchWeights(alpha=1.0)) == pytest.approx(1.0)
 
     def test_single_axis_offset(self):
         a = make_instance(x=0.0, feature_seed=5)
         b = make_instance(x=2.0, feature_seed=5)
-        cost = geo_appearance_cost(a, b, MatchWeights(w_pos=1.0))
+        cost = pair_cost(a, b, MatchWeights(w_pos=1.0))
         assert cost == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetry_exact(self, rng):
@@ -82,7 +86,17 @@ class TestGeoAppearanceCost:
             a = make_instance(x=rng.uniform(-5, 5), yaw=rng.uniform(-3, 3), feature_seed=1)
             b = make_instance(x=rng.uniform(-5, 5), yaw=rng.uniform(-3, 3), feature_seed=2)
             w = MatchWeights()
-            assert geo_appearance_cost(a, b, w) == geo_appearance_cost(b, a, w)
+            assert pair_cost(a, b, w) == pair_cost(b, a, w)
+
+    def test_matrix_equals_reference(self, rng):
+        for _ in range(20):
+            w = MatchWeights(*rng.uniform(0.1, 2.0, 5))
+            ego = [make_instance(x=rng.uniform(-5, 5), yaw=rng.uniform(-3, 3), vx=rng.uniform(-5, 5),
+                                 feature_seed=i) for i in range(3)]
+            coop = [make_instance(y=rng.uniform(-5, 5), yaw=rng.uniform(-3, 3), feature_seed=i + 10)
+                    for i in range(4)]
+            want = [[reference_pair_cost(e, c, w) for c in coop] for e in ego]
+            np.testing.assert_allclose(_cost_matrix(ego, coop, w), want, rtol=0, atol=1e-12)
 
 
 class TestSolveAssignment:
@@ -186,7 +200,7 @@ class TestMatch:
                     for j in range(int(m))]
             w = MatchWeights(alpha=0.0, cost_threshold=float(rng.uniform(2, 15)))
             cost = np.array(
-                [[geo_appearance_cost(e, c, w) for c in coop] for e in ego]
+                [[reference_pair_cost(e, c, w) for c in coop] for e in ego]
             )
             got = sum(c for _, _, c in match(ego, coop, w).matched)
             want = brute_force_matched_total(cost, w.cost_threshold)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from coopfuse.core import (
-    AgentPose,
     DegenerateHeading,
     Instance,
     RigidTransform,
@@ -171,21 +170,21 @@ class TestComposeInvert:
 
 class TestRelativeTransform:
     def test_same_pose_gives_identity(self):
-        pose = AgentPose(0, 0, RigidTransform.from_yaw(0.3, (5.0, 6.0, 0.0)))
+        pose = RigidTransform.from_yaw(0.3, (5.0, 6.0, 0.0))
         rel = relative_transform(pose, pose)
         np.testing.assert_allclose(rel.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(rel.translation, np.zeros(3), atol=1e-12)
 
     def test_pure_offset(self):
-        ego = AgentPose(0, 0, RigidTransform.identity())
-        coop = AgentPose(1, 0, RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0])))
+        ego = RigidTransform.identity()
+        coop = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
         rel = relative_transform(ego, coop)
         np.testing.assert_allclose(rel.translation, [10.0, 0.0, 0.0], atol=1e-15)
 
     def test_rotated_ego(self):
         # Ego faces +y (world); a remote agent 10 m east sits to the ego's right.
-        ego = AgentPose(0, 0, RigidTransform.from_yaw(math.pi / 2))
-        coop = AgentPose(1, 0, RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0])))
+        ego = RigidTransform.from_yaw(math.pi / 2)
+        coop = RigidTransform(np.eye(3), np.array([10.0, 0.0, 0.0]))
         rel = relative_transform(ego, coop)
         np.testing.assert_allclose(
             rel.rotation, RigidTransform.from_yaw(-math.pi / 2).rotation, atol=1e-12
@@ -194,8 +193,8 @@ class TestRelativeTransform:
 
     def test_swap_composes_to_identity(self, rng):
         for _ in range(100):
-            ego = AgentPose(0, 5, RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3)))
-            coop = AgentPose(1, 5, RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3)))
+            ego = RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3))
+            coop = RigidTransform(random_rotation(rng), rng.uniform(-30, 30, 3))
             round_trip = compose(relative_transform(ego, coop), relative_transform(coop, ego))
             np.testing.assert_allclose(round_trip.rotation, np.eye(3), atol=1e-9)
             np.testing.assert_allclose(round_trip.translation, np.zeros(3), atol=1e-9)

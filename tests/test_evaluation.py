@@ -277,6 +277,19 @@ class TestScoringOracle:
         assert len(scans) == len(run.frames)
 
 
+    def test_compute_metrics_ranks_each_radius_once(self, monkeypatch):
+        ranked = []
+        real = evaluation._ranked
+
+        def counting(matches):
+            ranked.append(matches)
+            return real(matches)
+
+        monkeypatch.setattr(evaluation, "_ranked", counting)
+        compute_metrics(run_scenario(shipped("quickstart")))
+        assert len(ranked) == len({0.5, 1.0, 2.0, 4.0})
+
+
 class TestCsvAndSweeps:
     def test_write_csv_deterministic(self, tmp_path):
         rows = [{"a": 1.0 / 3.0, "b": 2}, {"a": 0.5, "b": -1}]

@@ -9,7 +9,6 @@ from coopfuse.alignment import transform_state
 from coopfuse.association import AssociationResult, MatchWeights
 from coopfuse.core import GroundTruthObject, RigidTransform
 from coopfuse.robustness import (
-    CorrespondenceOracle,
     EmptyOracle,
     ObservationNoiseParams,
     TransformNoiseParams,
@@ -108,12 +107,11 @@ class TestSceneGeneration:
             for i in range(5)
         ]
         true_t = RigidTransform.from_yaw(0.6, (12.0, -4.0, 0.0))
-        ego_view, coop_view, oracle, corrupted = generate_denoising_scene(
+        ego_view, coop_view, corrupted = generate_denoising_scene(
             objects, rng,
             ObservationNoiseParams(0.0, 0.0), TransformNoiseParams(0.0, 0.0),
             true_transform=true_t, feature_noise_sigma=0.0,
         )
-        assert oracle.pairs == {i: i for i in range(5)}
         np.testing.assert_allclose(corrupted.rotation, true_t.rotation, atol=1e-12)
         for e, c in zip(ego_view, coop_view):
             aligned = transform_state(c.state, corrupted)
@@ -122,10 +120,12 @@ class TestSceneGeneration:
 
     def test_oracle_cardinality(self, rng):
         objects = make_cluttered_objects(10, 6.0, rng)
-        _, _, oracle, _ = generate_denoising_scene(
+        ego_view, coop_view, _ = generate_denoising_scene(
             objects, rng, ObservationNoiseParams(), TransformNoiseParams()
         )
-        assert oracle.size == 10
+        # The pairing: both views carry each object's ID as the track ID.
+        ids = [obj.object_id for obj in objects]
+        assert [e.track_id for e in ego_view] == [c.track_id for c in coop_view] == ids
 
     def test_duplicate_ids_rejected(self, rng):
         objects = [GroundTruthObject(1, 0, make_state()), GroundTruthObject(1, 0, make_state(x=5))]
@@ -137,7 +137,7 @@ class TestSceneGeneration:
         views = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            ego, coop, _, corrupted = generate_denoising_scene(
+            ego, coop, corrupted = generate_denoising_scene(
                 objects, rng, ObservationNoiseParams(), TransformNoiseParams()
             )
             views.append((ego, coop, corrupted))
@@ -174,13 +174,6 @@ class TestSceneGeneration:
 
 
 class TestMatchAccuracy:
-    def _oracle(self, n):
-        return CorrespondenceOracle(
-            pairs={i: i for i in range(n)},
-            ego_index_by_track={i: i for i in range(n)},
-            coop_index_by_track={i: i for i in range(n)},
-        )
-
     def _result(self, pairs):
         matched = [
             (make_instance(track_id=e, feature_seed=1),
@@ -192,21 +185,21 @@ class TestMatchAccuracy:
 
     def test_all_correct(self):
         result = self._result([(i, i) for i in range(4)])
-        assert match_accuracy(result, self._oracle(4)) == (1.0, 1.0, 1.0)
+        assert match_accuracy(result, 4) == (1.0, 1.0, 1.0)
 
     def test_no_pairs(self):
-        assert match_accuracy(self._result([]), self._oracle(4)) == (0.0, 0.0, 0.0)
+        assert match_accuracy(self._result([]), 4) == (0.0, 0.0, 0.0)
 
     def test_partial_with_one_wrong(self):
         pairs = [(i, i) for i in range(8)] + [(8, 9)]
-        accuracy, precision, recall = match_accuracy(self._result(pairs), self._oracle(10))
+        accuracy, precision, recall = match_accuracy(self._result(pairs), 10)
         assert accuracy == pytest.approx(0.8)
         assert precision == pytest.approx(8 / 9)
         assert recall == pytest.approx(0.8)
 
     def test_empty_oracle_raises(self):
         with pytest.raises(EmptyOracle):
-            match_accuracy(self._result([]), self._oracle(0))
+            match_accuracy(self._result([]), 0)
 
 
 class TestIdentityEmbedding:

@@ -376,6 +376,42 @@ class TestRunScenario:
                 assert abs(gt.state.y) <= roi.y_half
 
 
+def _frame_bytes(run):
+    """Each frame's tracks as (track ID, state bytes, feature bytes)."""
+    return [
+        [(i.track_id, i.state.as_array().tobytes(), i.feature.tobytes()) for i in frame.tracks.instances]
+        for frame in run.frames
+    ]
+
+
+SHIPPED = ["quickstart", "range_study", "latency_study"]
+
+
+class TestReceivePathInvariants:
+    """Settings that must leave the ego's output exactly as it is."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_silent_cooperators_change_nothing(self, name):
+        cfg = shipped(name)
+        alone = _frame_bytes(run_scenario(replace(cfg, agents=tuple(a for a in cfg.agents if a.ego))))
+        assert _frame_bytes(run_scenario(replace(cfg, channel=replace(cfg.channel, drop_prob=1.0)))) == alone
+        blind = tuple(
+            a if a.ego else replace(a, sensor=replace(a.sensor, detect_prob_near=0.0, detect_prob_far=0.0))
+            for a in cfg.agents
+        )
+        assert _frame_bytes(run_scenario(replace(cfg, agents=blind))) == alone
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_compensation_is_a_no_op_without_latency(self, name):
+        cfg = shipped(name)
+        cfg = replace(cfg, channel=replace(cfg.channel, latency_ms=0.0, jitter_ms=0.0))
+        runs = [
+            run_scenario(replace(cfg, pipeline=replace(cfg.pipeline, compensate_latency=on))) for on in (True, False)
+        ]
+        assert _frame_bytes(runs[0]) == _frame_bytes(runs[1])
+        assert runs[0].events == runs[1].events
+
+
 class TestScenarioConfigValidation:
     def test_requires_single_ego(self):
         sensor = SensorModel(feature_dim=8)
@@ -400,6 +436,15 @@ class TestScenarioConfigValidation:
     def test_agent_rejects_non_finite_pose(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             AgentSpec(agent_id=0, **{name: value})
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_rejects_position_that_overflows_by_duration(self, axis):
+        # Finite at t = 0, but 1.7e308 + 10 s * 1e308 m/s is not.
+        runaway = AgentSpec(agent_id=1, **{axis: 1.7e308, f"v{axis}": 1e308})
+        with pytest.raises(ValueError, match=r"^agents\[1\]: position at duration_s is not finite"):
+            ScenarioConfig(duration_s=10.0, agents=(AgentSpec(agent_id=0, ego=True), runaway))
+        returning = replace(runaway, **{f"v{axis}": -1e307})
+        ScenarioConfig(duration_s=10.0, agents=(AgentSpec(agent_id=0, ego=True), returning))
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
