@@ -114,11 +114,11 @@ def transform_states(states: Sequence[StateVector], t: RigidTransform) -> list[t
     local = _rotate_rows(t.rotation, vectors).reshape(-1, 3, 3)
     local[:, 0] += t.translation
     rows = []
-    for s, (position, velocity, (hx, hy, _hz)) in zip(states, local.tolist()):
+    for s, (px, py, pz, vx, vy, vz, hx, hy, _hz) in zip(states, local.reshape(-1, 9).tolist()):
         norm = math.hypot(hx, hy)
         if norm < 1e-9:
             raise DegenerateHeading("rotation leaves no planar heading component")
-        rows.append((*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity))
+        rows.append((px, py, pz, s.l, s.w, s.h, hy / norm, hx / norm, vx, vy, vz))
     return rows
 
 

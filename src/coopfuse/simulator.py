@@ -169,8 +169,7 @@ class _Tracks(NamedTuple):
 
     track_ids: list[int]
     class_ids: list[int]
-    positions: np.ndarray  # (n, 3), global frame
-    velocities: np.ndarray  # (n, 3), global frame
+    states: list[tuple[float, ...]]  # 11 components each, global frame
 
 
 class Agent:
@@ -179,7 +178,7 @@ class Agent:
     def __init__(self, spec: AgentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        self._prev = _Tracks([], [], np.zeros((0, 3)), np.zeros((0, 3)))
+        self._prev = _Tracks([], [], [])
         self._prev_t: Optional[Timestamp] = None
         self._next_track_id = 1
 
@@ -227,12 +226,11 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
         feature = noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng)
         detected.append((obj.class_id, state, feature, confidence))
 
-    # Each detection's global position and velocity, kept for the next pass.
-    moved = np.array(transform_states([d[1] for d in detected], pose)).reshape(-1, 11)
+    # Each detection in the global frame, kept for the next pass.
+    moved = transform_states([d[1] for d in detected], pose)
     class_ids = [d[0] for d in detected]
-    positions = moved[:, :3]
-    track_ids = _continue_tracks(agent, t, class_ids, positions)
-    agent._prev = _Tracks(track_ids, class_ids, positions, moved[:, 8:])
+    track_ids = _continue_tracks(agent, t, class_ids, moved)
+    agent._prev = _Tracks(track_ids, class_ids, moved)
     agent._prev_t = t
     return [
         Instance(
@@ -248,7 +246,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     ]
 
 
-def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], positions: np.ndarray) -> list[int]:
+def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], states: list[tuple[float, ...]]) -> list[int]:
     """Track IDs for this pass's detections, in detection order.
 
     Each detection in turn takes the nearest untaken previous detection of
@@ -257,9 +255,10 @@ def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], positions
     """
     prev, gate = agent._prev, agent.spec.sensor.track_gate
     dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
-    predicted = prev.positions + prev.velocities * dt
     rows = neighbours(
-        zip(*positions[:, :2].T.tolist(), class_ids), zip(*predicted[:, :2].T.tolist(), prev.class_ids), gate
+        ((s[0], s[1], c) for s, c in zip(states, class_ids)),
+        ((s[0] + s[8] * dt, s[1] + s[9] * dt, c) for s, c in zip(prev.states, prev.class_ids)),
+        gate,
     )
     track_ids = []
     for pick in greedy_nearest(rows, gate):

@@ -76,15 +76,24 @@ class TestCompensateLatency:
 
 
 class TestTransformState:
-    def test_batch_rows_equal_single_states_bit_for_bit(self, rng):
+    def test_batch_rows_equal_per_vector_products_exactly(self, rng):
+        # Each row must not depend on the rows batched with it: sensing and
+        # ground truth transform whole worlds, alignment one state at a time.
         states = [
             make_state(x=x, y=y, z=z, yaw=yaw, vx=vx, vy=vy)
             for x, y, z, yaw, vx, vy in rng.uniform(-50, 50, (40, 6))
         ]
         for rotation in (RigidTransform.from_yaw(rng.uniform(-3, 3)).rotation, random_rotation(rng)):
             t = RigidTransform(rotation, rng.uniform(-100, 100, 3))
-            batch = [StateVector._trusted(row) for row in transform_states(states, t)]
-            assert batch == [transform_state(s, t) for s in states]
+            want = []
+            for s in states:
+                position = (rotation @ np.array([s.x, s.y, s.z]) + t.translation).tolist()
+                velocity = (rotation @ np.array([s.vx, s.vy, s.vz])).tolist()
+                hx, hy, _ = (rotation @ np.array([s.cos_yaw, s.sin_yaw, 0.0])).tolist()
+                norm = math.hypot(hx, hy)
+                want.append((*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity))
+            assert transform_states(states, t) == want
+            assert [transform_state(s, t) for s in states] == [StateVector._trusted(row) for row in want]
 
     def test_identity(self):
         state = make_state(x=1, y=2, z=0.5, yaw=0.3, vx=4)
