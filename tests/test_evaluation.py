@@ -276,7 +276,6 @@ class TestScoringOracle:
         compute_metrics(run)
         assert len(scans) == len(run.frames)
 
-
     def test_compute_metrics_ranks_each_radius_once(self, monkeypatch):
         ranked = []
         real = evaluation._ranked
