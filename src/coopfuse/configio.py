@@ -103,7 +103,8 @@ def _build(cls, data: Any, path: str, key_paths: dict[str, str] | None = None):
     try:
         obj = cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        message = str(exc)  # one starting with a section path (``agents[1]: ...``) names its place
+        raise ConfigError(message if message.startswith(tuple(key_paths.values())) else f"{path}: {message}") from exc
     _check_finite(obj, path)
     return obj
 

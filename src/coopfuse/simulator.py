@@ -13,7 +13,7 @@ import bisect
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .core import (
     RigidTransform,
     StateVector,
     Timestamp,
+    _check_records,
     greedy_nearest,
     invert,
     neighbours,
@@ -33,7 +34,7 @@ from .core import (
     seconds_to_micros,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
-from .robustness import TransformNoiseParams, noisy_feature, perturb_transform
+from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
 from .wire import MAX_CLASS_ID, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
@@ -81,7 +82,7 @@ def step_world(world: World, dt: float) -> World:
                 s.x + radius * (sin1 - math.sin(theta0)), s.y - radius * (cos1 - math.cos(theta0)),
                 s.z + s.vz * dt, s.l, s.w, s.h, sin1, cos1, speed * cos1, speed * sin1, s.vz,
             ))
-        advanced.append(replace(obj, state=state))
+        advanced.append(WorldObject(obj.object_id, obj.class_id, state, obj.yaw_rate))
     return World(time_us=world.time_us + seconds_to_micros(dt), objects=tuple(advanced))
 
 
@@ -126,6 +127,12 @@ class SensorModel:
             raise ValueError("feature_dim must be at least 1")
         if not self.pos_noise_range_power > 0:
             raise ValueError("pos_noise_range_power must be positive")
+        for name in ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
+                     "feature_noise_sigma", "track_gate"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                problem = "non-negative" if math.isfinite(value) else "finite"
+                raise ValueError(f"{name} must be {problem}, got {value!r}")
 
     def _mix(self, near: float, far: float, r: float, power: float = 1.0) -> float:
         frac = min(r / self.max_range, 1.0) ** power
@@ -186,64 +193,72 @@ class Agent:
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance]:
     """One sensing pass: detect, noise, and continue track identities.
 
-    Detections are produced in the agent frame. Persistent per-agent track
-    IDs come from nearest-neighbor continuation against the previous pass,
-    predicted forward by the stored velocity.
+    Detections are produced in the agent frame, with one uniform detect draw
+    per object in range and field of view and one Gaussian draw per
+    detection, and the pass's detections are checked as one batch.
+    Persistent per-agent track IDs come from nearest-neighbor continuation
+    against the previous pass, predicted forward by the stored velocity.
     """
     spec = agent.spec
     sensor = spec.sensor
     t = world.time_us
     pose = spec.pose_at(t)
     half_fov = math.radians(sensor.fov_deg) / 2.0
+    noised = [s > 0 for s in (sensor.pos_noise_sigma, sensor.dim_noise_sigma, sensor.vel_noise_sigma)]
+    k = 3 * sum(noised)
 
-    # Every object in the agent frame, in one batch; the RNG draws below
-    # stay per object, in order.
-    detected: list[tuple[int, StateVector, np.ndarray, float]] = []
+    # Every object in the agent frame, in one batch. The draws stay per object, in order:
+    # one standard_normal call per detection yields what separate Generator.normal(0, s)
+    # = 0.0 + s * z calls drew (the 0.0 + is kept below, so zeros keep their sign) for
+    # position (2 + 1), dimensions and velocity (3 each, when on), then the feature.
     local = transform_states([o.state for o in world.objects], invert(pose))
-    for obj, (px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz) in zip(world.objects, local):
-        r = math.hypot(px, py)
+    noise = np.empty((len(local), k + sensor.feature_dim))
+    hits, spreads, confidences = [], [], []
+    for i, row in enumerate(local):
+        r = math.hypot(row[0], row[1])
         if r > sensor.max_range:
             continue
-        if sensor.fov_deg < 360.0 and abs(math.atan2(py, px)) > half_fov:
+        if sensor.fov_deg < 360.0 and abs(math.atan2(row[1], row[0])) > half_fov:
             continue
         if rng.random() >= sensor._mix(sensor.detect_prob_near, sensor.detect_prob_far, r):
             continue
-        sigma = sensor.pos_noise_sigma * sensor._mix(
-            1.0, sensor.pos_noise_far_factor, r, sensor.pos_noise_range_power
-        )
-        if sensor.pos_noise_sigma > 0:
-            nx, ny = rng.normal(0.0, sigma, 2).tolist()
-            nz = float(rng.normal(0.0, sensor.pos_noise_sigma))
-            px, py, pz = px + nx, py + ny, pz + nz
-        if sensor.dim_noise_sigma > 0:
-            dl, dw, dh = rng.normal(0.0, sensor.dim_noise_sigma, 3).tolist()
-            l, w, h = max(l + dl, 0.01), max(w + dw, 0.01), max(h + dh, 0.01)
-        if sensor.vel_noise_sigma > 0:
-            nx, ny, nz = rng.normal(0.0, sensor.vel_noise_sigma, 3).tolist()
-            vx, vy, vz = vx + nx, vy + ny, vz + nz
-        confidence = min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0)
-        state = StateVector(px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz)
-        feature = noisy_feature(obj.object_id, sensor.feature_dim, sensor.feature_noise_sigma, rng)
-        detected.append((obj.class_id, state, feature, confidence))
+        rng.standard_normal(out=noise[len(hits)])
+        hits.append(i)
+        spreads.append(sensor._mix(1.0, sensor.pos_noise_far_factor, r, sensor.pos_noise_range_power))
+        confidences.append(min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0))
+
+    z = noise[: len(hits)]
+    states = np.array(local).reshape(-1, 11)[hits]
+    c = 0
+    if noised[0]:
+        states[:, :2] += 0.0 + (sensor.pos_noise_sigma * np.array(spreads))[:, None] * z[:, :2]
+        states[:, 2] += 0.0 + sensor.pos_noise_sigma * z[:, 2]
+        c = 3
+    if noised[1]:
+        states[:, 3:6] = np.maximum(states[:, 3:6] + (0.0 + sensor.dim_noise_sigma * z[:, c : c + 3]), 0.01)
+        c += 3
+    if noised[2]:
+        states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
+    objects = [world.objects[i] for i in hits]
+    features = np.array([identity_embedding(o.object_id, sensor.feature_dim) for o in objects])
+    features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
+    if not np.isfinite(norms := _check_records(states, features, np.array(confidences), t)).all():
+        raise ValueError("a feature's norm is not finite")
 
     # Each detection in the global frame, kept for the next pass.
-    moved = transform_states([d[1] for d in detected], pose)
-    class_ids = [d[0] for d in detected]
+    detected = [StateVector._trusted(row) for row in states.tolist()]
+    moved = transform_states(detected, pose)
+    class_ids = [o.class_id for o in objects]
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved)
     agent._prev_t = t
-    return [
-        Instance(
-            state=state,
-            feature=feature,
-            confidence=confidence,
-            class_id=class_id,
-            track_id=tid,
-            source_agent=spec.agent_id,
-            observed_at=t,
-        )
-        for (class_id, state, feature, confidence), tid in zip(detected, track_ids)
-    ]
+    instances = []
+    for state, row, norm, conf, cls, tid in zip(detected, features, norms, confidences, class_ids, track_ids):
+        feature = row / norm  # an array of its own: a view would keep the whole batch alive
+        feature.setflags(write=False)
+        instances.append(Instance._trusted(state=state, feature=feature, confidence=conf, class_id=cls,
+                                           track_id=tid, source_agent=spec.agent_id, observed_at=t))
+    return instances
 
 
 def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], states: list[tuple[float, ...]]) -> list[int]:
@@ -377,6 +392,9 @@ class ScenarioConfig:
     pose_noise: Optional[TransformNoiseParams] = None  # sender localization error
 
     def __post_init__(self) -> None:
+        for name in ("duration_s", "tick_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.tick_s > 0:
             raise ValueError("tick_s must be positive")
         if not self.duration_s >= self.tick_s:

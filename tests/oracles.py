@@ -282,3 +282,52 @@ def reference_min_separation(a_pos, a_vel, b_pos, b_vel, duration):
     t_star = 0.0 if speed2 < 1e-12 else min(max(-float(dp @ dv) / speed2, 0.0), duration)
     closest = dp + dv * t_star
     return float(np.hypot(closest[0], closest[1]))
+
+
+def reference_detections(objects, agent_xy, sensor, rng):
+    """One sensing pass of an agent at ``agent_xy`` facing +x, one draw call per noise block.
+
+    ``objects`` are ``(object_id, class_id, x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz)``
+    in the global frame, and ``sensor`` is read by field name. In visiting order, each
+    object is moved into the agent frame (a translation; the heading rescaled by its planar
+    norm), gated by range and field of view, and detected with one ``rng.random()``. A
+    detection then draws its noise as separate ``rng.normal`` calls: planar position (at a
+    sigma that grows with range), height, dimensions (clamped at 0.01), velocity, each only
+    when its sigma is positive; then ``rng.standard_normal`` noise for the identity feature,
+    which is scaled to unit norm. Returns ``(class_id, state, confidence, feature)`` each.
+    """
+    from coopfuse.robustness import identity_embedding
+
+    def mix(near, far, r, power=1.0):
+        return near + (far - near) * min(r / sensor.max_range, 1.0) ** power
+
+    ax, ay = agent_xy
+    detections = []
+    for object_id, class_id, x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz in objects:
+        px, py, pz = x - ax, y - ay, z
+        norm = math.hypot(cos_yaw, sin_yaw)
+        sin_yaw, cos_yaw = sin_yaw / norm, cos_yaw / norm
+        r = math.hypot(px, py)
+        if r > sensor.max_range:
+            continue
+        if sensor.fov_deg < 360.0 and abs(math.atan2(py, px)) > math.radians(sensor.fov_deg) / 2.0:
+            continue
+        if rng.random() >= mix(sensor.detect_prob_near, sensor.detect_prob_far, r):
+            continue
+        if sensor.pos_noise_sigma > 0:
+            sigma = sensor.pos_noise_sigma * mix(1.0, sensor.pos_noise_far_factor, r, sensor.pos_noise_range_power)
+            nx, ny = rng.normal(0.0, sigma, 2).tolist()
+            nz = float(rng.normal(0.0, sensor.pos_noise_sigma))
+            px, py, pz = px + nx, py + ny, pz + nz
+        if sensor.dim_noise_sigma > 0:
+            dl, dw, dh = rng.normal(0.0, sensor.dim_noise_sigma, 3).tolist()
+            l, w, h = max(l + dl, 0.01), max(w + dw, 0.01), max(h + dh, 0.01)
+        if sensor.vel_noise_sigma > 0:
+            nx, ny, nz = rng.normal(0.0, sensor.vel_noise_sigma, 3).tolist()
+            vx, vy, vz = vx + nx, vy + ny, vz + nz
+        confidence = min(max(mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0)
+        feature = identity_embedding(object_id, sensor.feature_dim)
+        feature = feature + sensor.feature_noise_sigma * rng.standard_normal(sensor.feature_dim)
+        feature = feature / float(np.linalg.norm(feature))
+        detections.append((class_id, (px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz), confidence, feature))
+    return detections

@@ -51,6 +51,19 @@ class TestValidateConfig:
         assert "tick_speed" in capsys.readouterr().err
 
 
+    def test_negative_noise_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY.replace("pos_noise_sigma: 0.2,", "pos_noise_sigma: 0.2, pos_noise_far_factor: -2.0,", 1))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: agents[0].sensor: pos_noise_far_factor must be non-negative" in capsys.readouterr().err
+
+    def test_agent_error_names_the_agents_section(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY.replace("x: 15.0,", "x: 1.7e+308, vx: 1.0e+308,"))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error: agents[1]: position at duration_s is not finite" in capsys.readouterr().err
+
+
 class TestRun:
     def test_writes_outputs(self, tiny_config, tmp_path):
         out = tmp_path / "out"

@@ -95,8 +95,14 @@ class TestWireBoundFields:
     """Fields that land in u16/u8 wire slots are checked when loaded."""
 
     def test_duplicate_agent_ids_rejected(self):
-        with pytest.raises(ConfigError, match=r"scenario: agents\[0\] and agents\[1\] share agent_id 3"):
+        with pytest.raises(ConfigError, match=r"^agents\[0\] and agents\[1\] share agent_id 3"):
             scenario_from_dict(_two_agents(ego_id=3, coop_id=3))
+
+    def test_agent_position_error_names_the_agents_section(self):
+        raw = _two_agents()
+        raw["agents"][1].update(x=1.7e308, vx=1.0e308)
+        with pytest.raises(ConfigError, match=r"^agents\[1\]: position at duration_s is not finite"):
+            scenario_from_dict(raw)
 
     @pytest.mark.parametrize("agent_id", [-1, 65536, 70000])
     def test_agent_id_outside_u16_rejected(self, agent_id):
@@ -157,6 +163,18 @@ class TestNanRejected:
         node[key] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: "):
             scenario_from_dict(raw)
+
+
+NOISE_KNOBS = ["pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
+               "feature_noise_sigma", "track_gate"]
+
+
+@pytest.mark.parametrize("key", NOISE_KNOBS)
+def test_negative_sensor_noise_rejected(key):
+    raw = scenario_to_dict(shipped("range_study"))
+    raw["agents"][0]["sensor"][key] = -2.0
+    with pytest.raises(ConfigError, match=rf"^agents\[0\]\.sensor: {key} must be non-negative"):
+        scenario_from_dict(raw)
 
 
 class TestRoundTrip:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse import simulator
-from coopfuse.core import GroundTruthObject, StateVector
+from coopfuse.core import GroundTruthObject, Instance, StateVector
 from coopfuse.wire import InstancePacket
 from coopfuse.simulator import (
     Agent,
@@ -27,7 +27,7 @@ from coopfuse.simulator import (
     transmit,
 )
 from conftest import make_instance, make_state, shipped
-from oracles import reference_min_separation, reference_prefusion_error, reference_track_ids
+from oracles import reference_detections, reference_min_separation, reference_prefusion_error, reference_track_ids
 
 # Half-metre positions and velocities with 0.5 s ticks keep every predicted
 # position and distance exact, so equal distances and distances exactly at
@@ -141,6 +141,110 @@ class TestSense:
         near = next(d for d in detections if d.state.x < 50)
         far = next(d for d in detections if d.state.x > 50)
         assert near.confidence > far.confidence
+
+
+class TestSensorModelValidation:
+    NOISE_KNOBS = ["pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
+                   "feature_noise_sigma", "track_gate"]
+
+    @pytest.mark.parametrize("name", NOISE_KNOBS)
+    @pytest.mark.parametrize("value", [-2.0, -1e-9])
+    def test_rejects_negative(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            SensorModel(**{name: value})
+
+    @pytest.mark.parametrize("name", NOISE_KNOBS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SensorModel(**{name: value})
+
+
+_KNOB = st.sampled_from([0.0, 0.4])
+_SENSORS = st.builds(
+    SensorModel,
+    max_range=st.sampled_from([8.0, 20.0, 60.0]),
+    fov_deg=st.sampled_from([90.0, 200.0, 360.0]),
+    detect_prob_near=st.sampled_from([0.4, 1.0]),
+    detect_prob_far=st.sampled_from([0.2, 1.0]),
+    pos_noise_sigma=_KNOB,
+    pos_noise_far_factor=st.sampled_from([0.0, 1.0, 3.0]),
+    pos_noise_range_power=st.sampled_from([0.5, 1.0, 2.0]),
+    vel_noise_sigma=_KNOB,
+    dim_noise_sigma=st.sampled_from([0.0, 2.0]),  # large enough to reach the 0.01 clamp
+    feature_noise_sigma=_KNOB,
+    confidence_near=st.sampled_from([0.95, 0.6]),
+    confidence_far=st.sampled_from([0.5, 0.1]),
+    feature_dim=st.integers(1, 12),
+)
+_SCENE = st.lists(
+    st.tuples(st.integers(0, 2), _HALF.map(lambda v: 5 * v), _HALF.map(lambda v: 5 * v),
+              st.integers(-10, 10).map(lambda v: 0.3 * v), _HALF, _HALF),
+    max_size=12,
+)
+
+
+class TestSenseDraws:
+    """``sense`` draws the same stream as one call per noise block, merged into one call per detection."""
+
+    @given(sensor=_SENSORS, scene=_SCENE, agent_xy=st.tuples(_HALF, _HALF), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_detections_equal_reference(self, sensor, scene, agent_xy, seed):
+        world = _world(*(
+            WorldObject(i, c, make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy)) for i, (c, x, y, yaw, vx, vy) in enumerate(scene)
+        ))
+        agent = Agent(AgentSpec(agent_id=2, x=agent_xy[0], y=agent_xy[1], sensor=sensor), np.random.default_rng(seed))
+        reference_rng = np.random.default_rng(seed)
+        for _ in range(2):
+            objects = [(o.object_id, o.class_id, *(getattr(o.state, n) for n in StateVector.__slots__)) for o in world.objects]
+            want = reference_detections(objects, agent_xy, sensor, reference_rng)
+            got = sense(agent, world, agent.rng)
+            assert len(got) == len(want)
+            for inst, (class_id, state, confidence, feature) in zip(got, want):
+                assert inst.class_id == class_id and inst.confidence == confidence
+                assert [getattr(inst.state, n).hex() for n in StateVector.__slots__] == [v.hex() for v in state]
+                assert inst.feature.tobytes() == feature.tobytes()
+                assert not inst.feature.flags.writeable
+            assert agent.rng.bit_generator.state == reference_rng.bit_generator.state
+            world = step_world(world, 0.5)
+
+    def _crowd(self, sensor):
+        objects = (WorldObject(i, 0, make_state(x=2.0 * i - 20.0, y=3.0)) for i in range(20))
+        return Agent(AgentSpec(agent_id=0, ego=True, sensor=sensor), np.random.default_rng(0)), _world(*objects)
+
+    def test_overflowing_position_noise_raises(self):
+        agent, world = self._crowd(SensorModel(pos_noise_sigma=1e308, feature_dim=4))
+        with pytest.raises(ValueError):
+            sense(agent, world, agent.rng)
+
+    def test_overflowing_feature_norm_raises(self):
+        # Each feature value is finite, but their sum of squares is not.
+        agent, world = self._crowd(SensorModel(feature_noise_sigma=1e300, feature_dim=4))
+        with pytest.raises(ValueError):
+            sense(agent, world, agent.rng)
+
+    def test_checks_each_pass_once_as_a_batch(self, monkeypatch):
+        agent, world = self._crowd(SensorModel(pos_noise_sigma=0.3, dim_noise_sigma=0.1, feature_dim=8))
+        empty = _world()
+        counts = {"batch": 0, "state": 0, "instance": 0}
+        real_check = simulator._check_records
+
+        def check_records(*args):
+            counts["batch"] += 1
+            return real_check(*args)
+
+        def state_post_init(self):
+            counts["state"] += 1
+
+        def instance_post_init(self):
+            counts["instance"] += 1
+
+        monkeypatch.setattr(simulator, "_check_records", check_records)
+        monkeypatch.setattr(StateVector, "__post_init__", state_post_init)
+        monkeypatch.setattr(Instance, "__post_init__", instance_post_init)
+        sizes = [len(sense(agent, w, agent.rng)) for w in (world, empty, world)]
+        assert sizes == [20, 0, 20]
+        assert counts == {"batch": 3, "state": 0, "instance": 0}
 
 
 class TestTrackContinuation:
@@ -426,6 +530,13 @@ class TestScenarioConfigValidation:
                     AgentSpec(agent_id=1, sensor=SensorModel(feature_dim=16)),
                 )
             )
+
+    @pytest.mark.parametrize("name", ["duration_s", "tick_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_duration_and_tick(self, name, value):
+        # An agent at rest would be blamed for 0 * inf = nan if the duration were not checked first.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: value}, agents=(AgentSpec(agent_id=0, ego=True),))
 
     def test_rejects_bad_tick(self):
         with pytest.raises(ValueError):
