@@ -191,12 +191,15 @@ class TestSenseDraws:
     @settings(max_examples=200, deadline=None)
     def test_detections_equal_reference(self, sensor, scene, agent_xy, seed):
         world = _world(*(
-            WorldObject(i, c, make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy)) for i, (c, x, y, yaw, vx, vy) in enumerate(scene)
+            WorldObject(i, c, make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy))
+            for i, (c, x, y, yaw, vx, vy) in enumerate(scene)
         ))
         agent = Agent(AgentSpec(agent_id=2, x=agent_xy[0], y=agent_xy[1], sensor=sensor), np.random.default_rng(seed))
         reference_rng = np.random.default_rng(seed)
         for _ in range(2):
-            objects = [(o.object_id, o.class_id, *(getattr(o.state, n) for n in StateVector.__slots__)) for o in world.objects]
+            objects = [
+                (o.object_id, o.class_id, *(getattr(o.state, n) for n in StateVector.__slots__)) for o in world.objects
+            ]
             want = reference_detections(objects, agent_xy, sensor, reference_rng)
             got = sense(agent, world, agent.rng)
             assert len(got) == len(want)
