@@ -23,6 +23,7 @@ from coopfuse.simulator import AgentSpec, ChannelModel, ScenarioConfig
 GOLDEN_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
 LOSSY = "lossy_multi_sender"
+TRUNCATED = "quickstart_top3"
 
 # (case directory, CLI command, config, files the command writes)
 CASES = (
@@ -32,6 +33,7 @@ CASES = (
     ("range_study_sweep", "sweep-rint", "range_study.yaml", ("rint_sweep.csv",)),
     ("latency_study_sweep", "sweep-latency", "latency_study.yaml", ("latency_sweep.csv",)),
     (LOSSY, "run", None, ("metrics.csv", "events.csv")),
+    (TRUNCATED, "run", None, ("metrics.csv", "events.csv")),
     ("quickstart_robustness", "robustness", "quickstart.yaml", ("robustness.csv",)),
 )
 
@@ -68,6 +70,23 @@ def lossy_multi_sender_config() -> ScenarioConfig:
     )
 
 
+def quickstart_top3_config() -> ScenarioConfig:
+    """Quickstart with every cooperator packet cut to 3 of its 10 detections,
+    all at the same confidence, and an ego that sees only 10 m: which tied
+    detections are sent decides which objects the ego outputs."""
+    base = load_scenario(CONFIG_DIR / "quickstart.yaml")
+    ego, coop = base.agents
+    assert coop.sensor.confidence_near == coop.sensor.confidence_far
+    return replace(
+        base,
+        agents=(replace(ego, sensor=replace(ego.sensor, max_range=10.0)), coop),
+        pipeline=replace(base.pipeline, transmit_top_k=3),
+    )
+
+
+BUILT_CONFIGS = {LOSSY: lossy_multi_sender_config, TRUNCATED: quickstart_top3_config}
+
+
 def write_golden(out_dir) -> list[Path]:
     """Write every case under ``out_dir``; return the files, relative to it."""
     out_dir = Path(out_dir)
@@ -76,7 +95,7 @@ def write_golden(out_dir) -> list[Path]:
         for case, command, config, files in CASES:
             if config is None:
                 config_path = Path(scratch) / f"{case}.yaml"
-                dump_scenario(lossy_multi_sender_config(), config_path)
+                dump_scenario(BUILT_CONFIGS[case](), config_path)
             else:
                 config_path = CONFIG_DIR / config
             case_dir = out_dir / case
