@@ -8,7 +8,7 @@ with range instead of linearly with object count.
 
 import numpy as np
 
-from coopfuse import RigidTransform, StateVector, Instance, decode_packet, encode_packet
+from coopfuse import RigidTransform, StateVector, Instance, InstanceBatch, decode_packet, encode_packet
 from coopfuse.robustness import identity_embedding
 from coopfuse.simulator import bev_baseline_cost
 from coopfuse.wire import HEADER_SIZE, packet_size, record_size, serialize_packet
@@ -26,7 +26,8 @@ for k in range(15):
                               source_agent=1, observed_at=0))
 
 pose = RigidTransform.from_yaw(0.5, (30.0, -10.0, 0.0))
-data = encode_packet(instances, pose, t=500_000, sender_id=1)
+# The packet's records are filled column by column from one batch.
+data = encode_packet(InstanceBatch.of(instances), pose, t=500_000, sender_id=1)
 print(f"header: {HEADER_SIZE} B, record (D={FEATURE_DIM}): {record_size(FEATURE_DIM)} B")
 print(f"packet with {len(instances)} instances: {len(data)} B "
       f"(= {packet_size(len(instances), FEATURE_DIM)} by the formula)")

@@ -11,6 +11,7 @@ from .core import (
     DegenerateHeading,
     GroundTruthObject,
     Instance,
+    InstanceBatch,
     RigidTransform,
     StateVector,
     Timestamp,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -89,14 +88,12 @@ def compensate_latency(
     )
 
 
-def _rotate_rows(rot: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # One mat-vec per row keeps each row's bits equal to ``rot @ row``;
-    # ``rows @ rot.T`` differs in the last bit on most rows.
-    return (rot @ rows[:, :, None])[:, :, 0]
+# A row's position, velocity and planar heading (cos, sin, then zeroed) as three 3-vectors.
+_VECTOR_COLUMNS = np.array([0, 1, 2, 8, 9, 10, 7, 6, 6])
 
 
-def transform_states(states: Sequence[StateVector], t: RigidTransform) -> list[tuple[float, ...]]:
-    """Each state's 11 components in the frame the transform maps into.
+def transform_states(rows: np.ndarray, t: RigidTransform) -> list[tuple[float, ...]]:
+    """The (N, 11) state rows (``StateVector`` order) as 11-tuples in the frame the transform maps into.
 
     Position is rotated and translated; velocity is rotated only (it is a
     frame-local direction, not a point); the heading is carried by rotating
@@ -108,23 +105,24 @@ def transform_states(states: Sequence[StateVector], t: RigidTransform) -> list[t
         DegenerateHeading: if a rotated heading has no xy projection left
             (only possible for rotations that tip the plane on its side).
     """
-    vectors = np.array(
-        [(s.x, s.y, s.z, s.vx, s.vy, s.vz, s.cos_yaw, s.sin_yaw, 0.0) for s in states]
-    ).reshape(-1, 3)
-    local = _rotate_rows(t.rotation, vectors).reshape(-1, 3, 3)
-    local[:, 0] += t.translation
-    rows = []
-    for s, (px, py, pz, vx, vy, vz, hx, hy, _hz) in zip(states, local.reshape(-1, 9).tolist()):
+    vectors = rows.take(_VECTOR_COLUMNS, axis=1)
+    vectors[:, 8] = 0.0
+    # One mat-vec per 3-vector keeps each one's bits equal to ``rot @ v``;
+    # ``vectors @ rot.T`` differs in the last bit on most rows.
+    moved = (t.rotation @ vectors.reshape(-1, 3, 1)).reshape(-1, 9)
+    moved[:, :3] += t.translation
+    out = []
+    for (px, py, pz, vx, vy, vz, hx, hy, _hz), (l, w, h) in zip(moved.tolist(), rows[:, 3:6].tolist()):
         norm = math.hypot(hx, hy)
         if norm < 1e-9:
             raise DegenerateHeading("rotation leaves no planar heading component")
-        rows.append((px, py, pz, s.l, s.w, s.h, hy / norm, hx / norm, vx, vy, vz))
-    return rows
+        out.append((px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz))
+    return out
 
 
 def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
     """Express one state in the frame the transform maps into (see ``transform_states``)."""
-    return StateVector._trusted(transform_states((state,), t)[0])
+    return StateVector._trusted(transform_states(state.as_array()[None], t)[0])
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -116,10 +117,7 @@ class StateVector:
 
     def as_array(self) -> np.ndarray:
         """The 11 components as a float64 array, in declaration order."""
-        return np.array(
-            [self.x, self.y, self.z, self.l, self.w, self.h,
-             self.sin_yaw, self.cos_yaw, self.vx, self.vy, self.vz]
-        )
+        return np.array(_STATE_COMPONENTS(self))
 
     @property
     def yaw(self) -> float:
@@ -131,6 +129,12 @@ class StateVector:
 
 
 _STATE_SLOT_SETTERS = tuple(StateVector.__dict__[name].__set__ for name in StateVector.__slots__)
+_STATE_COMPONENTS = operator.attrgetter(*StateVector.__slots__)
+
+
+def state_rows(states: Iterable[StateVector]) -> np.ndarray:
+    """The states as an (N, 11) float64 array, components in declaration order."""
+    return np.array(list(map(_STATE_COMPONENTS, states)), dtype=np.float64).reshape(-1, 11)
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:
@@ -184,6 +188,60 @@ class Instance:
     def _trusted_replace(self, **changes) -> Instance:
         """A copy with the named fields changed to values derived from valid ones; unchecked."""
         return Instance._trusted(**(vars(self) | changes))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class InstanceBatch:
+    """One agent's instances at one time as columns, a row per instance: (N, 11) ``states``
+    (``StateVector`` order), (N, D) unit ``features``, ``confidences``, ``class_ids`` and
+    ``track_ids`` (int or None). ``sense`` and ``of`` build valid batches; their rows stay valid."""
+
+    states: np.ndarray
+    features: np.ndarray
+    confidences: np.ndarray
+    class_ids: np.ndarray
+    track_ids: np.ndarray
+    source_agent: int = 0
+    observed_at: Timestamp = 0
+    __iter__ = None  # rows become values only through instances()
+
+    @classmethod
+    def of(cls, instances: Sequence[Instance]) -> InstanceBatch:
+        """The instances, in order, as one batch (with none, D = 0)."""
+        dims = {len(inst.feature) for inst in instances}
+        if len(dims) > 1:
+            raise ValueError(f"instances carry mixed feature dimensions: {sorted(dims)}")
+        if len(origins := {(inst.source_agent, inst.observed_at) for inst in instances}) > 1:
+            raise ValueError("instances come from more than one agent or time")
+        return cls(
+            state_rows(inst.state for inst in instances),
+            np.array([inst.feature for inst in instances]).reshape(len(instances), dims.pop() if dims else 0),
+            np.array([inst.confidence for inst in instances], dtype=np.float64),
+            *(np.array([getattr(i, name) for i in instances], dtype=object) for name in ("class_id", "track_id")),
+            *(origins.pop() if origins else ()),
+        )
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, rows: np.ndarray) -> InstanceBatch:
+        """The rows an index array (or mask) selects, in its order."""
+        return InstanceBatch(self.states[rows], self.features[rows], self.confidences[rows],
+                             self.class_ids[rows], self.track_ids[rows], self.source_agent, self.observed_at)
+
+    def instances(self) -> list[Instance]:
+        """Each row as an ``Instance`` whose feature is a read-only array of its own
+        (a view would keep the whole batch alive as long as the instance)."""
+        features = [row.copy() for row in self.features]
+        for feature in features:
+            feature.setflags(write=False)
+        origin = {"source_agent": self.source_agent, "observed_at": self.observed_at}
+        columns = (self.states.tolist(), features, self.confidences.tolist(),
+                   self.class_ids.tolist(), self.track_ids.tolist())
+        return [
+            Instance._trusted(state=StateVector._trusted(s), feature=f, confidence=c, class_id=k, track_id=i, **origin)
+            for s, f, c, k, i in zip(*columns)
+        ]
 
 
 def _check_records(

@@ -11,7 +11,7 @@ is measurable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -26,8 +26,9 @@ from .core import (
     compose,
     invert,
     normalize_feature,
+    state_rows,
 )
-from .alignment import transform_state
+from .alignment import transform_states
 
 _MIN_DIMENSION = 0.01
 _EMBEDDING_SEED_OFFSET = 0x5EED
@@ -165,7 +166,8 @@ def generate_denoising_scene(
         raise ValueError("reference objects must carry unique IDs")
     if true_transform is None:
         true_transform = RigidTransform.identity()
-    to_coop = invert(true_transform)
+    # The transform draws nothing, so transforming every object up front keeps the draw order.
+    coop_states = transform_states(state_rows(obj.state for obj in gt_objects), invert(true_transform))
 
     ego_view = [
         Instance(
@@ -181,7 +183,7 @@ def generate_denoising_scene(
     ]
     coop_view = [
         Instance(
-            state=perturb_observation(transform_state(obj.state, to_coop), rng, obs_p),
+            state=perturb_observation(StateVector._trusted(row), rng, obs_p),
             feature=noisy_feature(obj.object_id, feature_dim, feature_noise_sigma, rng),
             confidence=1.0,
             class_id=obj.class_id,
@@ -189,7 +191,7 @@ def generate_denoising_scene(
             source_agent=1,
             observed_at=0,
         )
-        for obj in gt_objects
+        for obj, row in zip(gt_objects, coop_states)
     ]
     corrupted = perturb_transform(true_transform, rng, tf_p)
     return ego_view, coop_view, corrupted
@@ -229,7 +231,8 @@ def aligned_denoising_scene(
         feature_dim=feature_dim,
         feature_noise_sigma=feature_noise_sigma,
     )
-    aligned = [replace(inst, state=transform_state(inst.state, corrupted)) for inst in coop_view]
+    moved = transform_states(state_rows(inst.state for inst in coop_view), corrupted)
+    aligned = [inst._trusted_replace(state=StateVector._trusted(row)) for inst, row in zip(coop_view, moved)]
     return ego_view, aligned
 
 

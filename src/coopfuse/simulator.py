@@ -14,6 +14,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,15 +24,16 @@ from .association import MatchWeights, RoiSpec, associate, filter_roi
 from .core import (
     GroundTruthObject,
     Instance,
+    InstanceBatch,
     RigidTransform,
     StateVector,
     Timestamp,
     _check_records,
     greedy_nearest,
     invert,
-    neighbours,
     relative_transform,
     seconds_to_micros,
+    state_rows,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
@@ -56,6 +58,11 @@ class WorldObject:
 class World:
     time_us: Timestamp
     objects: tuple[WorldObject, ...]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The objects' states as (N, 11) rows, built once for every pass over this world."""
+        return state_rows(o.state for o in self.objects)
 
 
 def step_world(world: World, dt: float) -> World:
@@ -175,8 +182,9 @@ class _Tracks(NamedTuple):
     """An agent's detections of its last pass, kept for track continuation."""
 
     track_ids: list[int]
-    class_ids: list[int]
-    states: list[tuple[float, ...]]  # 11 components each, global frame
+    class_ids: np.ndarray
+    states: np.ndarray  # (n, 11) rows, global frame
+    t: Optional[Timestamp]
 
 
 class Agent:
@@ -185,17 +193,16 @@ class Agent:
     def __init__(self, spec: AgentSpec, rng: np.random.Generator) -> None:
         self.spec = spec
         self.rng = rng
-        self._prev = _Tracks([], [], [])
-        self._prev_t: Optional[Timestamp] = None
+        self._prev = _Tracks([], np.empty(0, dtype=np.int64), np.empty((0, 11)), None)
         self._next_track_id = 1
 
 
-def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance]:
+def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch:
     """One sensing pass: detect, noise, and continue track identities.
 
-    Detections are produced in the agent frame, with one uniform detect draw
-    per object in range and field of view and one Gaussian draw per
-    detection, and the pass's detections are checked as one batch.
+    The pass is one batch of rows in the agent frame, with one uniform detect
+    draw per object in range and field of view and one Gaussian draw per
+    detection, checked as one batch; no per-detection value is built.
     Persistent per-agent track IDs come from nearest-neighbor continuation
     against the previous pass, predicted forward by the stored velocity.
     """
@@ -211,7 +218,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
     # one standard_normal call per detection yields what separate Generator.normal(0, s)
     # = 0.0 + s * z calls drew (the 0.0 + is kept below, so zeros keep their sign) for
     # position (2 + 1), dimensions and velocity (3 each, when on), then the feature.
-    local = transform_states([o.state for o in world.objects], invert(pose))
+    local = transform_states(world.rows, invert(pose))
     noise = np.empty((len(local), k + sensor.feature_dim))
     hits, spreads, confidences = [], [], []
     for i, row in enumerate(local):
@@ -228,55 +235,54 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> list[Instance
         confidences.append(min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0))
 
     z = noise[: len(hits)]
-    states = np.array(local).reshape(-1, 11)[hits]
-    c = 0
-    if noised[0]:
-        states[:, :2] += 0.0 + (sensor.pos_noise_sigma * np.array(spreads))[:, None] * z[:, :2]
-        states[:, 2] += 0.0 + sensor.pos_noise_sigma * z[:, 2]
-        c = 3
-    if noised[1]:
-        states[:, 3:6] = np.maximum(states[:, 3:6] + (0.0 + sensor.dim_noise_sigma * z[:, c : c + 3]), 0.01)
-        c += 3
-    if noised[2]:
-        states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-    objects = [world.objects[i] for i in hits]
-    features = np.array([identity_embedding(o.object_id, sensor.feature_dim) for o in objects])
-    features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
-    if not np.isfinite(norms := _check_records(states, features, np.array(confidences), t)).all():
-        raise ValueError("a feature's norm is not finite")
+    states = np.array([local[i] for i in hits]).reshape(-1, 11)
+    # A huge finite sigma overflows to inf here; the batch check below rejects it.
+    with np.errstate(over="ignore"):
+        c = 0
+        if noised[0]:
+            states[:, :2] += 0.0 + (sensor.pos_noise_sigma * np.array(spreads))[:, None] * z[:, :2]
+            states[:, 2] += 0.0 + sensor.pos_noise_sigma * z[:, 2]
+            c = 3
+        if noised[1]:
+            states[:, 3:6] = np.maximum(states[:, 3:6] + (0.0 + sensor.dim_noise_sigma * z[:, c : c + 3]), 0.01)
+            c += 3
+        if noised[2]:
+            states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
+        features = np.array([identity_embedding(world.objects[i].object_id, sensor.feature_dim) for i in hits])
+        features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
+        confidences = np.array(confidences)
+        if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
+            raise ValueError("a feature's norm is not finite")
+    features /= norms[:, None]
 
     # Each detection in the global frame, kept for the next pass.
-    detected = [StateVector._trusted(row) for row in states.tolist()]
-    moved = transform_states(detected, pose)
-    class_ids = [o.class_id for o in objects]
+    moved = np.array(transform_states(states, pose)).reshape(-1, 11)
+    class_ids = np.array([world.objects[i].class_id for i in hits], dtype=np.int64)
     track_ids = _continue_tracks(agent, t, class_ids, moved)
-    agent._prev = _Tracks(track_ids, class_ids, moved)
-    agent._prev_t = t
-    instances = []
-    for state, row, norm, conf, cls, tid in zip(detected, features, norms, confidences, class_ids, track_ids):
-        feature = row / norm  # an array of its own: a view would keep the whole batch alive
-        feature.setflags(write=False)
-        instances.append(Instance._trusted(state=state, feature=feature, confidence=conf, class_id=cls,
-                                           track_id=tid, source_agent=spec.agent_id, observed_at=t))
-    return instances
+    agent._prev = _Tracks(track_ids, class_ids, moved, t)
+    return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
 
 
-def _continue_tracks(agent: Agent, t: Timestamp, class_ids: list[int], states: list[tuple[float, ...]]) -> list[int]:
-    """Track IDs for this pass's detections, in detection order.
+def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np.ndarray) -> list[int]:
+    """Track IDs for this pass's detections (global (n, 11) rows), in detection order.
 
     Each detection in turn takes the nearest untaken previous detection of
     its class, predicted to ``t``, within ``track_gate`` (of equally near
     ones, the later); failing that, a new ID.
     """
     prev, gate = agent._prev, agent.spec.sensor.track_gate
-    dt = 0.0 if agent._prev_t is None else (t - agent._prev_t) / 1e6
-    rows = neighbours(
-        ((s[0], s[1], c) for s, c in zip(states, class_ids)),
-        ((s[0] + s[8] * dt, s[1] + s[9] * dt, c) for s, c in zip(prev.states, prev.class_ids)),
-        gate,
-    )
+    dt = 0.0 if prev.t is None else (t - prev.t) / 1e6
+    dx = rows[:, 0, None] - (prev.states[:, 0] + prev.states[:, 8] * dt)
+    dy = rows[:, 1, None] - (prev.states[:, 1] + prev.states[:, 9] * dt)
+    # hypot(dx, dy) >= |dx|, |dy|: the box holds every candidate, and the slack covers rounding.
+    reach = gate * (1.0 + 2.0**-40)
+    box = (np.abs(dx) <= reach) & (np.abs(dy) <= reach) & (class_ids[:, None] == prev.class_ids)
+    candidates: list[list[tuple[int, float]]] = [[] for _ in range(len(rows))]
+    for i, j, ddx, ddy in zip(*(a.tolist() for a in np.nonzero(box)), dx[box].tolist(), dy[box].tolist()):
+        if (d := math.hypot(ddx, ddy)) <= gate:
+            candidates[i].append((j, d))
     track_ids = []
-    for pick in greedy_nearest(rows, gate):
+    for pick in greedy_nearest(candidates, gate):
         if pick is None:
             track_ids.append(agent._next_track_id)
             agent._next_track_id += 1
@@ -543,7 +549,7 @@ class RunResult:
 
 
 def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[GroundTruthObject, ...]:
-    local = transform_states([o.state for o in world.objects], invert(ego_pose))
+    local = transform_states(world.rows, invert(ego_pose))
     return tuple(
         GroundTruthObject(o.object_id, o.class_id, StateVector._trusted(s)) for o, s in zip(world.objects, local)
     )
@@ -613,11 +619,10 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
         # Remote agents sense and transmit.
         for agent in coop_agents:
             detections = sense(agent, world, agent.rng)
-            eligible = [
-                d for d in detections if d.confidence >= pipe.transmit_confidence_min
-            ]
-            eligible.sort(key=lambda d: -d.confidence)
-            payload = eligible[: pipe.transmit_top_k]
+            eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
+            # Most confident first; a stable sort keeps equally confident ones in sensing order.
+            ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
+            payload = detections[ranked[: pipe.transmit_top_k]]
             sent_pose = agent.spec.pose_at(t)
             if cfg.pose_noise is not None:
                 sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
@@ -658,7 +663,7 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                     stale += 1
 
         # Ego senses and fuses.
-        ego_dets = filter_roi(sense(ego, world, ego.rng), pipe.roi)
+        ego_dets = filter_roi(sense(ego, world, ego.rng).instances(), pipe.roi)
         # The error diagnostic compares against the whole world so that
         # objects straddling the ROI edge don't get scored against a
         # distant stranger.

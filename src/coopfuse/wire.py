@@ -20,14 +20,13 @@ renormalized on the way in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import (
     Instance,
+    InstanceBatch,
     RigidTransform,
-    StateVector,
     Timestamp,
     _check_records,
     _orthonormalized,
@@ -110,54 +109,19 @@ class InstancePacket:
         return RigidTransform(_orthonormalized(rot), self.header["translation"].astype(np.float64))
 
     def to_instances(self) -> list[Instance]:
-        """Validated Instances; renormalizes heading and feature after f32.
-
-        Raises:
-            ValueError: on records ``core._check_records`` rejects, checked
-                as one batch first; DegenerateHeading on a zero heading.
-        """
+        """Validated Instances, heading and feature renormalized after f32. Raises ValueError on
+        records ``core._check_records`` rejects (one batch check), DegenerateHeading on a zero heading."""
         recs = self.records
-        sender_id, send_timestamp = self.sender_id, self.send_timestamp
-        states, features = recs["state"], recs["feature"].astype(np.float64)
-        norms = _check_records(states, features, recs["confidence"], send_timestamp)
-        out = []
-        for tid, class_id, confidence, values, feature, norm in zip(
-            recs["track_id"].tolist(),
-            recs["class_id"].tolist(),
-            recs["confidence"].tolist(),
-            states.tolist(),
-            features,
-            norms.tolist(),
-        ):
-            values[6], values[7] = normalize_heading(values[6], values[7])
-            # Each row gets its own array: a view would keep the whole
-            # packet alive for as long as any one of its instances lives.
-            feature = feature / norm
-            feature.setflags(write=False)
-            out.append(
-                Instance._trusted(
-                    state=StateVector._trusted(values),
-                    feature=feature,
-                    confidence=min(max(confidence, 0.0), 1.0),
-                    class_id=class_id,
-                    track_id=None if tid == NO_TRACK_ID else tid,
-                    source_agent=sender_id,
-                    observed_at=send_timestamp,
-                )
-            )
-        return out
-
-
-def _record(inst: Instance) -> tuple:
-    tid = inst.track_id
-    if tid is not None and not 0 <= tid < NO_TRACK_ID:
-        raise ValueError(f"track_id {tid} does not fit the wire format")
-    if not 0 <= inst.class_id <= MAX_CLASS_ID:
-        raise ValueError(f"class_id {inst.class_id} does not fit the wire format")
-    return (
-        NO_TRACK_ID if tid is None else tid,
-        inst.class_id, inst.confidence, inst.state.as_array(), inst.feature,
-    )
+        states, features = recs["state"].astype(np.float64), recs["feature"].astype(np.float64)
+        norms = _check_records(states, features, recs["confidence"], self.send_timestamp)
+        if len(states):
+            states[:, 6:8] = [normalize_heading(sin, cos) for sin, cos in states[:, 6:8].tolist()]
+        track_ids = recs["track_id"].astype(object)
+        track_ids[recs["track_id"] == NO_TRACK_ID] = None
+        confidences = np.where(recs["confidence"] < 0.0, 0.0, np.minimum(recs["confidence"], 1.0))
+        batch = InstanceBatch(states, features / norms[:, None], confidences, recs["class_id"], track_ids,
+                              self.sender_id, self.send_timestamp)
+        return batch.instances()
 
 
 def serialize_packet(packet: InstancePacket) -> bytes:
@@ -165,24 +129,33 @@ def serialize_packet(packet: InstancePacket) -> bytes:
 
 
 def encode_packet(
-    instances: Sequence[Instance],
+    instances: InstanceBatch,
     pose: RigidTransform,
     t: Timestamp,
     sender_id: int = 0,
 ) -> bytes:
-    """Serialize a batch of instances plus the sender pose and timestamp."""
-    dims = {len(inst.feature) for inst in instances}
-    if len(dims) > 1:
-        raise ValueError(f"instances carry mixed feature dimensions: {sorted(dims)}")
-    feature_dim = dims.pop() if dims else 0
+    """Serialize a batch of instances plus the sender pose and timestamp (an
+    empty batch declares D = 0); raises ValueError on an ID its field cannot hold."""
     if not 0 <= sender_id <= MAX_SENDER_ID:
         raise ValueError(f"sender_id {sender_id} does not fit the wire format")
+    untracked = np.equal(instances.track_ids, None)
+    tracked = instances.track_ids[~untracked]
+    if (bad := (tracked < 0) | (tracked >= NO_TRACK_ID)).any():
+        raise ValueError(f"track_id {tracked[bad][0]} does not fit the wire format")
+    if (bad := (instances.class_ids < 0) | (instances.class_ids > MAX_CLASS_ID)).any():
+        raise ValueError(f"class_id {instances.class_ids[bad][0]} does not fit the wire format")
+    feature_dim = instances.features.shape[1] if len(instances) else 0
     header = np.array(
         (MAGIC, VERSION, sender_id, t, pose.rotation.reshape(-1), pose.translation,
          len(instances), feature_dim),
         dtype=HEADER_DTYPE,
     )
-    records = np.array([_record(inst) for inst in instances], dtype=record_dtype(feature_dim))
+    records = np.empty(len(instances), dtype=record_dtype(feature_dim))
+    records["track_id"] = np.where(untracked, NO_TRACK_ID, instances.track_ids)
+    records["class_id"] = instances.class_ids
+    records["confidence"] = instances.confidences
+    records["state"] = instances.states
+    records["feature"] = instances.features.reshape(len(instances), feature_dim)
     return header.tobytes() + records.tobytes()
 
 

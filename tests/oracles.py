@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -331,3 +332,25 @@ def reference_detections(objects, agent_xy, sensor, rng):
         feature = feature / float(np.linalg.norm(feature))
         detections.append((class_id, (px, py, pz, l, w, h, sin_yaw, cos_yaw, vx, vy, vz), confidence, feature))
     return detections
+
+
+def reference_packet(instances, rotation, translation, t, sender_id):
+    """A packet packed field by field with ``struct`` from the documented layout.
+
+    Header: magic 0x4B475121 (u32), version 1 (u16), sender id (u16),
+    timestamp (i64), rotation (9 x f32, row-major), translation (3 x f32),
+    count (u16), feature dimension (u16; 0 with no records). Each record:
+    track id (u64, 0xFFFF_FFFF_FFFF_FFFF when untracked), class (u8),
+    confidence (f32), 11 state floats and D feature floats (f32), packed.
+    """
+    dim = len(instances[0].feature) if instances else 0
+    rot = [float(v) for row in rotation for v in row]
+    out = [struct.pack("<IHHq12fHH", 0x4B475121, 1, sender_id, t, *rot, *map(float, translation), len(instances), dim)]
+    for inst in instances:
+        s = inst.state
+        track_id = 0xFFFF_FFFF_FFFF_FFFF if inst.track_id is None else inst.track_id
+        out.append(struct.pack(
+            f"<QBf11f{dim}f", track_id, inst.class_id, inst.confidence,
+            s.x, s.y, s.z, s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz, *map(float, inst.feature),
+        ))
+    return b"".join(out)

@@ -28,6 +28,7 @@ from coopfuse.core import (
     invert,
     relative_transform,
     seconds_to_micros,
+    state_rows,
 )
 from coopfuse.robustness import identity_embedding
 from conftest import make_instance, make_state
@@ -92,7 +93,7 @@ class TestTransformState:
                 hx, hy, _ = (rotation @ np.array([s.cos_yaw, s.sin_yaw, 0.0])).tolist()
                 norm = math.hypot(hx, hy)
                 want.append((*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity))
-            assert transform_states(states, t) == want
+            assert transform_states(state_rows(states), t) == want
             assert [transform_state(s, t) for s in states] == [StateVector._trusted(row) for row in want]
 
     def test_identity(self):

@@ -85,19 +85,19 @@ class TestSense:
         agent = self._agent(sensor)
         world = _world(WorldObject(0, 0, make_state(x=-10.0)))
         for _ in range(50):
-            assert sense(agent, world, rng) == []
+            assert sense(agent, world, rng).instances() == []
 
     def test_out_of_range_never_detected(self, rng):
         sensor = SensorModel(max_range=20.0, feature_dim=8)
         agent = self._agent(sensor)
         world = _world(WorldObject(0, 0, make_state(x=30.0)))
-        assert sense(agent, world, rng) == []
+        assert sense(agent, world, rng).instances() == []
 
     def test_noise_free_detections_equal_truth_in_agent_frame(self, rng):
         sensor = SensorModel(max_range=100.0, feature_dim=8)
         agent = self._agent(sensor, x=5.0, y=-2.0, yaw_deg=90.0)
         obj = WorldObject(3, 1, make_state(x=5.0, y=8.0, vx=2.0))
-        detections = sense(agent, _world(obj), rng)
+        detections = sense(agent, _world(obj), rng).instances()
         assert len(detections) == 1
         det = detections[0]
         # Agent at (5, -2) facing +y: the object 10 m ahead appears at x=+10.
@@ -122,11 +122,11 @@ class TestSense:
             WorldObject(0, 0, make_state(x=10.0, vx=2.0)),
             WorldObject(1, 0, make_state(x=-10.0, vx=-1.0)),
         )
-        first = sense(agent, world, rng)
+        first = sense(agent, world, rng).instances()
         ids_first = [d.track_id for d in first]
         for _ in range(5):
             world = step_world(world, 0.5)
-            ids = [d.track_id for d in sense(agent, world, rng)]
+            ids = [d.track_id for d in sense(agent, world, rng).instances()]
             assert ids == ids_first
 
     def test_confidence_decreases_with_range(self, rng):
@@ -137,7 +137,7 @@ class TestSense:
             WorldObject(0, 0, make_state(x=5.0)),
             WorldObject(1, 0, make_state(x=90.0)),
         )
-        detections = sense(agent, world, rng)
+        detections = sense(agent, world, rng).instances()
         near = next(d for d in detections if d.state.x < 50)
         far = next(d for d in detections if d.state.x > 50)
         assert near.confidence > far.confidence
@@ -201,7 +201,7 @@ class TestSenseDraws:
                 (o.object_id, o.class_id, *(getattr(o.state, n) for n in StateVector.__slots__)) for o in world.objects
             ]
             want = reference_detections(objects, agent_xy, sensor, reference_rng)
-            got = sense(agent, world, agent.rng)
+            got = sense(agent, world, agent.rng).instances()
             assert len(got) == len(want)
             for inst, (class_id, state, confidence, feature) in zip(got, want):
                 assert inst.class_id == class_id and inst.confidence == confidence
@@ -215,11 +215,13 @@ class TestSenseDraws:
         objects = (WorldObject(i, 0, make_state(x=2.0 * i - 20.0, y=3.0)) for i in range(20))
         return Agent(AgentSpec(agent_id=0, ego=True, sensor=sensor), np.random.default_rng(0)), _world(*objects)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_position_noise_raises(self):
         agent, world = self._crowd(SensorModel(pos_noise_sigma=1e308, feature_dim=4))
         with pytest.raises(ValueError):
             sense(agent, world, agent.rng)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_feature_norm_raises(self):
         # Each feature value is finite, but their sum of squares is not.
         agent, world = self._crowd(SensorModel(feature_noise_sigma=1e300, feature_dim=4))
@@ -249,6 +251,23 @@ class TestSenseDraws:
         assert sizes == [20, 0, 20]
         assert counts == {"batch": 3, "state": 0, "instance": 0}
 
+    def test_builds_no_instance_or_state(self, monkeypatch):
+        # A pass stays one batch of rows: only InstanceBatch.instances() makes values of it.
+        agent, world = self._crowd(SensorModel(pos_noise_sigma=0.3, dim_noise_sigma=0.1, feature_dim=8))
+        built = {Instance: 0, StateVector: 0}
+        for cls in built:
+            def counting(owner, *args, _real=cls._trusted, **kwargs):
+                built[owner] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cls, "_trusted", classmethod(counting))
+        batches = [sense(agent, world, agent.rng) for _ in range(3)]
+        assert [len(b) for b in batches] == [20, 20, 20]
+        assert built == {Instance: 0, StateVector: 0}
+        instances = batches[-1].instances()
+        assert built == {Instance: 20, StateVector: 20}
+        assert [i.track_id for i in instances] == batches[-1].track_ids.tolist()
+
 
 class TestTrackContinuation:
     @given(
@@ -270,7 +289,7 @@ class TestTrackContinuation:
                     for i, (c, x, y, vx, vy) in enumerate(objects)
                 ),
             )
-            got = [inst.track_id for inst in sense(agent, world, agent.rng)]
+            got = [inst.track_id for inst in sense(agent, world, agent.rng).instances()]
             want, next_id = reference_track_ids(
                 previous, [(c, x, y) for c, x, y, _vx, _vy in objects], 0.5 if k else 0.0, gate, next_id
             )

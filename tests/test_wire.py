@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from coopfuse.core import DegenerateHeading, RigidTransform
+from coopfuse.core import DegenerateHeading, InstanceBatch, RigidTransform
 from coopfuse.wire import (
     HEADER_DTYPE,
     HEADER_SIZE,
@@ -43,7 +43,7 @@ def random_packet_bytes(rng, count=None, dim=None):
     pose = RigidTransform.from_yaw(float(rng.uniform(-math.pi, math.pi)),
                                    rng.uniform(-50, 50, 3))
     t = int(rng.integers(0, 10**9))
-    return encode_packet(instances, pose, t, sender_id=int(rng.integers(0, 100)))
+    return encode_packet(InstanceBatch.of(instances), pose, t, sender_id=int(rng.integers(0, 100)))
 
 
 class TestSizes:
@@ -67,7 +67,7 @@ class TestSizes:
 class TestRoundTrip:
     def test_empty_packet(self):
         pose = RigidTransform.from_yaw(0.3, (1.0, 2.0, 0.0))
-        data = encode_packet([], pose, 12345, sender_id=7)
+        data = encode_packet(InstanceBatch.of([]), pose, 12345, sender_id=7)
         assert len(data) == HEADER_SIZE
         packet = decode_packet(data)
         assert packet.count == 0
@@ -92,7 +92,7 @@ class TestRoundTrip:
         inst = make_instance(x=10.123456, y=-3.25, yaw=0.7, vx=12.5,
                              confidence=0.625, track_id=99, dim=16)
         pose = RigidTransform.from_yaw(1.0, (30.0, -20.0, 0.0))
-        packet = decode_packet(encode_packet([inst], pose, 777, sender_id=3))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), pose, 777, sender_id=3))
         out = packet.to_instances()[0]
         assert out.track_id == 99
         assert out.source_agent == 3
@@ -104,7 +104,7 @@ class TestRoundTrip:
 
     def test_untracked_sentinel(self):
         inst = make_instance(track_id=None, dim=4)
-        packet = decode_packet(encode_packet([inst], RigidTransform.identity(), 0))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity(), 0))
         assert packet.records["track_id"][0] == NO_TRACK_ID
         assert packet.to_instances()[0].track_id is None
 
@@ -112,12 +112,12 @@ class TestRoundTrip:
         for _ in range(50):
             pose = RigidTransform.from_yaw(float(rng.uniform(-math.pi, math.pi)),
                                            rng.uniform(-100, 100, 3))
-            packet = decode_packet(encode_packet([], pose, 0))
+            packet = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0))
             recovered = packet.sender_pose()  # validates orthonormality internally
             np.testing.assert_allclose(recovered.rotation, pose.rotation, atol=1e-6)
 
     def test_sender_pose_rejects_nan_translation(self):
-        data = bytearray(encode_packet([], RigidTransform.identity(), 0))
+        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity(), 0))
         offset = HEADER_DTYPE.fields["translation"][1]
         data[offset:offset + 4] = np.float32(np.nan).tobytes()
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ class TestMalformed:
 def _tampered(mutate) -> bytes:
     """Two valid records, encoded, with ``mutate`` applied to the record array."""
     instances = [make_instance(x=3.0, yaw=0.4, dim=8), make_instance(y=-2.0, track_id=2, dim=8)]
-    packet = decode_packet(encode_packet(instances, RigidTransform.identity(), 5, 1))
+    packet = decode_packet(encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), 5, 1))
     records = packet.records.copy()
     mutate(records)
     return packet.header.tobytes() + records.tobytes()
@@ -208,10 +208,10 @@ class TestEncodePacket:
         a = make_instance(dim=8, feature_seed=1)
         b = make_instance(dim=16, feature_seed=2)
         with pytest.raises(ValueError):
-            encode_packet([a, b], RigidTransform.identity(), 0, 0)
+            encode_packet(InstanceBatch.of([a, b]), RigidTransform.identity(), 0, 0)
 
     def test_quantizes_to_f32_exact_values(self):
         inst = make_instance(x=1.0 / 3.0, dim=4)
-        packet = decode_packet(encode_packet([inst], RigidTransform.identity(), 0, 0))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity(), 0, 0))
         stored = float(packet.records["state"][0, 0])
         assert stored == float(np.float32(1.0 / 3.0))

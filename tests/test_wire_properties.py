@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coopfuse.core import Instance, RigidTransform, StateVector
+from coopfuse.core import Instance, InstanceBatch, RigidTransform, StateVector
 from coopfuse.wire import (
     HEADER_SIZE,
     MAGIC,
@@ -21,6 +21,7 @@ from coopfuse.wire import (
     record_size,
     serialize_packet,
 )
+from oracles import reference_packet
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -71,7 +72,7 @@ def f32(values) -> np.ndarray:
 @given(packets())
 def test_encode_decode_is_f32_exact(case):
     instances, pose, t, sender_id = case
-    data = encode_packet(instances, pose, t, sender_id)
+    data = encode_packet(InstanceBatch.of(instances), pose, t, sender_id)
     packet = decode_packet(data)
     assert serialize_packet(packet) == data
     assert (packet.sender_id, packet.send_timestamp, packet.count) == (sender_id, t, len(instances))
@@ -123,7 +124,8 @@ def test_arbitrary_bodies_behind_a_valid_prefix(count, dim, body):
 @PROPERTY_SETTINGS
 @given(packets(max_count=4), st.data())
 def test_truncated_or_extended_packets_raise_malformed(case, data):
-    payload = encode_packet(*case)
+    instances, *header = case
+    payload = encode_packet(InstanceBatch.of(instances), *header)
     cut = data.draw(st.integers(0, len(payload) - 1))
     with pytest.raises(MalformedPacket):
         decode_packet(payload[:cut])
@@ -132,17 +134,50 @@ def test_truncated_or_extended_packets_raise_malformed(case, data):
         decode_packet(payload + tail)
 
 
-@PROPERTY_SETTINGS
-@given(st.integers(max_value=-1) | st.integers(min_value=NO_TRACK_ID))
-def test_out_of_range_track_id_rejected_at_encode(track_id):
-    inst = Instance(
+def _one(track_id=1, class_id=0):
+    return Instance(
         state=StateVector(0.0, 0.0, 0.0, 4.5, 1.9, 1.6, 0.0, 1.0, 0.0, 0.0, 0.0),
         feature=np.array([1.0]),
         confidence=0.5,
-        class_id=0,
+        class_id=class_id,
         track_id=track_id,
         source_agent=0,
         observed_at=0,
     )
-    with pytest.raises(ValueError, match="track_id"):
-        encode_packet([inst], RigidTransform.identity(), 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(max_value=-1) | st.integers(min_value=NO_TRACK_ID))
+def test_out_of_range_track_id_rejected_at_encode(track_id):
+    batch = InstanceBatch.of([_one(), _one(track_id=track_id)])
+    with pytest.raises(ValueError, match=rf"^track_id {track_id} does not fit the wire format$"):
+        encode_packet(batch, RigidTransform.identity(), 0)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(max_value=-1) | st.integers(min_value=256))
+def test_out_of_range_class_id_rejected_at_encode(class_id):
+    batch = InstanceBatch.of([_one(), _one(class_id=class_id)])
+    with pytest.raises(ValueError, match=rf"^class_id {class_id} does not fit the wire format$"):
+        encode_packet(batch, RigidTransform.identity(), 0)
+
+
+@PROPERTY_SETTINGS
+@given(packets())
+def test_encode_equals_reference_packing(case):
+    instances, pose, t, sender_id = case
+    want = reference_packet(instances, pose.rotation.tolist(), pose.translation.tolist(), t, sender_id)
+    assert encode_packet(InstanceBatch.of(instances), pose, t, sender_id) == want
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [[], [_one(track_id=None, class_id=255)], [_one(track_id=NO_TRACK_ID - 1), _one(track_id=None), _one(track_id=0)]],
+    ids=["empty", "untracked-class-255", "tracked-and-untracked"],
+)
+def test_encode_edge_rows_equal_reference_packing(instances):
+    pose = RigidTransform.from_yaw(0.3, (1.0, -2.0, 0.5))
+    data = encode_packet(InstanceBatch.of(instances), pose, 42, 7)
+    assert data == reference_packet(instances, pose.rotation.tolist(), pose.translation.tolist(), 42, 7)
+    header = decode_packet(data).header
+    assert (int(header["count"]), int(header["feature_dim"])) == (len(instances), 1 if instances else 0)
