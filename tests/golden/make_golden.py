@@ -24,6 +24,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
 LOSSY = "lossy_multi_sender"
 TRUNCATED = "quickstart_top3"
+TURNING = "range_study_turning"
 
 # (case directory, CLI command, config, files the command writes)
 CASES = (
@@ -34,6 +35,7 @@ CASES = (
     ("latency_study_sweep", "sweep-latency", "latency_study.yaml", ("latency_sweep.csv",)),
     (LOSSY, "run", None, ("metrics.csv", "events.csv")),
     (TRUNCATED, "run", None, ("metrics.csv", "events.csv")),
+    (TURNING, "run", None, ("metrics.csv", "events.csv")),
     ("quickstart_robustness", "robustness", "quickstart.yaml", ("robustness.csv",)),
 )
 
@@ -84,7 +86,18 @@ def quickstart_top3_config() -> ScenarioConfig:
     )
 
 
-BUILT_CONFIGS = {LOSSY: lossy_multi_sender_config, TRUNCATED: quickstart_top3_config}
+def range_study_turning_config() -> ScenarioConfig:
+    """range_study with every object turning at up to 0.4 rad/s, so the
+    world step follows circular arcs instead of straight lines."""
+    base = load_scenario(CONFIG_DIR / "range_study.yaml")
+    return replace(base, yaw_rate_range=(-0.4, 0.4))
+
+
+BUILT_CONFIGS = {
+    LOSSY: lossy_multi_sender_config,
+    TRUNCATED: quickstart_top3_config,
+    TURNING: range_study_turning_config,
+}
 
 
 def write_golden(out_dir) -> list[Path]:
