@@ -271,6 +271,15 @@ def _check_records(
     return norms
 
 
+def _check_non_negative(params: object, names: Sequence[str]) -> None:
+    """Raise ValueError unless each named field of ``params`` is finite and >= 0."""
+    for name in names:
+        value = getattr(params, name)
+        if not 0 <= value < math.inf:
+            problem = "non-negative" if math.isfinite(value) else "finite"
+            raise ValueError(f"{name} must be {problem}, got {value!r}")
+
+
 def _orthonormalized(matrix: np.ndarray) -> np.ndarray:
     # Gram-Schmidt on the first two columns; the third comes from the cross
     # product, which also pins the determinant to +1.

@@ -20,9 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruthObject, Instance, Timestamp, greedy_nearest, neighbours
-from .fusion import TrackSet
-from .simulator import RunResult, ScenarioConfig, run_scenario
+from .core import GroundTruthObject, Instance, greedy_nearest, neighbours
+from .simulator import FrameRecord, RunResult, ScenarioConfig, run_scenario
 
 DETECTION_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TRACKING_THRESHOLD = 2.0
@@ -37,19 +36,6 @@ METRICS_COLUMNS = (
     "ap", "mota_like", "amota_like", "id_switches", "duplicate_rate",
     "rmse_pos", "bps_sent", "bps_received",
 )
-
-
-@dataclass(frozen=True)
-class FrameGroundTruth:
-    """Reference objects inside the ROI for one ego frame."""
-
-    timestamp: Timestamp
-    objects: tuple[GroundTruthObject, ...]
-
-    def __post_init__(self) -> None:
-        ids = [obj.object_id for obj in self.objects]
-        if len(set(ids)) != len(ids):
-            raise ValueError("ground-truth object ids must be unique per frame")
 
 
 @dataclass
@@ -67,20 +53,18 @@ class MetricsReport:
     coop_prefusion_err: float = math.nan
 
 
-Frame = tuple[TrackSet, FrameGroundTruth]
 Match = tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]
 Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]]]
 Ranked = tuple[list[float], list[float], list[float]]
 
 
-def _scan(tracks: TrackSet, gt: FrameGroundTruth, radius: float) -> Scan:
-    """The predictions in matching order (descending confidence, stable), the
-    objects, and each prediction's same-class objects within ``radius``."""
-    if tracks.timestamp != gt.timestamp:
-        raise ValueError("track set and ground truth are from different frames")
-    order = sorted(tracks.instances, key=lambda p: -p.confidence)
-    points = [[(o.state.x, o.state.y, o.class_id) for o in group] for group in (order, gt.objects)]
-    return order, gt.objects, neighbours(*points, radius)
+def _scan(frame: FrameRecord, radius: float) -> Scan:
+    """The frame's predictions in matching order (descending confidence,
+    stable), its objects, and each prediction's same-class objects within
+    ``radius``."""
+    order = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
+    points = [[(o.state.x, o.state.y, o.class_id) for o in group] for group in (order, frame.ground_truth)]
+    return order, frame.ground_truth, neighbours(*points, radius)
 
 
 def _greedy_match(
@@ -95,15 +79,6 @@ def _greedy_match(
             tp.append((pred, gt_objects[pick[0]], pick[1]))
     fn = [g for k, g in enumerate(gt_objects) if k not in claimed]
     return tp, fp, fn
-
-
-def match_to_gt(tracks: TrackSet, gt: FrameGroundTruth, dist_threshold: float) -> Match:
-    """Greedy confidence-ordered one-to-one matching by planar distance."""
-    return _greedy_match(*_scan(tracks, gt, dist_threshold), dist_threshold)
-
-
-def _match_frames(frames: Sequence[Frame], dist_threshold: float) -> list[Match]:
-    return [match_to_gt(tracks, gt, dist_threshold) for tracks, gt in frames]
 
 
 def _total_gt(matches: Sequence[Match]) -> int:
@@ -140,17 +115,6 @@ def _interpolated_ap(recalls: Sequence[float], precisions: Sequence[float]) -> f
     return total / len(RECALL_GRID)
 
 
-def compute_ap(
-    frames: Sequence[Frame], thresholds: Sequence[float] = DETECTION_THRESHOLDS
-) -> float:
-    """Average precision: 11-point interpolation, averaged over thresholds."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    return float(np.mean([
-        _interpolated_ap(*_ranked(_match_frames(frames, thr))[1:]) for thr in thresholds
-    ]))
-
-
 def _mota_at(matches: Sequence[Match], total_gt: int, conf_min: float) -> tuple[float, int]:
     """(mota_like, id_switches) of the predictions with confidence >= conf_min.
 
@@ -175,7 +139,14 @@ def _mota_at(matches: Sequence[Match], total_gt: int, conf_min: float) -> tuple[
 
 
 def _tracking(matches: Sequence[Match], ranked: Ranked) -> tuple[float, float, int]:
-    """(mota_like, amota_like, id_switches) of ``matches``; ``ranked`` is ``_ranked(matches)``."""
+    """(mota_like, amota_like, id_switches) of ``matches``; ``ranked`` is ``_ranked(matches)``.
+
+    ``mota_like`` is 1 - (FP + FN + IDSW) / GT on the full output, floored
+    at zero. ``amota_like`` repeats that over an 11-point recall grid: for
+    each target recall the smallest high-confidence prediction subset that
+    reaches it is evaluated (target 0 uses everything); unreachable targets
+    score 0.
+    """
     total_gt = _total_gt(matches)
     mota, idsw = _mota_at(matches, total_gt, 0.0)
     confidences, recalls, _ = ranked
@@ -186,22 +157,9 @@ def _tracking(matches: Sequence[Match], ranked: Ranked) -> tuple[float, float, i
     return mota, float(np.mean(motas)), idsw
 
 
-def compute_tracking(
-    frames: Sequence[Frame], dist_threshold: float = TRACKING_THRESHOLD
-) -> tuple[float, float, int]:
-    """(mota_like, amota_like, id_switches).
-
-    ``mota_like`` is 1 - (FP + FN + IDSW) / GT on the full output, floored
-    at zero. ``amota_like`` repeats that over an 11-point recall grid: for
-    each target recall the smallest high-confidence prediction subset that
-    reaches it is evaluated (target 0 uses everything); unreachable targets
-    score 0.
-    """
-    matches = _match_frames(frames, dist_threshold)
-    return _tracking(matches, _ranked(matches))
-
-
 def _duplicate_rate(scans: Sequence[Scan], matches: Sequence[Match], dist_threshold: float) -> float:
+    """Fraction of GT picked up more than once: extra same-class predictions
+    within the threshold of an already-matched object, over total GT."""
     duplicates = 0
     for (order, gt_objects, candidates), (tp, fp, _) in zip(scans, matches):
         unmatched = set(fp)
@@ -215,28 +173,12 @@ def _duplicate_rate(scans: Sequence[Scan], matches: Sequence[Match], dist_thresh
     return duplicates / total_gt if total_gt else 0.0
 
 
-def duplicate_rate(
-    frames: Sequence[Frame], dist_threshold: float = TRACKING_THRESHOLD
-) -> float:
-    """Fraction of GT picked up more than once: extra same-class predictions
-    within the threshold of an already-matched object, over total GT."""
-    scans = [_scan(tracks, gt, dist_threshold) for tracks, gt in frames]
-    return _duplicate_rate(scans, [_greedy_match(*scan, dist_threshold) for scan in scans], dist_threshold)
-
-
-def run_frames(run: RunResult) -> list[Frame]:
-    return [
-        (rec.tracks, FrameGroundTruth(rec.t_us, rec.ground_truth))
-        for rec in run.frames
-    ]
-
-
 def compute_metrics(
     run: RunResult, thresholds: Sequence[float] = DETECTION_THRESHOLDS
 ) -> MetricsReport:
     """Full metric report for one scenario run."""
     radii = {*thresholds, TRACKING_THRESHOLD}
-    scans = [_scan(tracks, gt, max(radii)) for tracks, gt in run_frames(run)]
+    scans = [_scan(frame, max(radii)) for frame in run.frames]
     matches = {thr: [_greedy_match(*scan, thr) for scan in scans] for thr in radii}
     ranked = {thr: _ranked(matches[thr]) for thr in radii}
     curves = {thr: (tuple(ranked[thr][1]), tuple(ranked[thr][2])) for thr in thresholds}

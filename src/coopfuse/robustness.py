@@ -23,6 +23,7 @@ from .core import (
     Instance,
     RigidTransform,
     StateVector,
+    _check_non_negative,
     compose,
     invert,
     normalize_feature,
@@ -46,8 +47,7 @@ class ObservationNoiseParams:
     other_range: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (self.pos_range >= 0 and self.other_range >= 0):
-            raise ValueError("noise ranges must be non-negative")
+        _check_non_negative(self, ("pos_range", "other_range"))
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class TransformNoiseParams:
     three_axis: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.trans_sigma >= 0 and self.rot_sigma_deg >= 0):
-            raise ValueError("noise sigmas must be non-negative")
+        _check_non_negative(self, ("trans_sigma", "rot_sigma_deg"))
 
 
 @lru_cache(maxsize=4096)

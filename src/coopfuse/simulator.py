@@ -14,12 +14,11 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentConfig, HorizonExceeded, align_instance, compensate_latency, transform_states
+from .alignment import AlignmentConfig, HorizonExceeded, align_instance, transform_states
 from .association import MatchWeights, RoiSpec, associate, filter_roi
 from .core import (
     GroundTruthObject,
@@ -28,12 +27,12 @@ from .core import (
     RigidTransform,
     StateVector,
     Timestamp,
+    _check_non_negative,
     _check_records,
     greedy_nearest,
     invert,
     relative_transform,
     seconds_to_micros,
-    state_rows,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
@@ -46,23 +45,21 @@ log = logging.getLogger(__name__)
 # World
 
 
-@dataclass(frozen=True)
-class WorldObject:
-    object_id: int
-    class_id: int
-    state: StateVector
-    yaw_rate: float = 0.0  # rad/s
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class World:
-    time_us: Timestamp
-    objects: tuple[WorldObject, ...]
+    """The scene at ``time_us``: one row per object, and the only copy of it.
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The objects' states as (N, 11) rows, built once for every pass over this world."""
-        return state_rows(o.state for o in self.objects)
+    ``rows`` holds the objects' global (N, 11) states in ``StateVector``
+    order; ``object_ids``, ``class_ids`` and ``yaw_rates`` (rad/s) are the
+    matching per-object columns. Sensing and ground truth read these arrays
+    directly.
+    """
+
+    time_us: Timestamp
+    rows: np.ndarray
+    object_ids: np.ndarray
+    class_ids: np.ndarray
+    yaw_rates: np.ndarray
 
 
 def step_world(world: World, dt: float) -> World:
@@ -74,23 +71,23 @@ def step_world(world: World, dt: float) -> World:
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    advanced = []
-    for obj in world.objects:
-        s = obj.state
-        if abs(obj.yaw_rate) < 1e-12:
-            state = compensate_latency(s, dt, max_horizon=math.inf)
-        else:
-            speed = s.speed
-            theta0 = s.yaw
-            theta1 = theta0 + obj.yaw_rate * dt
-            radius = speed / obj.yaw_rate
-            sin1, cos1 = math.sin(theta1), math.cos(theta1)
-            state = StateVector._trusted((
-                s.x + radius * (sin1 - math.sin(theta0)), s.y - radius * (cos1 - math.cos(theta0)),
-                s.z + s.vz * dt, s.l, s.w, s.h, sin1, cos1, speed * cos1, speed * sin1, s.vz,
-            ))
-        advanced.append(WorldObject(obj.object_id, obj.class_id, state, obj.yaw_rate))
-    return World(time_us=world.time_us + seconds_to_micros(dt), objects=tuple(advanced))
+    rows = world.rows.copy()
+    rows[:, :3] += rows[:, 8:11] * dt
+    # Arcs stay per row in Python's math: numpy's sin, cos and atan2 may differ in the last bit.
+    turning = np.flatnonzero(np.abs(world.yaw_rates) >= 1e-12)
+    for i, yaw_rate, (x, y, *_, sin0, cos0, vx, vy, _vz) in zip(
+        turning.tolist(), world.yaw_rates[turning].tolist(), world.rows[turning].tolist()
+    ):
+        speed = math.hypot(vx, vy)
+        theta0 = math.atan2(sin0, cos0)
+        theta1 = theta0 + yaw_rate * dt
+        radius = speed / yaw_rate
+        sin1, cos1 = math.sin(theta1), math.cos(theta1)
+        rows[i, [0, 1, 6, 7, 8, 9]] = (
+            x + radius * (sin1 - math.sin(theta0)), y - radius * (cos1 - math.cos(theta0)),
+            sin1, cos1, speed * cos1, speed * sin1,
+        )
+    return World(world.time_us + seconds_to_micros(dt), rows, world.object_ids, world.class_ids, world.yaw_rates)
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +131,8 @@ class SensorModel:
             raise ValueError("feature_dim must be at least 1")
         if not self.pos_noise_range_power > 0:
             raise ValueError("pos_noise_range_power must be positive")
-        for name in ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
-                     "feature_noise_sigma", "track_gate"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                problem = "non-negative" if math.isfinite(value) else "finite"
-                raise ValueError(f"{name} must be {problem}, got {value!r}")
+        _check_non_negative(self, ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
+                                   "feature_noise_sigma", "track_gate"))
 
     def _mix(self, near: float, far: float, r: float, power: float = 1.0) -> float:
         frac = min(r / self.max_range, 1.0) ** power
@@ -248,7 +241,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             c += 3
         if noised[2]:
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-        features = np.array([identity_embedding(world.objects[i].object_id, sensor.feature_dim) for i in hits])
+        features = np.array([identity_embedding(i, sensor.feature_dim) for i in world.object_ids[hits].tolist()])
         features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
         confidences = np.array(confidences)
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
@@ -257,7 +250,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
 
     # Each detection in the global frame, kept for the next pass.
     moved = np.array(transform_states(states, pose)).reshape(-1, 11)
-    class_ids = np.array([world.objects[i].class_id for i in hits], dtype=np.int64)
+    class_ids = world.class_ids[hits]
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved, t)
     return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
@@ -451,7 +444,7 @@ def _min_separation_over_run(pos: np.ndarray, vel: np.ndarray, placed: np.ndarra
 
 def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     """Spawn objects, rejecting placements that would violate clearance."""
-    objects: list[WorldObject] = []
+    rows, class_ids, yaw_rates = [], [], []
     placed = np.zeros((cfg.object_count, 2, 3))
     for object_id in range(cfg.object_count):
         for _ in range(200):
@@ -471,24 +464,13 @@ def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
         else:
             log.warning("object %d placed without clearance after 200 attempts", object_id)
         placed[object_id] = pos, vel
-        yaw_rate = rng.uniform(*cfg.yaw_rate_range)
-        state = StateVector(
-            x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
-            l=float(rng.uniform(3.8, 5.0)),
-            w=float(rng.uniform(1.7, 2.1)),
-            h=float(rng.uniform(1.4, 1.8)),
-            sin_yaw=math.sin(theta), cos_yaw=math.cos(theta),
-            vx=float(vel[0]), vy=float(vel[1]), vz=0.0,
-        )
-        objects.append(
-            WorldObject(
-                object_id=object_id,
-                class_id=int(rng.integers(cfg.class_count)),
-                state=state,
-                yaw_rate=float(yaw_rate),
-            )
-        )
-    return World(time_us=0, objects=tuple(objects))
+        yaw_rates.append(rng.uniform(*cfg.yaw_rate_range))
+        dims = rng.uniform(3.8, 5.0), rng.uniform(1.7, 2.1), rng.uniform(1.4, 1.8)
+        rows.append((*pos, *dims, math.sin(theta), math.cos(theta), *vel))
+        class_ids.append(rng.integers(cfg.class_count))
+    return World(
+        0, np.array(rows), np.arange(cfg.object_count), np.array(class_ids, dtype=np.int64), np.array(yaw_rates)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +532,8 @@ class RunResult:
 
 def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[GroundTruthObject, ...]:
     local = transform_states(world.rows, invert(ego_pose))
-    return tuple(
-        GroundTruthObject(o.object_id, o.class_id, StateVector._trusted(s)) for o, s in zip(world.objects, local)
-    )
+    ids, class_ids = world.object_ids.tolist(), world.class_ids.tolist()
+    return tuple(GroundTruthObject(i, c, StateVector._trusted(s)) for i, c, s in zip(ids, class_ids, local))
 
 
 def _prefusion_error(

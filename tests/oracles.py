@@ -285,6 +285,32 @@ def reference_min_separation(a_pos, a_vel, b_pos, b_vel, duration):
     return float(np.hypot(closest[0], closest[1]))
 
 
+def reference_step(row, yaw_rate, dt):
+    """One object's 11 state components ``(x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz)``
+    advanced by ``dt`` seconds.
+
+    Below 1e-12 rad/s of yaw rate the object moves straight: each position
+    component gains its velocity times ``dt``. Otherwise its heading turns at
+    ``yaw_rate`` and its planar speed points along the new heading, so the
+    planar position moves along the circular arc of radius speed / yaw_rate;
+    z still moves straight. Dimensions and vz never change.
+    """
+    x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = row
+    if abs(yaw_rate) < 1e-12:
+        return [x + vx * dt, y + vy * dt, z + vz * dt, l, w, h, sin_yaw, cos_yaw, vx, vy, vz]
+    speed = math.hypot(vx, vy)
+    start = math.atan2(sin_yaw, cos_yaw)
+    end = start + yaw_rate * dt
+    radius = speed / yaw_rate
+    return [
+        x + radius * (math.sin(end) - math.sin(start)),
+        y - radius * (math.cos(end) - math.cos(start)),
+        z + vz * dt, l, w, h,
+        math.sin(end), math.cos(end),
+        speed * math.cos(end), speed * math.sin(end), vz,
+    ]
+
+
 def reference_detections(objects, agent_xy, sensor, rng):
     """One sensing pass of an agent at ``agent_xy`` facing +x, one draw call per noise block.
 

@@ -1,5 +1,8 @@
-"""Every demo script runs to completion from a fresh interpreter."""
+"""The package as users and the benchmark reach it: every demo script runs
+to completion from a fresh interpreter, the README's library tour imports,
+and every function the benchmark traces exists."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -19,3 +22,26 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_tour_imports():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "from coopfuse import" in tour
+    exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    # The benchmark wraps coopfuse functions by name; a renamed or deleted one would leave its layer untimed.
+    import coopfuse  # noqa: F401  (the tracer resolves hooks on imported modules only)
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up here
+    spec.loader.exec_module(tracer)
+    hooks = tracer.Tracer()
+    hooks.install()
+    try:
+        assert hooks.absent == {}
+    finally:
+        hooks.uninstall()

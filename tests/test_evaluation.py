@@ -9,68 +9,73 @@ from coopfuse.core import GroundTruthObject
 from coopfuse.evaluation import (
     DETECTION_THRESHOLDS,
     TRACKING_THRESHOLD,
-    FrameGroundTruth,
-    compute_ap,
     compute_metrics,
-    compute_tracking,
-    duplicate_rate,
-    match_to_gt,
     sweep_latency,
     write_csv,
 )
 from coopfuse.fusion import TrackSet
-from coopfuse.simulator import FrameRecord, RunResult, run_scenario
+from coopfuse.simulator import FrameRecord, RunResult, ScenarioConfig, run_scenario
 from conftest import make_instance, make_state, shipped
 from oracles import brute_force_greedy_match, brute_force_scores
 
 
-def _gt(objects, t=0):
-    return FrameGroundTruth(t, tuple(objects))
+def _frame(instances, objects, t=0):
+    return FrameRecord(t, TrackSet(t, tuple(instances)), tuple(objects))
 
 
-def _tracks(instances, t=0):
-    return TrackSet(t, tuple(instances))
+def _run(frames):
+    """A hand-built run of ``frames``, for ``compute_metrics`` to score."""
+    return RunResult(config=ScenarioConfig(), frames=list(frames), events=[], bytes_sent=0, bytes_received=0)
+
+
+def _curve(frame, thr):
+    """``compute_metrics``' (recalls, precisions) at ``thr`` for one frame: one
+    entry per prediction, most confident first. A prediction matched raises the
+    recall, an unmatched one lowers the precision, and a final recall below 1
+    means some object was missed."""
+    return compute_metrics(_run([frame]), thresholds=(thr,)).pr_curves[thr]
 
 
 def _gt_obj(object_id, x=0.0, y=0.0, class_id=0):
     return GroundTruthObject(object_id, class_id, make_state(x=x, y=y))
 
 
+def _shuffled(frame, rng):
+    order = rng.permutation(len(frame.tracks.instances))
+    return _frame([frame.tracks.instances[i] for i in order], frame.ground_truth, frame.t_us)
+
+
 class TestMatchToGt:
+    """Greedy confidence-ordered one-to-one matching, as ``compute_metrics`` scores it."""
+
     def test_perfect(self):
-        gt = _gt([_gt_obj(0, x=0.0), _gt_obj(1, x=10.0)])
-        tracks = _tracks([
-            make_instance(x=0.0, track_id=1, feature_seed=1),
-            make_instance(x=10.0, track_id=2, feature_seed=2),
-        ])
-        tp, fp, fn = match_to_gt(tracks, gt, 0.5)
-        assert len(tp) == 2 and not fp and not fn
+        frame = _frame(
+            [make_instance(x=0.0, track_id=1, feature_seed=1), make_instance(x=10.0, track_id=2, feature_seed=2)],
+            [_gt_obj(0, x=0.0), _gt_obj(1, x=10.0)],
+        )
+        # Two matches, no false positive, no missed object.
+        assert _curve(frame, 0.5) == ((0.5, 1.0), (1.0, 1.0))
 
     def test_threshold_semantics(self):
-        gt = _gt([_gt_obj(0, x=0.0)])
-        tracks = _tracks([make_instance(x=0.6, track_id=1, feature_seed=1)])
-        tp, fp, fn = match_to_gt(tracks, gt, 0.5)
-        assert not tp and len(fp) == 1 and len(fn) == 1
+        frame = _frame([make_instance(x=0.6, track_id=1, feature_seed=1)], [_gt_obj(0, x=0.0)])
+        # 0.6 m off: a false positive and a missed object at 0.5 m, a match at 1 m.
+        assert _curve(frame, 0.5) == ((0.0,), (0.0,))
+        assert _curve(frame, 1.0) == ((1.0,), (1.0,))
 
     def test_one_to_one(self):
-        gt = _gt([_gt_obj(0, x=0.0)])
-        tracks = _tracks([
-            make_instance(x=0.1, confidence=0.9, track_id=1, feature_seed=1),
-            make_instance(x=0.2, confidence=0.5, track_id=2, feature_seed=2),
-        ])
-        tp, fp, fn = match_to_gt(tracks, gt, 2.0)
-        assert len(tp) == 1 and len(fp) == 1 and not fn
-        assert tp[0][0].track_id == 1  # the confident one claims the object
+        frame = _frame(
+            [
+                make_instance(x=0.1, confidence=0.9, track_id=1, feature_seed=1),
+                make_instance(x=0.2, confidence=0.5, track_id=2, feature_seed=2),
+            ],
+            [_gt_obj(0, x=0.0)],
+        )
+        # The confident one claims the object; the other is a false positive.
+        assert _curve(frame, 2.0) == ((1.0, 1.0), (1.0, 0.5))
 
     def test_class_scoped(self):
-        gt = _gt([_gt_obj(0, class_id=1)])
-        tracks = _tracks([make_instance(x=0.0, class_id=0, track_id=1, feature_seed=1)])
-        tp, fp, fn = match_to_gt(tracks, gt, 2.0)
-        assert not tp and len(fp) == 1 and len(fn) == 1
-
-    def test_frame_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            match_to_gt(_tracks([], t=1), _gt([], t=2), 2.0)
+        frame = _frame([make_instance(x=0.0, class_id=0, track_id=1, feature_seed=1)], [_gt_obj(0, class_id=1)])
+        assert _curve(frame, 2.0) == ((0.0,), (0.0,))
 
 
 def _perfect_frames(n_frames=5, n_objects=4):
@@ -83,17 +88,16 @@ def _perfect_frames(n_frames=5, n_objects=4):
                           track_id=100 + i, feature_seed=i)
             for i in range(n_objects)
         ]
-        frames.append((_tracks(instances, t), _gt(gt_objects, t)))
+        frames.append(_frame(instances, gt_objects, t))
     return frames
 
 
 class TestComputeAp:
     def test_perfect_detector(self):
-        assert compute_ap(_perfect_frames()) == pytest.approx(1.0)
+        assert compute_metrics(_run(_perfect_frames())).ap == pytest.approx(1.0)
 
     def test_zero_detections(self):
-        frames = [(_tracks([], t=0), _gt([_gt_obj(0)], t=0))]
-        assert compute_ap(frames) == 0.0
+        assert compute_metrics(_run([_frame([], [_gt_obj(0)])])).ap == 0.0
 
     def test_half_recall_eleven_point_grid(self):
         # Half of the objects found at confidence 1, no false positives:
@@ -103,30 +107,29 @@ class TestComputeAp:
             make_instance(x=10.0 * i, confidence=1.0, track_id=i, feature_seed=i)
             for i in range(5)
         ]
-        frames = [(_tracks(instances), _gt(gt_objects))]
-        assert compute_ap(frames) == pytest.approx(6 / 11)
+        assert compute_metrics(_run([_frame(instances, gt_objects)])).ap == pytest.approx(6 / 11)
 
     def test_permutation_invariant(self, rng):
         frames = _perfect_frames()
-        shuffled = []
-        for tracks, gt in frames:
-            order = rng.permutation(len(tracks.instances))
-            shuffled.append(
-                (_tracks([tracks.instances[i] for i in order], tracks.timestamp), gt)
-            )
-        assert compute_ap(shuffled) == compute_ap(frames)
+        shuffled = [_shuffled(frame, rng) for frame in frames]
+        assert compute_metrics(_run(shuffled)).ap == compute_metrics(_run(frames)).ap
 
     def test_extra_duplicate_never_raises_ap(self):
         frames = _perfect_frames()
-        tracks, gt = frames[0]
+        first = frames[0]
         dup = make_instance(x=0.3, confidence=0.95, track_id=999, feature_seed=50)
-        frames_dup = [(_tracks(list(tracks.instances) + [dup], tracks.timestamp), gt)] + frames[1:]
-        assert compute_ap(frames_dup) <= compute_ap(frames) + 1e-12
+        frames_dup = [_frame([*first.tracks.instances, dup], first.ground_truth, first.t_us)] + frames[1:]
+        assert compute_metrics(_run(frames_dup)).ap <= compute_metrics(_run(frames)).ap + 1e-12
+
+
+def _tracking(frames):
+    report = compute_metrics(_run(frames))
+    return report.mota_like, report.amota_like, report.id_switches
 
 
 class TestComputeTracking:
     def test_perfect(self):
-        mota, amota, idsw = compute_tracking(_perfect_frames())
+        mota, amota, idsw = _tracking(_perfect_frames())
         assert (mota, amota, idsw) == (1.0, 1.0, 0)
 
     def test_single_id_swap(self):
@@ -143,27 +146,23 @@ class TestComputeTracking:
                 instances.append(
                     make_instance(x=8.0 * i, confidence=0.9, track_id=tid, feature_seed=i)
                 )
-            frames.append((_tracks(instances, t), _gt(gt_objects, t)))
-        mota, _, idsw = compute_tracking(frames)
+            frames.append(_frame(instances, gt_objects, t))
+        mota, _, idsw = _tracking(frames)
         assert idsw == 1
         assert mota == pytest.approx(1.0 - 1 / 100)
 
     def test_empty_output(self):
-        frames = [(_tracks([], t=0), _gt([_gt_obj(0)], t=0))]
-        assert compute_tracking(frames) == (0.0, 0.0, 0)
+        assert _tracking([_frame([], [_gt_obj(0)])]) == (0.0, 0.0, 0)
 
     def test_permutation_invariant(self, rng):
         frames = _perfect_frames()
-        shuffled = [
-            (_tracks(list(rng.permutation(tracks.instances)), tracks.timestamp), gt)
-            for tracks, gt in frames
-        ]
-        assert compute_tracking(shuffled) == compute_tracking(frames)
+        shuffled = [_shuffled(frame, rng) for frame in frames]
+        assert _tracking(shuffled) == _tracking(frames)
 
 
 class TestDuplicateRate:
     def test_no_duplicates(self):
-        assert duplicate_rate(_perfect_frames()) == 0.0
+        assert compute_metrics(_run(_perfect_frames())).duplicate_rate == 0.0
 
     def test_counts_extra_hits_on_matched_objects(self):
         gt_objects = [_gt_obj(0)]
@@ -171,8 +170,7 @@ class TestDuplicateRate:
             make_instance(x=0.0, confidence=0.9, track_id=1, feature_seed=1),
             make_instance(x=0.5, confidence=0.8, track_id=2, feature_seed=2),
         ]
-        frames = [(_tracks(instances), _gt(gt_objects))]
-        assert duplicate_rate(frames) == pytest.approx(1.0)
+        assert compute_metrics(_run([_frame(instances, gt_objects)])).duplicate_rate == pytest.approx(1.0)
 
 
 GRID = st.integers(0, 6).map(lambda k: 0.5 * k)
@@ -203,13 +201,12 @@ def plain_frames(draw):
 def _library_frames(frames):
     out = []
     for k, (preds, gts) in enumerate(frames):
-        t = k * 500_000
         instances = [
             make_instance(x=x, y=y, confidence=conf, class_id=cls, track_id=tid, feature_seed=tid)
             for x, y, conf, cls, tid in preds
         ]
         objects = [_gt_obj(oid, x=x, y=y, class_id=cls) for oid, x, y, cls in gts]
-        out.append((_tracks(instances, t), _gt(objects, t)))
+        out.append(_frame(instances, objects, k * 500_000))
     return out
 
 
@@ -218,9 +215,9 @@ class TestScoringOracle:
     @given(plain_frames())
     def test_scores_equal_brute_force(self, frames):
         lib_frames = _library_frames(frames)
-        for (tracks, gt), (preds, gts) in zip(lib_frames, frames):
+        for frame, (preds, gts) in zip(lib_frames, frames):
             for thr in DETECTION_THRESHOLDS:
-                tp, fp, fn = match_to_gt(tracks, gt, thr)
+                tp, fp, fn = evaluation._greedy_match(*evaluation._scan(frame, thr), thr)
                 pairs, unmatched, free = brute_force_greedy_match(preds, gts, thr)
                 assert [(p.track_id, g.object_id) for p, g, _ in tp] == [
                     (preds[i][4], gts[k][0]) for i, k, _ in pairs
@@ -229,21 +226,7 @@ class TestScoringOracle:
                 assert len(fn) == len(free)
 
         expected = brute_force_scores(frames, DETECTION_THRESHOLDS, TRACKING_THRESHOLD)
-        mota, amota, idsw = compute_tracking(lib_frames)
-        assert idsw == expected["id_switches"]
-        assert mota == pytest.approx(expected["mota"], abs=1e-12)
-        assert amota == pytest.approx(expected["amota"], abs=1e-12)
-        assert compute_ap(lib_frames) == pytest.approx(expected["ap"], abs=1e-12)
-        assert duplicate_rate(lib_frames) == pytest.approx(expected["duplicate_rate"], abs=1e-12)
-
-        run = RunResult(
-            config=shipped("quickstart"),
-            frames=[FrameRecord(tracks.timestamp, tracks, gt.objects) for tracks, gt in lib_frames],
-            events=[],
-            bytes_sent=0,
-            bytes_received=0,
-        )
-        report = compute_metrics(run)
+        report = compute_metrics(_run(lib_frames))
         assert report.id_switches == expected["id_switches"]
         assert (report.mota_like, report.amota_like, report.ap, report.duplicate_rate) == pytest.approx(
             (expected["mota"], expected["amota"], expected["ap"], expected["duplicate_rate"]), abs=1e-12

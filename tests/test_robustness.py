@@ -30,6 +30,18 @@ class TestPerturbObservation:
         with pytest.raises(ValueError):
             ObservationNoiseParams(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field", ["pos_range", "other_range"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_range(self, field, value):
+        # An infinite range used to pass here and overflow later in numpy's uniform draw.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ObservationNoiseParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["pos_range", "other_range"])
+    def test_rejects_negative_range(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            ObservationNoiseParams(**{field: -0.1})
+
     def test_zero_noise_is_identity(self, rng):
         state = make_state(x=3.0, yaw=0.4, vx=2.0)
         out = perturb_observation(state, rng, ObservationNoiseParams(0.0, 0.0))
@@ -70,6 +82,18 @@ class TestPerturbObservation:
 
 
 class TestPerturbTransform:
+    @pytest.mark.parametrize("field", ["trans_sigma", "rot_sigma_deg"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, field, value):
+        # An infinite sigma used to pass here and fail later, inside perturb_transform.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TransformNoiseParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["trans_sigma", "rot_sigma_deg"])
+    def test_rejects_negative_sigma(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
+            TransformNoiseParams(**{field: -0.1})
+
     def test_zero_noise_is_identity(self, rng):
         t = RigidTransform.from_yaw(0.7, (3.0, 1.0, 0.0))
         out = perturb_transform(t, rng, TransformNoiseParams(0.0, 0.0))

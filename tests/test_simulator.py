@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse import simulator
-from coopfuse.core import GroundTruthObject, Instance, StateVector
+from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
 from coopfuse.wire import InstancePacket
 from coopfuse.simulator import (
     Agent,
@@ -18,7 +18,6 @@ from coopfuse.simulator import (
     ScenarioConfig,
     SensorModel,
     World,
-    WorldObject,
     bev_baseline_cost,
     build_world,
     run_scenario,
@@ -27,7 +26,13 @@ from coopfuse.simulator import (
     transmit,
 )
 from conftest import make_instance, make_state, shipped
-from oracles import reference_detections, reference_min_separation, reference_prefusion_error, reference_track_ids
+from oracles import (
+    reference_detections,
+    reference_min_separation,
+    reference_prefusion_error,
+    reference_step,
+    reference_track_ids,
+)
 
 # Half-metre positions and velocities with 0.5 s ticks keep every predicted
 # position and distance exact, so equal distances and distances exactly at
@@ -40,29 +45,42 @@ _OBJECTS = st.lists(
 )
 
 
-def _world(*objects):
-    return World(time_us=0, objects=tuple(objects))
+def _world(*objects, time_us=0):
+    """A world of ``(object_id, class_id, state[, yaw_rate])`` objects."""
+    objects = [(*o, 0.0)[:4] for o in objects]
+    return World(
+        time_us,
+        state_rows(o[2] for o in objects),
+        np.array([o[0] for o in objects], dtype=np.int64),
+        np.array([o[1] for o in objects], dtype=np.int64),
+        np.array([o[3] for o in objects], dtype=np.float64),
+    )
+
+
+def _state(world, i=0):
+    """Object ``i`` of ``world`` as a checked StateVector."""
+    return StateVector(*world.rows[i].tolist())
 
 
 class TestStepWorld:
     def test_zero_velocity_unchanged(self):
-        world = _world(WorldObject(0, 0, make_state(x=3.0)))
+        world = _world((0, 0, make_state(x=3.0)))
         out = step_world(world, 0.5)
-        assert out.objects[0].state == world.objects[0].state
+        assert _state(out) == _state(world)
 
     def test_hand_kinematics(self):
-        world = _world(WorldObject(0, 0, make_state(x=0.0, vx=10.0)))
+        world = _world((0, 0, make_state(x=0.0, vx=10.0)))
         out = step_world(world, 0.5)
-        assert out.objects[0].state.x == pytest.approx(5.0)
+        assert _state(out).x == pytest.approx(5.0)
         assert out.time_us == 500_000
 
     def test_half_turn_arc(self):
         # yaw rate pi rad/s for 1 s flips the heading; the arc displacement
         # follows the closed form x += r sin(th1), y -= r (cos(th1) - 1).
         speed = 4.0
-        world = _world(WorldObject(0, 0, make_state(vx=speed), yaw_rate=math.pi))
+        world = _world((0, 0, make_state(vx=speed), math.pi))
         out = step_world(world, 1.0)
-        state = out.objects[0].state
+        state = _state(out)
         radius = speed / math.pi
         assert state.cos_yaw == pytest.approx(-1.0)
         assert state.x == pytest.approx(0.0, abs=1e-12)
@@ -70,9 +88,40 @@ class TestStepWorld:
         assert state.vx == pytest.approx(-speed)
 
     def test_arc_preserves_speed(self):
-        world = _world(WorldObject(0, 0, make_state(vx=3.0, vy=4.0), yaw_rate=0.7))
+        world = _world((0, 0, make_state(vx=3.0, vy=4.0), 0.7))
         out = step_world(world, 0.8)
-        assert out.objects[0].state.speed == pytest.approx(5.0)
+        assert _state(out).speed == pytest.approx(5.0)
+
+
+_STEP_OBJECTS = st.lists(
+    st.tuples(
+        st.floats(-60, 60), st.floats(-60, 60), st.floats(-2, 2),  # position
+        st.floats(-math.pi, math.pi),  # heading
+        st.floats(-10, 10), st.floats(-10, 10), st.floats(-1, 1),  # velocity
+        # Yaw rate: straight, non-zero but below the arc cut-off, at the cut-off, or turning.
+        st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12]) | st.floats(-0.8, 0.8),
+    ),
+    max_size=8,
+)
+
+
+class TestStepOracle:
+    @given(objects=_STEP_OBJECTS, dt=st.sampled_from([0.1, 0.5, 1.3]), steps=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_reference_and_step_alone(self, objects, dt, steps):
+        world = _world(*(
+            (i, 0, make_state(x=x, y=y, z=z, yaw=yaw, vx=vx, vy=vy, vz=vz), rate)
+            for i, (x, y, z, yaw, vx, vy, vz, rate) in enumerate(objects)
+        ))
+        rates = world.yaw_rates.tolist()
+        want = world.rows.tolist()
+        for _ in range(steps):
+            alone = [step_world(_world((i, 0, _state(world, i), rate)), dt) for i, rate in enumerate(rates)]
+            world = step_world(world, dt)
+            want = [reference_step(row, rate, dt) for row, rate in zip(want, rates)]
+            for i, row in enumerate(world.rows.tolist()):
+                assert [v.hex() for v in row] == [v.hex() for v in want[i]]
+                assert alone[i].rows.tobytes() == world.rows[i].tobytes()
 
 
 class TestSense:
@@ -83,20 +132,20 @@ class TestSense:
     def test_object_behind_forward_fov_never_detected(self, rng):
         sensor = SensorModel(max_range=100.0, fov_deg=120.0, feature_dim=8)
         agent = self._agent(sensor)
-        world = _world(WorldObject(0, 0, make_state(x=-10.0)))
+        world = _world((0, 0, make_state(x=-10.0)))
         for _ in range(50):
             assert sense(agent, world, rng).instances() == []
 
     def test_out_of_range_never_detected(self, rng):
         sensor = SensorModel(max_range=20.0, feature_dim=8)
         agent = self._agent(sensor)
-        world = _world(WorldObject(0, 0, make_state(x=30.0)))
+        world = _world((0, 0, make_state(x=30.0)))
         assert sense(agent, world, rng).instances() == []
 
     def test_noise_free_detections_equal_truth_in_agent_frame(self, rng):
         sensor = SensorModel(max_range=100.0, feature_dim=8)
         agent = self._agent(sensor, x=5.0, y=-2.0, yaw_deg=90.0)
-        obj = WorldObject(3, 1, make_state(x=5.0, y=8.0, vx=2.0))
+        obj = (3, 1, make_state(x=5.0, y=8.0, vx=2.0))
         detections = sense(agent, _world(obj), rng).instances()
         assert len(detections) == 1
         det = detections[0]
@@ -110,7 +159,7 @@ class TestSense:
         sensor = SensorModel(max_range=100.0, detect_prob_near=0.9,
                              detect_prob_far=0.9, feature_dim=4)
         agent = self._agent(sensor, seed=5)
-        world = _world(WorldObject(0, 0, make_state(x=10.0)))
+        world = _world((0, 0, make_state(x=10.0)))
         rng = np.random.default_rng(5)
         hits = sum(bool(sense(agent, world, rng)) for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.9, abs=0.01)
@@ -119,8 +168,8 @@ class TestSense:
         sensor = SensorModel(max_range=100.0, feature_dim=8)
         agent = self._agent(sensor)
         world = _world(
-            WorldObject(0, 0, make_state(x=10.0, vx=2.0)),
-            WorldObject(1, 0, make_state(x=-10.0, vx=-1.0)),
+            (0, 0, make_state(x=10.0, vx=2.0)),
+            (1, 0, make_state(x=-10.0, vx=-1.0)),
         )
         first = sense(agent, world, rng).instances()
         ids_first = [d.track_id for d in first]
@@ -134,8 +183,8 @@ class TestSense:
                              confidence_far=0.5, feature_dim=4)
         agent = self._agent(sensor)
         world = _world(
-            WorldObject(0, 0, make_state(x=5.0)),
-            WorldObject(1, 0, make_state(x=90.0)),
+            (0, 0, make_state(x=5.0)),
+            (1, 0, make_state(x=90.0)),
         )
         detections = sense(agent, world, rng).instances()
         near = next(d for d in detections if d.state.x < 50)
@@ -191,15 +240,14 @@ class TestSenseDraws:
     @settings(max_examples=200, deadline=None)
     def test_detections_equal_reference(self, sensor, scene, agent_xy, seed):
         world = _world(*(
-            WorldObject(i, c, make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy))
+            (i, c, make_state(x=x, y=y, yaw=yaw, vx=vx, vy=vy))
             for i, (c, x, y, yaw, vx, vy) in enumerate(scene)
         ))
         agent = Agent(AgentSpec(agent_id=2, x=agent_xy[0], y=agent_xy[1], sensor=sensor), np.random.default_rng(seed))
         reference_rng = np.random.default_rng(seed)
         for _ in range(2):
-            objects = [
-                (o.object_id, o.class_id, *(getattr(o.state, n) for n in StateVector.__slots__)) for o in world.objects
-            ]
+            columns = (world.object_ids.tolist(), world.class_ids.tolist(), world.rows.tolist())
+            objects = [(i, c, *row) for i, c, row in zip(*columns)]
             want = reference_detections(objects, agent_xy, sensor, reference_rng)
             got = sense(agent, world, agent.rng).instances()
             assert len(got) == len(want)
@@ -212,7 +260,7 @@ class TestSenseDraws:
             world = step_world(world, 0.5)
 
     def _crowd(self, sensor):
-        objects = (WorldObject(i, 0, make_state(x=2.0 * i - 20.0, y=3.0)) for i in range(20))
+        objects = ((i, 0, make_state(x=2.0 * i - 20.0, y=3.0)) for i in range(20))
         return Agent(AgentSpec(agent_id=0, ego=True, sensor=sensor), np.random.default_rng(0)), _world(*objects)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -282,12 +330,9 @@ class TestTrackContinuation:
         agent = Agent(spec, np.random.default_rng(0))
         previous, next_id = [], 1
         for k, objects in enumerate(passes):
-            world = World(
+            world = _world(
+                *((i, c, make_state(x=x, y=y, vx=vx, vy=vy)) for i, (c, x, y, vx, vy) in enumerate(objects)),
                 time_us=k * 500_000,
-                objects=tuple(
-                    WorldObject(i, c, make_state(x=x, y=y, vx=vx, vy=vy))
-                    for i, (c, x, y, vx, vy) in enumerate(objects)
-                ),
             )
             got = [inst.track_id for inst in sense(agent, world, agent.rng).instances()]
             want, next_id = reference_track_ids(
@@ -390,9 +435,9 @@ class TestBuildWorld:
     def test_counts_and_speed_range(self, rng):
         cfg = shipped("quickstart")
         world = build_world(cfg, rng)
-        assert len(world.objects) == cfg.object_count
-        for obj in world.objects:
-            assert cfg.speed_range[0] <= obj.state.speed <= cfg.speed_range[1]
+        assert len(world.rows) == cfg.object_count
+        for i in range(len(world.rows)):
+            assert cfg.speed_range[0] <= _state(world, i).speed <= cfg.speed_range[1]
 
     def test_clearance_held_over_run(self, rng):
         cfg = shipped("latency_study")
@@ -400,9 +445,9 @@ class TestBuildWorld:
         steps = int(cfg.duration_s / cfg.tick_s)
         min_dist = math.inf
         for _ in range(steps):
-            for i, a in enumerate(world.objects):
-                for b in world.objects[i + 1:]:
-                    d = math.hypot(a.state.x - b.state.x, a.state.y - b.state.y)
+            for i, a in enumerate(world.rows):
+                for b in world.rows[i + 1:]:
+                    d = math.hypot(a[0] - b[0], a[1] - b[1])
                     min_dist = min(min_dist, d)
             world = step_world(world, cfg.tick_s)
         assert min_dist >= cfg.min_clearance - 1e-6
