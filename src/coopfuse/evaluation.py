@@ -70,6 +70,7 @@ def _scan(frame: FrameRecord, radius: float) -> Scan:
 def _greedy_match(
     order: list[Instance], gt_objects: Sequence[GroundTruthObject], candidates: list, dist_threshold: float
 ) -> Match:
+    """Greedy confidence-ordered one-to-one matching by planar distance."""
     tp, fp, claimed = [], [], set()
     for pred, pick in zip(order, greedy_nearest(candidates, dist_threshold)):
         if pick is None:

@@ -62,6 +62,18 @@ def _state(world, i=0):
     return StateVector(*world.rows[i].tolist())
 
 
+_STEP_OBJECTS = st.lists(
+    st.tuples(
+        st.floats(-60, 60), st.floats(-60, 60), st.floats(-2, 2),  # position
+        st.floats(-math.pi, math.pi),  # heading
+        st.floats(-10, 10), st.floats(-10, 10), st.floats(-1, 1),  # velocity
+        # Yaw rate: straight, non-zero but below the arc cut-off, at the cut-off, or turning.
+        st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12]) | st.floats(-0.8, 0.8),
+    ),
+    max_size=8,
+)
+
+
 class TestStepWorld:
     def test_zero_velocity_unchanged(self):
         world = _world((0, 0, make_state(x=3.0)))
@@ -92,20 +104,6 @@ class TestStepWorld:
         out = step_world(world, 0.8)
         assert _state(out).speed == pytest.approx(5.0)
 
-
-_STEP_OBJECTS = st.lists(
-    st.tuples(
-        st.floats(-60, 60), st.floats(-60, 60), st.floats(-2, 2),  # position
-        st.floats(-math.pi, math.pi),  # heading
-        st.floats(-10, 10), st.floats(-10, 10), st.floats(-1, 1),  # velocity
-        # Yaw rate: straight, non-zero but below the arc cut-off, at the cut-off, or turning.
-        st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 1e-12, -1e-12]) | st.floats(-0.8, 0.8),
-    ),
-    max_size=8,
-)
-
-
-class TestStepOracle:
     @given(objects=_STEP_OBJECTS, dt=st.sampled_from([0.1, 0.5, 1.3]), steps=st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
     def test_rows_equal_reference_and_step_alone(self, objects, dt, steps):
@@ -353,7 +351,7 @@ class TestValidateOnce:
             post_init(state)
 
         def build_world(*args):
-            # The world's objects are the scene's input, validated once when built.
+            # The world is the scene's input: only what sensing and decode make is counted.
             world = real_build(*args)
             counts["validated"] = 0
             return world
