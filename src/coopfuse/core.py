@@ -286,8 +286,15 @@ def _orthonormalized(matrix: np.ndarray) -> np.ndarray:
     c0 = matrix[:, 0] / np.linalg.norm(matrix[:, 0])
     c1 = matrix[:, 1] - np.dot(matrix[:, 1], c0) * c0
     c1 /= np.linalg.norm(c1)
-    c2 = np.cross(c0, c1)
-    return np.column_stack([c0, c1, c2])
+    (x0, y0, z0), (x1, y1, z1) = c0.tolist(), c1.tolist()
+    # np.cross's products and differences, in its order, without its per-call cost.
+    return np.column_stack([c0, c1, (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)])
+
+
+def yaw_rotation(yaw: float) -> np.ndarray:
+    """The rotation about +z by ``yaw`` radians."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,9 +341,7 @@ class RigidTransform:
     @classmethod
     def from_yaw(cls, yaw: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
         """Rotation about +z by ``yaw`` radians, then translate."""
-        c, s = math.cos(yaw), math.sin(yaw)
-        rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-        return cls(rotation, np.asarray(translation, dtype=np.float64))
+        return cls(yaw_rotation(yaw), np.asarray(translation, dtype=np.float64))
 
     @property
     def yaw(self) -> float:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import GroundTruthObject, Instance, greedy_nearest, neighbours
-from .simulator import FrameRecord, RunResult, ScenarioConfig, run_scenario
+from .simulator import FrameRecord, RunResult, ScenarioConfig, SceneRecord, record_scene, run_scenario
 
 DETECTION_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
 TRACKING_THRESHOLD = 2.0
@@ -208,16 +208,15 @@ def compute_metrics(
 # Sweeps
 
 
-def _range_point(args: tuple[ScenarioConfig, float]) -> dict:
-    base_cfg, r_int = args
-    cfg = replace(base_cfg, pipeline=replace(base_cfg.pipeline, r_int=r_int))
-    metrics = compute_metrics(run_scenario(cfg))
-    return {
-        "r_int": r_int,
-        "ap": metrics.ap,
-        "amota_like": metrics.amota_like,
-        "duplicate_rate": metrics.duplicate_rate,
-    }
+def _point_metrics(point: tuple[ScenarioConfig, SceneRecord]) -> MetricsReport:
+    return compute_metrics(run_scenario(*point))
+
+
+def _map_points(points: list[tuple[ScenarioConfig, SceneRecord]], jobs: int) -> list[MetricsReport]:
+    if jobs <= 1 or len(points) <= 1:
+        return [_point_metrics(p) for p in points]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_point_metrics, points))
 
 
 def sweep_interaction_range(
@@ -225,28 +224,16 @@ def sweep_interaction_range(
     r_values: Sequence[float] = DEFAULT_RANGE_SWEEP,
     jobs: int = 1,
 ) -> list[dict]:
-    """One row per interaction range, ascending; every run shares the seed."""
+    """One row per interaction range, ascending; every run replays one sensing of the scene."""
     if not r_values:
         raise ValueError("r_values must not be empty")
-    points = [(base_cfg, float(r)) for r in sorted(r_values)]
-    return _map_points(_range_point, points, jobs)
-
-
-def _latency_point(args: tuple[ScenarioConfig, float, bool]) -> dict:
-    base_cfg, latency_ms, compensated = args
-    cfg = replace(
-        base_cfg,
-        channel=replace(base_cfg.channel, latency_ms=latency_ms),
-        pipeline=replace(base_cfg.pipeline, compensate_latency=compensated),
-    )
-    metrics = compute_metrics(run_scenario(cfg))
-    return {
-        "latency_ms": latency_ms,
-        "compensated": int(compensated),
-        "ap": metrics.ap,
-        "rmse": metrics.rmse_pos,
-        "coop_prefusion_err": metrics.coop_prefusion_err,
-    }
+    radii = [float(r) for r in sorted(r_values)]
+    sensed = record_scene(base_cfg)
+    points = [(replace(base_cfg, pipeline=replace(base_cfg.pipeline, r_int=r)), sensed) for r in radii]
+    return [
+        {"r_int": r, "ap": m.ap, "amota_like": m.amota_like, "duplicate_rate": m.duplicate_rate}
+        for r, m in zip(radii, _map_points(points, jobs))
+    ]
 
 
 def sweep_latency(
@@ -255,25 +242,24 @@ def sweep_latency(
     compensation: str = "both",
     jobs: int = 1,
 ) -> list[dict]:
-    """Rows per latency (ascending), compensated first when running both."""
+    """Rows per latency (ascending), compensated first when both; every run replays one sensing."""
     if not latencies_ms:
         raise ValueError("latencies_ms must not be empty")
     if compensation not in ("both", "on", "off"):
         raise ValueError("compensation must be 'both', 'on', or 'off'")
     modes = {"both": (True, False), "on": (True,), "off": (False,)}[compensation]
+    keys = [(float(latency), mode) for latency in sorted(latencies_ms) for mode in modes]
+    sensed = record_scene(base_cfg)
     points = [
-        (base_cfg, float(latency), mode)
-        for latency in sorted(latencies_ms)
-        for mode in modes
+        (replace(base_cfg, channel=replace(base_cfg.channel, latency_ms=latency),
+                 pipeline=replace(base_cfg.pipeline, compensate_latency=mode)), sensed)
+        for latency, mode in keys
     ]
-    return _map_points(_latency_point, points, jobs)
-
-
-def _map_points(worker, points, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(points) <= 1:
-        return [worker(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, points))
+    return [
+        {"latency_ms": latency, "compensated": int(mode), "ap": m.ap, "rmse": m.rmse_pos,
+         "coop_prefusion_err": m.coop_prefusion_err}
+        for (latency, mode), m in zip(keys, _map_points(points, jobs))
+    ]
 
 
 def write_csv(path, columns: Sequence[str], rows: Sequence[dict]) -> None:

@@ -28,6 +28,7 @@ from .core import (
     invert,
     normalize_feature,
     state_rows,
+    yaw_rotation,
 )
 from .alignment import transform_states
 
@@ -119,26 +120,24 @@ def perturb_observation(
 def perturb_transform(
     t: RigidTransform, rng: np.random.Generator, p: TransformNoiseParams
 ) -> RigidTransform:
-    """Left-compose a small random rigid motion onto a transform."""
+    """Left-compose a small random rigid motion onto a transform. Its rotations are orthonormal
+    by construction; only the translation is checked (a huge finite sigma overflows to inf)."""
     translation = rng.normal(0.0, p.trans_sigma, 3) if p.trans_sigma > 0 else np.zeros(3)
+    if not np.isfinite(translation).all():
+        raise ValueError("translation is not finite")
     sigma_rad = math.radians(p.rot_sigma_deg)
     if p.three_axis:
         angles = rng.normal(0.0, sigma_rad, 3) if sigma_rad > 0 else np.zeros(3)
-        noise = RigidTransform.from_yaw(float(angles[2]))
+        noise = RigidTransform._trusted(yaw_rotation(float(angles[2])), np.zeros(3))
         cy, sy = math.cos(angles[1]), math.sin(angles[1])
-        pitch = RigidTransform(
-            np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]]), np.zeros(3)
-        )
+        pitch = RigidTransform._trusted([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]], np.zeros(3))
         cx, sx = math.cos(angles[0]), math.sin(angles[0])
-        roll = RigidTransform(
-            np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]), np.zeros(3)
-        )
+        roll = RigidTransform._trusted([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]], np.zeros(3))
         rotation = compose(noise, compose(pitch, roll)).rotation
     else:
         yaw = float(rng.normal(0.0, sigma_rad)) if sigma_rad > 0 else 0.0
-        rotation = RigidTransform.from_yaw(yaw).rotation
-    noise = RigidTransform(rotation, translation)
-    return compose(noise, t)
+        rotation = yaw_rotation(yaw)
+    return compose(RigidTransform._trusted(rotation, translation), t)
 
 
 def generate_denoising_scene(

@@ -13,8 +13,8 @@ import bisect
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     invert,
     relative_transform,
     seconds_to_micros,
+    yaw_rotation,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
@@ -163,12 +164,8 @@ class AgentSpec:
     def pose_at(self, t: Timestamp) -> RigidTransform:
         """The agent's pose (agent frame -> global frame) at time ``t``."""
         t_s = t / 1e6
-        yaw = math.radians(self.yaw_deg)
-        c, s = math.cos(yaw), math.sin(yaw)
-        return RigidTransform._trusted(
-            ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)),
-            (self.x + self.vx * t_s, self.y + self.vy * t_s, self.z),
-        )
+        position = (self.x + self.vx * t_s, self.y + self.vy * t_s, self.z)
+        return RigidTransform._trusted(yaw_rotation(math.radians(self.yaw_deg)), position)
 
 
 class _Tracks(NamedTuple):
@@ -564,22 +561,54 @@ def _prefusion_error(
     return float(np.mean(errors)) if errors else math.nan
 
 
-def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
-    """Execute one scenario end to end, fully determined by the seed."""
-    if not cfg.agents:
-        raise ValueError("scenario needs at least one (ego) agent")
-    run_seed = cfg.seed if seed is None else seed
-    root = np.random.SeedSequence(run_seed)
-    world_seq, channel_seq, *agent_seqs = root.spawn(2 + len(cfg.agents))
-    channel_rng = np.random.default_rng(channel_seq)
+# One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (in
+# config order), the ego's detections (before the ROI) and the whole world in the ego frame.
+SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...]]
 
+
+class SceneRecord(NamedTuple):
+    """A scene sensed once, so that every point of a sweep can replay it."""
+
+    scene: ScenarioConfig  # the config with its pipeline, channel and pose noise at the defaults
+    frames: tuple[SensedFrame, ...]
+
+
+def _scene(cfg: ScenarioConfig) -> ScenarioConfig:
+    return replace(cfg, pipeline=PipelineConfig(), channel=ChannelModel(), pose_noise=None)
+
+
+def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
+    """Build the world and sense it frame by frame, drawing only from the world and agent streams."""
+    world_seq, _channel_seq, *agent_seqs = np.random.SeedSequence(cfg.seed).spawn(2 + len(cfg.agents))
     world = build_world(cfg, np.random.default_rng(world_seq))
-    agents = [
-        Agent(spec, np.random.default_rng(seq))
-        for spec, seq in zip(cfg.agents, agent_seqs)
-    ]
+    agents = [Agent(spec, np.random.default_rng(seq)) for spec, seq in zip(cfg.agents, agent_seqs)]
     ego = next(a for a in agents if a.spec.ego)
     coop_agents = [a for a in agents if not a.spec.ego]
+    for k in range(cfg.frame_count):
+        if k > 0:
+            world = step_world(world, cfg.tick_s)
+        coop = tuple(sense(agent, world, agent.rng) for agent in coop_agents)
+        ego_dets = tuple(sense(ego, world, ego.rng).instances())
+        yield coop, ego_dets, _frame_ground_truth(world, ego.spec.pose_at(world.time_us))
+
+
+def record_scene(cfg: ScenarioConfig) -> SceneRecord:
+    """Sense ``cfg``'s scene once, for ``run_scenario`` to replay under any pipeline, channel or pose noise."""
+    return SceneRecord(_scene(cfg), tuple(sense_frames(cfg)))
+
+
+def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
+    """Execute one scenario end to end, fully determined by the seed. Sensing streams frame by
+    frame from ``sense_frames``, or replays ``sensed`` (ValueError if it records another scene);
+    the sender cut, pose noise, encoding, channel and everything the ego does run here."""
+    if not cfg.agents:
+        raise ValueError("scenario needs at least one (ego) agent")
+    if sensed is not None and sensed.scene != _scene(cfg):
+        raise ValueError("the record is of another scene than the config's")
+    # A spawned stream depends only on its index: world, channel, then one per agent.
+    channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    ego_spec = next(a for a in cfg.agents if a.ego)
+    coop_specs = [a for a in cfg.agents if not a.ego]
 
     pipe = cfg.pipeline
     registry = TrackIdRegistry()
@@ -592,34 +621,31 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
     bytes_received = 0
     tick_us = seconds_to_micros(cfg.tick_s)
 
-    for k in range(cfg.frame_count):
+    for k, (coop_dets, ego_all, gt_all) in enumerate(sense_frames(cfg) if sensed is None else sensed.frames):
         t = k * tick_us
-        if k > 0:
-            world = step_world(world, cfg.tick_s)
 
-        # Remote agents sense and transmit.
-        for agent in coop_agents:
-            detections = sense(agent, world, agent.rng)
+        # Remote agents transmit what they sensed.
+        for spec, detections in zip(coop_specs, coop_dets):
             eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
             # Most confident first; a stable sort keeps equally confident ones in sensing order.
             ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
             payload = detections[ranked[: pipe.transmit_top_k]]
-            sent_pose = agent.spec.pose_at(t)
+            sent_pose = spec.pose_at(t)
             if cfg.pose_noise is not None:
                 sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
-            packet = encode_packet(payload, sent_pose, t, agent.spec.agent_id)
+            packet = encode_packet(payload, sent_pose, t, spec.agent_id)
             bytes_sent += len(packet)
             delivery = transmit(packet, cfg.channel, channel_rng, t)
             if delivery is None:
-                events.append(SimEvent(t, "drop", agent.spec.agent_id, len(packet), -1))
+                events.append(SimEvent(t, "drop", spec.agent_id, len(packet), -1))
                 continue
             t_arrive, data = delivery
             seq_counter += 1
-            heapq.heappush(inbox, (t_arrive, seq_counter, agent.spec.agent_id, data))
-            events.append(SimEvent(t, "send", agent.spec.agent_id, len(packet), t_arrive))
+            heapq.heappush(inbox, (t_arrive, seq_counter, spec.agent_id, data))
+            events.append(SimEvent(t, "send", spec.agent_id, len(packet), t_arrive))
 
         # Ego consumes whatever has arrived, newest packet per sender.
-        ego_pose = ego.spec.pose_at(t)
+        ego_pose = ego_spec.pose_at(t)
         newest: dict[int, InstancePacket] = {}
         while inbox and inbox[0][0] <= t:
             t_arrive, seq, sender, data = heapq.heappop(inbox)
@@ -643,12 +669,11 @@ def run_scenario(cfg: ScenarioConfig, seed: Optional[int] = None) -> RunResult:
                 except HorizonExceeded:
                     stale += 1
 
-        # Ego senses and fuses.
-        ego_dets = filter_roi(sense(ego, world, ego.rng).instances(), pipe.roi)
-        # The error diagnostic compares against the whole world so that
-        # objects straddling the ROI edge don't get scored against a
+        # Ego fuses what it sensed.
+        ego_dets = filter_roi(ego_all, pipe.roi)
+        # The error diagnostic compares against the whole world (gt_all) so
+        # that objects straddling the ROI edge don't get scored against a
         # distant stranger.
-        gt_all = _frame_ground_truth(world, ego_pose)
         gt = tuple(g for g in gt_all if pipe.roi.contains(g.state))
         coop_in_roi = filter_roi(coop_aligned, pipe.roi)
         result = associate(ego_dets, coop_aligned, pipe.roi, pipe.r_int, pipe.weights)

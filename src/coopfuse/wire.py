@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    ROTATION_TOL,
     Instance,
     InstanceBatch,
     RigidTransform,
@@ -104,9 +105,13 @@ class InstancePacket:
         return len(self.records)
 
     def sender_pose(self) -> RigidTransform:
-        """The sender pose, re-orthonormalized after f32 quantization."""
-        rot = self.header["rotation"].astype(np.float64).reshape(3, 3)
-        return RigidTransform(_orthonormalized(rot), self.header["translation"].astype(np.float64))
+        """The sender pose, re-orthonormalized after f32 quantization; ValueError unless it is finite and
+        orthonormal (nearly parallel columns are not). The third column c0 x c1 pins det to +1."""
+        rot = _orthonormalized(self.header["rotation"].astype(np.float64).reshape(3, 3))
+        translation = self.header["translation"].astype(np.float64)
+        if not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= ROTATION_TOL and np.isfinite(translation).all()):
+            raise ValueError("sender pose is not finite or its rotation is not orthonormal")
+        return RigidTransform._trusted(rot, translation)
 
     def to_instances(self) -> list[Instance]:
         """Validated Instances, heading and feature renormalized after f32. Raises ValueError on

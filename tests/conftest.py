@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -14,6 +15,13 @@ from coopfuse.robustness import identity_embedding
 from coopfuse.simulator import ScenarioConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# A failing property reports its first failing example instead of shrinking it, which took
+# minutes on the simulator properties; the example database still keeps the example, and the
+# next run replays it first. No explain phase either: it traces every line run under numpy,
+# and on a failing example it grew past 2 GB without finishing.
+settings.register_profile("no_shrink", phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
+settings.load_profile("no_shrink")
 
 
 def shipped(name: str, seed: int = 0) -> ScenarioConfig:

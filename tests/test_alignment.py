@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopfuse.alignment import (
@@ -291,9 +291,7 @@ class TestRigidMotionInvariance:
             for c in aligned:
                 assume(abs(reference_pair_cost(e, c, self.WEIGHTS) - self.WEIGHTS.cost_threshold) > 1e-6)
 
-    # No explain phase: it traces every line run under numpy, and on a
-    # failing example it grew past 2 GB without finishing.
-    @settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    @settings(max_examples=200, deadline=None)
     @given(
         objects=st.lists(_OBJECT, min_size=1, max_size=6),
         offsets=st.lists(_OFFSET, min_size=6, max_size=6),

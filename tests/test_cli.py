@@ -117,6 +117,13 @@ class TestSweeps:
               "--r-int", "10,30", "--jobs", "2"])
         assert (serial / "rint_sweep.csv").read_bytes() == (parallel / "rint_sweep.csv").read_bytes()
 
+    def test_parallel_latency_jobs_match_serial(self, tiny_config, tmp_path):
+        serial, parallel = tmp_path / "s", tmp_path / "p"
+        main(["sweep-latency", "--config", tiny_config, "--out", str(serial), "--latency-ms", "0,100,200"])
+        main(["sweep-latency", "--config", tiny_config, "--out", str(parallel), "--latency-ms", "0,100,200",
+              "--jobs", "2"])
+        assert (serial / "latency_sweep.csv").read_bytes() == (parallel / "latency_sweep.csv").read_bytes()
+
     def test_latency_rows_both_settings(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         code = main(["sweep-latency", "--config", tiny_config, "--out", str(out),

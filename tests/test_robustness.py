@@ -7,7 +7,7 @@ import pytest
 
 from coopfuse.alignment import transform_state
 from coopfuse.association import AssociationResult, MatchWeights
-from coopfuse.core import GroundTruthObject, RigidTransform
+from coopfuse.core import GroundTruthObject, RigidTransform, compose
 from coopfuse.robustness import (
     EmptyOracle,
     ObservationNoiseParams,
@@ -122,6 +122,38 @@ class TestPerturbTransform:
             for _ in range(n)
         ])
         assert xs.std() == pytest.approx(1.0, rel=0.05)
+
+    def test_overflowing_translation_is_rejected(self):
+        # A huge finite sigma passes TransformNoiseParams, but most draws overflow to inf.
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="translation is not finite"):
+            for _ in range(50):
+                perturb_transform(RigidTransform.identity(), rng, TransformNoiseParams(trans_sigma=1e308))
+
+    @pytest.mark.parametrize("three_axis", [False, True])
+    def test_bits_match_the_validated_build(self, three_axis):
+        # The same draws through the validated constructors give the same bits.
+        def validated(t, rng, p):
+            translation = rng.normal(0.0, p.trans_sigma, 3)
+            sigma = math.radians(p.rot_sigma_deg)
+            if not p.three_axis:
+                return compose(RigidTransform(RigidTransform.from_yaw(float(rng.normal(0.0, sigma))).rotation,
+                                              translation), t)
+            roll, pitch, yaw = rng.normal(0.0, sigma, 3)
+            cy, sy, cx, sx = math.cos(pitch), math.sin(pitch), math.cos(roll), math.sin(roll)
+            rotation = compose(RigidTransform.from_yaw(float(yaw)), compose(
+                RigidTransform(np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]]), np.zeros(3)),
+                RigidTransform(np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]]), np.zeros(3)),
+            )).rotation
+            return compose(RigidTransform(rotation, translation), t)
+
+        params = TransformNoiseParams(0.7, 25.0, three_axis=three_axis)
+        ours, theirs, poses = np.random.default_rng(8), np.random.default_rng(8), np.random.default_rng(9)
+        for _ in range(300):
+            t = RigidTransform.from_yaw(float(poses.uniform(-4.0, 4.0)), poses.normal(0.0, 50.0, 3))
+            got, want = perturb_transform(t, ours, params), validated(t, theirs, params)
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
 
 
 class TestSceneGeneration:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coopfuse import simulator
 from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
+from coopfuse.robustness import TransformNoiseParams
 from coopfuse.wire import InstancePacket
 from coopfuse.simulator import (
     Agent,
@@ -20,6 +21,7 @@ from coopfuse.simulator import (
     World,
     bev_baseline_cost,
     build_world,
+    record_scene,
     run_scenario,
     sense,
     step_world,
@@ -579,6 +581,62 @@ class TestReceivePathInvariants:
         ]
         assert _frame_bytes(runs[0]) == _frame_bytes(runs[1])
         assert runs[0].events == runs[1].events
+
+
+def _outputs(run):
+    """Everything a run outputs, exactly: byte counts, events, and per frame its counters,
+    every track (identity, confidence, state and feature bytes) and every ground-truth object."""
+    frames = [
+        (f.t_us, f.coop_consumed, repr(f.coop_prefusion_err), f.stale_dropped,
+         [(g.object_id, g.class_id, g.state.as_array().tobytes()) for g in f.ground_truth],
+         [(i.track_id, i.class_id, i.source_agent, i.observed_at, repr(i.confidence)) for i in f.tracks.instances])
+        for f in run.frames
+    ]
+    return run.bytes_sent, run.bytes_received, run.events, frames, _frame_bytes(run)
+
+
+# Sweep points: each changes only what the replay owns (pipeline, channel, pose noise).
+POINTS = {
+    "as_shipped": lambda c: c,
+    "r_int": lambda c: replace(c, pipeline=replace(c.pipeline, r_int=5.0)),
+    "latency_uncompensated": lambda c: replace(
+        c, channel=replace(c.channel, latency_ms=300.0), pipeline=replace(c.pipeline, compensate_latency=False)
+    ),
+    "drop_jitter": lambda c: replace(c, channel=ChannelModel(latency_ms=100.0, jitter_ms=80.0, drop_prob=0.3)),
+    "pose_noise": lambda c: replace(c, pose_noise=TransformNoiseParams(0.8, 3.0)),
+    "transmit_cut": lambda c: replace(c, pipeline=replace(c.pipeline, transmit_top_k=3, transmit_confidence_min=0.6)),
+}
+
+
+class TestRecordReplay:
+    """A sweep senses its scene once (record_scene) and replays it at every point."""
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_replay_equals_a_fresh_run(self, name):
+        cfg = shipped(name, seed=3)
+        record = record_scene(cfg)
+        for point, vary in POINTS.items():  # one record serves every point, in turn
+            point_cfg = vary(cfg)
+            assert _outputs(run_scenario(point_cfg, record)) == _outputs(run_scenario(point_cfg)), point
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda c: replace(c, seed=c.seed + 1),
+            lambda c: replace(c, object_count=c.object_count + 1),
+            lambda c: replace(c, duration_s=c.duration_s + c.tick_s),
+            lambda c: replace(c, agents=tuple(
+                a if a.ego else replace(a, sensor=replace(a.sensor, pos_noise_sigma=a.sensor.pos_noise_sigma + 0.1))
+                for a in c.agents
+            )),
+        ],
+        ids=["seed", "object_count", "duration", "sensor"],
+    )
+    def test_record_of_another_scene_is_rejected(self, other):
+        cfg = shipped("quickstart")
+        record = record_scene(replace(cfg, duration_s=4 * cfg.tick_s))
+        with pytest.raises(ValueError, match="another scene"):
+            run_scenario(other(replace(cfg, duration_s=4 * cfg.tick_s)), record)
 
 
 class TestScenarioConfigValidation:

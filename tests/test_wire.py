@@ -20,6 +20,7 @@ from coopfuse.wire import (
     serialize_packet,
 )
 from conftest import make_instance
+from oracles import random_rotation
 
 
 def random_packet_bytes(rng, count=None, dim=None):
@@ -122,6 +123,44 @@ class TestRoundTrip:
         data[offset:offset + 4] = np.float32(np.nan).tobytes()
         with pytest.raises(ValueError):
             decode_packet(bytes(data)).sender_pose()
+
+
+class TestSenderPose:
+    @staticmethod
+    def _with_rotation(rotation) -> bytes:
+        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity(), 0))
+        offset = HEADER_DTYPE.fields["rotation"][1]
+        data[offset:offset + 36] = np.asarray(rotation, dtype=np.float32).tobytes()
+        return bytes(data)
+
+    def test_nearly_parallel_columns_are_rejected(self):
+        # Gram-Schmidt leaves these f32 columns finite but off orthonormal by about 3e-9.
+        rotation = [
+            [-0.8784069418907166, -0.8784070014953613, -2.3004298910223042e-08],
+            [-0.08266045898199081, -0.08266051113605499, 6.684581332905282e-09],
+            [-0.4707106649875641, -0.4707106947898865, 4.175512913207058e-08],
+        ]
+        with pytest.raises(ValueError, match="not orthonormal"):
+            decode_packet(self._with_rotation(rotation)).sender_pose()
+
+    def test_nan_rotation_is_rejected(self):
+        rotation = np.eye(3)
+        rotation[1, 0] = np.nan
+        with pytest.raises(ValueError):
+            decode_packet(self._with_rotation(rotation)).sender_pose()
+
+    def test_equals_the_validated_build_bit_for_bit(self, rng):
+        for _ in range(300):
+            pose = RigidTransform(random_rotation(rng), rng.uniform(-100, 100, 3))
+            header = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).header
+            m = header["rotation"].astype(np.float64).reshape(3, 3)
+            c0 = m[:, 0] / np.linalg.norm(m[:, 0])
+            c1 = m[:, 1] - np.dot(m[:, 1], c0) * c0
+            c1 /= np.linalg.norm(c1)
+            want = RigidTransform(np.column_stack([c0, c1, np.cross(c0, c1)]), header["translation"].astype(np.float64))
+            got = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).sender_pose()
+            assert got.rotation.tobytes() == want.rotation.tobytes()
+            assert got.translation.tobytes() == want.translation.tobytes()
 
 
 class TestMalformed:
