@@ -587,9 +587,11 @@ def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
     for k in range(cfg.frame_count):
         if k > 0:
             world = step_world(world, cfg.tick_s)
-        coop = tuple(sense(agent, world, agent.rng) for agent in coop_agents)
-        ego_dets = tuple(sense(ego, world, ego.rng).instances())
-        yield coop, ego_dets, _frame_ground_truth(world, ego.spec.pose_at(world.time_us))
+        yield (  # bound to no local, so a suspended generator keeps no frame alive
+            tuple(sense(agent, world, agent.rng) for agent in coop_agents),
+            tuple(sense(ego, world, ego.rng).instances()),
+            _frame_ground_truth(world, ego.spec.pose_at(world.time_us)),
+        )
 
 
 def record_scene(cfg: ScenarioConfig) -> SceneRecord:
@@ -621,8 +623,10 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
     bytes_received = 0
     tick_us = seconds_to_micros(cfg.tick_s)
 
-    for k, (coop_dets, ego_all, gt_all) in enumerate(sense_frames(cfg) if sensed is None else sensed.frames):
+    frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
+    for k in range(cfg.frame_count):
         t = k * tick_us
+        coop_dets, ego_all, gt_all = next(frames_in)
 
         # Remote agents transmit what they sensed.
         for spec, detections in zip(coop_specs, coop_dets):
@@ -643,6 +647,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
             seq_counter += 1
             heapq.heappush(inbox, (t_arrive, seq_counter, spec.agent_id, data))
             events.append(SimEvent(t, "send", spec.agent_id, len(packet), t_arrive))
+        del coop_dets  # a streamed frame's batches go before the next frame is sensed
 
         # Ego consumes whatever has arrived, newest packet per sender.
         ego_pose = ego_spec.pose_at(t)
