@@ -3,10 +3,11 @@
 Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
-over an 11-point recall grid. Every metric derives from one greedy match
-per distinct distance threshold over one neighbour scan per frame. The
-claims these support are trends and properties, not leaderboard numbers,
-and every output is deterministic given the scenario seed.
+over an 11-point recall grid. Every metric derives from one table of
+greedy matches per distinct distance threshold, built from one neighbour
+scan per frame. The claims these support are trends and properties, not
+leaderboard numbers, and every output is deterministic given the scenario
+seed.
 """
 
 from __future__ import annotations
@@ -53,125 +54,110 @@ class MetricsReport:
     coop_prefusion_err: float = math.nan
 
 
-Match = tuple[list[tuple[Instance, GroundTruthObject, float]], list[Instance], list[GroundTruthObject]]
-Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]]]
-Ranked = tuple[list[float], list[float], list[float]]
+Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]], list[float]]
+
+
+@dataclass(frozen=True)
+class Hits:
+    """One distance threshold's greedy matches over a run, one row per prediction.
+
+    Rows pool the frames in order, and within a frame the matched predictions
+    before the unmatched, each in visiting order. ``object_id`` is -1 where
+    unmatched; ``track_id`` is an object column, since output track ids reach
+    ``fusion.COOP_TRACK_FLAG``. ``distances`` are the matched rows', in row
+    order. A duplicate is an unmatched prediction with a same-class object
+    within the threshold: greedy matching left it none free, so it is matched.
+    """
+
+    confidence: np.ndarray
+    matched: np.ndarray
+    object_id: np.ndarray
+    track_id: np.ndarray
+    distances: list[float]
+    duplicates: int
+    total_gt: int
 
 
 def _scan(frame: FrameRecord, radius: float) -> Scan:
     """The frame's predictions in matching order (descending confidence,
-    stable), its objects, and each prediction's same-class objects within
-    ``radius``."""
+    stable), its objects, each prediction's same-class objects within
+    ``radius`` and the distance of the nearest of them (inf if none)."""
     order = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
     points = [[(o.state.x, o.state.y, o.class_id) for o in group] for group in (order, frame.ground_truth)]
-    return order, frame.ground_truth, neighbours(*points, radius)
+    candidates = neighbours(*points, radius)
+    return order, frame.ground_truth, candidates, [min((d for _, d in row), default=math.inf) for row in candidates]
 
 
-def _greedy_match(
-    order: list[Instance], gt_objects: Sequence[GroundTruthObject], candidates: list, dist_threshold: float
-) -> Match:
-    """Greedy confidence-ordered one-to-one matching by planar distance."""
-    tp, fp, claimed = [], [], set()
-    for pred, pick in zip(order, greedy_nearest(candidates, dist_threshold)):
-        if pick is None:
-            fp.append(pred)
-        else:
-            claimed.add(pick[0])
-            tp.append((pred, gt_objects[pick[0]], pick[1]))
-    fn = [g for k, g in enumerate(gt_objects) if k not in claimed]
-    return tp, fp, fn
+def _hits(scans: Sequence[Scan], threshold: float) -> Hits:
+    """Greedy confidence-ordered one-to-one matching by planar distance, frame by frame."""
+    confidence, matched, object_id, track_id, distances, duplicates = [], [], [], [], [], 0
+    for order, gt_objects, candidates, nearest in scans:
+        picks = greedy_nearest(candidates, threshold)
+        rows = sorted(range(len(picks)), key=lambda i: picks[i] is None)  # matched first, stable
+        confidence += [order[i].confidence for i in rows]
+        matched += [picks[i] is not None for i in rows]
+        object_id += [-1 if picks[i] is None else gt_objects[picks[i][0]].object_id for i in rows]
+        track_id += [order[i].track_id for i in rows]
+        distances += [pick[1] for pick in picks if pick is not None]
+        duplicates += sum(pick is None and d <= threshold for pick, d in zip(picks, nearest))
+    return Hits(np.array(confidence, float), np.array(matched, bool), np.array(object_id, np.int64),
+                np.array(track_id, object), distances, duplicates, sum(len(scan[1]) for scan in scans))
 
 
-def _total_gt(matches: Sequence[Match]) -> int:
-    return sum(len(tp) + len(fn) for tp, _, fn in matches)
+def _ranks(hits: Hits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Confidence, recall and precision at each rank of the rows, by descending confidence (stable)."""
+    order = np.argsort(-hits.confidence, kind="stable")
+    tp_cum = np.cumsum(hits.matched[order])
+    recalls = tp_cum / hits.total_gt if hits.total_gt else np.zeros(len(order))
+    return hits.confidence[order], recalls, tp_cum / np.arange(1, len(order) + 1)
 
 
-def _ranked(matches: Sequence[Match]) -> Ranked:
-    """Confidence, recall and precision at each rank of the pooled predictions."""
-    scored: list[tuple[float, bool]] = []
-    for tp, fp, _ in matches:
-        scored.extend((pred.confidence, True) for pred, _, _ in tp)
-        scored.extend((pred.confidence, False) for pred in fp)
-    scored.sort(key=lambda item: -item[0])
-    total_gt = _total_gt(matches)
-    confidences, recalls, precisions = [], [], []
-    tp_cum = 0
-    for rank, (conf, is_tp) in enumerate(scored, start=1):
-        tp_cum += is_tp
-        confidences.append(conf)
-        precisions.append(tp_cum / rank)
-        recalls.append(tp_cum / total_gt if total_gt else 0.0)
-    return confidences, recalls, precisions
+def _first_ranks(recalls: np.ndarray) -> np.ndarray:
+    """The first rank whose recall reaches each point of ``RECALL_GRID``; ``len(recalls)`` if none does."""
+    return np.searchsorted(recalls, np.asarray(RECALL_GRID) - 1e-12)
 
 
-def _interpolated_ap(recalls: Sequence[float], precisions: Sequence[float]) -> float:
-    if not recalls:
-        return 0.0
-    recalls = np.asarray(recalls)
-    precisions = np.asarray(precisions)
-    total = 0.0
-    for r in RECALL_GRID:
-        mask = recalls >= r - 1e-12
-        total += float(precisions[mask].max()) if mask.any() else 0.0
-    return total / len(RECALL_GRID)
+def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """11-point interpolated AP: the best precision at or after each grid point's first rank."""
+    best = np.maximum.accumulate(precisions[::-1])[::-1]
+    return sum(float(best[i]) if i < len(best) else 0.0 for i in _first_ranks(recalls)) / len(RECALL_GRID)
 
 
-def _mota_at(matches: Sequence[Match], total_gt: int, conf_min: float) -> tuple[float, int]:
+def _mota_at(hits: Hits, conf_min: float) -> tuple[float, int]:
     """(mota_like, id_switches) of the predictions with confidence >= conf_min.
 
     The greedy matcher visits predictions in stable descending-confidence
     order, so a cut keeps a prefix of that order and its matches are
-    exactly the full matches restricted to the kept predictions.
+    exactly the full matches restricted to the kept predictions. An ID
+    switch is a kept match whose object's previous kept match, in row
+    order, went to another track.
     """
-    errors = switches = 0
-    last_track: dict[int, int] = {}
-    for tp, fp, fn in matches:
-        kept = [(pred, g) for pred, g, _ in tp if pred.confidence >= conf_min]
-        errors += len(fn) + len(tp) - len(kept)
-        errors += sum(pred.confidence >= conf_min for pred in fp)
-        for pred, g in kept:
-            prev = last_track.get(g.object_id)
-            if prev is not None and prev != pred.track_id:
-                switches += 1
-            last_track[g.object_id] = pred.track_id
-    if total_gt == 0:
-        return 0.0, switches
-    return max(0.0, 1.0 - (errors + switches) / total_gt), switches
+    kept = hits.confidence >= conf_min
+    tp = hits.matched & kept
+    objects, tracks = hits.object_id[tp], hits.track_id[tp]
+    by_object = np.argsort(objects, kind="stable")  # each object's matches stay in row order
+    objects, tracks = objects[by_object], tracks[by_object]
+    switches = int(np.count_nonzero((objects[1:] == objects[:-1]) & (tracks[1:] != tracks[:-1])))
+    errors = hits.total_gt - int(np.count_nonzero(tp)) + int(np.count_nonzero(kept & ~hits.matched))  # FN + FP
+    mota = max(0.0, 1.0 - (errors + switches) / hits.total_gt) if hits.total_gt else 0.0
+    return mota, switches
 
 
-def _tracking(matches: Sequence[Match], ranked: Ranked) -> tuple[float, float, int]:
-    """(mota_like, amota_like, id_switches) of ``matches``; ``ranked`` is ``_ranked(matches)``.
+def _tracking(hits: Hits, confidences: np.ndarray, recalls: np.ndarray) -> tuple[float, float, int]:
+    """(mota_like, amota_like, id_switches); ``confidences`` and ``recalls`` are ``_ranks(hits)``'.
 
     ``mota_like`` is 1 - (FP + FN + IDSW) / GT on the full output, floored
-    at zero. ``amota_like`` repeats that over an 11-point recall grid: for
-    each target recall the smallest high-confidence prediction subset that
-    reaches it is evaluated (target 0 uses everything); unreachable targets
-    score 0.
+    at zero. ``amota_like`` repeats that over an 11-point recall grid, as
+    AMOTA does (Weng et al., AB3DMOT, IROS 2020): for each target recall
+    the smallest high-confidence prediction subset that reaches it is
+    evaluated (target 0 uses everything); unreachable targets score 0.
     """
-    total_gt = _total_gt(matches)
-    mota, idsw = _mota_at(matches, total_gt, 0.0)
-    confidences, recalls, _ = ranked
-    motas = [mota]
-    for target in RECALL_GRID[1:]:
-        rank = next((i for i, r in enumerate(recalls) if r >= target - 1e-12), None)
-        motas.append(0.0 if rank is None else _mota_at(matches, total_gt, confidences[rank])[0])
+    mota, idsw = _mota_at(hits, 0.0)
+    motas = [mota] + [
+        _mota_at(hits, confidences[rank])[0] if rank < len(confidences) else 0.0
+        for rank in _first_ranks(recalls)[1:]
+    ]
     return mota, float(np.mean(motas)), idsw
-
-
-def _duplicate_rate(scans: Sequence[Scan], matches: Sequence[Match], dist_threshold: float) -> float:
-    """Fraction of GT picked up more than once: extra same-class predictions
-    within the threshold of an already-matched object, over total GT."""
-    duplicates = 0
-    for (order, gt_objects, candidates), (tp, fp, _) in zip(scans, matches):
-        unmatched = set(fp)
-        claimed = {g.object_id for _, g, _ in tp}
-        duplicates += sum(
-            pred in unmatched
-            and any(d <= dist_threshold and gt_objects[k].object_id in claimed for k, d in row)
-            for pred, row in zip(order, candidates)
-        )
-    total_gt = _total_gt(matches)
-    return duplicates / total_gt if total_gt else 0.0
 
 
 def compute_metrics(
@@ -180,23 +166,21 @@ def compute_metrics(
     """Full metric report for one scenario run."""
     radii = {*thresholds, TRACKING_THRESHOLD}
     scans = [_scan(frame, max(radii)) for frame in run.frames]
-    matches = {thr: [_greedy_match(*scan, thr) for scan in scans] for thr in radii}
-    ranked = {thr: _ranked(matches[thr]) for thr in radii}
-    curves = {thr: (tuple(ranked[thr][1]), tuple(ranked[thr][2])) for thr in thresholds}
-    ap_per = {thr: _interpolated_ap(*curve) for thr, curve in curves.items()}
-    tracked = matches[TRACKING_THRESHOLD]
-    mota, amota, idsw = _tracking(tracked, ranked[TRACKING_THRESHOLD])
-    tp_dists = [d for tp, _, _ in tracked for _, _, d in tp]
-    rmse = float(np.sqrt(np.mean(np.square(tp_dists)))) if tp_dists else math.nan
+    hits = {thr: _hits(scans, thr) for thr in radii}
+    ranks = {thr: _ranks(hits[thr]) for thr in radii}
+    ap_per = {thr: _interpolated_ap(*ranks[thr][1:]) for thr in thresholds}
+    tracked = hits[TRACKING_THRESHOLD]
+    mota, amota, idsw = _tracking(tracked, *ranks[TRACKING_THRESHOLD][:2])
+    rmse = float(np.sqrt(np.mean(np.square(tracked.distances)))) if tracked.distances else math.nan
     prefusion = [rec.coop_prefusion_err for rec in run.frames if not math.isnan(rec.coop_prefusion_err)]
     return MetricsReport(
         ap=float(np.mean(list(ap_per.values()))),
         ap_per_threshold=ap_per,
-        pr_curves=curves,
+        pr_curves={thr: (tuple(ranks[thr][1].tolist()), tuple(ranks[thr][2].tolist())) for thr in ap_per},
         mota_like=mota,
         amota_like=amota,
         id_switches=idsw,
-        duplicate_rate=_duplicate_rate(scans, tracked, TRACKING_THRESHOLD),
+        duplicate_rate=tracked.duplicates / tracked.total_gt if tracked.total_gt else 0.0,
         rmse_pos=rmse,
         bps_sent=run.bps_sent,
         bps_received=run.bps_received,
@@ -215,8 +199,9 @@ def _point_metrics(point: tuple[ScenarioConfig, SceneRecord]) -> MetricsReport:
 def _map_points(points: list[tuple[ScenarioConfig, SceneRecord]], jobs: int) -> list[MetricsReport]:
     if jobs <= 1 or len(points) <= 1:
         return [_point_metrics(p) for p in points]
+    # One chunk per worker: pickle then ships the shared scene record once per chunk.
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_point_metrics, points))
+        return list(pool.map(_point_metrics, points, chunksize=-(-len(points) // jobs)))
 
 
 def sweep_interaction_range(
@@ -245,9 +230,9 @@ def sweep_latency(
     """Rows per latency (ascending), compensated first when both; every run replays one sensing."""
     if not latencies_ms:
         raise ValueError("latencies_ms must not be empty")
-    if compensation not in ("both", "on", "off"):
-        raise ValueError("compensation must be 'both', 'on', or 'off'")
-    modes = {"both": (True, False), "on": (True,), "off": (False,)}[compensation]
+    if compensation not in ("both", "off"):
+        raise ValueError("compensation must be 'both' or 'off'")
+    modes = (True, False) if compensation == "both" else (False,)
     keys = [(float(latency), mode) for latency in sorted(latencies_ms) for mode in modes]
     sensed = record_scene(base_cfg)
     points = [

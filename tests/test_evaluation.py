@@ -1,5 +1,8 @@
 """Detection/tracking metrics and sweep plumbing."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,10 +16,10 @@ from coopfuse.evaluation import (
     sweep_latency,
     write_csv,
 )
-from coopfuse.fusion import TrackSet
-from coopfuse.simulator import FrameRecord, RunResult, ScenarioConfig, run_scenario
+from coopfuse.fusion import COOP_TRACK_FLAG, TrackSet
+from coopfuse.simulator import FrameRecord, RunResult, ScenarioConfig, SceneRecord, run_scenario
 from conftest import make_instance, make_state, shipped
-from oracles import brute_force_greedy_match, brute_force_scores
+from oracles import _ranked_hits, brute_force_greedy_match, brute_force_scores
 
 
 def _frame(instances, objects, t=0):
@@ -172,9 +175,20 @@ class TestDuplicateRate:
         ]
         assert compute_metrics(_run([_frame(instances, gt_objects)])).duplicate_rate == pytest.approx(1.0)
 
+    # The tracking threshold is 2 m: an extra hit exactly on it counts, one beyond it does not.
+    @pytest.mark.parametrize(("x", "rate"), [(2.0, 1.0), (2.5, 0.0)])
+    def test_extra_hit_at_the_tracking_threshold(self, x, rate):
+        instances = [
+            make_instance(x=0.0, confidence=0.9, track_id=1, feature_seed=1),
+            make_instance(x=x, confidence=0.8, track_id=2, feature_seed=2),
+        ]
+        assert compute_metrics(_run([_frame(instances, [_gt_obj(0)])])).duplicate_rate == rate
+
 
 GRID = st.integers(0, 6).map(lambda k: 0.5 * k)
 CLASSES = st.integers(0, 1)
+# Ego track ids and flagged cooperator ids, which overflow int64.
+TRACK_IDS = st.integers(0, 4) | st.integers(0, 4).map(lambda k: COOP_TRACK_FLAG | k)
 
 
 @st.composite
@@ -183,13 +197,14 @@ def plain_frames(draw):
 
     Half-metre grid positions give distance ties and distances exactly on
     the thresholds, four confidence levels give confidence ties, and track
-    ids reused across frames on other objects give ID switches.
+    ids reused across frames on other objects give ID switches. Some track
+    ids carry ``COOP_TRACK_FLAG``, as fused cooperator tracks do.
     """
     frames = []
     for _ in range(draw(st.integers(1, 5))):
         object_ids = draw(st.lists(st.integers(0, 3), unique=True, max_size=4))
         gts = [(oid, draw(GRID), draw(GRID), draw(CLASSES)) for oid in object_ids]
-        track_ids = draw(st.lists(st.integers(0, 4), unique=True, max_size=5))
+        track_ids = draw(st.lists(TRACK_IDS, unique=True, max_size=5))
         preds = [
             (draw(GRID), draw(GRID), draw(st.sampled_from([0.3, 0.6, 0.9, 1.0])), draw(CLASSES), tid)
             for tid in track_ids
@@ -217,16 +232,24 @@ class TestScoringOracle:
         lib_frames = _library_frames(frames)
         for frame, (preds, gts) in zip(lib_frames, frames):
             for thr in DETECTION_THRESHOLDS:
-                tp, fp, fn = evaluation._greedy_match(*evaluation._scan(frame, thr), thr)
+                hits = evaluation._hits([evaluation._scan(frame, thr)], thr)
                 pairs, unmatched, free = brute_force_greedy_match(preds, gts, thr)
-                assert [(p.track_id, g.object_id) for p, g, _ in tp] == [
-                    (preds[i][4], gts[k][0]) for i, k, _ in pairs
-                ]
-                assert [p.track_id for p in fp] == [preds[i][4] for i in unmatched]
-                assert len(fn) == len(free)
+                # Matched rows first, then unmatched, each in visiting order.
+                assert hits.matched.tolist() == [True] * len(pairs) + [False] * len(unmatched)
+                assert hits.track_id.tolist() == [preds[i][4] for i, _, _ in pairs] + [preds[i][4] for i in unmatched]
+                assert hits.object_id[hits.matched].tolist() == [gts[k][0] for _, k, _ in pairs]
+                assert hits.distances == [d for _, _, d in pairs]
+                assert hits.total_gt - len(pairs) == len(free)
 
         expected = brute_force_scores(frames, DETECTION_THRESHOLDS, TRACKING_THRESHOLD)
         report = compute_metrics(_run(lib_frames))
+        total_gt = sum(len(gts) for _, gts in frames)
+        for thr in DETECTION_THRESHOLDS:
+            tp_cum = list(itertools.accumulate(is_tp for _, is_tp in _ranked_hits(frames, thr)))
+            recalls = tuple(t / total_gt if total_gt else 0.0 for t in tp_cum)
+            precisions = tuple(t / rank for rank, t in enumerate(tp_cum, start=1))
+            assert report.pr_curves[thr] == (recalls, precisions)
+            assert all(type(v) is float for curve in report.pr_curves[thr] for v in curve)
         assert report.id_switches == expected["id_switches"]
         assert (report.mota_like, report.amota_like, report.ap, report.duplicate_rate) == pytest.approx(
             (expected["mota"], expected["amota"], expected["ap"], expected["duplicate_rate"]), abs=1e-12
@@ -235,13 +258,13 @@ class TestScoringOracle:
 
     def test_compute_metrics_matches_each_frame_once_per_threshold(self, monkeypatch):
         calls = []
-        real = evaluation._greedy_match
+        real = evaluation.greedy_nearest
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(evaluation, "_greedy_match", counting)
+        monkeypatch.setattr(evaluation, "greedy_nearest", counting)
         run = run_scenario(shipped("quickstart"))
         compute_metrics(run)
         assert len(calls) == len(run.frames) * len({0.5, 1.0, 2.0, 4.0})
@@ -261,13 +284,13 @@ class TestScoringOracle:
 
     def test_compute_metrics_ranks_each_radius_once(self, monkeypatch):
         ranked = []
-        real = evaluation._ranked
+        real = evaluation._ranks
 
-        def counting(matches):
-            ranked.append(matches)
-            return real(matches)
+        def counting(hits):
+            ranked.append(hits)
+            return real(hits)
 
-        monkeypatch.setattr(evaluation, "_ranked", counting)
+        monkeypatch.setattr(evaluation, "_ranks", counting)
         compute_metrics(run_scenario(shipped("quickstart")))
         assert len(ranked) == len({0.5, 1.0, 2.0, 4.0})
 
@@ -289,6 +312,25 @@ class TestCsvAndSweeps:
         assert on["compensated"] == 1 and off["compensated"] == 0
         assert on["ap"] == off["ap"]
         assert on["rmse"] == off["rmse"]
+
+    @pytest.mark.parametrize("compensation", ["on", "none"])
+    def test_latency_sweep_rejects_other_compensation_modes(self, compensation):
+        with pytest.raises(ValueError, match="compensation"):
+            sweep_latency(shipped("quickstart"), [0.0], compensation=compensation)
+
+    def test_parallel_sweep_pickles_the_scene_once_per_worker(self, monkeypatch):
+        # Tasks are pickled in this process; pickle memoises the record within one chunk.
+        pickled = []
+
+        def counting(record, protocol):
+            pickled.append(protocol)
+            return object.__reduce_ex__(record, protocol)
+
+        monkeypatch.setattr(SceneRecord, "__reduce_ex__", counting)
+        cfg = replace(shipped("quickstart"), duration_s=1.0)
+        rows = sweep_latency(cfg, [0.0, 100.0, 200.0], jobs=2)
+        assert len(rows) == 6
+        assert 1 <= len(pickled) <= 2
 
     def test_compute_metrics_report_fields(self):
         result = run_scenario(shipped("quickstart", seed=1))

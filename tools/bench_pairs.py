@@ -10,8 +10,10 @@ Each pair runs ``perfbench/run.py --workload W --seed S --seconds 20
 which side goes first. For every run the file keeps the ``env`` line and
 the last line (the result JSON) of perfbench's stdout exactly as printed.
 ``summary`` gives, per workload and seed set, each end-to-end metric's
-median and quartiles on both sides and the pairs the change won, in the
-better direction ``BENCHMARK.json`` names. Running again with the same
+median and quartiles on both sides, the pairs the change won, in the
+better direction ``BENCHMARK.json`` names, and ``within_bound``: whether
+the change's median is worse than the parent's by no more than the
+metric's relative ``bound``. Running again with the same
 ``--out`` appends runs, so several workloads and held-out seeds share a
 file; each checkout must be a git clone, so that its SHA is recorded.
 """
@@ -57,7 +59,8 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, median, q3]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per group and metric of ``end_to_end`` (``BENCHMARK.json``'s entries), the paired comparison."""
     groups: dict[str, list[dict]] = {}
     for run in runs:
         groups.setdefault(run["group"], []).append(run)
@@ -68,15 +71,19 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             pairs.setdefault(run["pair"], {})[run["side"]] = json.loads(run["result"])["metrics"]
         complete = [p for p in pairs.values() if len(p) == 2]
         rows = {}
-        for name, direction in better.items():
+        for metric in end_to_end:
+            name = metric["name"]
             parent = [p["parent"][name]["value"] for p in complete]
             change = [p["change"][name]["value"] for p in complete]
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if metric["better"] == "higher" else -1
+            parent_median = statistics.median(parent)
             rows[name] = {
                 "parent_q1_median_q3": quartiles(parent) if len(parent) > 1 else parent,
                 "change_q1_median_q3": quartiles(change) if len(change) > 1 else change,
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
                 "pairs": len(complete),
+                "within_bound": sign * (statistics.median(change) - parent_median)
+                >= -metric["bound"] * abs(parent_median),
             }
         summary[group] = rows
     return summary
@@ -111,7 +118,7 @@ def main(argv=None) -> int:
             value = json.loads(run["result"])["metrics"]["throughput"]["value"]
             print(f"{group} pair {first_pair + i} seed {seed} {side}: throughput {value:.4g}", flush=True)
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    record["summary"] = summarize(record["runs"], {m["name"]: m["better"] for m in bench["end_to_end"]})
+    record["summary"] = summarize(record["runs"], bench["end_to_end"])
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
