@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Instance
+from .core import Instance, state_rows
 
 _TIE_REL_TOL = 1e-9
 
@@ -115,17 +115,17 @@ def gate_interaction(
     return near, far
 
 
-def _cost_matrix(
-    egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights
-) -> np.ndarray:
-    ego_states = np.stack([inst.state.as_array() for inst in egos])
-    coop_states = np.stack([inst.state.as_array() for inst in coops])
-    weights = w.state_weights()
-    geo = np.abs(ego_states[:, None, :] - coop_states[None, :, :]) @ weights
-    ego_feats = np.stack([inst.feature for inst in egos])
-    coop_feats = np.stack([inst.feature for inst in coops])
-    appearance = w.alpha * (1.0 - ego_feats @ coop_feats.T)
-    return geo + appearance
+def _cost_parts(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights) -> tuple[np.ndarray, np.ndarray]:
+    """The cost matrix's alpha-free parts: the weighted L1 geometry and the cosine distance."""
+    diff = state_rows(inst.state for inst in egos)[:, None, :] - state_rows(inst.state for inst in coops)
+    ego_feats = np.array([inst.feature for inst in egos])
+    coop_feats = np.array([inst.feature for inst in coops])
+    return np.abs(diff) @ w.state_weights(), 1.0 - ego_feats @ coop_feats.T
+
+
+def _cost_matrix(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights) -> np.ndarray:
+    geo, dist = _cost_parts(egos, coops, w)
+    return geo + w.alpha * dist
 
 
 def _tie_tol(best: float) -> float:
@@ -137,12 +137,13 @@ def _optimum_is_unique(cost: np.ndarray, rows, cols, best: float) -> bool:
     # finite penalty keeps degenerate shapes feasible.
     penalty = (float(np.abs(cost).max()) + 1.0) * (len(rows) + 1)
     tol = _tie_tol(best)
+    probe = cost.copy()
     for r, c in zip(rows, cols):
-        probe = cost.copy()
         probe[r, c] += penalty
         pr, pc = linear_sum_assignment(probe)
         if float(probe[pr, pc].sum()) <= best + tol:
             return False
+        probe[r, c] = cost[r, c]
     return True
 
 
@@ -197,11 +198,22 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return _lex_smallest_assignment(cost, best)
 
 
-def match(
-    ego_set: Sequence[Instance],
-    coop_near: Sequence[Instance],
-    w: MatchWeights,
+def _match_on_cost(
+    ego_set: Sequence[Instance], coop_near: Sequence[Instance], cost: np.ndarray, threshold: float
 ) -> AssociationResult:
+    """Solve the assignment over ``cost`` (ego rows, remote columns), demote the pairs
+    costing more than ``threshold`` and partition the inputs."""
+    pairs = [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost)]
+    kept = [(i, j, pair_cost) for i, j, pair_cost in pairs if pair_cost <= threshold]
+    matched_ego, matched_coop = {i for i, _, _ in kept}, {j for _, j, _ in kept}
+    return AssociationResult(
+        matched=[(ego_set[i], coop_near[j], pair_cost) for i, j, pair_cost in kept],
+        unmatched_ego=[inst for k, inst in enumerate(ego_set) if k not in matched_ego],
+        unmatched_coop_near=[inst for k, inst in enumerate(coop_near) if k not in matched_coop],
+    )
+
+
+def match(ego_set: Sequence[Instance], coop_near: Sequence[Instance], w: MatchWeights) -> AssociationResult:
     """Optimally pair near-field ego and remote instances.
 
     Solves the global minimum-cost assignment over the full cost matrix,
@@ -209,28 +221,9 @@ def match(
     The returned result has an empty ``coop_far`` group; callers that gate
     by interaction range fill it in (see :func:`associate`).
     """
-    result = AssociationResult(
-        unmatched_ego=list(ego_set), unmatched_coop_near=list(coop_near)
-    )
     if not ego_set or not coop_near:
-        return result
-    cost = _cost_matrix(ego_set, coop_near, w)
-    matched_ego: set[int] = set()
-    matched_coop: set[int] = set()
-    for i, j in solve_assignment(cost):
-        pair_cost = float(cost[i, j])
-        if pair_cost > w.cost_threshold:
-            continue
-        result.matched.append((ego_set[i], coop_near[j], pair_cost))
-        matched_ego.add(i)
-        matched_coop.add(j)
-    result.unmatched_ego = [
-        inst for k, inst in enumerate(ego_set) if k not in matched_ego
-    ]
-    result.unmatched_coop_near = [
-        inst for k, inst in enumerate(coop_near) if k not in matched_coop
-    ]
-    return result
+        return AssociationResult(unmatched_ego=list(ego_set), unmatched_coop_near=list(coop_near))
+    return _match_on_cost(ego_set, coop_near, _cost_matrix(ego_set, coop_near, w), w.cost_threshold)
 
 
 def associate(

@@ -17,8 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .association import AssociationResult, MatchWeights, match
+from .association import AssociationResult, MatchWeights, _cost_parts, _match_on_cost, match
 from .core import (
+    DEGENERATE_TOL,
     GroundTruthObject,
     Instance,
     RigidTransform,
@@ -79,9 +80,18 @@ def identity_embedding(object_id: int, dim: int) -> np.ndarray:
 def noisy_feature(
     object_id: int, dim: int, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """An identity embedding blurred by Gaussian noise, renormalized."""
+    """An identity embedding blurred by Gaussian noise, renormalized and read-only.
+
+    Raises:
+        ValueError: when the blurred vector's norm is zero or overflows.
+    """
     vec = identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim)
-    return normalize_feature(vec)
+    norm = float(np.linalg.norm(vec))
+    if not DEGENERATE_TOL <= norm < math.inf:
+        raise ValueError(f"cannot normalize a feature of norm {norm!r}")
+    feature = vec / norm
+    feature.setflags(write=False)
+    return feature
 
 
 def perturb_observation(
@@ -91,30 +101,29 @@ def perturb_observation(
 
     Position components move by at most ±pos_range each, all others by at
     most ±other_range. The heading is renormalized afterwards and the
-    dimensions are clamped away from zero, so the result is always valid.
+    dimensions are clamped away from zero, so the result is valid unless a
+    sum overflows.
+
+    Raises:
+        ValueError: when a perturbed component is not finite.
     """
-    pos = rng.uniform(-p.pos_range, p.pos_range, 3)
-    other = rng.uniform(-p.other_range, p.other_range, 8)
+    pos = rng.uniform(-p.pos_range, p.pos_range, 3).tolist()
+    other = rng.uniform(-p.other_range, p.other_range, 8).tolist()
     sin_raw = state.sin_yaw + other[3]
     cos_raw = state.cos_yaw + other[4]
-    if math.hypot(sin_raw, cos_raw) < 1e-12:
+    norm = math.hypot(sin_raw, cos_raw)
+    if norm < DEGENERATE_TOL:
         sin_yaw, cos_yaw = state.sin_yaw, state.cos_yaw  # draw cancelled exactly
     else:
-        norm = math.hypot(sin_raw, cos_raw)
         sin_yaw, cos_yaw = sin_raw / norm, cos_raw / norm
-    return StateVector(
-        x=state.x + pos[0],
-        y=state.y + pos[1],
-        z=state.z + pos[2],
-        l=max(state.l + other[0], _MIN_DIMENSION),
-        w=max(state.w + other[1], _MIN_DIMENSION),
-        h=max(state.h + other[2], _MIN_DIMENSION),
-        sin_yaw=sin_yaw,
-        cos_yaw=cos_yaw,
-        vx=state.vx + other[5],
-        vy=state.vy + other[6],
-        vz=state.vz + other[7],
+    values = (
+        state.x + pos[0], state.y + pos[1], state.z + pos[2],
+        *(max(size + step, _MIN_DIMENSION) for size, step in zip((state.l, state.w, state.h), other[:3])),
+        sin_yaw, cos_yaw, state.vx + other[5], state.vy + other[6], state.vz + other[7],
     )
+    if not all(map(math.isfinite, values)):
+        raise ValueError("perturbed state is not finite")
+    return StateVector._trusted(values)
 
 
 def perturb_transform(
@@ -167,30 +176,23 @@ def generate_denoising_scene(
     # The transform draws nothing, so transforming every object up front keeps the draw order.
     coop_states = transform_states(state_rows(obj.state for obj in gt_objects), invert(true_transform))
 
-    ego_view = [
-        Instance(
-            state=perturb_observation(obj.state, rng, obs_p),
-            feature=noisy_feature(obj.object_id, feature_dim, feature_noise_sigma, rng),
-            confidence=1.0,
-            class_id=obj.class_id,
-            track_id=obj.object_id,
-            source_agent=0,
-            observed_at=0,
-        )
-        for obj in gt_objects
-    ]
-    coop_view = [
-        Instance(
-            state=perturb_observation(StateVector._trusted(row), rng, obs_p),
-            feature=noisy_feature(obj.object_id, feature_dim, feature_noise_sigma, rng),
-            confidence=1.0,
-            class_id=obj.class_id,
-            track_id=obj.object_id,
-            source_agent=1,
-            observed_at=0,
-        )
-        for obj, row in zip(gt_objects, coop_states)
-    ]
+    def view(states, agent: int) -> list[Instance]:
+        # Per object: the state's draws, then the feature's (keyword arguments evaluate in order).
+        return [
+            Instance._trusted(
+                state=perturb_observation(state, rng, obs_p),
+                feature=noisy_feature(obj.object_id, feature_dim, feature_noise_sigma, rng),
+                confidence=1.0,
+                class_id=obj.class_id,
+                track_id=obj.object_id,
+                source_agent=agent,
+                observed_at=0,
+            )
+            for obj, state in zip(gt_objects, states)
+        ]
+
+    ego_view = view((obj.state for obj in gt_objects), 0)
+    coop_view = view(map(StateVector._trusted, coop_states), 1)
     corrupted = perturb_transform(true_transform, rng, tf_p)
     return ego_view, coop_view, corrupted
 
@@ -268,25 +270,22 @@ def make_cluttered_objects(
     ambiguous under meter-scale noise.
     """
     side = math.ceil(math.sqrt(count))
+    # One draw per object and column, in the order of one scalar call each:
+    # jitter x, jitter y, speed, heading, l, w, h.
+    quarter = spacing / 4
+    draws = rng.uniform(
+        (-quarter, -quarter, speed_range[0], -math.pi, 3.8, 1.7, 1.4),
+        (quarter, quarter, speed_range[1], math.pi, 5.0, 2.1, 1.8),
+        size=(count, 7),
+    )
+    row, col = np.divmod(np.arange(count), side)
+    xy = np.stack([col * spacing, row * spacing], axis=1) + draws[:, :2]
+    if not np.isfinite(xy).all():
+        raise ValueError(f"a grid of {count} objects at pitch {spacing!r} overflows")
     objects = []
-    for i in range(count):
-        row, col = divmod(i, side)
-        jitter = rng.uniform(-spacing / 4, spacing / 4, 2)
-        speed = rng.uniform(*speed_range)
-        theta = rng.uniform(-math.pi, math.pi)
-        state = StateVector(
-            x=col * spacing + float(jitter[0]),
-            y=row * spacing + float(jitter[1]),
-            z=0.0,
-            l=float(rng.uniform(3.8, 5.0)),
-            w=float(rng.uniform(1.7, 2.1)),
-            h=float(rng.uniform(1.4, 1.8)),
-            sin_yaw=math.sin(theta),
-            cos_yaw=math.cos(theta),
-            vx=speed * math.cos(theta),
-            vy=speed * math.sin(theta),
-            vz=0.0,
-        )
+    for i, ((x, y), (_, _, speed, theta, l, w, h)) in enumerate(zip(xy.tolist(), draws.tolist())):
+        sin_t, cos_t = math.sin(theta), math.cos(theta)
+        state = StateVector._trusted((x, y, 0.0, l, w, h, sin_t, cos_t, speed * cos_t, speed * sin_t, 0.0))
         objects.append(GroundTruthObject(object_id=i, class_id=0, state=state))
     return objects
 
@@ -319,6 +318,8 @@ def alpha_sweep_rows(
     obs_p = obs_p or ObservationNoiseParams()
     tf_p = tf_p or TransformNoiseParams()
     weights = [MatchWeights(alpha=a, cost_threshold=HARNESS_COST_THRESHOLD) for a in alphas]
+    if object_count == 0:
+        raise EmptyOracle("no ground-truth correspondences to score against")
     scores = np.empty((len(alphas), 3, scenes))  # (accuracy, precision, recall) by scene
     for s, scene_seed in enumerate(range(seed, seed + scenes)):
         objects = make_cluttered_objects(
@@ -329,8 +330,10 @@ def alpha_sweep_rows(
             feature_dim=feature_dim,
             feature_noise_sigma=feature_noise_sigma,
         )
+        geo, dist = _cost_parts(ego_view, aligned, weights[0])  # the same for every alpha
         for k, w in enumerate(weights):
-            scores[k, :, s] = match_accuracy(match(ego_view, aligned, w), len(ego_view))
+            result = _match_on_cost(ego_view, aligned, geo + w.alpha * dist, w.cost_threshold)
+            scores[k, :, s] = match_accuracy(result, len(ego_view))
     rows = []
     for alpha, per_alpha in zip(alphas, scores):
         means = (float(np.mean(column)) for column in per_alpha)

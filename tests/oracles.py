@@ -360,6 +360,29 @@ def reference_detections(objects, agent_xy, sensor, rng):
     return detections
 
 
+def reference_cluttered_rows(count, spacing, rng, speed_range=(2.0, 10.0)):
+    """The states of a jittered clutter grid, one scalar ``rng.uniform`` call per draw.
+
+    Object i sits at column ``i % side`` and row ``i // side`` of a grid with
+    ``side = ceil(sqrt(count))`` and pitch ``spacing``. Per object, in order: a
+    jitter pair in +-spacing/4 (one call of size 2), the speed, the heading in
+    [-pi, pi), then l in [3.8, 5.0), w in [1.7, 2.1) and h in [1.4, 1.8). The
+    velocity points along the heading. Returns one 11-tuple per object in
+    ``StateVector`` order.
+    """
+    side = math.ceil(math.sqrt(count))
+    rows = []
+    for i in range(count):
+        row, col = divmod(i, side)
+        jx, jy = rng.uniform(-spacing / 4, spacing / 4, 2).tolist()
+        speed = rng.uniform(*speed_range)
+        theta = rng.uniform(-math.pi, math.pi)
+        l, w, h = rng.uniform(3.8, 5.0), rng.uniform(1.7, 2.1), rng.uniform(1.4, 1.8)
+        rows.append((col * spacing + jx, row * spacing + jy, 0.0, l, w, h, math.sin(theta), math.cos(theta),
+                     speed * math.cos(theta), speed * math.sin(theta), 0.0))
+    return rows
+
+
 def reference_packet(instances, rotation, translation, t, sender_id):
     """A packet packed field by field with ``struct`` from the documented layout.
 

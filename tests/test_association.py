@@ -1,8 +1,12 @@
 """ROI filtering, interaction gating, the matching cost, and assignment."""
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from coopfuse import association
 from coopfuse.association import (
     MatchWeights,
     RoiSpec,
@@ -117,6 +121,38 @@ class TestSolveAssignment:
         assert solve_assignment(np.zeros((3, 2))) == [(0, 0), (1, 1)]
         # Equal totals (2+4 = 3+3): the lexicographically smaller pairing wins.
         assert solve_assignment(np.array([[2.0, 3.0], [3.0, 4.0]])) == [(0, 0), (1, 1)]
+
+    @pytest.mark.parametrize(
+        "cost",
+        [np.ones((3, 3)), np.array([[2.0, 2.0, 5.0], [2.0, 2.0, 5.0]]), np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])],
+    )
+    def test_leaves_its_input_unchanged(self, cost, monkeypatch):
+        lex_calls = []
+        real_lex = association._lex_smallest_assignment
+
+        def counting_lex(*args):
+            lex_calls.append(args)
+            return real_lex(*args)
+
+        monkeypatch.setattr(association, "_lex_smallest_assignment", counting_lex)
+        before = cost.copy()
+        solve_assignment(cost)
+        assert cost.tobytes() == before.tobytes()
+        assert lex_calls  # every case ties, so the tie-break ran over the same matrix
+
+    def test_uniqueness_check_matches_enumeration(self):
+        # Small integer costs tie often; the probe must be the input again before each pair.
+        rng = np.random.default_rng(21)
+        for shape in [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)] * 40:
+            cost = rng.integers(0, 3, size=shape).astype(float)
+            rows, cols = linear_sum_assignment(cost)
+            best = float(cost[rows, cols].sum())
+            n, m = shape
+            if n <= m:
+                totals = [sum(cost[i, j] for i, j in enumerate(p)) for p in itertools.permutations(range(m), n)]
+            else:
+                totals = [sum(cost[i, j] for j, i in enumerate(p)) for p in itertools.permutations(range(n), m)]
+            assert association._optimum_is_unique(cost, rows, cols, best) == (totals.count(best) == 1)
 
     def test_matches_brute_force(self, rng):
         for _ in range(150):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from coopfuse import association, robustness
 from coopfuse.alignment import transform_state
 from coopfuse.association import AssociationResult, MatchWeights
-from coopfuse.core import GroundTruthObject, RigidTransform, compose
+from coopfuse.core import GroundTruthObject, Instance, RigidTransform, StateVector, compose
 from coopfuse.robustness import (
     EmptyOracle,
     ObservationNoiseParams,
@@ -22,6 +23,11 @@ from coopfuse.robustness import (
     run_denoising_trial,
 )
 from conftest import make_instance, make_state
+from oracles import reference_cluttered_rows
+
+
+def _components(state):
+    return tuple(getattr(state, name) for name in StateVector.__slots__)
 
 
 class TestPerturbObservation:
@@ -63,6 +69,20 @@ class TestPerturbObservation:
             out = perturb_observation(tiny, rng, params)
             assert out.l > 0 and out.w > 0 and out.h > 0
             assert abs(out.sin_yaw**2 + out.cos_yaw**2 - 1.0) < 1e-9
+
+    def test_overflowing_sum_is_rejected(self):
+        # A finite range and a finite state whose sum overflows to inf on this seed's first draw.
+        state = make_state(x=1.7e308)
+        with pytest.raises(ValueError):
+            perturb_observation(state, np.random.default_rng(0), ObservationNoiseParams(pos_range=8e307))
+
+    def test_returns_plain_floats_that_revalidate(self, rng):
+        params = ObservationNoiseParams(pos_range=2.0, other_range=0.9)
+        for _ in range(200):
+            out = perturb_observation(make_state(x=4.0, yaw=1.1, vx=3.0, l=0.3), rng, params)
+            values = _components(out)
+            assert all(type(v) is float for v in values)
+            assert StateVector(*values) == out
 
     def test_mean_displacement_near_zero(self):
         rng = np.random.default_rng(3)
@@ -183,6 +203,27 @@ class TestSceneGeneration:
         ids = [obj.object_id for obj in objects]
         assert [e.track_id for e in ego_view] == [c.track_id for c in coop_view] == ids
 
+    def test_views_hold_values_the_public_constructors_accept(self, rng):
+        objects = make_cluttered_objects(12, 3.0, rng)
+        ego_view, coop_view, _ = generate_denoising_scene(
+            objects, rng, ObservationNoiseParams(), TransformNoiseParams(),
+            true_transform=RigidTransform.from_yaw(0.7, (9.0, -2.0, 0.0)), feature_dim=16,
+        )
+        for inst in ego_view + coop_view:
+            assert all(type(v) is float for v in _components(inst.state))
+            assert not inst.feature.flags.writeable
+            rebuilt = Instance(**{**vars(inst), "state": StateVector(*_components(inst.state))})
+            assert rebuilt.state == inst.state
+            assert rebuilt.feature.tobytes() == inst.feature.tobytes()
+
+    def test_overflowing_feature_noise_is_rejected(self, rng):
+        # The blurred feature's norm overflows to inf, so it has no unit direction.
+        objects = make_cluttered_objects(3, 6.0, rng)
+        with pytest.raises(ValueError):
+            generate_denoising_scene(
+                objects, rng, ObservationNoiseParams(), TransformNoiseParams(), feature_noise_sigma=1e200
+            )
+
     def test_duplicate_ids_rejected(self, rng):
         objects = [GroundTruthObject(1, 0, make_state()), GroundTruthObject(1, 0, make_state(x=5))]
         with pytest.raises(ValueError):
@@ -287,6 +328,25 @@ class TestAppearanceHelpsInClutter:
         assert np.mean(scores[1.0]) > np.mean(scores[0.0])
 
 
+class TestClutteredObjects:
+    @pytest.mark.parametrize("count", [0, 1, 7, 12, 30])
+    @pytest.mark.parametrize("speed_range", [(2.0, 10.0), (0.0, 0.5)])
+    def test_states_equal_the_scalar_draws(self, count, speed_range):
+        ours, theirs = np.random.default_rng(count + 11), np.random.default_rng(count + 11)
+        objects = make_cluttered_objects(count, 3.0, ours, speed_range=speed_range)
+        rows = reference_cluttered_rows(count, 3.0, theirs, speed_range=speed_range)
+        assert [_components(obj.state) for obj in objects] == rows
+        assert all(type(v) is float for obj in objects for v in _components(obj.state))
+        assert np.array([_components(obj.state) for obj in objects]).tobytes() == np.array(rows).tobytes()
+        assert [(obj.object_id, obj.class_id) for obj in objects] == [(i, 0) for i in range(count)]
+        assert ours.random() == theirs.random()  # both streams stopped at the same place
+
+    def test_overflowing_grid_is_rejected(self, rng):
+        # The third column sits at 2 * 1e308, past the largest float.
+        with pytest.raises(ValueError):
+            make_cluttered_objects(9, 1e308, rng)
+
+
 class TestAlphaSweep:
     def test_rows_equal_per_alpha_trial_means(self):
         # Reference: every alpha re-runs every scene through the public
@@ -321,6 +381,28 @@ class TestAlphaSweep:
     def test_rejects_empty_alphas(self):
         with pytest.raises(ValueError):
             alpha_sweep_rows([], scenes=5)
+
+    def test_builds_the_cost_parts_once_per_scene(self, monkeypatch):
+        parts, solves = [], []
+        real_parts, real_solve = robustness._cost_parts, association.solve_assignment
+
+        def counting_parts(*args):
+            parts.append(args)
+            return real_parts(*args)
+
+        def counting_solve(cost):
+            solves.append(cost)
+            return real_solve(cost)
+
+        monkeypatch.setattr(robustness, "_cost_parts", counting_parts)
+        monkeypatch.setattr(association, "solve_assignment", counting_solve)
+        alpha_sweep_rows([0.0, 0.5, 1.0], scenes=6, seed=3, feature_dim=16)
+        assert len(parts) == 6
+        assert len(solves) == 6 * 3
+
+    def test_rejects_a_scene_without_objects(self):
+        with pytest.raises(EmptyOracle):
+            alpha_sweep_rows([0.0, 1.0], scenes=2, object_count=0)
 
     def test_rejects_infinite_alpha(self):
         with pytest.raises(ValueError, match="finite"):

@@ -13,9 +13,12 @@ the last line (the result JSON) of perfbench's stdout exactly as printed.
 median and quartiles on both sides, the pairs the change won, in the
 better direction ``BENCHMARK.json`` names, and ``within_bound``: whether
 the change's median is worse than the parent's by no more than the
-metric's relative ``bound``. Running again with the same
-``--out`` appends runs, so several workloads and held-out seeds share a
-file; each checkout must be a git clone, so that its SHA is recorded.
+metric's relative ``bound``; ``ops`` gives each side's ``attempted`` and
+``failed`` op counts summed over the group's runs. The file is written
+after every pair, so a run that fails or is interrupted keeps the pairs
+before it. Running again with the same ``--out`` appends runs, so several
+workloads and held-out seeds share a file; each checkout must be a git
+clone, so that its SHA is recorded.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "within_bound": sign * (statistics.median(change) - parent_median)
                 >= -metric["bound"] * abs(parent_median),
             }
+        rows["ops"] = {side: {key: sum(json.loads(run["result"])[key] for run in members if run["side"] == side)
+                              for key in ("attempted", "failed")} for side in ("parent", "change")}
         summary[group] = rows
     return summary
 
@@ -106,6 +111,7 @@ def main(argv=None) -> int:
             record.get("change_sha", shas["change"]) != shas["change"]:
         raise SystemExit(f"{args.out} records other commits")
     record.update(parent_sha=shas["parent"], change_sha=shas["change"])
+    end_to_end = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
     group = args.workload + (f"@{args.label}" if args.label else "")
     first_pair = 1 + max((r["pair"] for r in record["runs"] if r["group"] == group), default=0)
     for i, seed in enumerate(args.seeds):
@@ -117,9 +123,8 @@ def main(argv=None) -> int:
                                                    f"--seconds {SECONDS} --trace 0", **run})
             value = json.loads(run["result"])["metrics"]["throughput"]["value"]
             print(f"{group} pair {first_pair + i} seed {seed} {side}: throughput {value:.4g}", flush=True)
-    bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    record["summary"] = summarize(record["runs"], bench["end_to_end"])
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
+        record["summary"] = summarize(record["runs"], end_to_end)
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
