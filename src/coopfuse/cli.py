@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success, 1 runtime failure, 2 config
 problem (the message names the offending key). Stdout carries progress
-only; data always goes to files under ``--out``.
+only; data always goes to files under ``--out``. Each command but
+``validate-config`` returns its tables; one runner writes them, the
+manifest naming them and one progress line.
 """
 
 from __future__ import annotations
@@ -132,99 +134,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(out_dir: Path, cfg, seed: int, command: str, runtime_s: float, files: list[str]) -> None:
-    canonical = yaml.safe_dump(scenario_to_dict(cfg), sort_keys=True)
-    manifest = {
-        "command": command,
-        "seed": seed,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "runtime_s": runtime_s,
-        "versions": {
-            "coopfuse": __version__,
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-        "outputs": files,
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _load(args) -> tuple:
-    cfg = load_scenario(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir
-
-
-def _cmd_run(args) -> int:
-    cfg, out_dir = _load(args)
-    started = time.perf_counter()
+def _cmd_run(args, cfg) -> tuple[dict, str]:
     result = run_scenario(cfg)
     metrics = compute_metrics(result)
-    write_csv(out_dir / "metrics.csv", METRICS_COLUMNS, [metrics_row(metrics)])
-    write_csv(out_dir / "events.csv", EVENT_COLUMNS, [e._asdict() for e in result.events])
-    runtime = time.perf_counter() - started
-    _write_manifest(out_dir, cfg, cfg.seed, "run", runtime, ["metrics.csv", "events.csv"])
-    print(f"run complete in {runtime:.2f}s: ap={metrics.ap:.3f} amota={metrics.amota_like:.3f}")
-    return EXIT_OK
+    tables = {
+        "metrics.csv": (METRICS_COLUMNS, [metrics_row(metrics)]),
+        "events.csv": (EVENT_COLUMNS, [e._asdict() for e in result.events]),
+    }
+    return tables, f"ap={metrics.ap:.3f} amota={metrics.amota_like:.3f}"
 
 
-def _cmd_sweep_rint(args) -> int:
-    cfg, out_dir = _load(args)
-    values = args.r_int if args.r_int else list(DEFAULT_RANGE_SWEEP)
-    started = time.perf_counter()
-    rows = sweep_interaction_range(cfg, values, jobs=args.jobs)
-    write_csv(out_dir / "rint_sweep.csv", RANGE_SWEEP_COLUMNS, rows)
-    runtime = time.perf_counter() - started
-    _write_manifest(out_dir, cfg, cfg.seed, "sweep-rint", runtime, ["rint_sweep.csv"])
-    print(f"swept {len(rows)} interaction ranges in {runtime:.2f}s")
-    return EXIT_OK
+def _cmd_sweep_rint(args, cfg) -> tuple[dict, str]:
+    rows = sweep_interaction_range(cfg, args.r_int or list(DEFAULT_RANGE_SWEEP), jobs=args.jobs)
+    return {"rint_sweep.csv": (RANGE_SWEEP_COLUMNS, rows)}, f"{len(rows)} interaction ranges"
 
 
-def _cmd_sweep_latency(args) -> int:
-    cfg, out_dir = _load(args)
-    values = args.latency_ms if args.latency_ms else list(DEFAULT_LATENCY_SWEEP_MS)
+def _cmd_sweep_latency(args, cfg) -> tuple[dict, str]:
     mode = "off" if args.no_compensation else "both"
-    started = time.perf_counter()
-    rows = sweep_latency(cfg, values, compensation=mode, jobs=args.jobs)
-    write_csv(out_dir / "latency_sweep.csv", LATENCY_SWEEP_COLUMNS, rows)
-    runtime = time.perf_counter() - started
-    _write_manifest(out_dir, cfg, cfg.seed, "sweep-latency", runtime, ["latency_sweep.csv"])
-    print(f"swept {len(rows)} latency points in {runtime:.2f}s")
-    return EXIT_OK
+    rows = sweep_latency(cfg, args.latency_ms or list(DEFAULT_LATENCY_SWEEP_MS), compensation=mode, jobs=args.jobs)
+    return {"latency_sweep.csv": (LATENCY_SWEEP_COLUMNS, rows)}, f"{len(rows)} latency points"
 
 
-def _cmd_robustness(args) -> int:
-    cfg, out_dir = _load(args)
-    alphas = args.alpha if args.alpha else [0.0, 0.5, 1.0, 2.0]
-    feature_dim = cfg.agents[0].sensor.feature_dim if cfg.agents else 64
-    started = time.perf_counter()
-    rows = alpha_sweep_rows(
-        alphas, scenes=args.scenes, seed=cfg.seed, feature_dim=feature_dim
-    )
-    write_csv(out_dir / "robustness.csv", ALPHA_SWEEP_COLUMNS, rows)
-    runtime = time.perf_counter() - started
-    _write_manifest(out_dir, cfg, cfg.seed, "robustness", runtime, ["robustness.csv"])
-    print(f"ran {args.scenes} scenes x {len(alphas)} alphas in {runtime:.2f}s")
-    return EXIT_OK
+def _cmd_robustness(args, cfg) -> tuple[dict, str]:
+    alphas = args.alpha or [0.0, 0.5, 1.0, 2.0]
+    feature_dim = cfg.agents[0].sensor.feature_dim if cfg.agents else 64  # the harness default
+    rows = alpha_sweep_rows(alphas, scenes=args.scenes, seed=cfg.seed, feature_dim=feature_dim)
+    return {"robustness.csv": (ALPHA_SWEEP_COLUMNS, rows)}, f"{args.scenes} scenes x {len(alphas)} alphas"
 
 
-def _cmd_bench_bandwidth(args) -> int:
-    cfg, out_dir = _load(args)
-    feature_dim = cfg.agents[0].sensor.feature_dim if cfg.agents else 256
+def _cmd_bench_bandwidth(args, cfg) -> tuple[dict, str]:
+    feature_dim = cfg.agents[0].sensor.feature_dim if cfg.agents else 256  # the sensor default
     rate_hz = 1.0 / cfg.tick_s
-    rows = [
-        {
-            "k": k,
-            "bytes_per_packet": packet_size(k, feature_dim),
-            "bps_sparse": packet_size(k, feature_dim) * rate_hz,
-        }
+    sparse_rows = [
+        {"k": k, "bytes_per_packet": packet_size(k, feature_dim), "bps_sparse": packet_size(k, feature_dim) * rate_hz}
         for k in range(1, 51)
     ]
-    write_csv(out_dir / "bandwidth.csv", BANDWIDTH_COLUMNS, rows)
     roi_range = cfg.pipeline.roi.x_half
     bev_rows = [
         {
@@ -233,23 +177,12 @@ def _cmd_bench_bandwidth(args) -> int:
         }
         for r in (roi_range, 2 * roi_range)
     ]
-    write_csv(out_dir / "bev_comparison.csv", BEV_COLUMNS, bev_rows)
-    _write_manifest(out_dir, cfg, cfg.seed, "bench-bandwidth", 0.0,
-                    ["bandwidth.csv", "bev_comparison.csv"])
     k = cfg.pipeline.transmit_top_k
-    sparse = packet_size(k, feature_dim) * rate_hz
-    dense = bev_baseline_cost(roi_range, 0.4, 64, 4, rate_hz)
-    print(
-        f"sparse (D={feature_dim}, K={k}, {rate_hz:g} Hz): {sparse:.3e} B/s; "
-        f"dense grid at {roi_range:g} m: {dense:.3e} B/s"
+    summary = (
+        f"sparse (D={feature_dim}, K={k}, {rate_hz:g} Hz): {packet_size(k, feature_dim) * rate_hz:.3e} B/s; "
+        f"dense grid at {roi_range:g} m: {bev_rows[0]['bps']:.3e} B/s"
     )
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    load_scenario(args.config)
-    print(f"config ok: {args.config}")
-    return EXIT_OK
+    return {"bandwidth.csv": (BANDWIDTH_COLUMNS, sparse_rows), "bev_comparison.csv": (BEV_COLUMNS, bev_rows)}, summary
 
 
 _COMMANDS = {
@@ -258,15 +191,48 @@ _COMMANDS = {
     "sweep-latency": _cmd_sweep_latency,
     "robustness": _cmd_robustness,
     "bench-bandwidth": _cmd_bench_bandwidth,
-    "validate-config": _cmd_validate,
 }
+
+
+def _run_command(args) -> None:
+    """Load the config, run the command, write its tables and a manifest naming them, print one line."""
+    cfg = load_scenario(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    tables, summary = _COMMANDS[args.command](args, cfg)
+    for name, (columns, rows) in tables.items():
+        write_csv(out_dir / name, columns, rows)
+    runtime = time.perf_counter() - started
+    manifest = {
+        "command": args.command,
+        "seed": cfg.seed,
+        "config_sha256": hashlib.sha256(yaml.safe_dump(scenario_to_dict(cfg), sort_keys=True).encode()).hexdigest(),
+        "runtime_s": runtime,
+        "versions": {
+            "coopfuse": __version__,
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
+        },
+        "outputs": list(tables),
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"{args.command} complete in {runtime:.2f}s: {summary}")
 
 
 def main(argv=None) -> int:
     _configure_logging()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "validate-config":
+            load_scenario(args.config)
+            print(f"config ok: {args.config}")
+        else:
+            _run_command(args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

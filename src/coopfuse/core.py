@@ -336,7 +336,7 @@ class RigidTransform:
 
     @classmethod
     def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
+        return cls._trusted(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_yaw(cls, yaw: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":

@@ -137,12 +137,11 @@ def perturb_transform(
     sigma_rad = math.radians(p.rot_sigma_deg)
     if p.three_axis:
         angles = rng.normal(0.0, sigma_rad, 3) if sigma_rad > 0 else np.zeros(3)
-        noise = RigidTransform._trusted(yaw_rotation(float(angles[2])), np.zeros(3))
         cy, sy = math.cos(angles[1]), math.sin(angles[1])
-        pitch = RigidTransform._trusted([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]], np.zeros(3))
         cx, sx = math.cos(angles[0]), math.sin(angles[0])
-        roll = RigidTransform._trusted([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]], np.zeros(3))
-        rotation = compose(noise, compose(pitch, roll)).rotation
+        pitch = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+        roll = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+        rotation = yaw_rotation(float(angles[2])) @ (pitch @ roll)
     else:
         yaw = float(rng.normal(0.0, sigma_rad)) if sigma_rad > 0 else 0.0
         rotation = yaw_rotation(yaw)

@@ -37,7 +37,7 @@ from .core import (
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
-from .wire import MAX_CLASS_ID, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
+from .wire import MAX_CLASS_ID, MAX_FEATURE_DIM, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
 
@@ -128,8 +128,8 @@ class SensorModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be at least 1")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise ValueError(f"feature_dim {self.feature_dim} outside [1, {MAX_FEATURE_DIM}] (u16 on the wire)")
         if not self.pos_noise_range_power > 0:
             raise ValueError("pos_noise_range_power must be positive")
         _check_non_negative(self, ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
@@ -300,12 +300,9 @@ class ChannelModel:
     accounting_window_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.latency_ms >= 0 and self.jitter_ms >= 0):
-            raise ValueError("latency and jitter must be non-negative")
+        _check_non_negative(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if not self.accounting_window_s >= 0:
-            raise ValueError("accounting_window_s must be non-negative")
 
 
 def transmit(

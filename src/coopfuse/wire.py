@@ -38,6 +38,7 @@ MAGIC = 0x4B475121
 VERSION = 1
 NO_TRACK_ID = 0xFFFF_FFFF_FFFF_FFFF
 MAX_SENDER_ID = 0xFFFF
+MAX_RECORD_COUNT = MAX_FEATURE_DIM = 0xFFFF
 MAX_CLASS_ID = 0xFF
 
 HEADER_DTYPE = np.dtype(
@@ -140,7 +141,7 @@ def encode_packet(
     sender_id: int = 0,
 ) -> bytes:
     """Serialize a batch of instances plus the sender pose and timestamp (an
-    empty batch declares D = 0); raises ValueError on an ID its field cannot hold."""
+    empty batch declares D = 0); raises ValueError on an ID, count or D its field cannot hold."""
     if not 0 <= sender_id <= MAX_SENDER_ID:
         raise ValueError(f"sender_id {sender_id} does not fit the wire format")
     untracked = np.equal(instances.track_ids, None)
@@ -150,6 +151,8 @@ def encode_packet(
     if (bad := (instances.class_ids < 0) | (instances.class_ids > MAX_CLASS_ID)).any():
         raise ValueError(f"class_id {instances.class_ids[bad][0]} does not fit the wire format")
     feature_dim = instances.features.shape[1] if len(instances) else 0
+    if len(instances) > MAX_RECORD_COUNT or feature_dim > MAX_FEATURE_DIM:
+        raise ValueError(f"{len(instances)} records of D = {feature_dim} do not fit the wire format")
     header = np.array(
         (MAGIC, VERSION, sender_id, t, pose.rotation.reshape(-1), pose.translation,
          len(instances), feature_dim),

@@ -271,3 +271,44 @@ class TestInputBoundary:
         path = CONFIG_DIR.parent / config
         assert main(["bench-bandwidth", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads((tmp_path / "manifest.json").read_text())["config_sha256"] == digest
+
+
+COMMAND_FLAGS = {
+    "run": [],
+    "sweep-rint": ["--r-int", "30"],
+    "sweep-latency": ["--latency-ms", "0", "--no-compensation"],
+    "robustness": ["--alpha", "0", "--scenes", "2"],
+    "bench-bandwidth": [],
+}
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_manifest_names_every_file_written(self, tiny_config, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", tiny_config, "--out", str(out), *COMMAND_FLAGS[command]]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert sorted(manifest["outputs"]) == sorted(p.name for p in out.glob("*.csv"))
+        assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+        assert manifest["runtime_s"] > 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{command} complete in ")
+
+    def test_validate_config_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate-config", "--config", QUICKSTART]) == EXIT_OK
+        assert not list(tmp_path.iterdir())
+        assert capsys.readouterr().out == f"config ok: {QUICKSTART}\n"
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_feature_dim_beyond_u16_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "wide.yaml"
+        path.write_text(TINY.replace("feature_dim: 8", "feature_dim: 70000"))
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG
+        message = "config error: agents[0].sensor: feature_dim 70000 outside [1, 65535] (u16 on the wire)"
+        assert message in capsys.readouterr().err
+        assert not out.exists()

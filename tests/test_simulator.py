@@ -208,6 +208,12 @@ class TestSensorModelValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SensorModel(**{name: value})
 
+    def test_feature_dim_must_fit_its_u16_wire_field(self):
+        assert SensorModel(feature_dim=0xFFFF).feature_dim == 0xFFFF
+        for value in (0, 0x10000, 70000):
+            with pytest.raises(ValueError, match=rf"^feature_dim {value} outside \[1, 65535\] \(u16 on the wire\)"):
+                SensorModel(feature_dim=value)
+
 
 _KNOB = st.sampled_from([0.0, 0.4])
 _SENSORS = st.builds(
@@ -418,6 +424,13 @@ class TestTransmit:
         for _ in range(500):
             t_arrive, _ = transmit(b"x", channel, rng, 0)
             assert 100_000 <= t_arrive <= 150_000
+
+    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms", "accounting_window_s"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_channel_rejects_non_finite_or_negative_times(self, name, value):
+        problem = "non-negative" if value == -1.0 else "finite"
+        with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
+            ChannelModel(**{name: value})
 
 
 class TestBevBaselineCost:

@@ -11,6 +11,8 @@ from coopfuse.wire import (
     HEADER_DTYPE,
     HEADER_SIZE,
     MAGIC,
+    MAX_FEATURE_DIM,
+    MAX_RECORD_COUNT,
     NO_TRACK_ID,
     MalformedPacket,
     decode_packet,
@@ -248,6 +250,17 @@ class TestEncodePacket:
         b = make_instance(dim=16, feature_seed=2)
         with pytest.raises(ValueError):
             encode_packet(InstanceBatch.of([a, b]), RigidTransform.identity(), 0, 0)
+
+    def test_rejects_a_count_or_dim_its_u16_fields_cannot_hold(self):
+        one = InstanceBatch.of([make_instance(dim=1)])
+        too_many = one[np.zeros(MAX_RECORD_COUNT + 1, dtype=int)]
+        too_wide = InstanceBatch.of([make_instance(dim=MAX_FEATURE_DIM + 1)])
+        for batch in (too_many, too_wide):
+            with pytest.raises(ValueError, match="do not fit the wire format"):
+                encode_packet(batch, RigidTransform.identity(), 0, 0)
+        widest = decode_packet(encode_packet(InstanceBatch.of([make_instance(dim=MAX_FEATURE_DIM)]),
+                                             RigidTransform.identity(), 0, 0))
+        assert widest.feature_dim == MAX_FEATURE_DIM
 
     def test_quantizes_to_f32_exact_values(self):
         inst = make_instance(x=1.0 / 3.0, dim=4)
