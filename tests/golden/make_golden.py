@@ -2,25 +2,36 @@
 
 ``write_golden`` drives ``coopfuse.cli.main`` over a fixed set of cases at
 seed 0 and keeps only the deterministic CSVs (the manifest carries wall
-time, so it is left out). ``tests/test_golden.py`` calls the same function
-and compares every file byte for byte with the copy committed next to this
-script. Regenerate the snapshot only for an intended output change:
+time, so it is left out). Each ``run`` case also gets ``tracks.csv``, every
+output track of every frame to the last bit (see ``write_tracks``), so a
+change that moves one track's state fails the test and names the frame.
+``tests/test_golden.py`` calls the same function and compares every file
+byte for byte with the copy committed next to this script. The bits depend
+on numpy and libm; ``NUMPY_VERSION`` names the numpy that made the snapshot,
+and CI installs that version. Regenerate the snapshot only for an intended
+output change, and update ``NUMPY_VERSION`` with it:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from coopfuse.cli import EXIT_OK, main
 from coopfuse.configio import dump_scenario, load_scenario
+from coopfuse.core import StateVector
+from coopfuse.evaluation import write_csv
 from coopfuse.robustness import TransformNoiseParams
-from coopfuse.simulator import AgentSpec, ChannelModel, ScenarioConfig
+from coopfuse.simulator import AgentSpec, ChannelModel, RunResult, ScenarioConfig, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+NUMPY_VERSION = GOLDEN_DIR / "NUMPY_VERSION"
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
 LOSSY = "lossy_multi_sender"
 TRUNCATED = "quickstart_top3"
@@ -93,6 +104,30 @@ def range_study_turning_config() -> ScenarioConfig:
     return replace(base, yaw_rate_range=(-0.4, 0.4))
 
 
+FRAME_COLUMNS = ("t_us", "coop_consumed", "stale_dropped", "coop_prefusion_err")
+TRACK_COLUMNS = ("track_id", "class_id", "source_agent", "observed_at", "confidence",
+                 *StateVector.__slots__, "feature_sha256")
+
+
+def write_tracks(run: RunResult, path: Path) -> None:
+    """One row per frame with its counters, then one row per output track: identity,
+    ``observed_at``, the ``repr`` of the confidence and of each state float, and a
+    SHA-256 of the feature's float64 bytes."""
+    rows = []
+    for frame in run.frames:
+        rows.append({"t_us": frame.t_us, "coop_consumed": frame.coop_consumed,
+                     "stale_dropped": frame.stale_dropped, "coop_prefusion_err": repr(frame.coop_prefusion_err)})
+        for inst in frame.tracks.instances:
+            state = {name: repr(getattr(inst.state, name)) for name in StateVector.__slots__}
+            feature = np.ascontiguousarray(inst.feature, dtype=np.float64).tobytes()
+            rows.append({"t_us": frame.t_us, "track_id": inst.track_id, "class_id": inst.class_id,
+                         "source_agent": inst.source_agent, "observed_at": inst.observed_at,
+                         "confidence": repr(inst.confidence), **state,
+                         "feature_sha256": hashlib.sha256(feature).hexdigest()})
+    columns = FRAME_COLUMNS + TRACK_COLUMNS
+    write_csv(path, columns, [{c: row.get(c, "") for c in columns} for row in rows])
+
+
 BUILT_CONFIGS = {
     LOSSY: lossy_multi_sender_config,
     TRUNCATED: quickstart_top3_config,
@@ -117,9 +152,13 @@ def write_golden(out_dir) -> list[Path]:
                 raise RuntimeError(f"coopfuse {' '.join(argv)} failed")
             (case_dir / "manifest.json").unlink()
             written.extend(Path(case) / name for name in files)
+            if command == "run":
+                write_tracks(run_scenario(replace(load_scenario(config_path), seed=0)), case_dir / "tracks.csv")
+                written.append(Path(case) / "tracks.csv")
     return written
 
 
 if __name__ == "__main__":
     for path in write_golden(GOLDEN_DIR):
         print(path)
+    NUMPY_VERSION.write_text(np.__version__ + "\n")
