@@ -366,7 +366,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A complete, seeded scenario: world, agents, channel, pipeline."""
+    """A complete, seeded scenario: world, agents (a set, kept in agent_id order), channel, pipeline."""
 
     duration_s: float = 10.0
     tick_s: float = 0.5
@@ -416,6 +416,7 @@ class ScenarioConfig:
         dims = {a.sensor.feature_dim for a in self.agents}
         if len(dims) > 1:
             raise ValueError("all agents must share one feature_dim")
+        object.__setattr__(self, "agents", tuple(sorted(self.agents, key=lambda a: a.agent_id)))
 
     @property
     def frame_count(self) -> int:
@@ -559,7 +560,7 @@ def _prefusion_error(
 
 
 # One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (in
-# config order), the ego's detections (before the ROI) and the whole world in the ego frame.
+# agent_id order), the ego's detections (before the ROI) and the whole world in the ego frame.
 SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...]]
 
 
@@ -576,9 +577,10 @@ def _scene(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
     """Build the world and sense it frame by frame, drawing only from the world and agent streams."""
-    world_seq, _channel_seq, *agent_seqs = np.random.SeedSequence(cfg.seed).spawn(2 + len(cfg.agents))
-    world = build_world(cfg, np.random.default_rng(world_seq))
-    agents = [Agent(spec, np.random.default_rng(seq)) for spec, seq in zip(cfg.agents, agent_seqs)]
+    world = build_world(cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    # An agent's stream is the seed's child 2 + agent_id (spawn(n)[2 + agent_id] for any n), however listed.
+    agents = [Agent(a, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2 + a.agent_id,))))
+              for a in cfg.agents]
     ego = next(a for a in agents if a.spec.ego)
     coop_agents = [a for a in agents if not a.spec.ego]
     for k in range(cfg.frame_count):
@@ -604,7 +606,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         raise ValueError("scenario needs at least one (ego) agent")
     if sensed is not None and sensed.scene != _scene(cfg):
         raise ValueError("the record is of another scene than the config's")
-    # A spawned stream depends only on its index: world, channel, then one per agent.
+    # A spawned stream depends only on its index: world, channel, then one per agent_id.
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
     ego_spec = next(a for a in cfg.agents if a.ego)
     coop_specs = [a for a in cfg.agents if not a.ego]
@@ -625,7 +627,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         t = k * tick_us
         coop_dets, ego_all, gt_all = next(frames_in)
 
-        # Remote agents transmit what they sensed.
+        # Remote agents transmit what they sensed, in agent_id order.
         for spec, detections in zip(coop_specs, coop_dets):
             eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
             # Most confident first; a stable sort keeps equally confident ones in sensing order.

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse import simulator
+from coopfuse.configio import load_scenario
 from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
 from coopfuse.robustness import TransformNoiseParams
 from coopfuse.wire import InstancePacket
@@ -28,6 +30,7 @@ from coopfuse.simulator import (
     transmit,
 )
 from conftest import make_instance, make_state, shipped
+from golden.make_golden import lossy_multi_sender_config
 from oracles import (
     reference_detections,
     reference_min_separation,
@@ -650,6 +653,38 @@ class TestRecordReplay:
         record = record_scene(replace(cfg, duration_s=4 * cfg.tick_s))
         with pytest.raises(ValueError, match="another scene"):
             run_scenario(other(replace(cfg, duration_s=4 * cfg.tick_s)), record)
+
+
+def _listed(name: str) -> ScenarioConfig:
+    """A shipped config, ``lossy_multi_sender`` (golden) or perfbench's crowd scene, at seed 3."""
+    if name == "lossy_multi_sender":
+        return replace(lossy_multi_sender_config(), seed=3)
+    if name == "crowd":
+        return replace(load_scenario(Path(__file__).parent.parent / "perfbench" / "configs" / "crowd.yaml"), seed=3)
+    return shipped(name, seed=3)
+
+
+class TestAgentsAreASet:
+    """Listing a scene's agents in another order changes no output: each agent's stream is keyed
+    by its agent_id, cooperators transmit in agent_id order and a record keys its scene by id."""
+
+    @pytest.mark.parametrize("name", [*SHIPPED, "lossy_multi_sender", "crowd"])
+    def test_reversed_listing_changes_nothing(self, name):
+        cfg = _listed(name)
+        assert _outputs(run_scenario(replace(cfg, agents=cfg.agents[::-1]))) == _outputs(run_scenario(cfg))
+
+    def test_a_record_replays_under_any_listing(self):
+        cfg = replace(lossy_multi_sender_config(), duration_s=1.0)
+        record = record_scene(replace(cfg, agents=cfg.agents[::-1]))
+        assert _outputs(run_scenario(cfg, record)) == _outputs(run_scenario(cfg))
+
+    @settings(max_examples=10, deadline=None)
+    @given(ids=st.permutations(range(4, 10)).map(lambda ids: ids[:4]), order=st.permutations(range(4)))
+    def test_any_permutation_of_any_ids_changes_nothing(self, ids, order):
+        base = replace(lossy_multi_sender_config(), duration_s=1.0)
+        agents = tuple(replace(a, agent_id=i) for a, i in zip(base.agents, ids))
+        listed = replace(base, agents=tuple(agents[k] for k in order))
+        assert _outputs(run_scenario(listed)) == _outputs(run_scenario(replace(base, agents=agents)))
 
 
 class TestScenarioConfigValidation:
