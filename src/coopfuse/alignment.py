@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _STATE_COMPONENTS,
     DegenerateHeading,
     Instance,
     RigidTransform,
@@ -75,17 +76,19 @@ def compensate_latency(
         HorizonExceeded: if dt exceeds ``max_horizon``.
         ValueError: if dt is negative.
     """
+    return StateVector._trusted(_compensated_row(state, dt, max_horizon))
+
+
+def _compensated_row(s: StateVector, dt: float, max_horizon: float) -> tuple[float, ...]:
+    """``compensate_latency`` as 11 floats (at dt = 0 the state's own, so a zero keeps its sign)."""
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     if dt > max_horizon:
         raise HorizonExceeded(f"dt {dt:.3f}s exceeds horizon {max_horizon:.3f}s")
     if dt == 0.0:
-        return state
-    s = state
-    return StateVector._trusted(
-        (s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt,
-         s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz)
-    )
+        return _STATE_COMPONENTS(s)
+    return (s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt,
+            s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz)
 
 
 # A row's position, velocity and planar heading (cos, sin, then zeroed) as three 3-vectors.
@@ -111,18 +114,28 @@ def transform_states(rows: np.ndarray, t: RigidTransform) -> list[tuple[float, .
     # ``vectors @ rot.T`` differs in the last bit on most rows.
     moved = (t.rotation @ vectors.reshape(-1, 3, 1)).reshape(-1, 9)
     moved[:, :3] += t.translation
-    out = []
-    for (px, py, pz, vx, vy, vz, hx, hy, _hz), (l, w, h) in zip(moved.tolist(), rows[:, 3:6].tolist()):
-        norm = math.hypot(hx, hy)
-        if norm < 1e-9:
-            raise DegenerateHeading("rotation leaves no planar heading component")
-        out.append((px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz))
-    return out
+    return [_moved_row(*m, *dims) for m, dims in zip(moved.tolist(), rows[:, 3:6].tolist())]
+
+
+def _moved_row(px, py, pz, vx, vy, vz, hx, hy, _hz, l, w, h) -> tuple[float, ...]:
+    """A row from its moved position, velocity and heading vector and its dimensions."""
+    norm = math.hypot(hx, hy)
+    if norm < 1e-9:
+        raise DegenerateHeading("rotation leaves no planar heading component")
+    return (px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz)
+
+
+def _transform_row(row: tuple[float, ...], t: RigidTransform) -> tuple[float, ...]:
+    """One row through ``transform_states``' formula and stacked mat-vec, its translation in Python."""
+    x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = row
+    vectors = np.array((x, y, z, vx, vy, vz, cos_yaw, sin_yaw, 0.0)).reshape(3, 3, 1)
+    (px, py, pz, *moved), (tx, ty, tz) = (t.rotation @ vectors).ravel().tolist(), t.translation.tolist()
+    return _moved_row(px + tx, py + ty, pz + tz, *moved, l, w, h)
 
 
 def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
     """Express one state in the frame the transform maps into (see ``transform_states``)."""
-    return StateVector._trusted(transform_states(state.as_array()[None], t)[0])
+    return StateVector._trusted(_transform_row(_STATE_COMPONENTS(state), t))
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:
@@ -164,8 +177,7 @@ def align_instance(
     if inst.observed_at > t_ego:
         raise ValueError("instance observed after the ego timestamp")
     dt = micros_to_seconds(t_ego - inst.observed_at)
-    state = compensate_latency(inst.state, dt, cfg.max_compensation_horizon)
-    state = transform_state(state, rel)
+    state = StateVector._trusted(_transform_row(_compensated_row(inst.state, dt, cfg.max_compensation_horizon), rel))
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)
         feature.setflags(write=False)

@@ -7,12 +7,13 @@ are integer microseconds since the scenario epoch so latency arithmetic is
 exact; conversion to float seconds happens only at the kinematics boundary.
 
 Values are validated once, where they enter: the public constructors,
-sensing, wire decode and config loading. A value computed from already
-valid values (a transformed, compensated, fused or smoothed state, a
-composed or inverted transform, a relabelled instance) is built through the
-type's private ``_trusted`` constructor (or ``Instance._trusted_replace``),
-which skips the checks. Only code inside the package calls them, and only
-with such derived values. The rules for a valid value live here alone:
+sensing, wire decode and config loading. A value derived from valid ones (a
+transformed, compensated, fused or smoothed state, a composed or inverted
+transform, a relabelled instance) is built unchecked by the type's private
+``_trusted`` (or ``Instance._trusted_replace``), which only package code
+calls. ``StateVector`` and ``Instance`` keep their fields in slots, which
+``_trusted`` sets through the slot descriptors: a per-record value is one
+small object with no dict. The rules for a valid value live here alone:
 wire decode checks its record array as one batch with ``_check_records``.
 """
 
@@ -111,8 +112,10 @@ class StateVector:
     def _trusted(cls, values: Sequence[float]) -> StateVector:
         """The state of 11 plain floats derived from valid states, unchecked."""
         self = object.__new__(cls)
-        for set_slot, value in zip(_STATE_SLOT_SETTERS, values):
-            set_slot(self, value)
+        x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = values
+        _SET_X(self, x), _SET_Y(self, y), _SET_Z(self, z), _SET_L(self, l), _SET_W(self, w), _SET_H(self, h)
+        _SET_SIN_YAW(self, sin_yaw), _SET_COS_YAW(self, cos_yaw)
+        _SET_VX(self, vx), _SET_VY(self, vy), _SET_VZ(self, vz)
         return self
 
     def as_array(self) -> np.ndarray:
@@ -128,7 +131,8 @@ class StateVector:
         return math.hypot(self.vx, self.vy)
 
 
-_STATE_SLOT_SETTERS = tuple(StateVector.__dict__[name].__set__ for name in StateVector.__slots__)
+_SET_X, _SET_Y, _SET_Z, _SET_L, _SET_W, _SET_H, _SET_SIN_YAW, _SET_COS_YAW, _SET_VX, _SET_VY, _SET_VZ = (
+    StateVector.__dict__[name].__set__ for name in StateVector.__slots__)
 _STATE_COMPONENTS = operator.attrgetter(*StateVector.__slots__)
 
 
@@ -146,7 +150,7 @@ def normalize_feature(values: np.ndarray) -> np.ndarray:
     return arr / norm
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Instance:
     """One perceived object: kinematic state plus appearance feature.
 
@@ -177,17 +181,25 @@ class Instance:
             raise ValueError("observed_at must be non-negative")
 
     @classmethod
-    def _trusted(cls, **fields) -> Instance:
-        """Every field by name, derived from valid values; unchecked. The
-        ``feature`` must already be a read-only unit-norm float64 array."""
+    def _trusted(cls, state, feature, confidence, class_id, track_id, source_agent, observed_at) -> Instance:
+        """Every field, derived from valid values; unchecked (``feature`` a read-only unit-norm float64 array)."""
         self = object.__new__(cls)
-        for name, value in fields.items():  # one by one, so instances share dict keys
-            object.__setattr__(self, name, value)
+        _SET_STATE(self, state), _SET_FEATURE(self, feature), _SET_CONFIDENCE(self, confidence)
+        _SET_CLASS_ID(self, class_id), _SET_TRACK_ID(self, track_id)
+        _SET_SOURCE_AGENT(self, source_agent), _SET_OBSERVED_AT(self, observed_at)
         return self
 
     def _trusted_replace(self, **changes) -> Instance:
         """A copy with the named fields changed to values derived from valid ones; unchecked."""
-        return Instance._trusted(**(vars(self) | changes))
+        copy = Instance._trusted(*_INSTANCE_FIELDS(self))
+        for name, value in changes.items():
+            Instance.__dict__[name].__set__(copy, value)
+        return copy
+
+
+_SET_STATE, _SET_FEATURE, _SET_CONFIDENCE, _SET_CLASS_ID, _SET_TRACK_ID, _SET_SOURCE_AGENT, _SET_OBSERVED_AT = (
+    Instance.__dict__[name].__set__ for name in Instance.__slots__)
+_INSTANCE_FIELDS = operator.attrgetter(*Instance.__slots__)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -135,10 +135,6 @@ class SensorModel:
         _check_non_negative(self, ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
                                    "feature_noise_sigma", "track_gate"))
 
-    def _mix(self, near: float, far: float, r: float, power: float = 1.0) -> float:
-        frac = min(r / self.max_range, 1.0) ** power
-        return near + (far - near) * frac
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -192,7 +188,8 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
 
     The pass is one batch of rows in the agent frame, with one uniform detect
     draw per object in range and field of view and one Gaussian draw per
-    detection, checked as one batch; no per-detection value is built.
+    detection, checked as one batch; no per-detection value is built. Each
+    quality mixes its near and far values by ``min(r / max_range, 1)``.
     Persistent per-agent track IDs come from nearest-neighbor continuation
     against the previous pass, predicted forward by the stored velocity.
     """
@@ -208,29 +205,32 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
     # one standard_normal call per detection yields what separate Generator.normal(0, s)
     # = 0.0 + s * z calls drew (the 0.0 + is kept below, so zeros keep their sign) for
     # position (2 + 1), dimensions and velocity (3 each, when on), then the feature.
-    local = transform_states(world.rows, invert(pose))
+    # Gate and qualities in numpy; math.hypot, math.atan2 and Python ** per object (numpy's may differ).
+    local = np.array(transform_states(world.rows, invert(pose))).reshape(-1, 11)
+    xs, ys = local[:, 0].tolist(), local[:, 1].tolist()
+    r = np.array(list(map(math.hypot, xs, ys)))
+    frac = np.minimum(r / sensor.max_range, 1.0)
+    detect_prob = (sensor.detect_prob_near + (sensor.detect_prob_far - sensor.detect_prob_near) * frac).tolist()
     noise = np.empty((len(local), k + sensor.feature_dim))
-    hits, spreads, confidences = [], [], []
-    for i, row in enumerate(local):
-        r = math.hypot(row[0], row[1])
-        if r > sensor.max_range:
+    hits = []
+    for i in np.flatnonzero(r <= sensor.max_range).tolist():
+        if sensor.fov_deg < 360.0 and abs(math.atan2(ys[i], xs[i])) > half_fov:
             continue
-        if sensor.fov_deg < 360.0 and abs(math.atan2(row[1], row[0])) > half_fov:
-            continue
-        if rng.random() >= sensor._mix(sensor.detect_prob_near, sensor.detect_prob_far, r):
+        if rng.random() >= detect_prob[i]:
             continue
         rng.standard_normal(out=noise[len(hits)])
         hits.append(i)
-        spreads.append(sensor._mix(1.0, sensor.pos_noise_far_factor, r, sensor.pos_noise_range_power))
-        confidences.append(min(max(sensor._mix(sensor.confidence_near, sensor.confidence_far, r), 0.0), 1.0))
 
-    z = noise[: len(hits)]
-    states = np.array([local[i] for i in hits]).reshape(-1, 11)
+    z, states, frac = noise[: len(hits)], local[hits], frac[hits]
+    confidences = sensor.confidence_near + (sensor.confidence_far - sensor.confidence_near) * frac
+    confidences = np.minimum(np.where(confidences < 0.0, 0.0, confidences), 1.0)  # as min(max(c, 0.0), 1.0)
     # A huge finite sigma overflows to inf here; the batch check below rejects it.
     with np.errstate(over="ignore"):
         c = 0
         if noised[0]:
-            states[:, :2] += 0.0 + (sensor.pos_noise_sigma * np.array(spreads))[:, None] * z[:, :2]
+            powered = np.array([f**sensor.pos_noise_range_power for f in frac.tolist()])
+            spreads = 1.0 + (sensor.pos_noise_far_factor - 1.0) * powered
+            states[:, :2] += 0.0 + (sensor.pos_noise_sigma * spreads)[:, None] * z[:, :2]
             states[:, 2] += 0.0 + sensor.pos_noise_sigma * z[:, 2]
             c = 3
         if noised[1]:
@@ -240,7 +240,6 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
         features = np.array([identity_embedding(i, sensor.feature_dim) for i in world.object_ids[hits].tolist()])
         features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
-        confidences = np.array(confidences)
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
             raise ValueError("a feature's norm is not finite")
     features /= norms[:, None]

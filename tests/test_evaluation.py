@@ -13,6 +13,7 @@ from coopfuse.evaluation import (
     DETECTION_THRESHOLDS,
     TRACKING_THRESHOLD,
     compute_metrics,
+    sweep_interaction_range,
     sweep_latency,
     write_csv,
 )
@@ -331,6 +332,16 @@ class TestCsvAndSweeps:
         rows = sweep_latency(cfg, [0.0, 100.0, 200.0], jobs=2)
         assert len(rows) == 6
         assert 1 <= len(pickled) <= 2
+
+    @pytest.mark.parametrize(
+        "sweep, name, points",
+        [(sweep_interaction_range, "range_study", [5.0, 30.0]), (sweep_latency, "latency_study", [0.0, 300.0])],
+        ids=["rint", "latency"],
+    )
+    def test_parallel_sweep_equals_serial(self, sweep, name, points):
+        # The workers unpickle the scene record (slotted instances included) and must score every point alike.
+        cfg = replace(shipped(name, seed=1), duration_s=3.0)
+        assert repr(sweep(cfg, points, jobs=2)) == repr(sweep(cfg, points, jobs=1))
 
     def test_compute_metrics_report_fields(self):
         result = run_scenario(shipped("quickstart", seed=1))

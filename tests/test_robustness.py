@@ -1,6 +1,7 @@
 """Noise models, known-correspondence scenes, and association scoring."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ class TestSceneGeneration:
         for inst in ego_view + coop_view:
             assert all(type(v) is float for v in _components(inst.state))
             assert not inst.feature.flags.writeable
-            rebuilt = Instance(**{**vars(inst), "state": StateVector(*_components(inst.state))})
+            values = {f.name: getattr(inst, f.name) for f in fields(Instance)}
+            rebuilt = Instance(**{**values, "state": StateVector(*_components(inst.state))})
             assert rebuilt.state == inst.state
             assert rebuilt.feature.tobytes() == inst.feature.tobytes()
 
