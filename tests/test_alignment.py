@@ -26,6 +26,7 @@ from coopfuse.core import (
     StateVector,
     compose,
     invert,
+    micros_to_seconds,
     relative_transform,
     seconds_to_micros,
     state_rows,
@@ -197,6 +198,22 @@ class TestAlignInstance:
         np.testing.assert_allclose(
             [out.state.vx, out.state.vy], [0.0, 1.0], atol=1e-12
         )
+
+    def test_state_equals_compensation_then_the_batch_transform_exactly(self, rng):
+        # align_instance moves each record through a one-row body; its bits must be those of
+        # the constant-velocity step followed by the batch transform.
+        for k in range(200):
+            rotation = random_rotation(rng) if k % 2 else RigidTransform.from_yaw(rng.uniform(-3, 3)).rotation
+            rel = RigidTransform(rotation, rng.uniform(-100, 100, 3))
+            x, y, yaw, vx, vy = rng.uniform(-50, 50, 5)
+            inst = make_instance(x=x, y=y, z=0.7, yaw=yaw, vx=vx, vy=vy, observed_at=10_000)
+            t_ego = inst.observed_at + (int(rng.integers(1, 2_000_000)) if k % 4 else 0)
+            s, dt = inst.state, micros_to_seconds(t_ego - inst.observed_at)
+            moved = [s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt] if dt else [s.x, s.y, s.z]
+            row = np.array([*moved, s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz])
+            want = transform_states(row[None], rel)[0]
+            got = align_instance(inst, rel, t_ego, AlignmentConfig()).state
+            assert [getattr(got, n).hex() for n in StateVector.__slots__] == [v.hex() for v in want]
 
     def test_rejects_future_instances(self):
         rel = self._rel()
