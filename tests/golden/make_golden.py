@@ -34,6 +34,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 NUMPY_VERSION = GOLDEN_DIR / "NUMPY_VERSION"
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
 LOSSY = "lossy_multi_sender"
+REORDERED = "lossy_reordered"
 TRUNCATED = "quickstart_top3"
 TURNING = "range_study_turning"
 
@@ -45,6 +46,7 @@ CASES = (
     ("range_study_sweep", "sweep-rint", "range_study.yaml", ("rint_sweep.csv",)),
     ("latency_study_sweep", "sweep-latency", "latency_study.yaml", ("latency_sweep.csv",)),
     (LOSSY, "run", None, ("metrics.csv", "events.csv")),
+    (REORDERED, "run", None, ("metrics.csv", "events.csv")),
     (TRUNCATED, "run", None, ("metrics.csv", "events.csv")),
     (TURNING, "run", None, ("metrics.csv", "events.csv")),
     ("quickstart_robustness", "robustness", "quickstart.yaml", ("robustness.csv",)),
@@ -53,8 +55,9 @@ CASES = (
 
 def lossy_multi_sender_config() -> ScenarioConfig:
     """Quickstart with three noisy D=256 cooperators over a lossy, jittery
-    channel with sender pose noise: drops, reordering and newest-packet
-    selection across several senders all occur within 4 s."""
+    channel with sender pose noise: drops across several senders occur
+    within 4 s. The 50 ms jitter is less than the 100 ms tick, so no sender's
+    packets arrive out of order or two to a frame (see lossy_reordered)."""
     base = load_scenario(CONFIG_DIR / "quickstart.yaml")
     sensor = replace(
         base.agents[1].sensor,
@@ -81,6 +84,14 @@ def lossy_multi_sender_config() -> ScenarioConfig:
         channel=ChannelModel(latency_ms=100.0, jitter_ms=50.0, drop_prob=0.2),
         pose_noise=TransformNoiseParams(trans_sigma=1.0, rot_sigma_deg=0.5),
     )
+
+
+def lossy_reordered_config() -> ScenarioConfig:
+    """lossy_multi_sender with 250 ms of jitter at its 0.1 s tick: a sender's
+    packets overtake each other, so the ego consumes some two to a frame (and
+    keeps the newest) and some after a newer one from the same sender."""
+    base = lossy_multi_sender_config()
+    return replace(base, channel=replace(base.channel, jitter_ms=250.0))
 
 
 def quickstart_top3_config() -> ScenarioConfig:
@@ -130,6 +141,7 @@ def write_tracks(run: RunResult, path: Path) -> None:
 
 BUILT_CONFIGS = {
     LOSSY: lossy_multi_sender_config,
+    REORDERED: lossy_reordered_config,
     TRUNCATED: quickstart_top3_config,
     TURNING: range_study_turning_config,
 }
