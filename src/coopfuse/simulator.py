@@ -1,10 +1,13 @@
 """Synthetic multi-agent scenarios over a lossy, latent channel.
 
 A world of constant-velocity (optionally constant-yaw-rate) objects is
-observed by agents with parametric sensors. Remote agents serialize their
-top detections into packets that cross a channel with latency, jitter, and
-loss; the ego agent aligns, associates, fuses, and tracks. The event loop
-is single-threaded and fully determined by the scenario seed.
+observed by agents with parametric sensors (``sense_frames``). Each frame of
+``run_scenario`` then runs three stages. ``_send`` serializes each remote
+agent's top detections, with sender pose noise, into a packet that crosses a
+channel with latency, jitter and loss. ``_receive`` decodes what has arrived,
+keeps each sender's newest packet and aligns it to the ego. ``_fuse``
+associates, fuses and tracks. The event loop is single-threaded and fully
+determined by the scenario seed.
 """
 
 from __future__ import annotations
@@ -481,7 +484,7 @@ class SimEvent(NamedTuple):
     detail_us: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameRecord:
     """Everything the evaluation needs from one ego frame."""
 
@@ -597,119 +600,105 @@ def record_scene(cfg: ScenarioConfig) -> SceneRecord:
     return SceneRecord(_scene(cfg), tuple(sense_frames(cfg)))
 
 
+def _send(
+    cfg: ScenarioConfig, coop_specs: Sequence[AgentSpec], coop_dets: Sequence[InstanceBatch], t: Timestamp,
+    channel_rng: np.random.Generator,
+) -> list[tuple[int, bytes, Optional[tuple[Timestamp, bytes]]]]:
+    """Each cooperator's ``(agent_id, packet, delivery)`` at ``t``, in agent_id order; the delivery
+    is ``transmit``'s (None when lost). Per sender, pose noise then the channel draw from ``channel_rng``."""
+    pipe = cfg.pipeline
+    sent = []
+    for spec, detections in zip(coop_specs, coop_dets):
+        eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
+        # Most confident first; a stable sort keeps equally confident ones in sensing order.
+        ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
+        sent_pose = spec.pose_at(t)
+        if cfg.pose_noise is not None:
+            sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
+        packet = encode_packet(detections[ranked[: pipe.transmit_top_k]], sent_pose, t, spec.agent_id)
+        sent.append((spec.agent_id, packet, transmit(packet, cfg.channel, channel_rng, t)))
+    return sent
+
+
+def _receive(
+    packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp, pipeline: PipelineConfig
+) -> tuple[list[Instance], int]:
+    """Decode the packets consumed at ``t`` (in arrival order), keep each sender's newest by send
+    time (of equal ones, the later arrival) and align its records to the ego at ``t``, senders in
+    id order. Returns the aligned instances and the count of records past the horizon."""
+    newest: dict[int, InstancePacket] = {}
+    for data in packets:
+        packet = decode_packet(data)
+        prior = newest.get(packet.sender_id)
+        if prior is None or packet.send_timestamp >= prior.send_timestamp:
+            newest[packet.sender_id] = packet
+    aligned: list[Instance] = []
+    stale = 0
+    for sender in sorted(newest):
+        packet = newest[sender]
+        rel = relative_transform(ego_pose, packet.sender_pose())
+        for inst in packet.to_instances():
+            if not pipeline.compensate_latency:
+                inst = inst._trusted_replace(observed_at=t)
+            try:
+                aligned.append(align_instance(inst, rel, t, pipeline.alignment))
+            except HorizonExceeded:
+                stale += 1
+    return aligned, stale
+
+
+def _fuse(
+    ego_all: Sequence[Instance], coop_aligned: Sequence[Instance], gt_all: tuple[GroundTruthObject, ...],
+    prev_tracks: TrackSet, registry: TrackIdRegistry, t: Timestamp, cfg: ScenarioConfig,
+) -> tuple[TrackSet, tuple[GroundTruthObject, ...], int, float]:
+    """The ego's frame at ``t``: ROI, association, fusion and refinement against ``prev_tracks``.
+    Returns the track set, the ground truth in the ROI, the count of aligned cooperator instances
+    in the ROI and their prefusion error, in ``FrameRecord`` order."""
+    pipe = cfg.pipeline
+    result = associate(filter_roi(ego_all, pipe.roi), coop_aligned, pipe.roi, pipe.r_int, pipe.weights)
+    fused = []
+    for ego_inst, coop_inst, _cost in result.matched:
+        registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
+        fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
+    assembled = assemble_output(
+        fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, registry, t
+    )
+    tracks = refine_tracks(assembled, prev_tracks, cfg.tick_s, pipe.fusion)
+    coop_in_roi = filter_roi(coop_aligned, pipe.roi)
+    # The error diagnostic compares against the whole world (gt_all) so that objects
+    # straddling the ROI edge don't get scored against a distant stranger.
+    gt = tuple(g for g in gt_all if pipe.roi.contains(g.state))
+    return tracks, gt, len(coop_in_roi), _prefusion_error(coop_in_roi, gt_all)
+
+
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
-    """Execute one scenario end to end, fully determined by the seed. Sensing streams frame by
-    frame from ``sense_frames``, or replays ``sensed`` (ValueError if it records another scene);
-    the sender cut, pose noise, encoding, channel and everything the ego does run here."""
+    """One run, fully determined by the seed: each frame sensed (or replayed from ``sensed``) and staged."""
     if not cfg.agents:
         raise ValueError("scenario needs at least one (ego) agent")
     if sensed is not None and sensed.scene != _scene(cfg):
         raise ValueError("the record is of another scene than the config's")
-    # A spawned stream depends only on its index: world, channel, then one per agent_id.
-    channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
-    ego_spec = next(a for a in cfg.agents if a.ego)
-    coop_specs = [a for a in cfg.agents if not a.ego]
-
-    pipe = cfg.pipeline
+    channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))  # world 0, agent 2 + id
+    ego_spec, *coop_specs = sorted(cfg.agents, key=lambda a: not a.ego)  # the ego, then the others in id order
     registry = TrackIdRegistry()
-    prev_tracks = TrackSet(timestamp=0, instances=())
-    inbox: list[tuple[Timestamp, int, int, bytes]] = []
-    seq_counter = 0
+    inbox: list[tuple[Timestamp, int, bytes]] = []  # a heap of (arrival, index of the send event, packet)
     events: list[SimEvent] = []
     frames: list[FrameRecord] = []
-    bytes_sent = 0
-    bytes_received = 0
-    tick_us = seconds_to_micros(cfg.tick_s)
-
     frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
-    for k in range(cfg.frame_count):
-        t = k * tick_us
+    for t in range(0, cfg.frame_count * seconds_to_micros(cfg.tick_s), seconds_to_micros(cfg.tick_s)):
         coop_dets, ego_all, gt_all = next(frames_in)
-
-        # Remote agents transmit what they sensed, in agent_id order.
-        for spec, detections in zip(coop_specs, coop_dets):
-            eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
-            # Most confident first; a stable sort keeps equally confident ones in sensing order.
-            ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
-            payload = detections[ranked[: pipe.transmit_top_k]]
-            sent_pose = spec.pose_at(t)
-            if cfg.pose_noise is not None:
-                sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
-            packet = encode_packet(payload, sent_pose, t, spec.agent_id)
-            bytes_sent += len(packet)
-            delivery = transmit(packet, cfg.channel, channel_rng, t)
+        for agent_id, packet, delivery in _send(cfg, coop_specs, coop_dets, t, channel_rng):
             if delivery is None:
-                events.append(SimEvent(t, "drop", spec.agent_id, len(packet), -1))
-                continue
-            t_arrive, data = delivery
-            seq_counter += 1
-            heapq.heappush(inbox, (t_arrive, seq_counter, spec.agent_id, data))
-            events.append(SimEvent(t, "send", spec.agent_id, len(packet), t_arrive))
+                events.append(SimEvent(t, "drop", agent_id, len(packet), -1))
+            else:
+                heapq.heappush(inbox, (delivery[0], len(events), packet))
+                events.append(SimEvent(t, "send", agent_id, len(packet), delivery[0]))
         del coop_dets  # a streamed frame's batches go before the next frame is sensed
-
-        # Ego consumes whatever has arrived, newest packet per sender.
-        ego_pose = ego_spec.pose_at(t)
-        newest: dict[int, InstancePacket] = {}
+        due = []
         while inbox and inbox[0][0] <= t:
-            t_arrive, seq, sender, data = heapq.heappop(inbox)
-            bytes_received += len(data)
-            events.append(SimEvent(t, "consume", sender, len(data), t_arrive))
-            packet = decode_packet(data)
-            prior = newest.get(sender)
-            if prior is None or packet.send_timestamp >= prior.send_timestamp:
-                newest[sender] = packet
-
-        coop_aligned: list[Instance] = []
-        stale = 0
-        for sender in sorted(newest):
-            packet = newest[sender]
-            rel = relative_transform(ego_pose, packet.sender_pose())
-            for inst in packet.to_instances():
-                if not pipe.compensate_latency:
-                    inst = inst._trusted_replace(observed_at=t)
-                try:
-                    coop_aligned.append(align_instance(inst, rel, t, pipe.alignment))
-                except HorizonExceeded:
-                    stale += 1
-
-        # Ego fuses what it sensed.
-        ego_dets = filter_roi(ego_all, pipe.roi)
-        # The error diagnostic compares against the whole world (gt_all) so
-        # that objects straddling the ROI edge don't get scored against a
-        # distant stranger.
-        gt = tuple(g for g in gt_all if pipe.roi.contains(g.state))
-        coop_in_roi = filter_roi(coop_aligned, pipe.roi)
-        result = associate(ego_dets, coop_aligned, pipe.roi, pipe.r_int, pipe.weights)
-        fused = []
-        for ego_inst, coop_inst, _cost in result.matched:
-            registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
-            fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
-        assembled = assemble_output(
-            fused,
-            result.unmatched_ego,
-            result.unmatched_coop_near,
-            result.coop_far,
-            pipe.fusion,
-            registry,
-            t,
-        )
-        tracks = refine_tracks(assembled, prev_tracks, cfg.tick_s, pipe.fusion)
-        prev_tracks = tracks
-        frames.append(
-            FrameRecord(
-                t_us=t,
-                tracks=tracks,
-                ground_truth=gt,
-                coop_consumed=len(coop_in_roi),
-                coop_prefusion_err=_prefusion_error(coop_in_roi, gt_all),
-                stale_dropped=stale,
-            )
-        )
-
-    return RunResult(
-        config=cfg,
-        frames=frames,
-        events=events,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
-    )
+            due.append(heapq.heappop(inbox))
+        events += [events[i]._replace(t_us=t, kind="consume") for _, i, _ in due]  # the send's size and arrival
+        coop_aligned, stale = _receive([packet for *_, packet in due], ego_spec.pose_at(t), t, cfg.pipeline)
+        prev_tracks = frames[-1].tracks if frames else TrackSet(timestamp=0, instances=())
+        frames.append(FrameRecord(t, *_fuse(ego_all, coop_aligned, gt_all, prev_tracks, registry, t, cfg), stale))
+    sent = sum(e.size_bytes for e in events if e.kind in ("send", "drop"))
+    return RunResult(cfg, frames, events, sent, sum(e.size_bytes for e in events if e.kind == "consume"))

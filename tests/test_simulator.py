@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 
 from coopfuse import simulator
 from coopfuse.configio import load_scenario
-from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
+from coopfuse.core import (
+    GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
+)
 from coopfuse.robustness import TransformNoiseParams
-from coopfuse.wire import InstancePacket
+from coopfuse.wire import InstancePacket, encode_packet
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
     ChannelModel,
+    PipelineConfig,
     ScenarioConfig,
     SensorModel,
     World,
@@ -539,13 +542,18 @@ class TestRunScenario:
             assert e.detail_us - t_send == latency_us
 
     def test_bytes_accounted_even_when_dropped(self):
-        from dataclasses import replace
         cfg = shipped("quickstart")
         lossless = run_scenario(cfg)
         lossy = run_scenario(replace(cfg, channel=ChannelModel(drop_prob=1.0)))
         assert lossy.bytes_sent == lossless.bytes_sent
         assert lossy.bytes_received == 0
         assert not [e for e in lossy.events if e.kind == "consume"]
+        for point in ("drop_jitter", "pose_noise"):
+            run = run_scenario(POINTS[point](cfg))
+            size = {kind: sum(e.size_bytes for e in run.events if e.kind == kind) for kind in ("send", "drop", "consume")}
+            assert size["consume"] > 0, point
+            assert run.bytes_sent == size["send"] + size["drop"], point
+            assert run.bytes_received == size["consume"], point
 
     def test_peak_bps_at_least_average(self):
         cfg = shipped("quickstart")
@@ -561,6 +569,43 @@ class TestRunScenario:
             for gt in frame.ground_truth:
                 assert abs(gt.state.x) <= roi.x_half
                 assert abs(gt.state.y) <= roi.y_half
+
+
+def _packet(sender, t_send, *xs):
+    """An encoded packet from ``sender`` sent at ``t_send`` (us) from the origin: one record at rest at each x."""
+    instances = [make_instance(x=x, track_id=k + 1, source_agent=sender, observed_at=t_send) for k, x in enumerate(xs)]
+    return encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), t_send, sender)
+
+
+class TestReceive:
+    """``_receive``: the newest packet per sender, senders in id order, records past the horizon counted."""
+
+    PIPELINE = PipelineConfig()
+
+    def _xs(self, packets, t=300_000):
+        aligned, stale = simulator._receive(packets, RigidTransform.identity(), t, self.PIPELINE)
+        assert stale == 0
+        return [(inst.source_agent, inst.state.x) for inst in aligned]
+
+    def test_newer_send_time_wins_whichever_arrives_first(self):
+        old, new = _packet(1, 100_000, 1.0), _packet(1, 200_000, 2.0)
+        assert self._xs([old, new]) == self._xs([new, old]) == [(1, 2.0)]
+
+    def test_equal_send_times_the_later_arrival_wins(self):
+        first, second = _packet(1, 100_000, 1.0), _packet(1, 100_000, 2.0)
+        assert self._xs([first, second]) == [(1, 2.0)]
+        assert self._xs([second, first]) == [(1, 1.0)]
+
+    def test_output_is_grouped_by_ascending_sender(self):
+        packets = [_packet(3, 100_000, 3.0, 3.5), _packet(1, 200_000, 1.0, 1.5), _packet(2, 0, 2.0, 2.5)]
+        assert self._xs(packets) == [(1, 1.0), (1, 1.5), (2, 2.0), (2, 2.5), (3, 3.0), (3, 3.5)]
+
+    def test_packet_past_the_horizon_is_all_stale(self):
+        horizon_us = seconds_to_micros(self.PIPELINE.alignment.max_compensation_horizon)
+        aligned, stale = simulator._receive(
+            [_packet(1, 0, 1.0, 2.0, 3.0)], RigidTransform.identity(), horizon_us + 1, self.PIPELINE
+        )
+        assert (aligned, stale) == ([], 3)
 
 
 def _frame_bytes(run):
