@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _STATE_COMPONENTS,
     DegenerateHeading,
     Instance,
     RigidTransform,
@@ -70,25 +69,21 @@ def compensate_latency(
     """Predict the state ``dt`` seconds ahead under constant velocity.
 
     Position advances by velocity * dt; dimensions, heading, and velocity
-    are unchanged.
+    are unchanged. At dt = 0 the state itself is returned, so a zero keeps
+    its sign.
 
     Raises:
         HorizonExceeded: if dt exceeds ``max_horizon``.
         ValueError: if dt is negative.
     """
-    return StateVector._trusted(_compensated_row(state, dt, max_horizon))
-
-
-def _compensated_row(s: StateVector, dt: float, max_horizon: float) -> tuple[float, ...]:
-    """``compensate_latency`` as 11 floats (at dt = 0 the state's own, so a zero keeps its sign)."""
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
     if dt > max_horizon:
         raise HorizonExceeded(f"dt {dt:.3f}s exceeds horizon {max_horizon:.3f}s")
     if dt == 0.0:
-        return _STATE_COMPONENTS(s)
-    return (s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt,
-            s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz)
+        return state
+    x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = state
+    return StateVector._trusted((x + vx * dt, y + vy * dt, z + vz * dt, l, w, h, sin_yaw, cos_yaw, vx, vy, vz))
 
 
 # A row's position, velocity and planar heading (cos, sin, then zeroed) as three 3-vectors.
@@ -125,17 +120,13 @@ def _moved_row(px, py, pz, vx, vy, vz, hx, hy, _hz, l, w, h) -> tuple[float, ...
     return (px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz)
 
 
-def _transform_row(row: tuple[float, ...], t: RigidTransform) -> tuple[float, ...]:
-    """One row through ``transform_states``' formula and stacked mat-vec, its translation in Python."""
-    x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = row
+def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
+    """Express one state in the frame the transform maps into: ``transform_states``' formula
+    and stacked mat-vec on one row, its translation added in Python."""
+    x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = state
     vectors = np.array((x, y, z, vx, vy, vz, cos_yaw, sin_yaw, 0.0)).reshape(3, 3, 1)
     (px, py, pz, *moved), (tx, ty, tz) = (t.rotation @ vectors).ravel().tolist(), t.translation.tolist()
-    return _moved_row(px + tx, py + ty, pz + tz, *moved, l, w, h)
-
-
-def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
-    """Express one state in the frame the transform maps into (see ``transform_states``)."""
-    return StateVector._trusted(_transform_row(_STATE_COMPONENTS(state), t))
+    return StateVector._trusted(_moved_row(px + tx, py + ty, pz + tz, *moved, l, w, h))
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:
@@ -177,7 +168,7 @@ def align_instance(
     if inst.observed_at > t_ego:
         raise ValueError("instance observed after the ego timestamp")
     dt = micros_to_seconds(t_ego - inst.observed_at)
-    state = StateVector._trusted(_transform_row(_compensated_row(inst.state, dt, cfg.max_compensation_horizon), rel))
+    state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)
         feature.setflags(write=False)

@@ -11,10 +11,13 @@ sensing, wire decode and config loading. A value derived from valid ones (a
 transformed, compensated, fused or smoothed state, a composed or inverted
 transform, a relabelled instance) is built unchecked by the type's private
 ``_trusted`` (or ``Instance._trusted_replace``), which only package code
-calls. ``StateVector`` and ``Instance`` keep their fields in slots, which
-``_trusted`` sets through the slot descriptors: a per-record value is one
-small object with no dict. The rules for a valid value live here alone:
-wire decode checks its record array as one batch with ``_check_records``.
+calls. A ``StateVector`` is a named tuple of its 11 floats, equal to the
+plain tuple of its components; its ``_trusted`` and the named tuple's
+``_make`` and ``_replace`` skip the checks. ``Instance`` stays a slotted
+dataclass with identity equality, whose ``_trusted`` sets the slots through
+their descriptors: a per-record value is one small object with no dict. The
+rules for a valid value live here alone: wire decode checks its record array
+as one batch with ``_check_records``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -69,35 +73,26 @@ def normalize_heading(sin_raw: float, cos_raw: float) -> tuple[float, float]:
     return sin_raw / norm, cos_raw / norm
 
 
-@dataclass(frozen=True, slots=True)
-class StateVector:
+def _finite(name: str, value: float) -> float:
+    value = float(value)  # numpy scalars become plain floats too
+    if not math.isfinite(value):
+        raise ValueError(f"state component {name} is not finite")
+    return value
+
+
+class StateVector(namedtuple("StateVector", "x y z l w h sin_yaw cos_yaw vx vy vz")):
     """Explicit 11-component kinematic state of one object.
 
     Components: center position (x, y, z) in meters, box dimensions
     (l, w, h) in meters, heading encoded as (sin_yaw, cos_yaw), and
     velocity (vx, vy, vz) in meters/second expressed in the same frame
-    as the position.
+    as the position. A state is the tuple of its 11 floats.
     """
 
-    x: float
-    y: float
-    z: float
-    l: float
-    w: float
-    h: float
-    sin_yaw: float
-    cos_yaw: float
-    vx: float
-    vy: float
-    vz: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if type(value) is not float:  # numpy scalars become plain floats too
-                object.__setattr__(self, name, float(value))
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"state component {name} is not finite")
+    def __new__(cls, x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz) -> StateVector:
+        self = tuple.__new__(cls, map(_finite, cls._fields, (x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz)))
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ValueError(
                 f"dimensions must be positive, got ({self.l}, {self.w}, {self.h})"
@@ -107,20 +102,14 @@ class StateVector:
             raise ValueError(
                 f"heading (sin, cos) must be unit norm, off by {unit_err:.3e}"
             )
-
-    @classmethod
-    def _trusted(cls, values: Sequence[float]) -> StateVector:
-        """The state of 11 plain floats derived from valid states, unchecked."""
-        self = object.__new__(cls)
-        x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = values
-        _SET_X(self, x), _SET_Y(self, y), _SET_Z(self, z), _SET_L(self, l), _SET_W(self, w), _SET_H(self, h)
-        _SET_SIN_YAW(self, sin_yaw), _SET_COS_YAW(self, cos_yaw)
-        _SET_VX(self, vx), _SET_VY(self, vy), _SET_VZ(self, vz)
         return self
+
+    # The state of 11 plain floats derived from valid states, unchecked.
+    _trusted = classmethod(tuple.__new__)
 
     def as_array(self) -> np.ndarray:
         """The 11 components as a float64 array, in declaration order."""
-        return np.array(_STATE_COMPONENTS(self))
+        return np.array(self)
 
     @property
     def yaw(self) -> float:
@@ -131,14 +120,9 @@ class StateVector:
         return math.hypot(self.vx, self.vy)
 
 
-_SET_X, _SET_Y, _SET_Z, _SET_L, _SET_W, _SET_H, _SET_SIN_YAW, _SET_COS_YAW, _SET_VX, _SET_VY, _SET_VZ = (
-    StateVector.__dict__[name].__set__ for name in StateVector.__slots__)
-_STATE_COMPONENTS = operator.attrgetter(*StateVector.__slots__)
-
-
 def state_rows(states: Iterable[StateVector]) -> np.ndarray:
     """The states as an (N, 11) float64 array, components in declaration order."""
-    return np.array(list(map(_STATE_COMPONENTS, states)), dtype=np.float64).reshape(-1, 11)
+    return np.array(list(states), dtype=np.float64).reshape(-1, 11)
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:

@@ -300,22 +300,17 @@ def alpha_sweep_rows(
     object_count: int = 12,
     spacing: float = 3.0,
     feature_dim: int = 64,
-    feature_noise_sigma: float = 0.3,
-    obs_p: Optional[ObservationNoiseParams] = None,
-    tf_p: Optional[TransformNoiseParams] = None,
 ) -> list[dict]:
     """Mean association quality per appearance weight over seeded scenes.
 
     Each scene is built and aligned once and scored at every alpha, so rows
-    are directly comparable. Noise defaults to the harness defaults.
+    are directly comparable. Noise is the harness defaults.
 
     Raises:
         ValueError: for an empty ``alphas`` or fewer than one scene.
     """
     if len(alphas) == 0 or scenes < 1:
         raise ValueError(f"need an alpha and a scene, got {len(alphas)} alphas, {scenes} scenes")
-    obs_p = obs_p or ObservationNoiseParams()
-    tf_p = tf_p or TransformNoiseParams()
     weights = [MatchWeights(alpha=a, cost_threshold=HARNESS_COST_THRESHOLD) for a in alphas]
     if object_count == 0:
         raise EmptyOracle("no ground-truth correspondences to score against")
@@ -325,9 +320,7 @@ def alpha_sweep_rows(
             object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)
         )
         ego_view, aligned = aligned_denoising_scene(
-            objects, scene_seed, obs_p, tf_p,
-            feature_dim=feature_dim,
-            feature_noise_sigma=feature_noise_sigma,
+            objects, scene_seed, ObservationNoiseParams(), TransformNoiseParams(), feature_dim=feature_dim
         )
         geo, dist = _cost_parts(ego_view, aligned, weights[0])  # the same for every alpha
         for k, w in enumerate(weights):

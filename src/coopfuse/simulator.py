@@ -127,6 +127,8 @@ class SensorModel:
     def __post_init__(self) -> None:
         if not self.max_range > 0:
             raise ValueError("max_range must be positive")
+        if not 0 < self.fov_deg <= 360:  # NaN fails it too
+            raise ValueError(f"fov_deg must lie in (0, 360], got {self.fov_deg!r}")
         for name in ("detect_prob_near", "detect_prob_far", "confidence_near", "confidence_far"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

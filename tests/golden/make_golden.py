@@ -117,7 +117,7 @@ def range_study_turning_config() -> ScenarioConfig:
 
 FRAME_COLUMNS = ("t_us", "coop_consumed", "stale_dropped", "coop_prefusion_err")
 TRACK_COLUMNS = ("track_id", "class_id", "source_agent", "observed_at", "confidence",
-                 *StateVector.__slots__, "feature_sha256")
+                 *StateVector._fields, "feature_sha256")
 
 
 def write_tracks(run: RunResult, path: Path) -> None:
@@ -129,7 +129,7 @@ def write_tracks(run: RunResult, path: Path) -> None:
         rows.append({"t_us": frame.t_us, "coop_consumed": frame.coop_consumed,
                      "stale_dropped": frame.stale_dropped, "coop_prefusion_err": repr(frame.coop_prefusion_err)})
         for inst in frame.tracks.instances:
-            state = {name: repr(getattr(inst.state, name)) for name in StateVector.__slots__}
+            state = {name: repr(getattr(inst.state, name)) for name in StateVector._fields}
             feature = np.ascontiguousarray(inst.feature, dtype=np.float64).tobytes()
             rows.append({"t_us": frame.t_us, "track_id": inst.track_id, "class_id": inst.class_id,
                          "source_agent": inst.source_agent, "observed_at": inst.observed_at,

@@ -213,7 +213,7 @@ class TestAlignInstance:
             row = np.array([*moved, s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz])
             want = transform_states(row[None], rel)[0]
             got = align_instance(inst, rel, t_ego, AlignmentConfig()).state
-            assert [getattr(got, n).hex() for n in StateVector.__slots__] == [v.hex() for v in want]
+            assert [getattr(got, n).hex() for n in StateVector._fields] == [v.hex() for v in want]
 
     def test_rejects_future_instances(self):
         rel = self._rel()
@@ -291,8 +291,8 @@ class TestRigidMotionInvariance:
         for k, (s, offset) in enumerate(zip(objects, offsets)):
             if offset is not None:
                 inst = _seen_by(s, coop_pose, k, 1, 0)
-                coop.append(replace(inst, state=replace(inst.state, x=inst.state.x + offset[0],
-                                                        y=inst.state.y + offset[1])))
+                coop.append(replace(inst, state=inst.state._replace(x=inst.state.x + offset[0],
+                                                                y=inst.state.y + offset[1])))
         rel = relative_transform(ego_pose, coop_pose)
         aligned = [align_instance(inst, rel, t_ego, AlignmentConfig()) for inst in coop]
         return ego, aligned, associate(ego, aligned, self.ROI, self.R_INT, self.WEIGHTS)

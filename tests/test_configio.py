@@ -127,6 +127,7 @@ NAN_FIELDS = [
     ("scenario", "speed_range", [NAN, 8.0]),
     ("scenario", "speed_range", [3.0, NAN]),
     ("agents[0].sensor", "max_range", NAN),
+    ("agents[0].sensor", "fov_deg", NAN),
     ("agents[0].sensor", "pos_noise_range_power", NAN),
     ("channel", "latency_ms", NAN),
     ("channel", "jitter_ms", NAN),

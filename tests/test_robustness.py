@@ -28,7 +28,7 @@ from oracles import reference_cluttered_rows
 
 
 def _components(state):
-    return tuple(getattr(state, name) for name in StateVector.__slots__)
+    return tuple(getattr(state, name) for name in StateVector._fields)
 
 
 class TestPerturbObservation:

@@ -214,6 +214,11 @@ class TestSensorModelValidation:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SensorModel(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.nan, 0.0, -90.0, 360.5, 720.0, math.inf])
+    def test_fov_outside_0_to_360_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^fov_deg must lie in \(0, 360\]"):
+            SensorModel(fov_deg=value)
+
     def test_feature_dim_must_fit_its_u16_wire_field(self):
         assert SensorModel(feature_dim=0xFFFF).feature_dim == 0xFFFF
         for value in (0, 0x10000, 70000):
@@ -265,7 +270,7 @@ class TestSenseDraws:
             assert len(got) == len(want)
             for inst, (class_id, state, confidence, feature) in zip(got, want):
                 assert inst.class_id == class_id and inst.confidence == confidence
-                assert [getattr(inst.state, n).hex() for n in StateVector.__slots__] == [v.hex() for v in state]
+                assert [getattr(inst.state, n).hex() for n in StateVector._fields] == [v.hex() for v in state]
                 assert inst.feature.tobytes() == feature.tobytes()
                 assert not inst.feature.flags.writeable
             assert agent.rng.bit_generator.state == reference_rng.bit_generator.state
@@ -298,14 +303,15 @@ class TestSenseDraws:
             counts["batch"] += 1
             return real_check(*args)
 
-        def state_post_init(self):
+        def state_new(cls, *args, _real=StateVector.__new__, **kwargs):
             counts["state"] += 1
+            return _real(cls, *args, **kwargs)
 
         def instance_post_init(self):
             counts["instance"] += 1
 
         monkeypatch.setattr(simulator, "_check_records", check_records)
-        monkeypatch.setattr(StateVector, "__post_init__", state_post_init)
+        monkeypatch.setattr(StateVector, "__new__", state_new)
         monkeypatch.setattr(Instance, "__post_init__", instance_post_init)
         sizes = [len(sense(agent, w, agent.rng)) for w in (world, empty, world)]
         assert sizes == [20, 0, 20]
@@ -357,12 +363,12 @@ class TestTrackContinuation:
 class TestValidateOnce:
     def test_run_validates_only_sensed_and_decoded_states(self, monkeypatch):
         counts = {"validated": 0, "sensed": 0, "decoded": 0}
-        post_init, real_sense = StateVector.__post_init__, simulator.sense
+        real_new, real_sense = StateVector.__new__, simulator.sense
         real_build, real_to_instances = simulator.build_world, InstancePacket.to_instances
 
-        def counting_post_init(state):
+        def counting_new(cls, *args, **kwargs):
             counts["validated"] += 1
-            post_init(state)
+            return real_new(cls, *args, **kwargs)
 
         def build_world(*args):
             # The world is the scene's input: only what sensing and decode make is counted.
@@ -380,7 +386,7 @@ class TestValidateOnce:
             counts["decoded"] += len(out)
             return out
 
-        monkeypatch.setattr(StateVector, "__post_init__", counting_post_init)
+        monkeypatch.setattr(StateVector, "__new__", counting_new)
         monkeypatch.setattr(simulator, "build_world", build_world)
         monkeypatch.setattr(simulator, "sense", counting_sense)
         monkeypatch.setattr(InstancePacket, "to_instances", counting_to_instances)
@@ -403,7 +409,7 @@ class TestValidateOnce:
         ]
         assert states
         for state in states:
-            assert all(type(getattr(state, name)) is float for name in StateVector.__slots__), state
+            assert all(type(getattr(state, name)) is float for name in StateVector._fields), state
 
 
 class TestTransmit:
