@@ -5,8 +5,8 @@ constant-velocity motion model, performed in the sender's frame, then
 (b) projection through the relative rigid transform. The two steps only
 commute for pure translations, so the order matters.
 
-``transform_states`` is the one frame transform of the package: sensing,
-ground truth and alignment all move states between frames through it.
+``transform_states`` moves (N, 11) state rows between frames for sensing and
+ground truth; alignment moves each record through its one-row case, ``transform_state``.
 """
 
 from __future__ import annotations
@@ -90,14 +90,14 @@ def compensate_latency(
 _VECTOR_COLUMNS = np.array([0, 1, 2, 8, 9, 10, 7, 6, 6])
 
 
-def transform_states(rows: np.ndarray, t: RigidTransform) -> list[tuple[float, ...]]:
-    """The (N, 11) state rows (``StateVector`` order) as 11-tuples in the frame the transform maps into.
+def transform_states(rows: np.ndarray, t: RigidTransform) -> np.ndarray:
+    """The (N, 11) state rows (``StateVector`` order) in the frame the transform maps into, as a new array.
 
     Position is rotated and translated; velocity is rotated only (it is a
     frame-local direction, not a point); the heading is carried by rotating
     the planar direction vector (cos, sin, 0) and renormalizing its xy
     projection. Dimensions are frame-independent. A row's bits do not
-    depend on the other rows, so one state alone transforms the same.
+    depend on the other rows, and equal ``transform_state``'s for that state.
 
     Raises:
         DegenerateHeading: if a rotated heading has no xy projection left
@@ -109,24 +109,23 @@ def transform_states(rows: np.ndarray, t: RigidTransform) -> list[tuple[float, .
     # ``vectors @ rot.T`` differs in the last bit on most rows.
     moved = (t.rotation @ vectors.reshape(-1, 3, 1)).reshape(-1, 9)
     moved[:, :3] += t.translation
-    return [_moved_row(*m, *dims) for m, dims in zip(moved.tolist(), rows[:, 3:6].tolist())]
-
-
-def _moved_row(px, py, pz, vx, vy, vz, hx, hy, _hz, l, w, h) -> tuple[float, ...]:
-    """A row from its moved position, velocity and heading vector and its dimensions."""
-    norm = math.hypot(hx, hy)
-    if norm < 1e-9:
+    # math.hypot per row: numpy's hypot differs in the last bit on some pairs. The division rounds alike.
+    norm = np.array(list(map(math.hypot, moved[:, 6].tolist(), moved[:, 7].tolist())))
+    if (norm < 1e-9).any():
         raise DegenerateHeading("rotation leaves no planar heading component")
-    return (px, py, pz, l, w, h, hy / norm, hx / norm, vx, vy, vz)
+    moved[:, 6:8] /= norm[:, None]
+    return np.hstack((moved[:, :3], rows[:, 3:6], moved[:, 7:5:-1], moved[:, 3:6]))
 
 
 def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
-    """Express one state in the frame the transform maps into: ``transform_states``' formula
-    and stacked mat-vec on one row, its translation added in Python."""
+    """One state through ``transform_states``' formula and stacked mat-vec, bit for bit; the rest in Python."""
     x, y, z, l, w, h, sin_yaw, cos_yaw, vx, vy, vz = state
     vectors = np.array((x, y, z, vx, vy, vz, cos_yaw, sin_yaw, 0.0)).reshape(3, 3, 1)
-    (px, py, pz, *moved), (tx, ty, tz) = (t.rotation @ vectors).ravel().tolist(), t.translation.tolist()
-    return StateVector._trusted(_moved_row(px + tx, py + ty, pz + tz, *moved, l, w, h))
+    (px, py, pz, *velocity, hx, hy, _), (tx, ty, tz) = (t.rotation @ vectors).ravel().tolist(), t.translation.tolist()
+    norm = math.hypot(hx, hy)
+    if norm < 1e-9:
+        raise DegenerateHeading("rotation leaves no planar heading component")
+    return StateVector._trusted((px + tx, py + ty, pz + tz, l, w, h, hy / norm, hx / norm, *velocity))
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:

@@ -86,7 +86,8 @@ def noisy_feature(
         ValueError: when the blurred vector's norm is zero or overflows.
     """
     vec = identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim)
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check below rejects
+        norm = float(np.linalg.norm(vec))
     if not DEGENERATE_TOL <= norm < math.inf:
         raise ValueError(f"cannot normalize a feature of norm {norm!r}")
     feature = vec / norm
@@ -173,7 +174,7 @@ def generate_denoising_scene(
     if true_transform is None:
         true_transform = RigidTransform.identity()
     # The transform draws nothing, so transforming every object up front keeps the draw order.
-    coop_states = transform_states(state_rows(obj.state for obj in gt_objects), invert(true_transform))
+    coop_states = transform_states(state_rows(obj.state for obj in gt_objects), invert(true_transform)).tolist()
 
     def view(states, agent: int) -> list[Instance]:
         # Per object: the state's draws, then the feature's (keyword arguments evaluate in order).
@@ -230,7 +231,7 @@ def aligned_denoising_scene(
         feature_dim=feature_dim,
         feature_noise_sigma=feature_noise_sigma,
     )
-    moved = transform_states(state_rows(inst.state for inst in coop_view), corrupted)
+    moved = transform_states(state_rows(inst.state for inst in coop_view), corrupted).tolist()
     aligned = [inst._trusted_replace(state=StateVector._trusted(row)) for inst, row in zip(coop_view, moved)]
     return ego_view, aligned
 
@@ -278,7 +279,8 @@ def make_cluttered_objects(
         size=(count, 7),
     )
     row, col = np.divmod(np.arange(count), side)
-    xy = np.stack([col * spacing, row * spacing], axis=1) + draws[:, :2]
+    with np.errstate(over="ignore"):  # an overflowing grid is inf, which the check below rejects
+        xy = np.stack([col * spacing, row * spacing], axis=1) + draws[:, :2]
     if not np.isfinite(xy).all():
         raise ValueError(f"a grid of {count} objects at pitch {spacing!r} overflows")
     objects = []

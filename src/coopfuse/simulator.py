@@ -13,6 +13,7 @@ determined by the scenario seed.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import logging
 import math
@@ -32,7 +33,6 @@ from .core import (
     Timestamp,
     _check_non_negative,
     _check_records,
-    greedy_nearest,
     invert,
     relative_transform,
     seconds_to_micros,
@@ -211,20 +211,20 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
     # = 0.0 + s * z calls drew (the 0.0 + is kept below, so zeros keep their sign) for
     # position (2 + 1), dimensions and velocity (3 each, when on), then the feature.
     # Gate and qualities in numpy; math.hypot, math.atan2 and Python ** per object (numpy's may differ).
-    local = np.array(transform_states(world.rows, invert(pose))).reshape(-1, 11)
+    local = transform_states(world.rows, invert(pose))
     xs, ys = local[:, 0].tolist(), local[:, 1].tolist()
     r = np.array(list(map(math.hypot, xs, ys)))
     frac = np.minimum(r / sensor.max_range, 1.0)
-    detect_prob = (sensor.detect_prob_near + (sensor.detect_prob_far - sensor.detect_prob_near) * frac).tolist()
-    noise = np.empty((len(local), k + sensor.feature_dim))
+    seen = [i for i in np.flatnonzero(r <= sensor.max_range).tolist()
+            if sensor.fov_deg == 360.0 or abs(math.atan2(ys[i], xs[i])) <= half_fov]
+    detect_prob = sensor.detect_prob_near + (sensor.detect_prob_far - sensor.detect_prob_near) * frac[seen]
+    noise = np.empty((len(seen), k + sensor.feature_dim))
+    random, standard_normal = rng.random, rng.standard_normal
     hits = []
-    for i in np.flatnonzero(r <= sensor.max_range).tolist():
-        if sensor.fov_deg < 360.0 and abs(math.atan2(ys[i], xs[i])) > half_fov:
-            continue
-        if rng.random() >= detect_prob[i]:
-            continue
-        rng.standard_normal(out=noise[len(hits)])
-        hits.append(i)
+    for i, p in zip(seen, detect_prob.tolist()):
+        if random() < p:
+            standard_normal(out=noise[len(hits)])
+            hits.append(i)
 
     z, states, frac = noise[: len(hits)], local[hits], frac[hits]
     confidences = sensor.confidence_near + (sensor.confidence_far - sensor.confidence_near) * frac
@@ -243,18 +243,26 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             c += 3
         if noised[2]:
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-        features = np.array([identity_embedding(i, sensor.feature_dim) for i in world.object_ids[hits].tolist()])
-        features = features.reshape(len(hits), sensor.feature_dim) + sensor.feature_noise_sigma * z[:, k:]
+        features = _embeddings(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
+        features += sensor.feature_noise_sigma * z[:, k:]
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
             raise ValueError("a feature's norm is not finite")
     features /= norms[:, None]
 
     # Each detection in the global frame, kept for the next pass.
-    moved = np.array(transform_states(states, pose)).reshape(-1, 11)
+    moved = transform_states(states, pose)
     class_ids = world.class_ids[hits]
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved, t)
     return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
+
+
+@functools.lru_cache(maxsize=8)
+def _embeddings(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
+    """The objects' identity embeddings as one read-only (objects, dim) table, shared by every pass."""
+    table = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
+    table.setflags(write=False)
+    return table
 
 
 def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np.ndarray) -> list[int]:
@@ -271,17 +279,18 @@ def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np
     # hypot(dx, dy) >= |dx|, |dy|: the box holds every candidate, and the slack covers rounding.
     reach = gate * (1.0 + 2.0**-40)
     box = (np.abs(dx) <= reach) & (np.abs(dy) <= reach) & (class_ids[:, None] == prev.class_ids)
-    candidates: list[list[tuple[int, float]]] = [[] for _ in range(len(rows))]
-    for i, j, ddx, ddy in zip(*(a.tolist() for a in np.nonzero(box)), dx[box].tolist(), dy[box].tolist()):
-        if (d := math.hypot(ddx, ddy)) <= gate:
-            candidates[i].append((j, d))
-    track_ids = []
-    for pick in greedy_nearest(candidates, gate):
-        if pick is None:
-            track_ids.append(agent._next_track_id)
-            agent._next_track_id += 1
-        else:
-            track_ids.append(prev.track_ids[pick[0]])
+    # One pass over the pairs in row-major order: a detection's pick is final when the next row starts.
+    track_ids: list[Optional[int]] = [None] * len(rows)
+    taken, row, best, best_d = set(), -1, None, gate
+    for i, j, d in zip(*(a.tolist() for a in np.nonzero(box)), map(math.hypot, dx[box].tolist(), dy[box].tolist())):
+        if i != row:
+            taken.add(best)  # None never matches an index
+            row, best, best_d = i, None, gate
+        if d <= best_d and j not in taken:
+            best, best_d = j, d
+            track_ids[i] = prev.track_ids[j]
+    for i in [i for i, track_id in enumerate(track_ids) if track_id is None]:
+        track_ids[i], agent._next_track_id = agent._next_track_id, agent._next_track_id + 1
     return track_ids
 
 
@@ -398,6 +407,12 @@ class ScenarioConfig:
             raise ValueError("duration_s must be at least one tick")
         if not 0 <= self.speed_range[0] <= self.speed_range[1]:
             raise ValueError("speed_range must be non-negative and ordered")
+        for name in ("spawn_x", "spawn_y", "spawn_z", "yaw_rate_range"):
+            low, high = getattr(self, name)
+            if not -math.inf < low <= high < math.inf:
+                problem = "ordered [low, high]" if math.isfinite(low) and math.isfinite(high) else "finite"
+                raise ValueError(f"{name} must be {problem}, got {(low, high)!r}")
+        _check_non_negative(self, ("min_clearance",))
         if self.object_count < 1:
             raise ValueError("object_count must be at least 1")
         if self.seed < 0:
@@ -434,10 +449,8 @@ def _min_separation_over_run(pos: np.ndarray, vel: np.ndarray, placed: np.ndarra
     # vecdot matches the 2-element ``dp @ dv`` bit for bit; (dp * dv).sum(1)
     # and einsum do not.
     speed2 = np.vecdot(dv, dv)
-    moving = speed2 >= 1e-12
-    t_star = np.zeros(len(dp))
-    t_star[moving] = np.clip(-np.vecdot(dp[moving], dv[moving]) / speed2[moving], 0.0, duration)
-    closest = dp + dv * t_star[:, None]
+    t_star = np.divide(-np.vecdot(dp, dv), speed2, out=np.zeros(len(dp)), where=speed2 >= 1e-12)
+    closest = dp + dv * np.clip(t_star, 0.0, duration)[:, None]
     return np.hypot(closest[:, 0], closest[:, 1])
 
 
@@ -445,26 +458,20 @@ def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
     """Spawn objects, rejecting placements that would violate clearance."""
     rows, class_ids, yaw_rates = [], [], []
     placed = np.zeros((cfg.object_count, 2, 3))
+    uniform = rng.uniform
     for object_id in range(cfg.object_count):
         for _ in range(200):
-            pos = np.array(
-                [
-                    rng.uniform(*cfg.spawn_x),
-                    rng.uniform(*cfg.spawn_y),
-                    rng.uniform(*cfg.spawn_z),
-                ]
-            )
-            speed = rng.uniform(*cfg.speed_range)
-            theta = rng.uniform(-math.pi, math.pi)
-            vel = np.array([speed * math.cos(theta), speed * math.sin(theta), 0.0])
-            separations = _min_separation_over_run(pos, vel, placed[:object_id], cfg.duration_s)
-            if (separations >= cfg.min_clearance).all() or cfg.min_clearance <= 0:
+            pos = uniform(*cfg.spawn_x), uniform(*cfg.spawn_y), uniform(*cfg.spawn_z)
+            speed, theta = uniform(*cfg.speed_range), uniform(-math.pi, math.pi)
+            vel = speed * math.cos(theta), speed * math.sin(theta), 0.0
+            placed[object_id] = pos, vel
+            separations = _min_separation_over_run(*placed[object_id], placed[:object_id], cfg.duration_s)
+            if cfg.min_clearance == 0 or separations.min(initial=math.inf) >= cfg.min_clearance:
                 break
         else:
             log.warning("object %d placed without clearance after 200 attempts", object_id)
-        placed[object_id] = pos, vel
-        yaw_rates.append(rng.uniform(*cfg.yaw_rate_range))
-        dims = rng.uniform(3.8, 5.0), rng.uniform(1.7, 2.1), rng.uniform(1.4, 1.8)
+        yaw_rates.append(uniform(*cfg.yaw_rate_range))
+        dims = uniform(3.8, 5.0), uniform(1.7, 2.1), uniform(1.4, 1.8)
         rows.append((*pos, *dims, math.sin(theta), math.cos(theta), *vel))
         class_ids.append(rng.integers(cfg.class_count))
     return World(
@@ -530,7 +537,7 @@ class RunResult:
 
 
 def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[GroundTruthObject, ...]:
-    local = transform_states(world.rows, invert(ego_pose))
+    local = transform_states(world.rows, invert(ego_pose)).tolist()
     ids, class_ids = world.object_ids.tolist(), world.class_ids.tolist()
     return tuple(GroundTruthObject(i, c, StateVector._trusted(s)) for i, c, s in zip(ids, class_ids, local))
 

@@ -19,6 +19,7 @@ renormalized on the way in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ class MalformedPacket(ValueError):
     """The byte stream is not a well-formed instance packet."""
 
 
+@functools.lru_cache(maxsize=64)  # bounded: decode reads D from headers it has not yet checked
 def record_dtype(feature_dim: int) -> np.dtype:
     """The packed record layout for a given feature dimension."""
     return np.dtype(

@@ -93,8 +93,8 @@ class TestTransformState:
                 velocity = (rotation @ np.array([s.vx, s.vy, s.vz])).tolist()
                 hx, hy, _ = (rotation @ np.array([s.cos_yaw, s.sin_yaw, 0.0])).tolist()
                 norm = math.hypot(hx, hy)
-                want.append((*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity))
-            assert transform_states(state_rows(states), t) == want
+                want.append([*position, s.l, s.w, s.h, hy / norm, hx / norm, *velocity])
+            assert transform_states(state_rows(states), t).tolist() == want
             assert [transform_state(s, t) for s in states] == [StateVector._trusted(row) for row in want]
 
     def test_identity(self):
@@ -145,6 +145,62 @@ class TestTransformState:
         )
         with pytest.raises(DegenerateHeading):
             transform_state(make_state(yaw=0.0), tip)
+
+
+_ANGLE = st.floats(-math.pi, math.pi)
+_STATES = st.lists(
+    st.tuples(*[st.floats(-100, 100)] * 3, _ANGLE, *[st.floats(-20, 20)] * 3).map(
+        lambda v: make_state(x=v[0], y=v[1], z=v[2], yaw=v[3], vx=v[4], vy=v[5], vz=v[6])
+    ),
+    max_size=12,
+)
+
+
+def _three_axis(yaw: float, pitch: float, roll: float) -> np.ndarray:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll), each written out."""
+    cz, sz, cy, sy, cx, sx = (f(a) for a in (yaw, pitch, roll) for f in (math.cos, math.sin))
+    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
+    return rz @ ry @ rx
+
+
+def _hex_rows(rows) -> list[list[str]]:
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+class TestTransformStatesRows:
+    @given(states=_STATES, angles=st.tuples(_ANGLE, _ANGLE, _ANGLE), three_axis=st.booleans(),
+           translation=st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_one_row_transform_bit_for_bit(self, states, angles, three_axis, translation):
+        rotation = _three_axis(*angles) if three_axis else RigidTransform.from_yaw(angles[0]).rotation
+        t = RigidTransform(rotation, np.array(translation))
+        try:
+            want = _hex_rows(transform_state(s, t) for s in states)
+        except DegenerateHeading:
+            with pytest.raises(DegenerateHeading):
+                transform_states(state_rows(states), t)
+            return
+        rows = transform_states(state_rows(states), t)
+        assert rows.shape == (len(states), 11) and rows.dtype == np.float64
+        assert _hex_rows(rows.tolist()) == want
+
+    @given(others=_STATES, yaw=_ANGLE, turn=_ANGLE, side=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_both_raise_on_a_rotation_that_tips_the_heading_out_of_the_plane(self, others, yaw, turn, side):
+        # A quarter turn about the level axis across the heading stands the heading upright
+        # (Rodrigues' formula); a yaw after it keeps it upright.
+        tipped = make_state(x=3.0, yaw=yaw, vx=2.0)
+        k = np.array([-tipped.sin_yaw, tipped.cos_yaw, 0.0])
+        cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        c, s = math.cos(side * math.pi / 2), math.sin(side * math.pi / 2)
+        tip = c * np.eye(3) + s * cross + (1.0 - c) * np.outer(k, k)
+        t = RigidTransform(RigidTransform.from_yaw(turn).rotation @ tip, np.array([1.0, -2.0, 0.5]))
+        with pytest.raises(DegenerateHeading):
+            transform_state(tipped, t)
+        with pytest.raises(DegenerateHeading):
+            transform_states(state_rows([*others, tipped]), t)
 
 
 class TestFeaturePairRotation:

@@ -303,6 +303,21 @@ class TestRunner:
         assert capsys.readouterr().out == f"config ok: {QUICKSTART}\n"
 
     @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("line,message", [
+        ("  spawn_x: [15.0, -15.0]", "scenario: spawn_x must be ordered [low, high], got (15.0, -15.0)"),
+        ("  min_clearance: -6.0", "scenario: min_clearance must be non-negative, got -6.0"),
+    ])
+    def test_reversed_range_or_negative_clearance_is_a_config_error(self, tmp_path, capsys, command, line, message):
+        path = tmp_path / "bad.yaml"
+        key = line.split(":")[0]
+        path.write_text("\n".join(line if row.startswith(f"{key}:") else row for row in TINY.splitlines()))
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(path), *extra]) == EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
     def test_feature_dim_beyond_u16_is_a_config_error(self, tmp_path, capsys, command):
         path = tmp_path / "wide.yaml"
         path.write_text(TINY.replace("feature_dim: 8", "feature_dim: 70000"))

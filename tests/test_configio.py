@@ -178,6 +178,25 @@ def test_negative_sensor_noise_rejected(key):
         scenario_from_dict(raw)
 
 
+class TestOrderedRanges:
+    """A reversed [low, high] pair is a config error, not a numpy traceback from build_world."""
+
+    @pytest.mark.parametrize("key,pair", [("spawn_x", [15.0, -15.0]), ("spawn_y", [3.0, 2.0]),
+                                          ("spawn_z", [1.0, 0.0]), ("yaw_rate_range", [0.5, -0.5])])
+    def test_reversed_pair_rejected(self, key, pair):
+        raw = scenario_to_dict(shipped("quickstart"))
+        raw["scenario"][key] = pair
+        message = f"scenario: {key} must be ordered [low, high], got ({pair[0]}, {pair[1]})"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(raw)
+
+    def test_negative_min_clearance_rejected(self):
+        raw = scenario_to_dict(shipped("quickstart"))
+        raw["scenario"]["min_clearance"] = -6.0
+        with pytest.raises(ConfigError, match=r"^scenario: min_clearance must be non-negative, got -6\.0$"):
+            scenario_from_dict(raw)
+
+
 class TestRoundTrip:
     def test_dump_then_load_identity(self, tmp_path):
         for name in ("quickstart", "latency_study", "range_study"):

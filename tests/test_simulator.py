@@ -1,5 +1,6 @@
 """World stepping, sensing, channel behavior, and whole-run properties."""
 
+import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -358,6 +359,40 @@ class TestTrackContinuation:
             )
             assert got == want
             previous = [(tid, *obj) for tid, obj in zip(want, objects)]
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_track_ids_equal_reference_at_crowd_scale(self, seed):
+        # About 100 off-grid detections per pass in a 20 m square, two classes and a 3 m gate:
+        # most detections have several candidates, so the greedy order decides many picks.
+        rng, gate, dt = np.random.default_rng(seed), 3.0, 0.5
+        agent = Agent(AgentSpec(agent_id=1, sensor=SensorModel(max_range=1000.0, feature_dim=2, track_gate=gate)),
+                      np.random.default_rng(0))
+
+        def fresh(n):
+            return list(zip(rng.integers(0, 2, n).tolist(), *rng.uniform(-10, 10, (2, n)).tolist(),
+                            *rng.uniform(-2, 2, (2, n)).tolist()))
+
+        objects, previous, next_id, contested = fresh(100), [], 1, 0
+        for k in range(4):
+            world = _world(*((i, c, make_state(x=x, y=y, vx=vx, vy=vy)) for i, (c, x, y, vx, vy) in enumerate(objects)),
+                           time_us=k * 500_000)
+            got = sense(agent, world, agent.rng).track_ids.tolist()
+            want, next_id = reference_track_ids(previous, [(c, x, y) for c, x, y, _, _ in objects], dt if k else 0.0,
+                                                gate, next_id)
+            assert got == want
+            contested += sum(
+                sum(pc == c and math.hypot(x - px - pvx * dt, y - py - pvy * dt) <= gate
+                    for _, pc, px, py, pvx, pvy in previous) >= 3
+                for c, x, y, _, _ in objects
+            )
+            previous = [(tid, *obj) for tid, obj in zip(want, objects)]
+            # Move on with a jitter of up to a gate, shuffle, and swap 10 objects for new ones.
+            jitter = rng.uniform(-gate, gate, (len(objects), 2)).tolist()
+            moved = [(c, x + vx * dt + jx, y + vy * dt + jy, vx, vy)
+                     for (c, x, y, vx, vy), (jx, jy) in zip(objects, jitter)]
+            objects = [moved[i] for i in rng.permutation(len(moved))[:90].tolist()] + fresh(10)
+        assert contested >= 150  # of the 300 continued detections
 
 
 class TestValidateOnce:
@@ -782,3 +817,30 @@ class TestScenarioConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             ScenarioConfig(seed=-3)
+
+    @pytest.mark.parametrize("name", ["spawn_x", "spawn_y", "spawn_z", "yaw_rate_range"])
+    def test_rejects_reversed_range(self, name):
+        # numpy's uniform would fail on it only once build_world ran.
+        with pytest.raises(ValueError, match=rf"^{name} must be ordered \[low, high\], got \(0.5, -0.5\)"):
+            ScenarioConfig(**{name: (0.5, -0.5)})
+        assert getattr(ScenarioConfig(**{name: (-0.5, -0.5)}), name) == (-0.5, -0.5)
+
+    @pytest.mark.parametrize("name", ["spawn_x", "spawn_y", "spawn_z", "yaw_rate_range"])
+    @pytest.mark.parametrize(
+        "pair", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_range(self, name, pair):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: pair})
+
+    @pytest.mark.parametrize("value,problem", [(-6.0, "non-negative"), (math.nan, "finite"), (math.inf, "finite")])
+    def test_rejects_negative_or_non_finite_min_clearance(self, value, problem):
+        # -6 used to disable the check silently, and NaN to fail every one of 200 attempts per object.
+        with pytest.raises(ValueError, match=f"^min_clearance must be {problem}"):
+            ScenarioConfig(min_clearance=value)
+
+    def test_zero_min_clearance_disables_the_check(self, caplog):
+        cfg = replace(shipped("quickstart"), min_clearance=0.0, object_count=30, spawn_x=(0.0, 0.5), spawn_y=(0.0, 0.5))
+        with caplog.at_level(logging.WARNING, logger="coopfuse.simulator"):
+            world = build_world(cfg, np.random.default_rng(5))
+        assert len(world.rows) == 30 and not caplog.records
