@@ -114,7 +114,7 @@ def transform_states(rows: np.ndarray, t: RigidTransform) -> np.ndarray:
     if (norm < 1e-9).any():
         raise DegenerateHeading("rotation leaves no planar heading component")
     moved[:, 6:8] /= norm[:, None]
-    return np.hstack((moved[:, :3], rows[:, 3:6], moved[:, 7:5:-1], moved[:, 3:6]))
+    return np.concatenate((moved[:, :3], rows[:, 3:6], moved[:, 7:5:-1], moved[:, 3:6]), axis=1)
 
 
 def transform_state(state: StateVector, t: RigidTransform) -> StateVector:

@@ -86,8 +86,10 @@ def noisy_feature(
         ValueError: when the blurred vector's norm is zero or overflows.
     """
     vec = identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim)
-    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the check below rejects
-        norm = float(np.linalg.norm(vec))
+    # np.linalg.norm's own formula for a real vector, without its per-call checks; an overflow
+    # gives inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(vec.dot(vec))
     if not DEGENERATE_TOL <= norm < math.inf:
         raise ValueError(f"cannot normalize a feature of norm {norm!r}")
     feature = vec / norm
