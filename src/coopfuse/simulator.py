@@ -13,7 +13,6 @@ determined by the scenario seed.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import logging
 import math
@@ -186,6 +185,7 @@ class Agent:
         self.rng = rng
         self._prev = _Tracks([], np.empty(0, dtype=np.int64), np.empty((0, 11)), None)
         self._next_track_id = 1
+        self._embeddings: tuple[Optional[np.ndarray], np.ndarray] = (None, np.empty((0, spec.sensor.feature_dim)))
 
 
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch:
@@ -243,7 +243,10 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             c += 3
         if noised[2]:
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-        features = _embeddings(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
+        if agent._embeddings[0] is not world.object_ids:  # one (objects, D) table per scene; step_world keeps the ids
+            table = [identity_embedding(i, sensor.feature_dim) for i in world.object_ids.tolist()]
+            agent._embeddings = world.object_ids, np.array(table).reshape(len(table), sensor.feature_dim)
+        features = agent._embeddings[1][hits]
         features += sensor.feature_noise_sigma * z[:, k:]
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
             raise ValueError("a feature's norm is not finite")
@@ -255,14 +258,6 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved, t)
     return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
-
-
-@functools.lru_cache(maxsize=8)
-def _embeddings(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
-    """The objects' identity embeddings as one read-only (objects, dim) table, shared by every pass."""
-    table = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
-    table.setflags(write=False)
-    return table
 
 
 def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np.ndarray) -> list[int]:
@@ -442,15 +437,15 @@ class ScenarioConfig:
         return max(1, round(self.duration_s / self.tick_s))
 
 
-def _min_separation_over_run(pos: np.ndarray, vel: np.ndarray, placed: np.ndarray, duration: float) -> np.ndarray:
-    """Closest planar approach on [0, duration] of one trajectory to each placed (position, velocity)."""
-    dp = (pos - placed[:, 0])[:, :2]
-    dv = (vel - placed[:, 1])[:, :2]
+def _min_separation_over_run(trajectory: np.ndarray, placed: np.ndarray, duration: float) -> np.ndarray:
+    """Closest planar approach on [0, duration] of one (position, velocity) pair to each placed one."""
+    offsets = trajectory - placed
+    dp, dv = offsets[:, 0, :2], offsets[:, 1, :2]
     # vecdot matches the 2-element ``dp @ dv`` bit for bit; (dp * dv).sum(1)
     # and einsum do not.
     speed2 = np.vecdot(dv, dv)
     t_star = np.divide(-np.vecdot(dp, dv), speed2, out=np.zeros(len(dp)), where=speed2 >= 1e-12)
-    closest = dp + dv * np.clip(t_star, 0.0, duration)[:, None]
+    closest = dp + dv * t_star.clip(0.0, duration)[:, None]
     return np.hypot(closest[:, 0], closest[:, 1])
 
 
@@ -465,7 +460,7 @@ def build_world(cfg: ScenarioConfig, rng: np.random.Generator) -> World:
             speed, theta = uniform(*cfg.speed_range), uniform(-math.pi, math.pi)
             vel = speed * math.cos(theta), speed * math.sin(theta), 0.0
             placed[object_id] = pos, vel
-            separations = _min_separation_over_run(*placed[object_id], placed[:object_id], cfg.duration_s)
+            separations = _min_separation_over_run(placed[object_id], placed[:object_id], cfg.duration_s)
             if cfg.min_clearance == 0 or separations.min(initial=math.inf) >= cfg.min_clearance:
                 break
         else:

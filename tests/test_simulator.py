@@ -523,14 +523,14 @@ class TestBuildWorld:
         # approach times clamped at both ends of the run.
         pos, vel = np.array([*mover[:2], 0.0]), np.array([*mover[2:], 0.0])
         rows = np.array([((x, y, 0.0), (vx, vy, 0.0)) for x, y, vx, vy in placed]).reshape(-1, 2, 3)
-        got = simulator._min_separation_over_run(pos, vel, rows, duration)
+        got = simulator._min_separation_over_run(np.stack((pos, vel)), rows, duration)
         want = [reference_min_separation(pos, vel, p, v, duration) for p, v in rows]
         assert got.tolist() == want
 
     def test_min_separation_is_exact_off_the_grid(self, rng):
         pos, vel = rng.uniform(-50, 50, 3), rng.uniform(-8, 8, 3)
         rows = np.stack([rng.uniform(-50, 50, (500, 3)), rng.uniform(-8, 8, (500, 3))], axis=1)
-        got = simulator._min_separation_over_run(pos, vel, rows, 12.0)
+        got = simulator._min_separation_over_run(np.stack((pos, vel)), rows, 12.0)
         want = [reference_min_separation(pos, vel, p, v, 12.0) for p, v in rows]
         assert got.tolist() == want
 
