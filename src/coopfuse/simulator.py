@@ -13,6 +13,7 @@ determined by the scenario seed.
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import logging
 import math
@@ -185,7 +186,6 @@ class Agent:
         self.rng = rng
         self._prev = _Tracks([], np.empty(0, dtype=np.int64), np.empty((0, 11)), None)
         self._next_track_id = 1
-        self._embeddings: tuple[Optional[np.ndarray], np.ndarray] = (None, np.empty((0, spec.sensor.feature_dim)))
 
 
 def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch:
@@ -243,10 +243,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             c += 3
         if noised[2]:
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-        if agent._embeddings[0] is not world.object_ids:  # one (objects, D) table per scene; step_world keeps the ids
-            table = [identity_embedding(i, sensor.feature_dim) for i in world.object_ids.tolist()]
-            agent._embeddings = world.object_ids, np.array(table).reshape(len(table), sensor.feature_dim)
-        features = agent._embeddings[1][hits]
+        features = _embeddings(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
         features += sensor.feature_noise_sigma * z[:, k:]
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
             raise ValueError("a feature's norm is not finite")
@@ -258,6 +255,14 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved, t)
     return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
+
+
+@functools.lru_cache(maxsize=4)  # a scene's agents share one table; a few scenes' worth at most
+def _embeddings(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
+    """The objects' identity embeddings as one read-only (objects, dim) table."""
+    table = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
+    table.setflags(write=False)
+    return table
 
 
 def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np.ndarray) -> list[int]:
