@@ -129,14 +129,15 @@ def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
 
 
 def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:
-    """Rotate consecutive feature coordinate pairs by ``yaw``, renormalized.
+    """Rotate consecutive feature coordinate pairs by ``yaw``, renormalized, into a new read-only array.
 
     Odd trailing coordinate (if any) is left untouched. At yaw = 0 this is
     the identity.
     """
-    if yaw == 0.0:
-        return np.array(feature, dtype=np.float64)
     out = np.array(feature, dtype=np.float64)
+    if yaw == 0.0:
+        out.setflags(write=False)
+        return out
     pair_count = out.shape[0] // 2
     if pair_count:
         c, s = math.cos(yaw), math.sin(yaw)
@@ -170,7 +171,6 @@ def align_instance(
     state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)
-        feature.setflags(write=False)
     else:
         feature = inst.feature
     return Instance._trusted(

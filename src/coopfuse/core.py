@@ -18,6 +18,10 @@ dataclass with identity equality, whose ``_trusted`` sets the slots through
 their descriptors: a per-record value is one small object with no dict. The
 rules for a valid value live here alone: wire decode checks its record array
 as one batch with ``_check_records``.
+
+Shared operations live here once: ``normalize_feature``, the only feature
+normalization, and the nearest-neighbour rule that both continues sensing
+tracks and scores a run, ``pairs_within`` then ``greedy_nearest``.
 """
 
 from __future__ import annotations
@@ -126,12 +130,16 @@ def state_rows(states: Iterable[StateVector]) -> np.ndarray:
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:
-    """Scale a feature vector to unit Euclidean norm."""
+    """The vector scaled to unit Euclidean norm, read-only; ValueError on a zero, NaN or overflowing norm."""
     arr = np.asarray(values, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if norm < DEGENERATE_TOL:
-        raise ValueError("cannot normalize a zero feature vector")
-    return arr / norm
+    # np.linalg.norm's own formula for a real vector, bit for bit, without its per-call checks.
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(arr.dot(arr))
+    if not DEGENERATE_TOL <= norm < math.inf:
+        raise ValueError(f"cannot normalize a feature of norm {norm!r}")
+    feature = arr / norm
+    feature.setflags(write=False)
+    return feature
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -379,9 +387,6 @@ class GroundTruthObject(NamedTuple):
     state: StateVector
 
 
-Point = tuple[float, float, int]  # planar x, y and class id
-
-
 def x_window(column: Sequence[tuple[float, ...]], x: float, radius: float) -> slice:
     """The part of ``column`` (tuples sorted, x first) that may lie within ``radius`` of x:
     hypot(dx, dy) >= |dx|, and the slack exceeds the rounding of x +- reach and of a
@@ -390,32 +395,32 @@ def x_window(column: Sequence[tuple[float, ...]], x: float, radius: float) -> sl
     return slice(bisect.bisect_left(column, (x - reach,)), bisect.bisect_right(column, (x + reach, math.inf)))
 
 
-def neighbours(queries: Iterable[Point], refs: Iterable[Point], radius: float) -> list[list[tuple[int, float]]]:
-    """Each query's same-class refs within ``radius``: ``(ref index, distance)``, by
-    index, with distance ``math.hypot(qx - x, qy - y)``."""
-    ordered = sorted((qx, i, qy, c) for i, (qx, qy, c) in enumerate(queries))
-    columns: dict[int, list[tuple[float, int, float]]] = {}
-    for qx, i, qy, c in ordered:
-        columns.setdefault(c, []).append((qx, i, qy))
-    rows: list[list[tuple[int, float]]] = [[] for _ in ordered]
-    for k, (x, y, c) in enumerate(refs):
-        column = columns.get(c, [])
-        for qx, i, qy in column[x_window(column, x, radius)]:
-            if (d := math.hypot(qx - x, qy - y)) <= radius:
-                rows[i].append((k, d))
-    return rows
+def pairs_within(
+    queries: np.ndarray, query_classes: np.ndarray, refs: np.ndarray, ref_classes: np.ndarray, radius: float
+) -> list[tuple[int, int, float]]:
+    """Every same-class ``(query, ref, distance)`` pair within ``radius``, row-major (by query,
+    then by ref). Positions are (n, 2) planar x, y; the distance is ``math.hypot(qx - x, qy - y)``."""
+    dx = queries[:, 0, None] - refs[:, 0]
+    dy = queries[:, 1, None] - refs[:, 1]
+    # hypot(dx, dy) >= |dx|, |dy|: the box holds every pair within the radius; slack for a last-bit hypot error.
+    reach = radius * (1.0 + 2.0**-40)
+    box = (np.abs(dx) <= reach) & (np.abs(dy) <= reach) & (query_classes[:, None] == ref_classes)
+    distances = map(math.hypot, dx[box].tolist(), dy[box].tolist())
+    return [(i, j, d) for i, j, d in zip(*(a.tolist() for a in np.nonzero(box)), distances) if d <= radius]
 
 
-def greedy_nearest(rows: Iterable[Sequence[tuple[int, float]]], limit: float) -> list[Optional[tuple[int, float]]]:
-    """Each row of ``neighbours`` in turn takes its nearest candidate within ``limit`` that
-    no earlier row took, the later index of equally near ones: ``(index, distance)`` or None."""
-    taken: set[int] = set()
-    picks: list[Optional[tuple[int, float]]] = []
-    for row in rows:
-        best_k, best_d = None, limit
-        for k, d in row:
-            if d <= best_d and k not in taken:
-                best_k, best_d = k, d
-        taken.add(best_k)  # None never matches an index
-        picks.append(None if best_k is None else (best_k, best_d))
+def greedy_nearest(pairs: Iterable[tuple[int, int, float]], count: int, limit: float) -> list[Optional[tuple]]:
+    """Each of ``count`` queries in turn takes its nearest ref within ``limit`` that no earlier
+    query took, the later of equally near ones: ``(ref, distance)`` or None. ``pairs`` are
+    row-major ``(query, ref, distance)``, as ``pairs_within`` gives them, so a query's pick
+    is final when the next query's pairs start."""
+    picks: list[Optional[tuple[int, float]]] = [None] * count
+    taken, row, best, best_d = set(), -1, None, limit
+    for i, j, d in pairs:
+        if i != row:
+            taken.add(best)  # None never matches an index
+            row, best, best_d = i, None, limit
+        if d <= best_d and j not in taken:
+            best, best_d = j, d
+            picks[i] = (j, d)
     return picks

@@ -4,8 +4,9 @@ Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
 over an 11-point recall grid. Every metric derives from one table of
-greedy matches per distinct distance threshold, built from one neighbour
-scan per frame. The claims these support are trends and properties, not
+greedy matches per distinct distance threshold, picked by ``greedy_nearest``
+from one ``pairs_within`` scan per frame (the rule that continues sensing
+tracks). The claims these support are trends and properties, not
 leaderboard numbers, and every output is deterministic given the scenario
 seed.
 """
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GroundTruthObject, Instance, greedy_nearest, neighbours
+from .core import GroundTruthObject, Instance, greedy_nearest, pairs_within
 from .simulator import FrameRecord, RunResult, ScenarioConfig, SceneRecord, record_scene, run_scenario
 
 DETECTION_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -54,7 +55,7 @@ class MetricsReport:
     coop_prefusion_err: float = math.nan
 
 
-Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[list[tuple[int, float]]], list[float]]
+Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[tuple[int, int, float]]]
 
 
 @dataclass(frozen=True)
@@ -80,26 +81,26 @@ class Hits:
 
 def _scan(frame: FrameRecord, radius: float) -> Scan:
     """The frame's predictions in matching order (descending confidence,
-    stable), its objects, each prediction's same-class objects within
-    ``radius`` and the distance of the nearest of them (inf if none)."""
+    stable), its objects and their same-class ``(prediction, object,
+    distance)`` pairs within ``radius``."""
     order = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
-    points = [[(o.state.x, o.state.y, o.class_id) for o in group] for group in (order, frame.ground_truth)]
-    candidates = neighbours(*points, radius)
-    return order, frame.ground_truth, candidates, [min((d for _, d in row), default=math.inf) for row in candidates]
+    sides = [(np.array([o.state[:2] for o in group]).reshape(-1, 2), np.array([o.class_id for o in group]))
+             for group in (order, frame.ground_truth)]
+    return order, frame.ground_truth, pairs_within(*sides[0], *sides[1], radius)
 
 
 def _hits(scans: Sequence[Scan], threshold: float) -> Hits:
     """Greedy confidence-ordered one-to-one matching by planar distance, frame by frame."""
     confidence, matched, object_id, track_id, distances, duplicates = [], [], [], [], [], 0
-    for order, gt_objects, candidates, nearest in scans:
-        picks = greedy_nearest(candidates, threshold)
+    for order, gt_objects, pairs in scans:
+        picks = greedy_nearest(pairs, len(order), threshold)
         rows = sorted(range(len(picks)), key=lambda i: picks[i] is None)  # matched first, stable
         confidence += [order[i].confidence for i in rows]
         matched += [picks[i] is not None for i in rows]
         object_id += [-1 if picks[i] is None else gt_objects[picks[i][0]].object_id for i in rows]
         track_id += [order[i].track_id for i in rows]
         distances += [pick[1] for pick in picks if pick is not None]
-        duplicates += sum(pick is None and d <= threshold for pick, d in zip(picks, nearest))
+        duplicates += len({i for i, _, d in pairs if d <= threshold and picks[i] is None})
     return Hits(np.array(confidence, float), np.array(matched, bool), np.array(object_id, np.int64),
                 np.array(track_id, object), distances, duplicates, sum(len(scan[1]) for scan in scans))
 

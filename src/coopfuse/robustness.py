@@ -72,9 +72,7 @@ def identity_embedding(object_id: int, dim: int) -> np.ndarray:
     observing the same object produce correlated appearance features.
     """
     rng = np.random.default_rng(object_id + _EMBEDDING_SEED_OFFSET)
-    vec = normalize_feature(rng.standard_normal(dim))
-    vec.setflags(write=False)
-    return vec
+    return normalize_feature(rng.standard_normal(dim))
 
 
 def noisy_feature(
@@ -85,16 +83,7 @@ def noisy_feature(
     Raises:
         ValueError: when the blurred vector's norm is zero or overflows.
     """
-    vec = identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim)
-    # np.linalg.norm's own formula for a real vector, without its per-call checks; an overflow
-    # gives inf, which the check below rejects.
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(vec.dot(vec))
-    if not DEGENERATE_TOL <= norm < math.inf:
-        raise ValueError(f"cannot normalize a feature of norm {norm!r}")
-    feature = vec / norm
-    feature.setflags(write=False)
-    return feature
+    return normalize_feature(identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim))
 
 
 def perturb_observation(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import functools
 import heapq
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -33,7 +34,9 @@ from .core import (
     Timestamp,
     _check_non_negative,
     _check_records,
+    greedy_nearest,
     invert,
+    pairs_within,
     relative_transform,
     seconds_to_micros,
     yaw_rotation,
@@ -274,23 +277,11 @@ def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np
     """
     prev, gate = agent._prev, agent.spec.sensor.track_gate
     dt = 0.0 if prev.t is None else (t - prev.t) / 1e6
-    dx = rows[:, 0, None] - (prev.states[:, 0] + prev.states[:, 8] * dt)
-    dy = rows[:, 1, None] - (prev.states[:, 1] + prev.states[:, 9] * dt)
-    # hypot(dx, dy) >= |dx|, |dy|: the box holds every candidate, and the slack covers rounding.
-    reach = gate * (1.0 + 2.0**-40)
-    box = (np.abs(dx) <= reach) & (np.abs(dy) <= reach) & (class_ids[:, None] == prev.class_ids)
-    # One pass over the pairs in row-major order: a detection's pick is final when the next row starts.
-    track_ids: list[Optional[int]] = [None] * len(rows)
-    taken, row, best, best_d = set(), -1, None, gate
-    for i, j, d in zip(*(a.tolist() for a in np.nonzero(box)), map(math.hypot, dx[box].tolist(), dy[box].tolist())):
-        if i != row:
-            taken.add(best)  # None never matches an index
-            row, best, best_d = i, None, gate
-        if d <= best_d and j not in taken:
-            best, best_d = j, d
-            track_ids[i] = prev.track_ids[j]
-    for i in [i for i, track_id in enumerate(track_ids) if track_id is None]:
-        track_ids[i], agent._next_track_id = agent._next_track_id, agent._next_track_id + 1
+    predicted = prev.states[:, :2] + prev.states[:, 8:10] * dt
+    picks = greedy_nearest(pairs_within(rows[:, :2], class_ids, predicted, prev.class_ids, gate), len(rows), gate)
+    fresh = itertools.count(agent._next_track_id)
+    track_ids = [next(fresh) if pick is None else prev.track_ids[pick[0]] for pick in picks]
+    agent._next_track_id = next(fresh)
     return track_ids
 
 

@@ -125,6 +125,22 @@ def brute_force_greedy_match(preds, gts, dist_threshold):
     return pairs, unmatched, free
 
 
+def reference_pairs(queries, refs, radius):
+    """Every same-class pair within ``radius``, written from its definition.
+
+    ``queries`` and ``refs`` are ``(x, y, class_id)``. Returns
+    ``(query index, ref index, distance)`` by query, then by ref, with the
+    distance ``math.hypot(qx - x, qy - y)``.
+    """
+    pairs = []
+    for i, (qx, qy, query_class) in enumerate(queries):
+        for k, (x, y, ref_class) in enumerate(refs):
+            d = math.hypot(qx - x, qy - y)
+            if ref_class == query_class and d <= radius:
+                pairs.append((i, k, d))
+    return pairs
+
+
 def _ranked_hits(frames, dist_threshold):
     """(confidence, is_tp) of every prediction, by descending confidence.
 

@@ -207,7 +207,9 @@ class TestFeaturePairRotation:
     def test_zero_yaw_is_identity(self, rng):
         feature = rng.standard_normal(16)
         feature /= np.linalg.norm(feature)
-        np.testing.assert_array_equal(rotate_feature_pairs(feature, 0.0), feature)
+        out = rotate_feature_pairs(feature, 0.0)
+        np.testing.assert_array_equal(out, feature)
+        assert out is not feature and not out.flags.writeable
 
     def test_preserves_unit_norm(self, rng):
         for _ in range(50):
@@ -302,6 +304,7 @@ class TestAlignInstance:
         rotated = align_instance(inst, self._rel(ego_yaw=1.0, coop_xy=(3.0, 4.0)), 0, cfg)
         assert abs(np.linalg.norm(rotated.feature) - 1.0) < 1e-6
         assert not np.allclose(rotated.feature, inst.feature)
+        assert not out.feature.flags.writeable and not rotated.feature.flags.writeable
 
     def test_never_alters_dimensions(self, rng):
         cfg = AlignmentConfig()

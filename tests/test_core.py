@@ -6,6 +6,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopfuse.core import (
     DegenerateHeading,
@@ -15,12 +17,13 @@ from coopfuse.core import (
     compose,
     greedy_nearest,
     invert,
-    neighbours,
+    normalize_feature,
     normalize_heading,
+    pairs_within,
     relative_transform,
 )
 from conftest import make_state
-from oracles import random_rotation
+from oracles import brute_force_greedy_match, random_rotation, reference_pairs
 
 
 class TestNormalizeHeading:
@@ -241,16 +244,59 @@ class TestRelativeTransform:
             np.testing.assert_allclose(round_trip.translation, np.zeros(3), atol=1e-9)
 
 
+def _sides(queries, refs):
+    """``pairs_within``'s positions and classes of each side's ``(x, y, class_id)`` points."""
+    return [arg for side in (queries, refs)
+            for arg in (np.array([p[:2] for p in side], dtype=float).reshape(-1, 2), np.array([p[2] for p in side]))]
+
+
+# Points on a half-metre grid, of two classes: exact distance ties and pairs exactly at a radius abound.
+GRID_POINTS = st.lists(st.tuples(*[st.integers(-6, 6).map(lambda v: v / 2)] * 2, st.integers(0, 1)), max_size=8)
+GRID_RADII = st.integers(0, 8).map(lambda v: v / 2)
+
+
 class TestNeighbours:
     def test_pair_at_the_radius_past_a_rounded_window_edge(self):
         # -3.7 + 2.0 rounds to -1.7000000000000002, below the query at -1.7,
         # yet -1.7 - -3.7 is exactly 2.0: a window of x + radius misses it.
-        assert neighbours([(-1.7, 0.0, 0)], [(-3.7, 0.0, 0)], 2.0) == [[(0, 2.0)]]
+        assert pairs_within(*_sides([(-1.7, 0.0, 0)], [(-3.7, 0.0, 0)]), 2.0) == [(0, 0, 2.0)]
 
     def test_rows_by_ref_index_and_class(self):
         refs = [(3.0, 0.0, 0), (0.0, 1.0, 0), (0.0, 0.0, 1), (-1.0, 0.0, 0)]
-        assert neighbours([(0.0, 0.0, 0), (9.0, 9.0, 0)], refs, 3.0) == [[(0, 3.0), (1, 1.0), (3, 1.0)], []]
+        pairs = pairs_within(*_sides([(0.0, 0.0, 0), (9.0, 9.0, 0)], refs), 3.0)
+        assert pairs == [(0, 0, 3.0), (0, 1, 1.0), (0, 3, 1.0)]
 
     def test_greedy_takes_the_later_of_tied_candidates(self):
-        rows = [[(0, 1.0), (1, 1.0), (2, 0.5)], [(0, 1.0), (1, 1.0)], [(1, 0.2)], [(0, 2.0)]]
-        assert greedy_nearest(rows, 1.5) == [(2, 0.5), (1, 1.0), None, None]
+        pairs = [(0, 0, 1.0), (0, 1, 1.0), (0, 2, 0.5), (1, 0, 1.0), (1, 1, 1.0), (2, 1, 0.2), (3, 0, 2.0)]
+        assert greedy_nearest(pairs, 5, 1.5) == [(2, 0.5), (1, 1.0), None, None, None]
+
+    @settings(max_examples=300, deadline=None)
+    @given(GRID_POINTS, GRID_POINTS, GRID_RADII, GRID_RADII)
+    def test_pairs_and_picks_equal_brute_force(self, queries, refs, radius, limit):
+        limit, radius = sorted((radius, limit))
+        pairs = pairs_within(*_sides(queries, refs), radius)
+        assert pairs == reference_pairs(queries, refs, radius)
+        # Equal confidences: the brute-force matcher visits the queries in order.
+        matched, _, _ = brute_force_greedy_match(
+            [(x, y, 1.0, c, None) for x, y, c in queries], [(k, x, y, c) for k, (x, y, c) in enumerate(refs)], limit
+        )
+        expected = [None] * len(queries)
+        for i, k, d in matched:
+            expected[i] = (k, d)
+        assert greedy_nearest(pairs, len(queries), limit) == expected
+
+
+class TestNormalizeFeature:
+    def test_equals_division_by_numpy_norm_and_is_read_only(self, rng):
+        for values in (rng.standard_normal(33), rng.standard_normal(8) * 1e150, [3.0, 4.0]):
+            out = normalize_feature(values)
+            assert out.tobytes() == (np.asarray(values) / np.linalg.norm(values)).tobytes()
+            assert not out.flags.writeable
+
+    @pytest.mark.parametrize(
+        "values", [[0.0, 0.0], [1e-13, 0.0], [math.nan, 1.0], [math.inf, 1.0], [1e200, 1e200], []],
+        ids=["zero", "below-tol", "nan", "inf", "overflow", "empty"],
+    )
+    def test_rejects_a_degenerate_or_non_finite_norm(self, values):
+        with pytest.raises(ValueError, match="cannot normalize a feature of norm"):
+            normalize_feature(np.array(values))
