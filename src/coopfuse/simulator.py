@@ -392,8 +392,8 @@ class ScenarioConfig:
         for name in ("duration_s", "tick_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not self.tick_s > 0:
-            raise ValueError("tick_s must be positive")
+        if not self.tick_s >= 1e-6:  # the frame clock counts whole microseconds
+            raise ValueError(f"tick_s must be at least one microsecond, got {self.tick_s!r}")
         if not self.duration_s >= self.tick_s:
             raise ValueError("duration_s must be at least one tick")
         if not 0 <= self.speed_range[0] <= self.speed_range[1]:

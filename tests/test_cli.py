@@ -246,7 +246,8 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "key,value,message",
         [("seed", "-3", "scenario: seed must be non-negative"),
-         ("object_count", "2.5", "scenario.object_count: expected int, got 2.5")],
+         ("object_count", "2.5", "scenario.object_count: expected int, got 2.5"),
+         ("tick_s", "4.0e-07", "scenario: tick_s must be at least one microsecond, got 4e-07")],
     )
     def test_validate_config_rejects_bad_scenario_value(self, tmp_path, capsys, key, value, message):
         path = tmp_path / "bad.yaml"

@@ -798,6 +798,11 @@ class TestScenarioConfigValidation:
     def test_rejects_bad_tick(self):
         with pytest.raises(ValueError):
             ScenarioConfig(tick_s=0.0)
+        # The frame clock counts whole microseconds: 4e-7 s would round to a step of 0.
+        for tick in (4.0e-7, 9.99e-7):
+            with pytest.raises(ValueError, match="^tick_s must be at least one microsecond"):
+                ScenarioConfig(tick_s=tick)
+        assert ScenarioConfig(tick_s=1e-6).tick_s == 1e-6
 
     @pytest.mark.parametrize("name", ["x", "y", "z", "yaw_deg", "vx", "vy"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
