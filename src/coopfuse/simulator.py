@@ -5,9 +5,9 @@ observed by agents with parametric sensors (``sense_frames``). Each frame of
 ``run_scenario`` then runs three stages. ``_send`` serializes each remote
 agent's top detections, with sender pose noise, into a packet that crosses a
 channel with latency, jitter and loss. ``_receive`` decodes what has arrived,
-keeps each sender's newest packet and aligns it to the ego. ``_fuse``
-associates, fuses and tracks. The event loop is single-threaded and fully
-determined by the scenario seed.
+keeps each sender's newest packet unless one as new was fused before, and
+aligns it to the ego. ``_fuse`` associates, fuses and tracks. The event
+loop is single-threaded and fully determined by the scenario seed.
 """
 
 from __future__ import annotations
@@ -621,14 +621,18 @@ def _send(
 
 
 def _receive(
-    packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp, pipeline: PipelineConfig
+    packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp, pipeline: PipelineConfig,
+    fused: dict[int, Timestamp],
 ) -> tuple[list[Instance], int]:
     """Decode the packets consumed at ``t`` (in arrival order), keep each sender's newest by send
     time (of equal ones, the later arrival) and align its records to the ego at ``t``, senders in
-    id order. Returns the aligned instances and the count of records past the horizon."""
+    id order. A packet sent at or before its sender's last fused one (``fused``, by sender, which
+    this updates) is skipped. Returns the aligned instances and the count of records past the horizon."""
     newest: dict[int, InstancePacket] = {}
     for data in packets:
         packet = decode_packet(data)
+        if packet.send_timestamp <= fused.get(packet.sender_id, -1):
+            continue
         prior = newest.get(packet.sender_id)
         if prior is None or packet.send_timestamp >= prior.send_timestamp:
             newest[packet.sender_id] = packet
@@ -636,6 +640,7 @@ def _receive(
     stale = 0
     for sender in sorted(newest):
         packet = newest[sender]
+        fused[sender] = packet.send_timestamp
         rel = relative_transform(ego_pose, packet.sender_pose())
         for inst in packet.to_instances():
             if not pipeline.compensate_latency:
@@ -683,6 +688,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
     inbox: list[tuple[Timestamp, int, bytes]] = []  # a heap of (arrival, index of the send event, packet)
     events: list[SimEvent] = []
     frames: list[FrameRecord] = []
+    fused: dict[int, Timestamp] = {}  # each sender's last fused send time
     frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
     for t in range(0, cfg.frame_count * seconds_to_micros(cfg.tick_s), seconds_to_micros(cfg.tick_s)):
         coop_dets, ego_all, gt_all = next(frames_in)
@@ -697,7 +703,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         while inbox and inbox[0][0] <= t:
             due.append(heapq.heappop(inbox))
         events += [events[i]._replace(t_us=t, kind="consume") for _, i, _ in due]  # the send's size and arrival
-        coop_aligned, stale = _receive([packet for *_, packet in due], ego_spec.pose_at(t), t, cfg.pipeline)
+        coop_aligned, stale = _receive([packet for *_, packet in due], ego_spec.pose_at(t), t, cfg.pipeline, fused)
         prev_tracks = frames[-1].tracks if frames else TrackSet(timestamp=0, instances=())
         frames.append(FrameRecord(t, *_fuse(ego_all, coop_aligned, gt_all, prev_tracks, registry, t, cfg), stale))
     sent = sum(e.size_bytes for e in events if e.kind in ("send", "drop"))

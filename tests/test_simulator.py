@@ -624,7 +624,7 @@ class TestReceive:
     PIPELINE = PipelineConfig()
 
     def _xs(self, packets, t=300_000):
-        aligned, stale = simulator._receive(packets, RigidTransform.identity(), t, self.PIPELINE)
+        aligned, stale = simulator._receive(packets, RigidTransform.identity(), t, self.PIPELINE, {})
         assert stale == 0
         return [(inst.source_agent, inst.state.x) for inst in aligned]
 
@@ -644,9 +644,26 @@ class TestReceive:
     def test_packet_past_the_horizon_is_all_stale(self):
         horizon_us = seconds_to_micros(self.PIPELINE.alignment.max_compensation_horizon)
         aligned, stale = simulator._receive(
-            [_packet(1, 0, 1.0, 2.0, 3.0)], RigidTransform.identity(), horizon_us + 1, self.PIPELINE
+            [_packet(1, 0, 1.0, 2.0, 3.0)], RigidTransform.identity(), horizon_us + 1, self.PIPELINE, {}
         )
         assert (aligned, stale) == ([], 3)
+
+    def test_packet_no_newer_than_one_fused_before_is_skipped(self, monkeypatch):
+        fused = {}
+        simulator._receive([_packet(1, 200_000, 2.0)], RigidTransform.identity(), 300_000, self.PIPELINE, fused)
+        assert fused == {1: 200_000}
+        decoded, real = [], InstancePacket.to_instances
+
+        def recording(packet):
+            decoded.append(packet.sender_id)
+            return real(packet)
+
+        monkeypatch.setattr(InstancePacket, "to_instances", recording)
+        late = [_packet(1, 100_000, 1.0), _packet(1, 200_000, 3.0), _packet(2, 100_000, 4.0)]
+        aligned, stale = simulator._receive(late, RigidTransform.identity(), 400_000, self.PIPELINE, fused)
+        assert ([(inst.source_agent, inst.state.x) for inst in aligned], stale) == ([(2, 4.0)], 0)
+        assert decoded == [2]  # a skipped packet yields no records
+        assert fused == {1: 200_000, 2: 100_000}
 
 
 def _frame_bytes(run):
