@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .alignment import compensate_latency
-from .core import DegenerateHeading, Instance, StateVector, Timestamp, x_window
+from .core import DegenerateHeading, Instance, StateVector, Timestamp, normalize_feature, x_window
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -134,13 +132,10 @@ def coarse_fuse(ego: Instance, coop: Instance, confidence_fusion: str = "max") -
             w_ego * a.vz + w_coop * b.vz,
         )
     )
-    blended = w_ego * ego.feature + w_coop * coop.feature
-    blended_norm = float(np.linalg.norm(blended))
-    if blended_norm < 1e-9:
+    try:
+        feature = normalize_feature(w_ego * ego.feature + w_coop * coop.feature)
+    except ValueError:
         feature = ego.feature  # antipodal features cancel; keep the survivor's
-    else:
-        feature = blended / blended_norm
-        feature.setflags(write=False)
     return Instance._trusted(
         state=state,
         feature=feature,
