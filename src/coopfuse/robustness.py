@@ -50,6 +50,10 @@ class ObservationNoiseParams:
 
     def __post_init__(self) -> None:
         _check_non_negative(self, ("pos_range", "other_range"))
+        for name in ("pos_range", "other_range"):
+            value = getattr(self, name)
+            if not math.isfinite(value - -value):  # the span of the uniform draw
+                raise ValueError(f"{name} must span a finite draw, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,19 @@ def identity_embedding(object_id: int, dim: int) -> np.ndarray:
     return normalize_feature(rng.standard_normal(dim))
 
 
-def noisy_feature(
-    object_id: int, dim: int, sigma: float, rng: np.random.Generator
-) -> np.ndarray:
+def noisy_feature(object_id: int, dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """An identity embedding blurred by Gaussian noise, renormalized and read-only.
 
     Raises:
         ValueError: when the blurred vector's norm is zero or overflows.
     """
-    return normalize_feature(identity_embedding(object_id, dim) + sigma * rng.standard_normal(dim))
+    return _blurred_features([object_id], dim, sigma, rng.standard_normal((1, dim)))[0]
+
+
+def _blurred_features(object_ids: Sequence[int], dim: int, sigma: float, noise: np.ndarray) -> list[np.ndarray]:
+    """Each object's identity embedding plus ``sigma`` times its row of ``noise``, as read-only unit rows."""
+    embeddings = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
+    return list(normalize_feature(embeddings + sigma * noise))
 
 
 def perturb_observation(
@@ -99,23 +107,23 @@ def perturb_observation(
     Raises:
         ValueError: when a perturbed component is not finite.
     """
-    pos = rng.uniform(-p.pos_range, p.pos_range, 3).tolist()
-    other = rng.uniform(-p.other_range, p.other_range, 8).tolist()
-    sin_raw = state.sin_yaw + other[3]
-    cos_raw = state.cos_yaw + other[4]
-    norm = math.hypot(sin_raw, cos_raw)
-    if norm < DEGENERATE_TOL:
-        sin_yaw, cos_yaw = state.sin_yaw, state.cos_yaw  # draw cancelled exactly
-    else:
-        sin_yaw, cos_yaw = sin_raw / norm, cos_raw / norm
-    values = (
-        state.x + pos[0], state.y + pos[1], state.z + pos[2],
-        *(max(size + step, _MIN_DIMENSION) for size, step in zip((state.l, state.w, state.h), other[:3])),
-        sin_yaw, cos_yaw, state.vx + other[5], state.vy + other[6], state.vz + other[7],
-    )
-    if not all(map(math.isfinite, values)):
+    return _perturbed_states(np.array([state]), rng.random((1, 11)), p)[0]
+
+
+def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoiseParams) -> list[StateVector]:
+    """The ``(n, 11)`` state rows under ``p``'s noise, from one ``rng.random(11)`` row of ``unit`` each:
+    ``rng.uniform(-r, r, k)`` is ``-r + (r - -r) * rng.random(k)``, bit for bit and on the same stream."""
+    half = np.repeat((p.pos_range, p.other_range), (3, 8))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
+        moved = rows + (-half + (half + half) * unit)
+        moved[:, 3:6] = np.maximum(moved[:, 3:6], _MIN_DIMENSION)
+        # math.hypot per row: numpy's hypot differs in the last bit on some pairs.
+        norm = np.array(list(map(math.hypot, moved[:, 6].tolist(), moved[:, 7].tolist()))).reshape(-1, 1)
+        cancelled = norm < DEGENERATE_TOL  # the draw cancelled the heading exactly: keep the state's
+        moved[:, 6:8] = np.where(cancelled, rows[:, 6:8], moved[:, 6:8] / np.where(cancelled, 1.0, norm))
+    if not np.isfinite(moved).all():
         raise ValueError("perturbed state is not finite")
-    return StateVector._trusted(values)
+    return list(map(StateVector._trusted, moved.tolist()))
 
 
 def perturb_transform(
@@ -165,27 +173,22 @@ def generate_denoising_scene(
     if true_transform is None:
         true_transform = RigidTransform.identity()
     # The transform draws nothing, so transforming every object up front keeps the draw order.
-    coop_states = transform_states(state_rows(obj.state for obj in gt_objects), invert(true_transform)).tolist()
-
-    def view(states, agent: int) -> list[Instance]:
-        # Per object: the state's draws, then the feature's (keyword arguments evaluate in order).
-        return [
-            Instance._trusted(
-                state=perturb_observation(state, rng, obs_p),
-                feature=noisy_feature(obj.object_id, feature_dim, feature_noise_sigma, rng),
-                confidence=1.0,
-                class_id=obj.class_id,
-                track_id=obj.object_id,
-                source_agent=agent,
-                observed_at=0,
-            )
-            for obj, state in zip(gt_objects, states)
-        ]
-
-    ego_view = view((obj.state for obj in gt_objects), 0)
-    coop_view = view(map(StateVector._trusted, coop_states), 1)
-    corrupted = perturb_transform(true_transform, rng, tf_p)
-    return ego_view, coop_view, corrupted
+    rows = state_rows(obj.state for obj in gt_objects)
+    rows = np.concatenate((rows, transform_states(rows, invert(true_transform))))
+    # Per object, ego view first: the state's 11 uniform draws, then the feature's normals.
+    unit, noise = np.empty((len(rows), 11)), np.empty((len(rows), feature_dim))
+    random, standard_normal = rng.random, rng.standard_normal
+    for unit_row, noise_row in zip(unit, noise):
+        random(out=unit_row)
+        standard_normal(out=noise_row)
+    states = _perturbed_states(rows, unit, obs_p)
+    features = _blurred_features(ids + ids, feature_dim, feature_noise_sigma, noise)
+    ego_view, coop_view = (
+        [Instance._trusted(state, feature, 1.0, obj.class_id, obj.object_id, agent, 0)
+         for obj, state, feature in zip(gt_objects, states[agent * len(ids):], features[agent * len(ids):])]
+        for agent in (0, 1)
+    )
+    return ego_view, coop_view, perturb_transform(true_transform, rng, tf_p)
 
 
 def match_accuracy(result: AssociationResult, object_count: int) -> tuple[float, float, float]:
