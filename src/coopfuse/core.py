@@ -130,19 +130,16 @@ def state_rows(states: Iterable[StateVector]) -> np.ndarray:
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:
-    """The vector, or each row of a matrix, scaled to unit Euclidean norm, read-only.
-
-    Raises:
-        ValueError: on a zero, NaN or overflowing norm.
-    """
+    """The vector, or each row of a matrix, scaled to unit Euclidean norm, read-only; ValueError on a
+    zero, NaN or overflowing norm."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
-    # np.linalg.norm's own formula for a real vector, sqrt(dot), without its per-call
-    # checks: vecdot gives each contiguous row the bits of its dot.
+    # np.linalg.norm's own formula for a real vector, sqrt(dot), without its per-call checks. vecdot
+    # gives each contiguous row of a matrix the same bits; a lone vector keeps the cheaper float path.
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.vecdot(arr, arr))[..., None]
-    usable = (DEGENERATE_TOL <= norms) & (norms < math.inf)
-    if not usable.all():
-        raise ValueError(f"cannot normalize a feature of norm {float(norms[~usable][0])!r}")
+        norms = np.sqrt(np.vecdot(arr, arr))[:, None] if arr.ndim == 2 else math.sqrt(arr.dot(arr))
+    for norm in norms.ravel().tolist() if arr.ndim == 2 else (norms,):
+        if not DEGENERATE_TOL <= norm < math.inf:
+            raise ValueError(f"cannot normalize a feature of norm {norm!r}")
     feature = arr / norms
     feature.setflags(write=False)
     return feature

@@ -51,7 +51,7 @@ class ObservationNoiseParams:
     def __post_init__(self) -> None:
         _check_non_negative(self, ("pos_range", "other_range"))
         for name in ("pos_range", "other_range"):
-            value = getattr(self, name)
+            value = float(getattr(self, name))
             if not math.isfinite(value - -value):  # the span of the uniform draw
                 raise ValueError(f"{name} must span a finite draw, got {value!r}")
 
