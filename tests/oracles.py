@@ -399,6 +399,36 @@ def reference_cluttered_rows(count, spacing, rng, speed_range=(2.0, 10.0)):
     return rows
 
 
+def reference_denoising_views(views, rng, pos_range, other_range, dim, sigma):
+    """Both views of a denoising scene, one object at a time.
+
+    ``views`` holds one list of ``(object_id, state)`` per view, in draw order, each state
+    an 11-tuple in ``StateVector`` order. Per object: ``rng.uniform(-pos_range, pos_range,
+    3)`` moves x, y, z and ``rng.uniform(-other_range, other_range, 8)`` moves the other
+    eight components; the dimensions are clamped at 0.01, and the heading is scaled by its
+    ``math.hypot`` norm, unless that is below 1e-12 (the draw cancelled it exactly) and the
+    state's own heading stays. Then the object's identity embedding (standard normals from
+    seed ``object_id + 0x5EED``, scaled to unit norm) plus ``sigma *
+    rng.standard_normal(dim)`` is scaled to unit norm. Returns ``(state, feature)`` pairs
+    per view.
+    """
+    out = []
+    for view in views:
+        pairs = []
+        for object_id, (x, y, z, l, w, h, s, c, vx, vy, vz) in view:
+            dx, dy, dz = rng.uniform(-pos_range, pos_range, 3).tolist()
+            dl, dw, dh, ds, dc, dvx, dvy, dvz = rng.uniform(-other_range, other_range, 8).tolist()
+            norm = math.hypot(s + ds, c + dc)
+            heading = (s, c) if norm < 1e-12 else ((s + ds) / norm, (c + dc) / norm)
+            state = (x + dx, y + dy, z + dz, max(l + dl, 0.01), max(w + dw, 0.01), max(h + dh, 0.01),
+                     *heading, vx + dvx, vy + dvy, vz + dvz)
+            embedding = np.random.default_rng(object_id + 0x5EED).standard_normal(dim)
+            feature = embedding / np.linalg.norm(embedding) + sigma * rng.standard_normal(dim)
+            pairs.append((state, feature / np.linalg.norm(feature)))
+        out.append(pairs)
+    return out
+
+
 def reference_packet(instances, rotation, translation, t, sender_id):
     """A packet packed field by field with ``struct`` from the documented layout.
 

@@ -293,6 +293,18 @@ class TestNormalizeFeature:
             assert out.tobytes() == (np.asarray(values) / np.linalg.norm(values)).tobytes()
             assert not out.flags.writeable
 
+    def test_each_row_of_a_matrix_equals_its_vector(self, rng):
+        for dim in (1, 7, 64, 257):
+            rows = rng.standard_normal((9, dim)) * rng.choice([1e-6, 1.0, 1e150], size=(9, 1))
+            out = normalize_feature(rows)
+            assert not out.flags.writeable
+            assert [row.tobytes() for row in out] == [(row / np.linalg.norm(row)).tobytes() for row in rows]
+        assert normalize_feature(np.empty((0, 3))).shape == (0, 3)
+
+    def test_rejects_a_matrix_with_one_degenerate_row(self):
+        with pytest.raises(ValueError, match="cannot normalize a feature of norm 0.0"):
+            normalize_feature(np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]]))
+
     @pytest.mark.parametrize(
         "values", [[0.0, 0.0], [1e-13, 0.0], [math.nan, 1.0], [math.inf, 1.0], [1e200, 1e200], []],
         ids=["zero", "below-tol", "nan", "inf", "overflow", "empty"],

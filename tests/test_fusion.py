@@ -83,6 +83,20 @@ class TestCoarseFuse:
         out = coarse_fuse(a, b)
         assert out.state.yaw == pytest.approx(math.pi / 4)
 
+    def test_blended_feature_is_the_normalized_weighted_average(self):
+        a = make_instance(confidence=0.9, feature_seed=1)
+        b = make_instance(confidence=0.3, feature_seed=2)
+        w_ego = 0.9 / (0.9 + 0.3)
+        blended = w_ego * a.feature + (1.0 - w_ego) * b.feature
+        out = coarse_fuse(a, b)
+        assert out.feature.tobytes() == (blended / np.linalg.norm(blended)).tobytes()
+        assert not out.feature.flags.writeable
+
+    def test_cancelling_features_keep_the_ego_feature(self):
+        a = make_instance(confidence=0.5, dim=4, feature=np.array([1.0, 0.0, 0.0, 0.0]))
+        b = make_instance(confidence=0.5, dim=4, feature=np.array([-1.0, 0.0, 0.0, 0.0]))
+        assert coarse_fuse(a, b).feature is a.feature
+
     def test_opposed_headings_degenerate(self):
         a = make_instance(yaw=0.0, confidence=0.5, feature_seed=1)
         b = make_instance(yaw=math.pi, confidence=0.5, feature_seed=1)

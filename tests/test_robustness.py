@@ -5,11 +5,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopfuse import association, robustness
-from coopfuse.alignment import transform_state
+from coopfuse.alignment import transform_state, transform_states
 from coopfuse.association import AssociationResult, MatchWeights
-from coopfuse.core import GroundTruthObject, Instance, RigidTransform, StateVector, compose
+from coopfuse.core import GroundTruthObject, Instance, RigidTransform, StateVector, compose, invert, state_rows
 from coopfuse.robustness import (
     EmptyOracle,
     ObservationNoiseParams,
@@ -24,7 +26,7 @@ from coopfuse.robustness import (
     run_denoising_trial,
 )
 from conftest import make_instance, make_state
-from oracles import reference_cluttered_rows
+from oracles import reference_cluttered_rows, reference_denoising_views
 
 
 def _components(state):
@@ -48,6 +50,22 @@ class TestPerturbObservation:
     def test_rejects_negative_range(self, field):
         with pytest.raises(ValueError, match=f"^{field} must be non-negative"):
             ObservationNoiseParams(**{field: -0.1})
+
+    @pytest.mark.parametrize("field", ["pos_range", "other_range"])
+    def test_rejects_a_range_whose_draw_span_overflows(self, field):
+        # The span r - -r of 1e308 is inf: numpy's uniform raised OverflowError on every draw.
+        with pytest.raises(ValueError, match=f"^{field} must span a finite draw, got 1e\\+308"):
+            ObservationNoiseParams(**{field: 1e308})
+        with pytest.raises(ValueError, match=f"^{field} must span a finite draw"):
+            ObservationNoiseParams(**{field: np.nextafter(np.finfo(float).max / 2, math.inf)})
+
+    def test_widest_accepted_range_draws_bounded_steps(self):
+        widest = np.finfo(float).max / 2  # its span is the largest finite float
+        params = ObservationNoiseParams(pos_range=widest, other_range=widest)
+        for seed in range(20):
+            out = perturb_observation(make_state(), np.random.default_rng(seed), params)
+            assert all(map(math.isfinite, out))
+            assert max(abs(out.x), abs(out.y), abs(out.z), abs(out.vx), abs(out.vy), abs(out.vz)) <= widest
 
     def test_zero_noise_is_identity(self, rng):
         state = make_state(x=3.0, yaw=0.4, vx=2.0)
@@ -225,6 +243,59 @@ class TestSceneGeneration:
             generate_denoising_scene(
                 objects, rng, ObservationNoiseParams(), TransformNoiseParams(), feature_noise_sigma=1e200
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 16),
+        dim=st.sampled_from([1, 8, 64]),
+        pos_range=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+        other_range=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        sigma=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+        yaw=st.floats(-math.pi, math.pi),
+        cancel=st.booleans(),
+    )
+    def test_views_equal_the_per_object_reference(self, seed, count, dim, pos_range, other_range, sigma, yaw, cancel):
+        objects = make_cluttered_objects(count, 3.0, np.random.default_rng(seed))
+        obs_p = ObservationNoiseParams(pos_range, other_range)
+        if cancel and count and other_range:
+            # Give the last ego object the heading its own draw cancels exactly.
+            ahead = np.random.default_rng(seed)
+            for _ in range(count - 1):
+                ahead.random(11), ahead.standard_normal(dim)
+            steps = ahead.uniform(-other_range, other_range, 11)
+            last = objects[-1]
+            objects[-1] = last._replace(state=last.state._replace(sin_yaw=-float(steps[6]), cos_yaw=-float(steps[7])))
+        true_t = RigidTransform.from_yaw(yaw, (12.0, -4.0, 0.0))
+        coop_states = transform_states(state_rows(obj.state for obj in objects), invert(true_t)).tolist()
+        reference_rng = np.random.default_rng(seed)
+        expected = reference_denoising_views(
+            [[(obj.object_id, obj.state) for obj in objects], list(zip(range(count), coop_states))],
+            reference_rng, pos_range, other_range, dim, sigma,
+        )
+        rng = np.random.default_rng(seed)
+        ego_view, coop_view, _ = generate_denoising_scene(
+            objects, rng, obs_p, TransformNoiseParams(0.0, 0.0), true_transform=true_t,
+            feature_dim=dim, feature_noise_sigma=sigma,
+        )
+        for view, reference in zip((ego_view, coop_view), expected):
+            assert [np.array(inst.state).tobytes() for inst in view] == [np.array(s).tobytes() for s, _ in reference]
+            assert [inst.feature.tobytes() for inst in view] == [f.tobytes() for _, f in reference]
+        # A zero transform noise draws nothing, so the scene used exactly the reference's draws.
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_uniform_is_the_affine_map_of_random(self):
+        # _perturbed_states draws rng.random(11) in place of the two uniform calls; a numpy
+        # that breaks this identity changes every harness scene.
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for low, high, k in ((-2.0, 2.0, 3), (-0.5, 0.5, 8), (-0.0, 0.0, 3), (-8e307, 8e307, 5), (1.5, 7.25, 1000)):
+                drawn, mapped = a.uniform(low, high, k), low + (high - low) * b.random(k)
+                assert drawn.tobytes() == mapped.tobytes(), (
+                    f"numpy {np.__version__}: Generator.uniform({low}, {high}, {k}) is no longer "
+                    f"low + (high - low) * Generator.random({k}) bit for bit, so the harness scenes change"
+                )
+            assert a.bit_generator.state == b.bit_generator.state, "uniform and random consume different streams"
 
     def test_duplicate_ids_rejected(self, rng):
         objects = [GroundTruthObject(1, 0, make_state()), GroundTruthObject(1, 0, make_state(x=5))]
