@@ -255,7 +255,9 @@ class TestSceneGeneration:
         yaw=st.floats(-math.pi, math.pi),
         cancel=st.booleans(),
     )
-    def test_views_equal_the_per_object_reference(self, seed, count, dim, pos_range, other_range, sigma, yaw, cancel):
+    def test_views_equal_the_per_object_reference(
+        self, seed, count, dim, pos_range, other_range, sigma, yaw, cancel
+    ):
         objects = make_cluttered_objects(count, 3.0, np.random.default_rng(seed))
         obs_p = ObservationNoiseParams(pos_range, other_range)
         if cancel and count and other_range:
@@ -270,7 +272,8 @@ class TestSceneGeneration:
         coop_states = transform_states(state_rows(obj.state for obj in objects), invert(true_t)).tolist()
         reference_rng = np.random.default_rng(seed)
         expected = reference_denoising_views(
-            [[(obj.object_id, obj.state) for obj in objects], list(zip(range(count), coop_states))],
+            [[(obj.object_id, obj.state) for obj in objects],
+             [(obj.object_id, row) for obj, row in zip(objects, coop_states)]],
             reference_rng, pos_range, other_range, dim, sigma,
         )
         rng = np.random.default_rng(seed)
