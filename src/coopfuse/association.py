@@ -115,17 +115,17 @@ def gate_interaction(
     return near, far
 
 
-def _cost_parts(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights) -> tuple[np.ndarray, np.ndarray]:
-    """The cost matrix's alpha-free parts: the weighted L1 geometry and the cosine distance."""
+def _cost_parts(egos: Sequence[Instance], coops: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
+    """The cost matrix's weight-free parts: the (n, m, 11) absolute state differences, the cosine distance."""
     diff = state_rows(inst.state for inst in egos)[:, None, :] - state_rows(inst.state for inst in coops)
     ego_feats = np.array([inst.feature for inst in egos])
     coop_feats = np.array([inst.feature for inst in coops])
-    return np.abs(diff) @ w.state_weights(), 1.0 - ego_feats @ coop_feats.T
+    return np.abs(diff), 1.0 - ego_feats @ coop_feats.T
 
 
 def _cost_matrix(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights) -> np.ndarray:
-    geo, dist = _cost_parts(egos, coops, w)
-    return geo + w.alpha * dist
+    diff, dist = _cost_parts(egos, coops)
+    return diff @ w.state_weights() + w.alpha * dist
 
 
 def _tie_tol(best: float) -> float:

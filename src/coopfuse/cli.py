@@ -71,6 +71,8 @@ def _float_list(low: float, strict: bool = False):
             values = [float(part) for part in text.split(",") if part.strip() != ""]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+        if not values:  # an empty list would fall back to the command's default sweep
+            raise argparse.ArgumentTypeError(f"expected at least one number: {text!r}")
         if not all(math.isfinite(v) for v in values):
             raise argparse.ArgumentTypeError(f"numbers must be finite: {text!r}")
         if not all(v > low if strict else v >= low for v in values):

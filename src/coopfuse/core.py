@@ -242,13 +242,10 @@ class InstanceBatch:
         features = [row.copy() for row in self.features]
         for feature in features:
             feature.setflags(write=False)
-        origin = {"source_agent": self.source_agent, "observed_at": self.observed_at}
+        origin = self.source_agent, self.observed_at
         columns = (self.states.tolist(), features, self.confidences.tolist(),
                    self.class_ids.tolist(), self.track_ids.tolist())
-        return [
-            Instance._trusted(state=StateVector._trusted(s), feature=f, confidence=c, class_id=k, track_id=i, **origin)
-            for s, f, c, k, i in zip(*columns)
-        ]
+        return [Instance._trusted(StateVector._trusted(s), f, c, k, i, *origin) for s, f, c, k, i in zip(*columns)]
 
 
 def _check_records(

@@ -164,7 +164,13 @@ def _tracking(hits: Hits, confidences: np.ndarray, recalls: np.ndarray) -> tuple
 def compute_metrics(
     run: RunResult, thresholds: Sequence[float] = DETECTION_THRESHOLDS
 ) -> MetricsReport:
-    """Full metric report for one scenario run."""
+    """Full metric report for one scenario run.
+
+    Raises:
+        ValueError: for no thresholds, or one that is not a finite number > 0.
+    """
+    if not thresholds or not all(0.0 < thr < math.inf for thr in thresholds):
+        raise ValueError(f"need one or more finite thresholds > 0, got {tuple(thresholds)!r}")
     radii = {*thresholds, TRACKING_THRESHOLD}
     scans = [_scan(frame, max(radii)) for frame in run.frames]
     hits = {thr: _hits(scans, thr) for thr in radii}

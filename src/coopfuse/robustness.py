@@ -11,17 +11,17 @@ is measurable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .association import AssociationResult, MatchWeights, _cost_parts, _match_on_cost, match
+from .association import AssociationResult, MatchWeights, _cost_parts, _match_on_cost
 from .core import (
     DEGENERATE_TOL,
     GroundTruthObject,
-    Instance,
+    InstanceBatch,
     RigidTransform,
     StateVector,
     _check_non_negative,
@@ -88,10 +88,11 @@ def noisy_feature(object_id: int, dim: int, sigma: float, rng: np.random.Generat
     return _blurred_features([object_id], dim, sigma, rng.standard_normal((1, dim)))[0]
 
 
-def _blurred_features(object_ids: Sequence[int], dim: int, sigma: float, noise: np.ndarray) -> list[np.ndarray]:
-    """Each object's identity embedding plus ``sigma`` times its row of ``noise``, as read-only unit rows."""
+def _blurred_features(object_ids: Sequence[int], dim: int, sigma: float, noise: np.ndarray) -> np.ndarray:
+    """Each object's identity embedding plus ``sigma`` times its row of ``noise``, as a read-only
+    ``(n, dim)`` matrix of unit rows."""
     embeddings = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
-    return list(normalize_feature(embeddings + sigma * noise))
+    return normalize_feature(embeddings + sigma * noise)
 
 
 def perturb_observation(
@@ -107,10 +108,10 @@ def perturb_observation(
     Raises:
         ValueError: when a perturbed component is not finite.
     """
-    return _perturbed_states(np.array([state]), rng.random((1, 11)), p)[0]
+    return StateVector._trusted(_perturbed_states(np.array([state]), rng.random((1, 11)), p)[0].tolist())
 
 
-def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoiseParams) -> list[StateVector]:
+def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoiseParams) -> np.ndarray:
     """The ``(n, 11)`` state rows under ``p``'s noise, from one ``rng.random(11)`` row of ``unit`` each:
     ``rng.uniform(-r, r, k)`` is ``-r + (r - -r) * rng.random(k)``, bit for bit and on the same stream."""
     half = np.repeat((p.pos_range, p.other_range), (3, 8))
@@ -123,7 +124,7 @@ def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoisePar
         moved[:, 6:8] = np.where(cancelled, rows[:, 6:8], moved[:, 6:8] / np.where(cancelled, 1.0, norm))
     if not np.isfinite(moved).all():
         raise ValueError("perturbed state is not finite")
-    return list(map(StateVector._trusted, moved.tolist()))
+    return moved
 
 
 def perturb_transform(
@@ -156,13 +157,13 @@ def generate_denoising_scene(
     true_transform: Optional[RigidTransform] = None,
     feature_dim: int = 64,
     feature_noise_sigma: float = 0.3,
-) -> tuple[list[Instance], list[Instance], RigidTransform]:
+) -> tuple[InstanceBatch, InstanceBatch, RigidTransform]:
     """Build two perturbed views of the same objects with a known pairing.
 
     Both views carry each object's (unique) ID as the track ID, so a match
-    is correct exactly when the two track IDs are equal. The ego view is
-    observation-perturbed in the ego frame. The coop view is
-    observation-perturbed in the coop frame (reached through
+    is correct exactly when the two track IDs are equal. The ego view
+    (agent 0) is observation-perturbed in the ego frame. The coop view
+    (agent 1) is observation-perturbed in the coop frame (reached through
     ``true_transform``), and the returned transform back into the ego frame
     is itself corrupted by the transformation noise, so aligning the coop
     view exercises exactly the error the pipeline must survive.
@@ -183,10 +184,10 @@ def generate_denoising_scene(
         standard_normal(out=noise_row)
     states = _perturbed_states(rows, unit, obs_p)
     features = _blurred_features(ids + ids, feature_dim, feature_noise_sigma, noise)
+    class_ids, track_ids = np.array([obj.class_id for obj in gt_objects], dtype=object), np.array(ids, dtype=object)
     ego_view, coop_view = (
-        [Instance._trusted(state, feature, 1.0, obj.class_id, obj.object_id, agent, 0)
-         for obj, state, feature in zip(gt_objects, states[agent * len(ids):], features[agent * len(ids):])]
-        for agent in (0, 1)
+        InstanceBatch(states[view], features[view], np.ones(len(ids)), class_ids, track_ids, source_agent=agent)
+        for agent, view in enumerate((slice(len(ids)), slice(len(ids), None)))
     )
     return ego_view, coop_view, perturb_transform(true_transform, rng, tf_p)
 
@@ -209,42 +210,29 @@ def match_accuracy(result: AssociationResult, object_count: int) -> tuple[float,
     return accuracy, precision, recall
 
 
-def aligned_denoising_scene(
-    gt_objects: Sequence[GroundTruthObject],
-    seed: int,
-    obs_p: ObservationNoiseParams,
-    tf_p: TransformNoiseParams,
-    true_transform: Optional[RigidTransform] = None,
-    feature_dim: int = 64,
-    feature_noise_sigma: float = 0.3,
-) -> tuple[list[Instance], list[Instance]]:
-    """One seeded scene with its coop view aligned through the corrupted transform."""
-    ego_view, coop_view, corrupted = generate_denoising_scene(
-        gt_objects, np.random.default_rng(seed), obs_p, tf_p,
-        true_transform=true_transform,
-        feature_dim=feature_dim,
-        feature_noise_sigma=feature_noise_sigma,
-    )
-    moved = transform_states(state_rows(inst.state for inst in coop_view), corrupted).tolist()
-    aligned = [inst._trusted_replace(state=StateVector._trusted(row)) for inst, row in zip(coop_view, moved)]
-    return ego_view, aligned
-
-
 def run_denoising_trial(
     gt_objects: Sequence[GroundTruthObject],
     seed: int,
     obs_p: ObservationNoiseParams,
     tf_p: TransformNoiseParams,
-    weights: MatchWeights,
+    weights: Sequence[MatchWeights],
     true_transform: Optional[RigidTransform] = None,
     feature_dim: int = 64,
     feature_noise_sigma: float = 0.3,
-) -> tuple[float, float, float]:
-    """One seeded scene: generate, align the coop view, match, score."""
-    ego_view, aligned = aligned_denoising_scene(
-        gt_objects, seed, obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
+) -> list[tuple[float, float, float]]:
+    """One seeded scene, its coop view aligned through the corrupted transform, matched and
+    scored at each of ``weights``: one (accuracy, precision, recall) per weight."""
+    ego_view, coop_view, corrupted = generate_denoising_scene(
+        gt_objects, np.random.default_rng(seed), obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
     )
-    return match_accuracy(match(ego_view, aligned, weights), len(ego_view))
+    egos = ego_view.instances()
+    coops = replace(coop_view, states=transform_states(coop_view.states, corrupted)).instances()
+    diff, dist = _cost_parts(egos, coops)
+    scores = []
+    for w in weights:
+        cost = diff @ w.state_weights() + w.alpha * dist
+        scores.append(match_accuracy(_match_on_cost(egos, coops, cost, w.cost_threshold), len(egos)))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +287,25 @@ def alpha_sweep_rows(
 ) -> list[dict]:
     """Mean association quality per appearance weight over seeded scenes.
 
-    Each scene is built and aligned once and scored at every alpha, so rows
+    Each scene is one :func:`run_denoising_trial` at every alpha, so rows
     are directly comparable. Noise is the harness defaults.
 
     Raises:
         ValueError: for an empty ``alphas`` or fewer than one scene.
+        EmptyOracle: for scenes of no objects.
     """
     if len(alphas) == 0 or scenes < 1:
         raise ValueError(f"need an alpha and a scene, got {len(alphas)} alphas, {scenes} scenes")
     weights = [MatchWeights(alpha=a, cost_threshold=HARNESS_COST_THRESHOLD) for a in alphas]
-    if object_count == 0:
-        raise EmptyOracle("no ground-truth correspondences to score against")
-    scores = np.empty((len(alphas), 3, scenes))  # (accuracy, precision, recall) by scene
-    for s, scene_seed in enumerate(range(seed, seed + scenes)):
-        objects = make_cluttered_objects(
-            object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)
+    scores = np.array([  # (scene, alpha, (accuracy, precision, recall))
+        run_denoising_trial(
+            make_cluttered_objects(object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)),
+            scene_seed, ObservationNoiseParams(), TransformNoiseParams(), weights, feature_dim=feature_dim,
         )
-        ego_view, aligned = aligned_denoising_scene(
-            objects, scene_seed, ObservationNoiseParams(), TransformNoiseParams(), feature_dim=feature_dim
-        )
-        geo, dist = _cost_parts(ego_view, aligned, weights[0])  # the same for every alpha
-        for k, w in enumerate(weights):
-            result = _match_on_cost(ego_view, aligned, geo + w.alpha * dist, w.cost_threshold)
-            scores[k, :, s] = match_accuracy(result, len(ego_view))
+        for scene_seed in range(seed, seed + scenes)
+    ])
     rows = []
-    for alpha, per_alpha in zip(alphas, scores):
+    for alpha, per_alpha in zip(alphas, scores.transpose(1, 2, 0).copy()):  # each mean over a contiguous row
         means = (float(np.mean(column)) for column in per_alpha)
         rows.append(dict(zip(ALPHA_SWEEP_COLUMNS, (float(alpha), *means))))
     return rows

@@ -107,3 +107,39 @@ def test_the_file_keeps_every_pair_before_a_failing_run(tmp_path, monkeypatch):
     assert (record["parent_sha"], record["change_sha"]) == ("sha-parent", "sha-change")
     # The failing pair was the third: its parent side ran first, then the change side raised.
     assert calls[-2:] == [("parent", 3), ("change", 3)]
+
+
+PARENT_TEN = (100.0, 98.0, 102.0, 99.0, 101.0, 100.0, 97.0, 103.0, 100.0, 100.0)  # quartiles 99, 100, 101
+
+
+@pytest.mark.parametrize(
+    ("change", "expected"),
+    [
+        ((110.0,) * 9 + (90.0,), True),  # 9 of 10 pairs won, median 10 above the parent's, IQR 2
+        ((110.0,) * 8 + (90.0, 90.0), False),  # 8 of 10 pairs won
+        (tuple(p + 1.5 for p in PARENT_TEN), False),  # every pair won, but the medians differ by less than the IQR
+    ],
+    ids=["nine-of-ten", "eight-of-ten", "inside-the-spread"],
+)
+def test_gain_holds_needs_nine_tenths_of_the_pairs_and_the_spread(change, expected):
+    # op_s_p50 is lower-better: as the reciprocal of throughput, the same pairs win and lose there.
+    parent = {"throughput": PARENT_TEN, "op_s_p50": tuple(1.0 / p for p in PARENT_TEN)}
+    change = {"throughput": change, "op_s_p50": tuple(1.0 / c for c in change)}
+    summary = bench_pairs.summarize(_runs(parent, change), END_TO_END)["crowd"]
+    assert (summary["throughput"]["gain_holds"], summary["op_s_p50"]["gain_holds"]) == (expected, expected)
+    assert summary["throughput"]["unresolved"] is False
+
+
+@pytest.mark.parametrize(
+    ("parent", "change", "expected"),
+    [
+        # Parent quartiles 90, 100, 115: an IQR of 25, wider than the bound (20% of 100).
+        ((60.0, 100.0, 160.0, 100.0), (101.0, 99.0, 100.0, 100.0), True),
+        ((60.0, 100.0, 160.0, 100.0), (161.0, 170.0, 165.0, 180.0), False),  # every change run beats every parent run
+        ((99.0, 100.0, 101.0, 100.0), (60.0, 60.0, 60.0, 60.0), False),  # a narrow parent resolves a regression
+    ],
+    ids=["wide-and-overlapping", "wide-but-every-run-better", "narrow"],
+)
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(parent, change, expected):
+    summary = bench_pairs.summarize(_runs({"throughput": parent}, {"throughput": change}), END_TO_END[:1])["crowd"]
+    assert summary["throughput"]["unresolved"] is expected

@@ -217,9 +217,11 @@ class TestInputBoundary:
         [["sweep-rint", "--r-int", "0"], ["sweep-rint", "--r-int=10,-3"],
          ["sweep-latency", "--latency-ms=-5"], ["robustness", "--alpha=-1"],
          ["robustness", "--alpha=0,-0.5"], ["sweep-rint", "--jobs", "0"],
-         ["sweep-latency", "--jobs=-2"]],
+         ["sweep-latency", "--jobs=-2"], ["sweep-rint", "--r-int", ","], ["robustness", "--alpha", ""],
+         ["sweep-latency", "--latency-ms", " , "]],
         ids=["r-int-zero", "r-int-negative", "latency-negative", "alpha-negative",
-             "alpha-list-negative", "jobs-zero", "jobs-negative"],
+             "alpha-list-negative", "jobs-zero", "jobs-negative", "r-int-empty", "alpha-empty",
+             "latency-empty"],
     )
     def test_out_of_range_flags_are_usage_errors(self, tiny_config, tmp_path, args):
         with pytest.raises(SystemExit) as exc:

@@ -31,8 +31,8 @@ def test_readme_library_tour_imports():
     exec(compile(tour, "README.md", "exec"), {})
 
 
-def test_every_benchmark_hook_resolves(monkeypatch):
-    # The benchmark wraps coopfuse functions by name; a renamed or deleted one would leave its layer untimed.
+def _benchmark_tracer(monkeypatch):
+    """perfbench's tracer, loaded read-only from its file, its hooks installed."""
     import coopfuse  # noqa: F401  (the tracer resolves hooks on imported modules only)
 
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
@@ -41,7 +41,33 @@ def test_every_benchmark_hook_resolves(monkeypatch):
     spec.loader.exec_module(tracer)
     hooks = tracer.Tracer()
     hooks.install()
+    return hooks
+
+
+def test_every_benchmark_hook_resolves(monkeypatch):
+    # The benchmark wraps coopfuse functions by name; a renamed or deleted one would leave its layer untimed.
+    hooks = _benchmark_tracer(monkeypatch)
     try:
         assert hooks.absent == {}
     finally:
         hooks.uninstall()
+
+
+def test_the_harness_sweep_scores_inside_traced_trials(monkeypatch):
+    # The benchmark's harness coverage is the share of a sweep spent in hooked calls: each scene must be
+    # one traced trial that builds its scene and solves every alpha's assignment inside it.
+    from coopfuse.robustness import alpha_sweep_rows
+
+    alphas = (0.0, 0.5, 1.0, 2.0)
+    hooks = _benchmark_tracer(monkeypatch)
+    try:
+        alpha_sweep_rows(alphas, scenes=3, feature_dim=16)
+    finally:
+        hooks.uninstall()
+    names = {span_id: name for span_id, name, *_ in hooks.spans}
+    parents = {}
+    for _, name, _, _, parent, _ in hooks.spans:
+        parents.setdefault(name, []).append(names.get(parent))
+    assert parents["robustness.run_denoising_trial"] == [None] * 3
+    assert parents["robustness.generate_denoising_scene"] == ["robustness.run_denoising_trial"] * 3
+    assert parents["association.solve_assignment"] == ["robustness.run_denoising_trial"] * (3 * len(alphas))

@@ -1,6 +1,7 @@
 """Detection/tracking metrics and sweep plumbing."""
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -124,6 +125,15 @@ class TestComputeAp:
         dup = make_instance(x=0.3, confidence=0.95, track_id=999, feature_seed=50)
         frames_dup = [_frame([*first.tracks.instances, dup], first.ground_truth, first.t_us)] + frames[1:]
         assert compute_metrics(_run(frames_dup)).ap <= compute_metrics(_run(frames)).ap + 1e-12
+
+    @pytest.mark.parametrize(
+        "thresholds", [(), (math.nan,), (-1.0,), (0.0,), (math.inf,), (0.5, math.nan)],
+        ids=["none", "nan", "negative", "zero", "inf", "one-of-two-nan"],
+    )
+    def test_rejects_thresholds_it_cannot_score(self, thresholds):
+        # No threshold averaged an empty slice to nan; the others matched nothing and scored AP 0.
+        with pytest.raises(ValueError, match="finite thresholds > 0"):
+            compute_metrics(_run(_perfect_frames()), thresholds)
 
 
 def _tracking(frames):

@@ -208,7 +208,7 @@ class TestSceneGeneration:
             true_transform=true_t, feature_noise_sigma=0.0,
         )
         np.testing.assert_allclose(corrupted.rotation, true_t.rotation, atol=1e-12)
-        for e, c in zip(ego_view, coop_view):
+        for e, c in zip(ego_view.instances(), coop_view.instances()):
             aligned = transform_state(c.state, corrupted)
             np.testing.assert_allclose(aligned.as_array(), e.state.as_array(), atol=1e-9)
             np.testing.assert_allclose(e.feature, c.feature, atol=1e-12)
@@ -220,7 +220,11 @@ class TestSceneGeneration:
         )
         # The pairing: both views carry each object's ID as the track ID.
         ids = [obj.object_id for obj in objects]
-        assert [e.track_id for e in ego_view] == [c.track_id for c in coop_view] == ids
+        assert [e.track_id for e in ego_view.instances()] == [c.track_id for c in coop_view.instances()] == ids
+        for agent, view in enumerate((ego_view, coop_view)):
+            assert (view.source_agent, view.observed_at) == (agent, 0)
+            assert view.confidences.tolist() == [1.0] * len(ids)
+            assert view.class_ids.tolist() == [obj.class_id for obj in objects]
 
     def test_views_hold_values_the_public_constructors_accept(self, rng):
         objects = make_cluttered_objects(12, 3.0, rng)
@@ -228,7 +232,7 @@ class TestSceneGeneration:
             objects, rng, ObservationNoiseParams(), TransformNoiseParams(),
             true_transform=RigidTransform.from_yaw(0.7, (9.0, -2.0, 0.0)), feature_dim=16,
         )
-        for inst in ego_view + coop_view:
+        for inst in ego_view.instances() + coop_view.instances():
             assert all(type(v) is float for v in _components(inst.state))
             assert not inst.feature.flags.writeable
             values = {f.name: getattr(inst, f.name) for f in fields(Instance)}
@@ -281,7 +285,7 @@ class TestSceneGeneration:
             objects, rng, obs_p, TransformNoiseParams(0.0, 0.0), true_transform=true_t,
             feature_dim=dim, feature_noise_sigma=sigma,
         )
-        for view, reference in zip((ego_view, coop_view), expected):
+        for view, reference in zip((ego_view.instances(), coop_view.instances()), expected):
             assert [np.array(inst.state).tobytes() for inst in view] == [np.array(s).tobytes() for s, _ in reference]
             assert [inst.feature.tobytes() for inst in view] == [f.tobytes() for _, f in reference]
         # A zero transform noise draws nothing, so the scene used exactly the reference's draws.
@@ -313,11 +317,11 @@ class TestSceneGeneration:
             ego, coop, corrupted = generate_denoising_scene(
                 objects, rng, ObservationNoiseParams(), TransformNoiseParams()
             )
-            views.append((ego, coop, corrupted))
-        for a, b in zip(views[0][0] + views[0][1], views[1][0] + views[1][1]):
+            views.append((ego.instances() + coop.instances(), corrupted))
+        for a, b in zip(views[0][0], views[1][0]):
             np.testing.assert_array_equal(a.state.as_array(), b.state.as_array())
             np.testing.assert_array_equal(a.feature, b.feature)
-        np.testing.assert_array_equal(views[0][2].rotation, views[1][2].rotation)
+        np.testing.assert_array_equal(views[0][1].rotation, views[1][1].rotation)
 
     def test_spaced_objects_recovered_perfectly(self):
         # Well-separated objects under full default noise: association must
@@ -327,8 +331,8 @@ class TestSceneGeneration:
             objects = make_cluttered_objects(
                 10, 20.0, np.random.default_rng(seed ^ 0xABCD)
             )
-            accuracy, _, _ = run_denoising_trial(
-                objects, seed, ObservationNoiseParams(), TransformNoiseParams(), weights
+            [(accuracy, _, _)] = run_denoising_trial(
+                objects, seed, ObservationNoiseParams(), TransformNoiseParams(), [weights]
             )
             assert accuracy == 1.0, f"seed {seed}"
 
@@ -338,12 +342,37 @@ class TestSceneGeneration:
         weights = MatchWeights()  # threshold 5, w_pos 1 per axis
         for seed in range(30):
             objects = make_cluttered_objects(8, 9.0, np.random.default_rng(seed))
-            accuracy, precision, recall = run_denoising_trial(
+            scores = run_denoising_trial(
                 objects, seed,
                 ObservationNoiseParams(0.0, 0.0), TransformNoiseParams(0.0, 0.0),
-                weights,
+                [weights],
             )
-            assert (accuracy, precision, recall) == (1.0, 1.0, 1.0)
+            assert scores == [(1.0, 1.0, 1.0)]
+
+
+class TestDenoisingTrial:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 12),
+        weights=st.lists(
+            st.tuples(
+                *[st.one_of(st.just(0.0), st.floats(1e-3, 3.0))] * 5, st.floats(0.1, 30.0)
+            ).filter(lambda values: any(values[:5])).map(lambda values: MatchWeights(*values)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_scoring_every_weight_equals_one_trial_per_weight(self, seed, count, weights):
+        # The cost parts are shared by weights that differ in every field, not only in alpha.
+        objects = make_cluttered_objects(count, 3.0, np.random.default_rng(seed))
+        scene = (objects, seed, ObservationNoiseParams(), TransformNoiseParams())
+        alone = [run_denoising_trial(*scene, [w], feature_dim=8)[0] for w in weights]
+        assert run_denoising_trial(*scene, weights, feature_dim=8) == alone
+
+    def test_a_scene_without_objects_raises_empty_oracle(self):
+        # RuntimeWarnings are errors in this suite, so a numpy warning on the empty cost would fail first.
+        with pytest.raises(EmptyOracle):
+            run_denoising_trial([], 0, ObservationNoiseParams(), TransformNoiseParams(), [MatchWeights()])
 
 
 class TestMatchAccuracy:
@@ -399,7 +428,7 @@ class TestAppearanceHelpsInClutter:
             objects = make_cluttered_objects(12, 3.0, np.random.default_rng(seed ^ 0xC1_0770))
             for alpha in scores:
                 weights = MatchWeights(alpha=alpha, cost_threshold=15.0)
-                accuracy, _, _ = run_denoising_trial(objects, seed, params, tf, weights)
+                [(accuracy, _, _)] = run_denoising_trial(objects, seed, params, tf, [weights])
                 scores[alpha].append(accuracy)
         assert np.mean(scores[1.0]) > np.mean(scores[0.0])
 
@@ -436,9 +465,9 @@ class TestAlphaSweep:
             scores = [
                 run_denoising_trial(
                     make_cluttered_objects(12, spacing, np.random.default_rng(s ^ 0xC1_0770)),
-                    s, ObservationNoiseParams(), TransformNoiseParams(), weights,
+                    s, ObservationNoiseParams(), TransformNoiseParams(), [weights],
                     feature_dim=dim,
-                )
+                )[0]
                 for s in range(seed, seed + scenes)
             ]
             expected.append({

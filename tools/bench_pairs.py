@@ -13,7 +13,13 @@ the last line (the result JSON) of perfbench's stdout exactly as printed.
 median and quartiles on both sides, the pairs the change won, in the
 better direction ``BENCHMARK.json`` names, and ``within_bound``: whether
 the change's median is worse than the parent's by no more than the
-metric's relative ``bound``; ``ops`` gives each side's ``attempted`` and
+metric's relative ``bound``. Two verdicts follow the measurement guide:
+``gain_holds``, when the change wins at least 9 of every 10 pairs and its
+median beats the parent's by more than the parent's interquartile range,
+and ``unresolved``, when that range is wider than the bound (relative to
+the parent's median) and not every change run beats every parent run, so
+``within_bound`` cannot tell a regression from noise. ``ops`` gives each
+side's ``attempted`` and
 ``failed`` op counts summed over the group's runs. The file is written
 after every pair, so a run that fails or is interrupted keeps the pairs
 before it. Running again with the same ``--out`` appends runs, so several
@@ -79,14 +85,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             parent = [p["parent"][name]["value"] for p in complete]
             change = [p["change"][name]["value"] for p in complete]
             sign = 1 if metric["better"] == "higher" else -1
-            parent_median = statistics.median(parent)
+            parent_q = quartiles(parent) if len(parent) > 1 else parent
+            parent_median, parent_iqr = statistics.median(parent), parent_q[-1] - parent_q[0]
+            gain = sign * (statistics.median(change) - parent_median)
+            wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
             rows[name] = {
-                "parent_q1_median_q3": quartiles(parent) if len(parent) > 1 else parent,
+                "parent_q1_median_q3": parent_q,
                 "change_q1_median_q3": quartiles(change) if len(change) > 1 else change,
-                "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+                "change_wins": wins,
                 "pairs": len(complete),
-                "within_bound": sign * (statistics.median(change) - parent_median)
-                >= -metric["bound"] * abs(parent_median),
+                "within_bound": gain >= -metric["bound"] * abs(parent_median),
+                "gain_holds": 10 * wins >= 9 * len(complete) and gain > parent_iqr,
+                "unresolved": parent_iqr > metric["bound"] * abs(parent_median)
+                and not min(sign * c for c in change) > max(sign * p for p in parent),
             }
         rows["ops"] = {side: {key: sum(json.loads(run["result"])[key] for run in members if run["side"] == side)
                               for key in ("attempted", "failed")} for side in ("parent", "change")}
