@@ -13,7 +13,7 @@ the last line (the result JSON) of perfbench's stdout exactly as printed.
 median and quartiles on both sides, the pairs the change won, in the
 better direction ``BENCHMARK.json`` names, and ``within_bound``: whether
 the change's median is worse than the parent's by no more than the
-metric's relative ``bound``. Two verdicts follow the measurement guide:
+metric's relative ``bound``. Two verdicts follow:
 ``gain_holds``, when the change wins at least 9 of every 10 pairs and its
 median beats the parent's by more than the parent's interquartile range,
 and ``unresolved``, when that range is wider than the bound (relative to
