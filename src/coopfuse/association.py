@@ -3,9 +3,11 @@
 The chain is: drop remote instances outside the ego ROI, split the rest at
 the interaction range (only the trusted near field is fused; the far field
 passes through untouched), build a geometry-plus-appearance cost matrix,
-and solve a one-to-one minimum-cost assignment. Pairs whose cost exceeds
-the threshold are demoted to unmatched after the global solve, so a bad
-pair never forces a worse global assignment.
+and solve a one-to-one minimum-cost assignment. The rule is solve, then
+demote: the assignment is solved over the whole matrix, and an assigned pair
+costing more than the threshold is then demoted to unmatched. A pair the
+solve did not choose is not restored, so a gated-out pair can still cost a
+cheaper one its match (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -115,16 +117,15 @@ def gate_interaction(
     return near, far
 
 
-def _cost_parts(egos: Sequence[Instance], coops: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-    """The cost matrix's weight-free parts: the (n, m, 11) absolute state differences, the cosine distance."""
-    diff = state_rows(inst.state for inst in egos)[:, None, :] - state_rows(inst.state for inst in coops)
-    ego_feats = np.array([inst.feature for inst in egos])
-    coop_feats = np.array([inst.feature for inst in coops])
-    return np.abs(diff), 1.0 - ego_feats @ coop_feats.T
+def _cost_parts(ego_states, ego_features, coop_states, coop_features) -> tuple[np.ndarray, np.ndarray]:
+    """The cost matrix's weight-free parts over (n, 11)/(n, D) ego and (m, 11)/(m, D) remote columns:
+    the (n, m, 11) absolute state differences and the (n, m) cosine distance."""
+    return np.abs(ego_states[:, None, :] - coop_states), 1.0 - ego_features @ coop_features.T
 
 
 def _cost_matrix(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWeights) -> np.ndarray:
-    diff, dist = _cost_parts(egos, coops)
+    diff, dist = _cost_parts(state_rows(inst.state for inst in egos), np.array([inst.feature for inst in egos]),
+                             state_rows(inst.state for inst in coops), np.array([inst.feature for inst in coops]))
     return diff @ w.state_weights() + w.alpha * dist
 
 
@@ -198,19 +199,10 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return _lex_smallest_assignment(cost, best)
 
 
-def _match_on_cost(
-    ego_set: Sequence[Instance], coop_near: Sequence[Instance], cost: np.ndarray, threshold: float
-) -> AssociationResult:
-    """Solve the assignment over ``cost`` (ego rows, remote columns), demote the pairs
-    costing more than ``threshold`` and partition the inputs."""
+def _kept_pairs(cost: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:
+    """The (row, col, cost) pairs of the assignment over ``cost`` that cost at most ``threshold``."""
     pairs = [(i, j, float(cost[i, j])) for i, j in solve_assignment(cost)]
-    kept = [(i, j, pair_cost) for i, j, pair_cost in pairs if pair_cost <= threshold]
-    matched_ego, matched_coop = {i for i, _, _ in kept}, {j for _, j, _ in kept}
-    return AssociationResult(
-        matched=[(ego_set[i], coop_near[j], pair_cost) for i, j, pair_cost in kept],
-        unmatched_ego=[inst for k, inst in enumerate(ego_set) if k not in matched_ego],
-        unmatched_coop_near=[inst for k, inst in enumerate(coop_near) if k not in matched_coop],
-    )
+    return [(i, j, pair_cost) for i, j, pair_cost in pairs if pair_cost <= threshold]
 
 
 def match(ego_set: Sequence[Instance], coop_near: Sequence[Instance], w: MatchWeights) -> AssociationResult:
@@ -223,7 +215,13 @@ def match(ego_set: Sequence[Instance], coop_near: Sequence[Instance], w: MatchWe
     """
     if not ego_set or not coop_near:
         return AssociationResult(unmatched_ego=list(ego_set), unmatched_coop_near=list(coop_near))
-    return _match_on_cost(ego_set, coop_near, _cost_matrix(ego_set, coop_near, w), w.cost_threshold)
+    kept = _kept_pairs(_cost_matrix(ego_set, coop_near, w), w.cost_threshold)
+    matched_ego, matched_coop = {i for i, _, _ in kept}, {j for _, j, _ in kept}
+    return AssociationResult(
+        matched=[(ego_set[i], coop_near[j], pair_cost) for i, j, pair_cost in kept],
+        unmatched_ego=[inst for k, inst in enumerate(ego_set) if k not in matched_ego],
+        unmatched_coop_near=[inst for k, inst in enumerate(coop_near) if k not in matched_coop],
+    )
 
 
 def associate(

@@ -110,13 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
     p.add_argument(
-        "--r-int", type=_float_list(0.0, strict=True), default=None, help="comma-separated ranges in meters"
+        "--r-int", type=_float_list(0.0, strict=True), default=list(DEFAULT_RANGE_SWEEP),
+        help="comma-separated ranges in meters",
     )
 
     p = sub.add_parser("sweep-latency", help="sweep the channel latency")
     common(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
-    p.add_argument("--latency-ms", type=_float_list(0.0), default=None, help="comma-separated latencies")
+    p.add_argument(
+        "--latency-ms", type=_float_list(0.0), default=list(DEFAULT_LATENCY_SWEEP_MS), help="comma-separated latencies"
+    )
     p.add_argument(
         "--no-compensation",
         action="store_true",
@@ -125,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="perturbation-harness association sweep")
     common(p)
-    p.add_argument("--alpha", type=_float_list(0.0), default=None, help="appearance weights to sweep")
+    p.add_argument("--alpha", type=_float_list(0.0), default=[0.0, 0.5, 1.0, 2.0], help="appearance weights to sweep")
     p.add_argument("--scenes", type=_int_at_least(1), default=200, help="seeded scenes (default 200)")
 
     p = sub.add_parser("bench-bandwidth", help="transmission-cost accounting")
@@ -147,21 +150,20 @@ def _cmd_run(args, cfg) -> tuple[dict, str]:
 
 
 def _cmd_sweep_rint(args, cfg) -> tuple[dict, str]:
-    rows = sweep_interaction_range(cfg, args.r_int or list(DEFAULT_RANGE_SWEEP), jobs=args.jobs)
+    rows = sweep_interaction_range(cfg, args.r_int, jobs=args.jobs)
     return {"rint_sweep.csv": (RANGE_SWEEP_COLUMNS, rows)}, f"{len(rows)} interaction ranges"
 
 
 def _cmd_sweep_latency(args, cfg) -> tuple[dict, str]:
     mode = "off" if args.no_compensation else "both"
-    rows = sweep_latency(cfg, args.latency_ms or list(DEFAULT_LATENCY_SWEEP_MS), compensation=mode, jobs=args.jobs)
+    rows = sweep_latency(cfg, args.latency_ms, compensation=mode, jobs=args.jobs)
     return {"latency_sweep.csv": (LATENCY_SWEEP_COLUMNS, rows)}, f"{len(rows)} latency points"
 
 
 def _cmd_robustness(args, cfg) -> tuple[dict, str]:
-    alphas = args.alpha or [0.0, 0.5, 1.0, 2.0]
     feature_dim = cfg.agents[0].sensor.feature_dim if cfg.agents else 64  # the harness default
-    rows = alpha_sweep_rows(alphas, scenes=args.scenes, seed=cfg.seed, feature_dim=feature_dim)
-    return {"robustness.csv": (ALPHA_SWEEP_COLUMNS, rows)}, f"{args.scenes} scenes x {len(alphas)} alphas"
+    rows = alpha_sweep_rows(args.alpha, scenes=args.scenes, seed=cfg.seed, feature_dim=feature_dim)
+    return {"robustness.csv": (ALPHA_SWEEP_COLUMNS, rows)}, f"{args.scenes} scenes x {len(args.alpha)} alphas"
 
 
 def _cmd_bench_bandwidth(args, cfg) -> tuple[dict, str]:

@@ -59,11 +59,13 @@ class TrackIdRegistry:
     """Stable output identifiers across frames.
 
     Ego-originated instances keep their own tracker IDs. Remote-only
-    instances get a fresh namespaced ID (high bit set, source agent in the
-    upper bits) the first time a given (agent, remote track) is seen, and
-    keep it on every later frame. When a remote track has previously been
-    fused with an ego track, its ego ID is reused for continuity unless
-    that ID is already present in the current frame.
+    instances get a fresh ID, ``COOP_TRACK_FLAG + (agent << 48) + count``,
+    the first time a given (agent, remote track) is seen, and keep it on
+    every later frame. A sum, not a bitwise or, keeps agents ``a`` and
+    ``a + 32768`` apart; from agent 32768 up an ID passes 64 bits, which is
+    fine, as output IDs never go on the wire. When a remote track has
+    previously been fused with an ego track, its ego ID is reused for
+    continuity unless that ID is already present in the current frame.
     """
 
     def __init__(self) -> None:
@@ -78,7 +80,7 @@ class TrackIdRegistry:
     def _allocate(self, source_agent: int) -> int:
         count = self._counters.get(source_agent, 0)
         self._counters[source_agent] = count + 1
-        return COOP_TRACK_FLAG | (source_agent << _AGENT_SHIFT) | count
+        return COOP_TRACK_FLAG + (source_agent << _AGENT_SHIFT) + count
 
     def resolve(self, source_agent: int, coop_track_id: Optional[int], taken: set[int]) -> int:
         if coop_track_id is None:

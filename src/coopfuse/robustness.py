@@ -11,13 +11,13 @@ is measurable exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .association import AssociationResult, MatchWeights, _cost_parts, _match_on_cost
+from .association import MatchWeights, _cost_parts, _kept_pairs
 from .core import (
     DEGENERATE_TOL,
     GroundTruthObject,
@@ -88,11 +88,18 @@ def noisy_feature(object_id: int, dim: int, sigma: float, rng: np.random.Generat
     return _blurred_features([object_id], dim, sigma, rng.standard_normal((1, dim)))[0]
 
 
+@lru_cache(maxsize=4)  # a scene's agents, or a harness scene's two views, share one table
+def embedding_table(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
+    """The objects' identity embeddings as one read-only (objects, dim) table."""
+    table = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
+    table.setflags(write=False)
+    return table
+
+
 def _blurred_features(object_ids: Sequence[int], dim: int, sigma: float, noise: np.ndarray) -> np.ndarray:
     """Each object's identity embedding plus ``sigma`` times its row of ``noise``, as a read-only
     ``(n, dim)`` matrix of unit rows."""
-    embeddings = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
-    return normalize_feature(embeddings + sigma * noise)
+    return normalize_feature(embedding_table(tuple(object_ids), dim) + sigma * noise)
 
 
 def perturb_observation(
@@ -192,22 +199,21 @@ def generate_denoising_scene(
     return ego_view, coop_view, perturb_transform(true_transform, rng, tf_p)
 
 
-def match_accuracy(result: AssociationResult, object_count: int) -> tuple[float, float, float]:
-    """(accuracy, precision, recall) of the matches in a denoising scene of
-    ``object_count`` objects: a match is correct when its track IDs agree.
-
-    Precision over an empty match set is defined as 0.
+def match_accuracy(
+    pairs: Sequence[tuple[int, int, float]], ego_track_ids: Sequence, coop_track_ids: Sequence
+) -> tuple[float, float, float]:
+    """(accuracy, precision, recall) of the matched ``(row, col, cost)`` pairs in a denoising scene,
+    one object per ego row: a match is correct when its rows' track IDs agree. Accuracy is
+    recall, as every object is in both views; precision over an empty match set is defined as 0.
 
     Raises:
-        EmptyOracle: when the scene holds no objects.
+        EmptyOracle: when the scene holds no ego rows.
     """
-    if object_count == 0:
+    if len(ego_track_ids) == 0:
         raise EmptyOracle("no ground-truth correspondences to score against")
-    correct = sum(1 for ego, coop, _ in result.matched if ego.track_id == coop.track_id)
-    accuracy = correct / object_count
-    precision = correct / len(result.matched) if result.matched else 0.0
-    recall = correct / object_count
-    return accuracy, precision, recall
+    correct = sum(1 for i, j, _ in pairs if ego_track_ids[i] == coop_track_ids[j])
+    recall = correct / len(ego_track_ids)
+    return recall, (correct / len(pairs) if pairs else 0.0), recall
 
 
 def run_denoising_trial(
@@ -221,18 +227,17 @@ def run_denoising_trial(
     feature_noise_sigma: float = 0.3,
 ) -> list[tuple[float, float, float]]:
     """One seeded scene, its coop view aligned through the corrupted transform, matched and
-    scored at each of ``weights``: one (accuracy, precision, recall) per weight."""
-    ego_view, coop_view, corrupted = generate_denoising_scene(
+    scored at each of ``weights``: one (accuracy, precision, recall) per weight. The views
+    stay columns: the same cost parts and solve-then-demote pick as ``association.match``."""
+    ego, coop, corrupted = generate_denoising_scene(
         gt_objects, np.random.default_rng(seed), obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
     )
-    egos = ego_view.instances()
-    coops = replace(coop_view, states=transform_states(coop_view.states, corrupted)).instances()
-    diff, dist = _cost_parts(egos, coops)
-    scores = []
-    for w in weights:
-        cost = diff @ w.state_weights() + w.alpha * dist
-        scores.append(match_accuracy(_match_on_cost(egos, coops, cost, w.cost_threshold), len(egos)))
-    return scores
+    diff, dist = _cost_parts(ego.states, ego.features, transform_states(coop.states, corrupted), coop.features)
+    return [
+        match_accuracy(_kept_pairs(diff @ w.state_weights() + w.alpha * dist, w.cost_threshold),
+                       ego.track_ids, coop.track_ids)
+        for w in weights
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ loop is single-threaded and fully determined by the scenario seed.
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import itertools
 import logging
@@ -42,7 +41,7 @@ from .core import (
     yaw_rotation,
 )
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
-from .robustness import TransformNoiseParams, identity_embedding, perturb_transform
+from .robustness import TransformNoiseParams, embedding_table, perturb_transform
 from .wire import MAX_CLASS_ID, MAX_FEATURE_DIM, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
 
 log = logging.getLogger(__name__)
@@ -246,7 +245,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             c += 3
         if noised[2]:
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
-        features = _embeddings(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
+        features = embedding_table(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
         features += sensor.feature_noise_sigma * z[:, k:]
         if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
             raise ValueError("a feature's norm is not finite")
@@ -258,14 +257,6 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
     track_ids = _continue_tracks(agent, t, class_ids, moved)
     agent._prev = _Tracks(track_ids, class_ids, moved, t)
     return InstanceBatch(states, features, confidences, class_ids, np.array(track_ids, dtype=object), spec.agent_id, t)
-
-
-@functools.lru_cache(maxsize=4)  # a scene's agents share one table; a few scenes' worth at most
-def _embeddings(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
-    """The objects' identity embeddings as one read-only (objects, dim) table."""
-    table = np.array([identity_embedding(i, dim) for i in object_ids]).reshape(len(object_ids), dim)
-    table.setflags(write=False)
-    return table
 
 
 def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np.ndarray) -> list[int]:

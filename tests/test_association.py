@@ -1,6 +1,7 @@
 """ROI filtering, interaction gating, the matching cost, and assignment."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from coopfuse.association import (
     MatchWeights,
     RoiSpec,
     _cost_matrix,
+    _cost_parts,
+    _kept_pairs,
     associate,
     filter_roi,
     gate_interaction,
@@ -103,6 +106,17 @@ class TestGeoAppearanceCost:
             np.testing.assert_allclose(_cost_matrix(ego, coop, w), want, rtol=0, atol=1e-12)
 
 
+    def test_an_empty_side_gives_empty_parts(self, rng):
+        # Columns of a 0-row and a 3-row view keep their (n, m) shapes, in either order.
+        empty = np.zeros((0, 11)), np.zeros((0, 8))
+        full = rng.normal(size=(3, 11)), rng.normal(size=(3, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ego, coop, shape in ((empty, full, (0, 3)), (full, empty, (3, 0)), (empty, empty, (0, 0))):
+                diff, dist = _cost_parts(*ego, *coop)
+                assert (diff.shape, dist.shape) == ((*shape, 11), shape)
+
+
 class TestSolveAssignment:
     def test_hand_diagonal(self):
         pairs = solve_assignment(np.array([[1.0, 10.0], [10.0, 1.0]]))
@@ -192,6 +206,13 @@ class TestMatch:
         assert result.matched == []
         assert result.unmatched_ego == ego
         assert result.unmatched_coop_near == beyond
+
+    def test_demotion_follows_the_solve(self):
+        # The module docstring's case: the solve picks 7 and 900, so at 6.5 the cost-1 pair is lost too.
+        cost = np.array([[1.0, 7.0], [900.0, 1000.0]])
+        assert solve_assignment(cost) == [(0, 1), (1, 0)]
+        assert _kept_pairs(cost, 6.5) == []
+        assert _kept_pairs(cost, 900.0) == [(0, 1, 7.0), (1, 0, 900.0)]
 
     def test_partition_property(self, rng):
         for _ in range(30):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopfuse.cli import EXIT_CONFIG, EXIT_OK, main
+from coopfuse.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from coopfuse.evaluation import DEFAULT_LATENCY_SWEEP_MS, DEFAULT_RANGE_SWEEP
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 QUICKSTART = str(CONFIG_DIR / "quickstart.yaml")
@@ -228,6 +229,17 @@ class TestInputBoundary:
             main(args + ["--config", tiny_config, "--out", str(tmp_path)])
         assert exc.value.code == EXIT_CONFIG
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command,dest,default",
+        [("sweep-rint", "r_int", list(DEFAULT_RANGE_SWEEP)),
+         ("sweep-latency", "latency_ms", list(DEFAULT_LATENCY_SWEEP_MS)),
+         ("robustness", "alpha", [0.0, 0.5, 1.0, 2.0])],
+        ids=["sweep-rint", "sweep-latency", "robustness"],
+    )
+    def test_bare_sweeps_parse_to_the_default_lists(self, command, dest, default):
+        args = build_parser().parse_args([command, "--config", "any.yaml"])
+        assert getattr(args, dest) == default
 
     @pytest.mark.parametrize(
         "args,csv",

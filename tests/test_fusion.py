@@ -203,6 +203,22 @@ class TestDeduplicate:
         assert [inst.track_id for inst in kept] == reference_deduplicate(items, radius)
 
 
+class TestTrackIdRegistry:
+    def test_fresh_ids_are_distinct_for_every_u16_agent(self):
+        # Agents a and a + 32768 differ only in the bit an or would share with COOP_TRACK_FLAG.
+        registry = TrackIdRegistry()
+        agents = [0, 1, 2, 32767, 32768, 32769, 32770, 65535]
+        ids = [registry.resolve(agent, track, set()) for agent in agents for track in range(3)]
+        assert len(set(ids)) == len(ids)
+        assert min(ids) >= COOP_TRACK_FLAG  # above every ego tracker ID
+
+    @given(agent=st.integers(0, 32767), count=st.integers(0, 5))
+    def test_below_agent_32768_the_sum_is_the_bitwise_or(self, agent, count):
+        registry = TrackIdRegistry()
+        ids = [registry.resolve(agent, track, set()) for track in range(count + 1)]
+        assert ids[-1] == COOP_TRACK_FLAG | (agent << 48) | count
+
+
 class TestAssembleOutput:
     cfg = FusionConfig(dedup_radius=1.0, output_confidence_threshold=0.3)
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from coopfuse import association, robustness
 from coopfuse.alignment import transform_state, transform_states
-from coopfuse.association import AssociationResult, MatchWeights
-from coopfuse.core import GroundTruthObject, Instance, RigidTransform, StateVector, compose, invert, state_rows
+from coopfuse.association import MatchWeights
+from coopfuse.core import (
+    GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, compose, invert, state_rows,
+)
 from coopfuse.robustness import (
     EmptyOracle,
     ObservationNoiseParams,
@@ -376,32 +378,28 @@ class TestDenoisingTrial:
 
 
 class TestMatchAccuracy:
-    def _result(self, pairs):
-        matched = [
-            (make_instance(track_id=e, feature_seed=1),
-             make_instance(track_id=c, source_agent=1, feature_seed=2),
-             0.0)
-            for e, c in pairs
-        ]
-        return AssociationResult(matched=matched)
+    @staticmethod
+    def _score(pairs, object_count):
+        # Row k of both views is object k; a pair (e, c) matches ego row e to coop row c.
+        track_ids = np.array(range(object_count), dtype=object)
+        return match_accuracy([(e, c, 0.0) for e, c in pairs], track_ids, track_ids)
 
     def test_all_correct(self):
-        result = self._result([(i, i) for i in range(4)])
-        assert match_accuracy(result, 4) == (1.0, 1.0, 1.0)
+        assert self._score([(i, i) for i in range(4)], 4) == (1.0, 1.0, 1.0)
 
     def test_no_pairs(self):
-        assert match_accuracy(self._result([]), 4) == (0.0, 0.0, 0.0)
+        assert self._score([], 4) == (0.0, 0.0, 0.0)
 
     def test_partial_with_one_wrong(self):
         pairs = [(i, i) for i in range(8)] + [(8, 9)]
-        accuracy, precision, recall = match_accuracy(self._result(pairs), 10)
+        accuracy, precision, recall = self._score(pairs, 10)
         assert accuracy == pytest.approx(0.8)
         assert precision == pytest.approx(8 / 9)
         assert recall == pytest.approx(0.8)
 
     def test_empty_oracle_raises(self):
         with pytest.raises(EmptyOracle):
-            match_accuracy(self._result([]), 0)
+            self._score([], 0)
 
 
 class TestIdentityEmbedding:
@@ -504,6 +502,17 @@ class TestAlphaSweep:
         alpha_sweep_rows([0.0, 0.5, 1.0], scenes=6, seed=3, feature_dim=16)
         assert len(parts) == 6
         assert len(solves) == 6 * 3
+
+    def test_builds_no_instance(self, monkeypatch):
+        # The scenes stay columns from the draw to the score.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the harness built an Instance")
+
+        monkeypatch.setattr(InstanceBatch, "instances", forbidden)
+        monkeypatch.setattr(Instance, "_trusted", forbidden)
+        monkeypatch.setattr(Instance, "__init__", forbidden)
+        rows = alpha_sweep_rows([0.0, 1.0], scenes=3, feature_dim=8)
+        assert [row["alpha"] for row in rows] == [0.0, 1.0]
 
     def test_rejects_a_scene_without_objects(self):
         with pytest.raises(EmptyOracle):

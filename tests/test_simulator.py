@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from coopfuse import simulator
 from coopfuse.configio import load_scenario
+from coopfuse.evaluation import compute_metrics, metrics_row
 from coopfuse.core import (
     GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
 )
@@ -788,6 +789,21 @@ class TestAgentsAreASet:
         agents = tuple(replace(a, agent_id=i) for a, i in zip(base.agents, ids))
         listed = replace(base, agents=tuple(agents[k] for k in order))
         assert _outputs(run_scenario(listed)) == _outputs(run_scenario(replace(base, agents=agents)))
+
+    def test_an_agent_id_above_32767_scores_as_a_small_one(self):
+        # The ego sees almost nothing, so both cooperators' remote-only tracks reach the output
+        # with registry IDs; agents 1 and 32769 once shared theirs ("track_ids must be unique").
+        cfg = shipped("quickstart")
+        ego, coop = cfg.agents
+        ego = replace(ego, sensor=replace(ego.sensor, max_range=3.0))
+        coop = replace(coop, sensor=replace(coop.sensor, max_range=20.0))
+        rows = [
+            metrics_row(compute_metrics(run_scenario(replace(cfg, agents=(
+                ego, coop, replace(coop, agent_id=agent_id, x=-20.0, y=-20.0, yaw_deg=45.0),
+            )))))
+            for agent_id in (32769, 2)
+        ]
+        assert rows[0] == rows[1]
 
 
 class TestScenarioConfigValidation:
