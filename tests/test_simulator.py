@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from coopfuse import simulator
 from coopfuse.configio import load_scenario
-from coopfuse.evaluation import compute_metrics, metrics_row
 from coopfuse.core import (
     GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
 )
+from coopfuse.evaluation import compute_metrics, metrics_row
 from coopfuse.robustness import TransformNoiseParams
 from coopfuse.wire import InstancePacket, encode_packet
 from coopfuse.simulator import (
@@ -792,7 +792,7 @@ class TestAgentsAreASet:
 
     def test_an_agent_id_above_32767_scores_as_a_small_one(self):
         # The ego sees almost nothing, so both cooperators' remote-only tracks reach the output
-        # with registry IDs; agents 1 and 32769 once shared theirs ("track_ids must be unique").
+        # with registry IDs, which must differ for agents 1 and 32769 (equal IDs in one frame raise).
         cfg = shipped("quickstart")
         ego, coop = cfg.agents
         ego = replace(ego, sensor=replace(ego.sensor, max_range=3.0))
