@@ -13,6 +13,7 @@ cheaper one its match (ROADMAP item 12).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -129,74 +130,40 @@ def _cost_matrix(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWe
     return diff @ w.state_weights() + w.alpha * dist
 
 
-def _tie_tol(best: float) -> float:
-    return _TIE_REL_TOL * max(1.0, abs(best))
-
-
-def _optimum_is_unique(cost: np.ndarray, rows, cols, best: float) -> bool:
-    # Forbidding any chosen pair must strictly worsen the total; a large
-    # finite penalty keeps degenerate shapes feasible.
-    penalty = (float(np.abs(cost).max()) + 1.0) * (len(rows) + 1)
-    tol = _tie_tol(best)
-    probe = cost.copy()
-    for r, c in zip(rows, cols):
-        probe[r, c] += penalty
-        pr, pc = linear_sum_assignment(probe)
-        if float(probe[pr, pc].sum()) <= best + tol:
-            return False
-        probe[r, c] = cost[r, c]
-    return True
-
-
-def _lex_smallest_assignment(cost: np.ndarray, best: float) -> list[tuple[int, int]]:
-    # Fix pairs greedily in (row, col) order, keeping only choices that an
-    # exact re-solve certifies as still optimal. Rows are only left out when
-    # no column preserves the optimum (possible only for n > m).
-    n, m = cost.shape
-    size = min(n, m)
-    tol = _tie_tol(best)
-    pairs: list[tuple[int, int]] = []
-    free_cols = list(range(m))
-    fixed_cost = 0.0
-    for i in range(n):
-        if len(pairs) == size:
-            break
-        remaining_rows = [r for r in range(i + 1, n)]
-        chosen = None
-        for j in free_cols:
-            need = size - len(pairs) - 1
-            rest_cols = [c for c in free_cols if c != j]
-            if need > 0:
-                sub = cost[np.ix_(remaining_rows, rest_cols)]
-                sr, sc = linear_sum_assignment(sub)
-                completion = float(sub[sr, sc].sum())
-            else:
-                completion = 0.0
-            if fixed_cost + cost[i, j] + completion <= best + tol:
-                chosen = j
-                break
-        if chosen is not None:
-            pairs.append((i, chosen))
-            free_cols.remove(chosen)
-            fixed_cost += float(cost[i, chosen])
-    return pairs
-
-
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment over a cost matrix.
 
-    Returns min(n, m) (row, col) pairs sorted by row. When several
-    assignments tie on total cost, the lexicographically smallest pair
-    list wins, so the output is a stable contract under ties.
+    Returns min(n, m) (row, col) pairs sorted by row; inf cells are
+    forbidden. When several assignments tie on total cost, the
+    lexicographically smallest pair list wins, so the output is a stable
+    contract under ties.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
-    if _optimum_is_unique(cost, rows, cols, best):
-        return sorted(zip(rows.tolist(), cols.tolist()))
-    return _lex_smallest_assignment(cost, best)
+    n, m = cost.shape
+    if n > m:
+        # Zero-cost dummy columns leave rows out; a dummy sorts after every real column.
+        cost = np.hstack([cost, np.zeros((n, n - m))])
+    rows, witness = linear_sum_assignment(cost)
+    best = float(cost[rows, witness].sum())
+    tol = _TIE_REL_TOL * max(1.0, abs(best))
+    # Any total through a penalised cell exceeds best + tol; inf cells stay forbidden.
+    penalty = (float(np.abs(cost[np.isfinite(cost)]).max()) + 1.0) * (n + 1)
+    witness, free, fixed = witness.tolist(), list(range(cost.shape[1])), 0.0
+    for i in range(n):
+        # While a free real column lies left of row i's witness, re-solve rows i.. with row i
+        # barred from the witness and the columns right of it; an optimal completion moves the witness.
+        while free[0] < min(witness[i], m):
+            sub = cost[i:, free]
+            sub[0, bisect_left(free, min(witness[i], m)):] += penalty
+            sub_rows, sub_cols = linear_sum_assignment(sub)
+            if fixed + float(sub[sub_rows, sub_cols].sum()) > best + tol:
+                break
+            witness[i:] = [free[j] for j in sub_cols.tolist()]
+        free.remove(witness[i])
+        fixed += float(cost[i, witness[i]])
+    return [(i, j) for i, j in enumerate(witness) if j < m]
 
 
 def _kept_pairs(cost: np.ndarray, threshold: float) -> list[tuple[int, int, float]]:

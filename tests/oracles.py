@@ -30,6 +30,24 @@ def brute_force_min_total(cost: np.ndarray) -> float:
     return float(best)
 
 
+def brute_force_lex_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
+    """The lexicographically smallest row-sorted min(n, m)-pair list among the
+    assignments whose finite total is within 1e-9 * max(1, |best|) of the
+    best, by enumeration; raises ``ValueError`` when no total is finite."""
+    n, m = cost.shape
+    if n <= m:
+        candidates = [[(i, j) for i, j in enumerate(perm)] for perm in itertools.permutations(range(m), n)]
+    else:
+        candidates = [sorted((i, j) for j, i in enumerate(perm)) for perm in itertools.permutations(range(n), m)]
+    totals = [(sum(float(cost[i, j]) for i, j in pairs), pairs) for pairs in candidates]
+    finite = [(total, pairs) for total, pairs in totals if math.isfinite(total)]
+    if not finite:
+        raise ValueError("no assignment has a finite total")
+    best = min(total for total, _ in finite)
+    tol = 1e-9 * max(1.0, abs(best))
+    return min(pairs for total, pairs in finite if total <= best + tol)
+
+
 def brute_force_matched_total(cost: np.ndarray, threshold: float) -> float:
     """Matched cost after demotion, replicated by enumeration.
 

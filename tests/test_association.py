@@ -1,10 +1,13 @@
 """ROI filtering, interaction gating, the matching cost, and assignment."""
 
-import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import linear_sum_assignment
 
 from coopfuse import association
@@ -21,7 +24,12 @@ from coopfuse.association import (
     solve_assignment,
 )
 from conftest import make_instance
-from oracles import brute_force_matched_total, brute_force_min_total, reference_pair_cost
+from oracles import (
+    brute_force_lex_assignment,
+    brute_force_matched_total,
+    brute_force_min_total,
+    reference_pair_cost,
+)
 
 
 def pair_cost(ego, coop, w):
@@ -139,33 +147,48 @@ class TestSolveAssignment:
         "cost",
         [np.ones((3, 3)), np.array([[2.0, 2.0, 5.0], [2.0, 2.0, 5.0]]), np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 3.0]])],
     )
-    def test_leaves_its_input_unchanged(self, cost, monkeypatch):
-        lex_calls = []
-        real_lex = association._lex_smallest_assignment
-
-        def counting_lex(*args):
-            lex_calls.append(args)
-            return real_lex(*args)
-
-        monkeypatch.setattr(association, "_lex_smallest_assignment", counting_lex)
+    def test_leaves_its_input_unchanged(self, cost):
+        # Every case ties, so the descent re-solves penalised copies of the same matrix.
         before = cost.copy()
-        solve_assignment(cost)
+        pairs = solve_assignment(cost)
         assert cost.tobytes() == before.tobytes()
-        assert lex_calls  # every case ties, so the tie-break ran over the same matrix
+        assert pairs == brute_force_lex_assignment(cost)
 
-    def test_uniqueness_check_matches_enumeration(self):
-        # Small integer costs tie often; the probe must be the input again before each pair.
-        rng = np.random.default_rng(21)
-        for shape in [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2)] * 40:
-            cost = rng.integers(0, 3, size=shape).astype(float)
-            rows, cols = linear_sum_assignment(cost)
-            best = float(cost[rows, cols].sum())
-            n, m = shape
-            if n <= m:
-                totals = [sum(cost[i, j] for i, j in enumerate(p)) for p in itertools.permutations(range(m), n)]
-            else:
-                totals = [sum(cost[i, j] for j, i in enumerate(p)) for p in itertools.permutations(range(n), m)]
-            assert association._optimum_is_unique(cost, rows, cols, best) == (totals.count(best) == 1)
+    @settings(max_examples=300, deadline=None)
+    @given(cost=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                       elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0, math.inf])))
+    def test_equals_the_lexicographic_oracle(self, cost):
+        # Small integer costs tie often, both shapes leave rows or columns out, and inf cells are forbidden.
+        try:
+            want = brute_force_lex_assignment(cost)
+        except ValueError:
+            with pytest.raises(ValueError):
+                solve_assignment(cost)
+        else:
+            assert solve_assignment(cost) == want
+
+    def test_inf_cells_are_forbidden(self):
+        assert solve_assignment(np.array([[1.0, math.inf], [math.inf, 2.0]])) == [(0, 0), (1, 1)]
+        assert solve_assignment(np.array([[math.inf, 1.0, 1.0]])) == [(0, 1)]
+        assert solve_assignment(np.array([[math.inf], [1.0], [1.0]])) == [(1, 0)]
+
+    def test_a_nan_cell_raises(self):
+        with pytest.raises(ValueError):
+            solve_assignment(np.array([[1.0, math.nan], [2.0, 3.0]]))
+
+    def test_a_unique_optimum_takes_one_solve(self, rng, monkeypatch):
+        # The harness shape: a 12 x 12 matrix whose only optimum is the diagonal.
+        calls = []
+
+        def counting(cost):
+            calls.append(cost.shape)
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(association, "linear_sum_assignment", counting)
+        cost = rng.uniform(5.0, 10.0, (12, 12))
+        np.fill_diagonal(cost, 1.0)
+        assert solve_assignment(cost) == [(i, i) for i in range(12)]
+        assert calls == [(12, 12)]
 
     def test_matches_brute_force(self, rng):
         for _ in range(150):
