@@ -1,10 +1,10 @@
 """Cross-agent association and fusion on a hand-built scene.
 
 Two agents observe an overlapping set of objects with different noise.
-The association chain filters the remote view to the ego region of
-interest, splits it at the interaction range, matches near-field pairs by
-the combined geometry + appearance cost, and the fusion stage blends the
-pairs and assembles one deduplicated track set.
+The remote view is cut to the ego region of interest first; the
+association chain then splits it at the interaction range, matches
+near-field pairs by the combined geometry + appearance cost, and the fusion
+stage blends the pairs and assembles one deduplicated track set.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from coopfuse import (
     assemble_output,
     associate,
     coarse_fuse,
+    filter_roi,
 )
 from coopfuse.robustness import noisy_feature
 
@@ -53,7 +54,7 @@ ego_view = view([0, 1, 2], [(0.1, -0.1), (-0.2, 0.1), (0.2, 0.2)],
 coop_view = view([1, 2, 3, 4], [(0.3, 0.2), (-0.1, -0.3), (0.1, 0.0), (0.0, 0.1)],
                  source=1, conf=0.8, track_base=100)
 
-result = associate(ego_view, coop_view, RoiSpec(), r_int=30.0, w=MatchWeights())
+result = associate(ego_view, filter_roi(coop_view, RoiSpec()), r_int=30.0, w=MatchWeights())
 print(f"matched pairs:        {len(result.matched)}")
 for e, c, cost in result.matched:
     print(f"  ego#{e.track_id} <-> coop#{c.track_id}  cost={cost:.3f}")

@@ -26,6 +26,7 @@ from .association import (
     MatchWeights,
     RoiSpec,
     associate,
+    filter_roi,
     match,
 )
 from .fusion import (

@@ -74,9 +74,9 @@ def compensate_latency(
 
     Raises:
         HorizonExceeded: if dt exceeds ``max_horizon``.
-        ValueError: if dt is negative.
+        ValueError: if dt is negative or NaN.
     """
-    if dt < 0:
+    if not dt >= 0:  # NaN fails it too
         raise ValueError(f"dt must be non-negative, got {dt}")
     if dt > max_horizon:
         raise HorizonExceeded(f"dt {dt:.3f}s exceeds horizon {max_horizon:.3f}s")
@@ -163,10 +163,9 @@ def align_instance(
 
     Raises:
         HorizonExceeded, DegenerateHeading: propagated from the two steps.
-        ValueError: if the instance is from the future (observed_at > t_ego).
+        ValueError: from ``compensate_latency``, if the instance is from the
+            future (observed_at > t_ego).
     """
-    if inst.observed_at > t_ego:
-        raise ValueError("instance observed after the ego timestamp")
     dt = micros_to_seconds(t_ego - inst.observed_at)
     state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:

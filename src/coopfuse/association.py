@@ -1,13 +1,13 @@
 """Cross-agent matching: ROI filtering, interaction gating, cost, assignment.
 
-The chain is: drop remote instances outside the ego ROI, split the rest at
-the interaction range (only the trusted near field is fused; the far field
-passes through untouched), build a geometry-plus-appearance cost matrix,
-and solve a one-to-one minimum-cost assignment. The rule is solve, then
-demote: the assignment is solved over the whole matrix, and an assigned pair
-costing more than the threshold is then demoted to unmatched. A pair the
-solve did not choose is not restored, so a gated-out pair can still cost a
-cheaper one its match (ROADMAP item 12).
+The caller cuts each side to the ego ROI once (``filter_roi``). The chain
+then splits both sides at the interaction range (only the trusted near
+field is fused; the far field passes through untouched), builds a
+geometry-plus-appearance cost matrix, and solves a one-to-one minimum-cost
+assignment. The rule is solve, then demote: the assignment is solved over
+the whole matrix, and an assigned pair costing more than the threshold is
+then demoted to unmatched. A pair the solve did not choose is not restored,
+so a gated-out pair can still cost a cheaper one its match (ROADMAP item 12).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class AssociationResult:
 
 
 def filter_roi(instances: Sequence[Instance], roi: RoiSpec) -> list[Instance]:
-    """Keep instances inside the ROI (closed boundaries), preserving order."""
+    """Keep instances (or anything with a ``state``) inside the ROI (closed boundaries), preserving order."""
     return [inst for inst in instances if roi.contains(inst.state)]
 
 
@@ -107,7 +107,7 @@ def gate_interaction(
     Returns (near, far); the boundary itself counts as near. Order is
     preserved within both lists.
     """
-    if r_int <= 0:
+    if not r_int > 0:  # NaN fails it too
         raise ValueError("interaction range must be positive")
     near, far = [], []
     for inst in instances:
@@ -192,21 +192,16 @@ def match(ego_set: Sequence[Instance], coop_near: Sequence[Instance], w: MatchWe
 
 
 def associate(
-    ego_instances: Sequence[Instance],
-    coop_instances: Sequence[Instance],
-    roi: RoiSpec,
-    r_int: float,
-    w: MatchWeights,
+    ego_instances: Sequence[Instance], coop_instances: Sequence[Instance], r_int: float, w: MatchWeights
 ) -> AssociationResult:
-    """Run the full association chain on already-aligned inputs.
+    """Run the association chain on aligned inputs that the caller has cut to the ROI.
 
-    Remote instances are ROI-filtered and split at the interaction range;
-    matching runs between near-field instances from both sides. Far-field
-    ego instances are carried as unmatched, far-field remote instances
-    pass through as ``coop_far``.
+    Both sides are split at the interaction range; matching runs between
+    near-field instances from both sides. Far-field ego instances are
+    carried as unmatched, far-field remote instances pass through as
+    ``coop_far``.
     """
-    coop_in_roi = filter_roi(coop_instances, roi)
-    coop_near, coop_far = gate_interaction(coop_in_roi, r_int)
+    coop_near, coop_far = gate_interaction(coop_instances, r_int)
     ego_near, ego_far = gate_interaction(ego_instances, r_int)
     result = match(ego_near, coop_near, w)
     result.unmatched_ego.extend(ego_far)

@@ -16,8 +16,9 @@ plain tuple of its components; its ``_trusted`` and the named tuple's
 ``_make`` and ``_replace`` skip the checks. ``Instance`` stays a slotted
 dataclass with identity equality, whose ``_trusted`` sets the slots through
 their descriptors: a per-record value is one small object with no dict. The
-rules for a valid value live here alone: wire decode checks its record array
-as one batch with ``_check_records``.
+rules for a valid value live here alone: sensing and wire decode check their
+records as one batch with ``_check_records``, then normalize the features
+with ``normalize_feature``.
 
 Shared operations live here once: ``normalize_feature``, the only feature
 normalization, and the nearest-neighbour rule that both continues sensing
@@ -248,18 +249,16 @@ class InstanceBatch:
         return [Instance._trusted(StateVector._trusted(s), f, c, k, i, *origin) for s, f, c, k, i in zip(*columns)]
 
 
-def _check_records(
-    states: np.ndarray, features: np.ndarray, confidence: np.ndarray, observed_at: Timestamp
-) -> np.ndarray:
-    """Check N decoded records as one batch; return each feature's norm.
+def _check_records(states: np.ndarray, features: np.ndarray, confidence: np.ndarray, observed_at: Timestamp) -> None:
+    """Check N sensed or decoded records as one batch.
 
-    Features are not yet unit norm nor confidences clipped to [0, 1];
+    Features are not yet unit norm (``normalize_feature`` normalizes them and
+    rejects a zero norm) nor confidences clipped to [0, 1];
     ``normalize_heading`` checks each heading as decode normalizes it.
 
     Raises:
         ValueError: on a non-finite state or feature value, a box dimension
-            <= 0, a NaN confidence, a zero feature or (with records) a
-            negative timestamp.
+            <= 0, a NaN confidence or (with records) a negative timestamp.
     """
     if len(states) and observed_at < 0:
         raise ValueError("observed_at must be non-negative")
@@ -268,11 +267,6 @@ def _check_records(
         and (states[:, 3:6] > 0).all() and not np.isnan(confidence).any()
     ):
         raise ValueError("a record has a non-finite value, a box dimension <= 0 or a NaN confidence")
-    # vecdot, unlike norm(axis=1), gives each row's norm bit for bit.
-    norms = np.sqrt(np.vecdot(features, features))
-    if (norms < DEGENERATE_TOL).any():
-        raise ValueError("cannot normalize a zero feature vector")
-    return norms
 
 
 def _check_non_negative(params: object, names: Sequence[str]) -> None:

@@ -159,7 +159,7 @@ def refine_tracks(
     innovation, velocity by gain_vel times innovation / dt. New tracks pass
     through unchanged.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN fails it too
         raise ValueError("dt must be positive")
     prev_by_id = {inst.track_id: inst for inst in previous.instances}
     gain_pos, gain_vel = cfg.smoothing_gain_pos, cfg.smoothing_gain_vel
@@ -190,7 +190,7 @@ def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
     instance is dropped when one kept before it, read from an x-sorted window,
     is of its class and within the planar radius. Output is in visiting order.
     """
-    if radius <= 0:
+    if not radius > 0:  # NaN fails it too
         raise ValueError("radius must be positive")
     kept: list[Instance] = []
     by_x: list[tuple[float, float, int]] = []  # (x, y, class) of the kept instances, sorted

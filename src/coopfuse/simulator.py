@@ -35,6 +35,7 @@ from .core import (
     _check_records,
     greedy_nearest,
     invert,
+    normalize_feature,
     pairs_within,
     relative_transform,
     seconds_to_micros,
@@ -75,7 +76,7 @@ def step_world(world: World, dt: float) -> World:
     rate turns the heading at that rate and keeps the speed along the
     heading, tracing the exact circular arc.
     """
-    if dt <= 0:
+    if not dt > 0:  # NaN fails it too
         raise ValueError("dt must be positive")
     rows = world.rows.copy()
     rows[:, :3] += rows[:, 8:11] * dt
@@ -247,9 +248,8 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             states[:, 8:11] += 0.0 + sensor.vel_noise_sigma * z[:, c : c + 3]
         features = embedding_table(tuple(world.object_ids.tolist()), sensor.feature_dim)[hits]
         features += sensor.feature_noise_sigma * z[:, k:]
-        if not np.isfinite(norms := _check_records(states, features, confidences, t)).all():
-            raise ValueError("a feature's norm is not finite")
-    features /= norms[:, None]
+    _check_records(states, features, confidences, t)
+    features = normalize_feature(features)
 
     # Each detection in the global frame, kept for the next pass.
     moved = transform_states(states, pose)
@@ -300,13 +300,8 @@ class ChannelModel:
             raise ValueError("drop_prob must lie in [0, 1]")
 
 
-def transmit(
-    packet_bytes: bytes,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-    t_send: Timestamp,
-) -> Optional[tuple[Timestamp, bytes]]:
-    """Send bytes through the channel; None means the packet was lost.
+def transmit(channel: ChannelModel, rng: np.random.Generator, t_send: Timestamp) -> Optional[Timestamp]:
+    """The arrival time of a packet sent at ``t_send``; None means the packet was lost.
 
     Senders account for the bytes regardless of loss: the cost is incurred
     at transmission, not delivery.
@@ -316,7 +311,7 @@ def transmit(
     latency_s = channel.latency_ms / 1e3
     if channel.jitter_ms > 0:
         latency_s += rng.uniform(0.0, channel.jitter_ms) / 1e3
-    return t_send + seconds_to_micros(latency_s), packet_bytes
+    return t_send + seconds_to_micros(latency_s)
 
 
 def bev_baseline_cost(
@@ -594,9 +589,9 @@ def record_scene(cfg: ScenarioConfig) -> SceneRecord:
 def _send(
     cfg: ScenarioConfig, coop_specs: Sequence[AgentSpec], coop_dets: Sequence[InstanceBatch], t: Timestamp,
     channel_rng: np.random.Generator,
-) -> list[tuple[int, bytes, Optional[tuple[Timestamp, bytes]]]]:
-    """Each cooperator's ``(agent_id, packet, delivery)`` at ``t``, in agent_id order; the delivery
-    is ``transmit``'s (None when lost). Per sender, pose noise then the channel draw from ``channel_rng``."""
+) -> list[tuple[int, bytes, Optional[Timestamp]]]:
+    """Each cooperator's ``(agent_id, packet, delivery)`` at ``t``, in agent_id order; the delivery is
+    the arrival time (None when lost). Per sender, pose noise then the channel draw from ``channel_rng``."""
     pipe = cfg.pipeline
     sent = []
     for spec, detections in zip(coop_specs, coop_dets):
@@ -607,7 +602,7 @@ def _send(
         if cfg.pose_noise is not None:
             sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
         packet = encode_packet(detections[ranked[: pipe.transmit_top_k]], sent_pose, t, spec.agent_id)
-        sent.append((spec.agent_id, packet, transmit(packet, cfg.channel, channel_rng, t)))
+        sent.append((spec.agent_id, packet, transmit(cfg.channel, channel_rng, t)))
     return sent
 
 
@@ -649,9 +644,10 @@ def _fuse(
 ) -> tuple[TrackSet, tuple[GroundTruthObject, ...], int, float]:
     """The ego's frame at ``t``: ROI, association, fusion and refinement against ``prev_tracks``.
     Returns the track set, the ground truth in the ROI, the count of aligned cooperator instances
-    in the ROI and their prefusion error, in ``FrameRecord`` order."""
+    in the ROI and their prefusion error, in ``FrameRecord`` order. Each group is cut to the ROI once."""
     pipe = cfg.pipeline
-    result = associate(filter_roi(ego_all, pipe.roi), coop_aligned, pipe.roi, pipe.r_int, pipe.weights)
+    coop_in_roi = filter_roi(coop_aligned, pipe.roi)
+    result = associate(filter_roi(ego_all, pipe.roi), coop_in_roi, pipe.r_int, pipe.weights)
     fused = []
     for ego_inst, coop_inst, _cost in result.matched:
         registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
@@ -660,11 +656,9 @@ def _fuse(
         fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, registry, t
     )
     tracks = refine_tracks(assembled, prev_tracks, cfg.tick_s, pipe.fusion)
-    coop_in_roi = filter_roi(coop_aligned, pipe.roi)
     # The error diagnostic compares against the whole world (gt_all) so that objects
     # straddling the ROI edge don't get scored against a distant stranger.
-    gt = tuple(g for g in gt_all if pipe.roi.contains(g.state))
-    return tracks, gt, len(coop_in_roi), _prefusion_error(coop_in_roi, gt_all)
+    return tracks, tuple(filter_roi(gt_all, pipe.roi)), len(coop_in_roi), _prefusion_error(coop_in_roi, gt_all)
 
 
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
@@ -687,8 +681,8 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
             if delivery is None:
                 events.append(SimEvent(t, "drop", agent_id, len(packet), -1))
             else:
-                heapq.heappush(inbox, (delivery[0], len(events), packet))
-                events.append(SimEvent(t, "send", agent_id, len(packet), delivery[0]))
+                heapq.heappush(inbox, (delivery, len(events), packet))
+                events.append(SimEvent(t, "send", agent_id, len(packet), delivery))
         del coop_dets  # a streamed frame's batches go before the next frame is sensed
         due = []
         while inbox and inbox[0][0] <= t:

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ROTATION_TOL,
     Instance,
     InstanceBatch,
     RigidTransform,
     Timestamp,
     _check_records,
     _orthonormalized,
+    normalize_feature,
     normalize_heading,
 )
 
@@ -108,26 +108,25 @@ class InstancePacket:
         return len(self.records)
 
     def sender_pose(self) -> RigidTransform:
-        """The sender pose, re-orthonormalized after f32 quantization; ValueError unless it is finite and
-        orthonormal (nearly parallel columns are not). The third column c0 x c1 pins det to +1."""
+        """The sender pose, re-orthonormalized after f32 quantization and checked by ``RigidTransform``:
+        ValueError unless finite and orthonormal (nearly parallel columns are not). c0 x c1 pins det to +1."""
         rot = _orthonormalized(self.header["rotation"].astype(np.float64).reshape(3, 3))
-        translation = self.header["translation"].astype(np.float64)
-        if not (np.max(np.abs(rot @ rot.T - np.eye(3))) <= ROTATION_TOL and np.isfinite(translation).all()):
-            raise ValueError("sender pose is not finite or its rotation is not orthonormal")
-        return RigidTransform._trusted(rot, translation)
+        return RigidTransform(rot, self.header["translation"].astype(np.float64))
 
     def to_instances(self) -> list[Instance]:
-        """Validated Instances, heading and feature renormalized after f32. Raises ValueError on
-        records ``core._check_records`` rejects (one batch check), DegenerateHeading on a zero heading."""
+        """Validated Instances, heading and feature renormalized after f32. Raises ValueError on records
+        ``core._check_records`` rejects (one batch check) or a feature ``normalize_feature`` cannot normalize,
+        DegenerateHeading on a zero heading."""
         recs = self.records
         states, features = recs["state"].astype(np.float64), recs["feature"].astype(np.float64)
-        norms = _check_records(states, features, recs["confidence"], self.send_timestamp)
+        _check_records(states, features, recs["confidence"], self.send_timestamp)
+        features = normalize_feature(features)
         if len(states):
             states[:, 6:8] = [normalize_heading(sin, cos) for sin, cos in states[:, 6:8].tolist()]
         track_ids = recs["track_id"].astype(object)
         track_ids[recs["track_id"] == NO_TRACK_ID] = None
         confidences = np.where(recs["confidence"] < 0.0, 0.0, np.minimum(recs["confidence"], 1.0))
-        batch = InstanceBatch(states, features / norms[:, None], confidences, recs["class_id"], track_ids,
+        batch = InstanceBatch(states, features, confidences, recs["class_id"], track_ids,
                               self.sender_id, self.send_timestamp)
         return batch.instances()
 

@@ -18,7 +18,7 @@ from coopfuse.alignment import (
     transform_state,
     transform_states,
 )
-from coopfuse.association import MatchWeights, RoiSpec, associate
+from coopfuse.association import MatchWeights, RoiSpec, associate, filter_roi
 from coopfuse.core import (
     DegenerateHeading,
     Instance,
@@ -55,6 +55,10 @@ class TestCompensateLatency:
     def test_rejects_negative_dt(self):
         with pytest.raises(ValueError):
             compensate_latency(make_state(), -0.1)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValueError, match="dt must be non-negative, got nan"):
+            compensate_latency(make_state(vx=1.0), math.nan)
 
     def test_horizon(self):
         with pytest.raises(HorizonExceeded):
@@ -354,7 +358,7 @@ class TestRigidMotionInvariance:
                                                                 y=inst.state.y + offset[1])))
         rel = relative_transform(ego_pose, coop_pose)
         aligned = [align_instance(inst, rel, t_ego, AlignmentConfig()) for inst in coop]
-        return ego, aligned, associate(ego, aligned, self.ROI, self.R_INT, self.WEIGHTS)
+        return ego, aligned, associate(ego, filter_roi(aligned, self.ROI), self.R_INT, self.WEIGHTS)
 
     def _clear_of_boundaries(self, ego, aligned):
         # Rounding moves values by ~1e-13; keep every decision far from a tie.

@@ -76,6 +76,10 @@ class TestGateInteraction:
         assert near == instances[:2]
         assert far == instances[2:]
 
+    def test_nan_range_raises(self):
+        with pytest.raises(ValueError, match="interaction range must be positive"):
+            gate_interaction([make_instance()], math.nan)
+
 
 class TestGeoAppearanceCost:
     def test_identical_is_zero(self):
@@ -297,12 +301,22 @@ class TestAssociate:
             make_instance(x=45.0, feature_seed=3, track_id=12, source_agent=1),  # far: beyond r_int
             make_instance(x=80.0, feature_seed=4, track_id=13, source_agent=1),  # outside ROI
         ]
-        result = associate(ego, coop, roi, r_int=30.0, w=w)
+        result = associate(ego, filter_roi(coop, roi), r_int=30.0, w=w)
         assert len(result.matched) == 1
         assert result.matched[0][0] is ego[0]
         assert result.unmatched_ego == [ego[1]]  # beyond r_int, kept as ego-only
         assert result.unmatched_coop_near == []
         assert result.coop_far == [coop[1]]
+
+    def test_makes_no_roi_cut(self):
+        # The caller cuts the ROI; associate gates and matches what it is given, as match does.
+        w = MatchWeights(alpha=0.0, cost_threshold=5.0)
+        ego = [make_instance(x=0.5, z=10.0, feature_seed=1, track_id=1)]
+        high = make_instance(z=10.0, feature_seed=1, track_id=11, source_agent=1)  # above any default z_max
+        result = associate(ego, [high], r_int=30.0, w=w)
+        assert [(e, c) for e, c, _ in result.matched] == [(ego[0], high)]
+        assert result.matched[0][2] == pytest.approx(0.5)
+        assert (result.unmatched_ego, result.unmatched_coop_near, result.coop_far) == ([], [], [])
 
 
 class TestMatchWeightsValidation:

@@ -53,6 +53,32 @@ def test_every_benchmark_hook_resolves(monkeypatch):
         hooks.uninstall()
 
 
+def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch):
+    # The benchmark's counters read the hooked calls' arguments and results (transmit's arrival time,
+    # associate's matches, ...); a signature change must leave every counter and identity working.
+    from dataclasses import replace
+
+    from coopfuse import load_scenario, simulator
+
+    cfg = load_scenario(ROOT / "configs" / "quickstart.yaml")
+    alignment = replace(cfg.pipeline.alignment, max_compensation_horizon=0.6)
+    cfg = replace(cfg, duration_s=6.0, pipeline=replace(cfg.pipeline, alignment=alignment),
+                  channel=replace(cfg.channel, latency_ms=150.0, jitter_ms=600.0, drop_prob=0.2))
+    hooks = _benchmark_tracer(monkeypatch)
+    try:
+        with hooks.op(0, "op.test"):
+            run = simulator.run_scenario(cfg)  # the module attribute, which the tracer has wrapped
+    finally:
+        hooks.uninstall()
+    assert any(e.kind == "drop" for e in run.events) and sum(f.stale_dropped for f in run.frames) > 0
+    assert hooks.counts["simulator.transmit.packets"] > 0 and hooks.counts["association.associate.matched"] > 0
+    assert hooks.broken_counters == set()
+    identities = hooks.check_identities()
+    assert len(identities) == 4
+    for label, lhs, rhs, holds in identities:
+        assert holds is True, (label, lhs, rhs)
+
+
 def test_the_harness_sweep_scores_inside_traced_trials(monkeypatch):
     # The benchmark's harness coverage is the share of a sweep spent in hooked calls: each scene must be
     # one traced trial that builds its scene and solves every alpha's assignment inside it.

@@ -139,8 +139,19 @@ class TestRefineTracks:
         out = refine_tracks(current, previous, 0.5, self.cfg)
         assert out.instances == current.instances
 
+    def test_nan_dt_raises(self):
+        previous = _track_set([make_instance(x=0.0, vx=10.0, track_id=1, feature_seed=1)])
+        current = _track_set([make_instance(x=6.0, vx=10.0, track_id=1, feature_seed=1)], t=500_000)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            refine_tracks(current, previous, math.nan, self.cfg)
+
 
 class TestDeduplicate:
+    def test_nan_radius_raises(self):
+        instances = [make_instance(x=0.0, track_id=1, feature_seed=1), make_instance(x=0.5, track_id=2)]
+        with pytest.raises(ValueError, match="radius must be positive"):
+            deduplicate(instances, math.nan)
+
     def test_well_separated_unchanged_as_set(self):
         instances = [make_instance(x=0.0, track_id=1, feature_seed=1),
                      make_instance(x=5.0, track_id=2, feature_seed=2)]

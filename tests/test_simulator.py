@@ -15,7 +15,9 @@ from coopfuse.configio import load_scenario
 from coopfuse.core import (
     GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
 )
+from coopfuse.association import RoiSpec
 from coopfuse.evaluation import compute_metrics, metrics_row
+from coopfuse.fusion import TrackIdRegistry, TrackSet
 from coopfuse.robustness import TransformNoiseParams
 from coopfuse.wire import InstancePacket, encode_packet
 from coopfuse.simulator import (
@@ -113,6 +115,10 @@ class TestStepWorld:
         world = _world((0, 0, make_state(vx=3.0, vy=4.0), 0.7))
         out = step_world(world, 0.8)
         assert _state(out).speed == pytest.approx(5.0)
+
+    def test_nan_dt_raises(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            step_world(_world((0, 0, make_state(vx=1.0))), math.nan)
 
     @given(objects=_STEP_OBJECTS, dt=st.sampled_from([0.1, 0.5, 1.3]), steps=st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
@@ -292,7 +298,7 @@ class TestSenseDraws:
     def test_overflowing_feature_norm_raises(self):
         # Each feature value is finite, but their sum of squares is not.
         agent, world = self._crowd(SensorModel(feature_noise_sigma=1e300, feature_dim=4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot normalize a feature of norm"):
             sense(agent, world, agent.rng)
 
     def test_checks_each_pass_once_as_a_batch(self, monkeypatch):
@@ -451,26 +457,25 @@ class TestValidateOnce:
 class TestTransmit:
     def test_fixed_latency_exact_arrival(self, rng):
         channel = ChannelModel(latency_ms=200.0)
-        out = transmit(b"abc", channel, rng, t_send=1_000_000)
-        assert out == (1_200_000, b"abc")
+        assert transmit(channel, rng, t_send=1_000_000) == 1_200_000
 
     def test_full_loss_never_delivers(self, rng):
         channel = ChannelModel(drop_prob=1.0)
         for _ in range(100):
-            assert transmit(b"abc", channel, rng, 0) is None
+            assert transmit(channel, rng, 0) is None
 
     def test_delivery_rate(self):
         channel = ChannelModel(drop_prob=0.3)
         rng = np.random.default_rng(0)
         delivered = sum(
-            transmit(b"x", channel, rng, 0) is not None for _ in range(10_000)
+            transmit(channel, rng, 0) is not None for _ in range(10_000)
         )
         assert delivered / 10_000 == pytest.approx(0.7, abs=0.01)
 
     def test_jitter_bounds(self, rng):
         channel = ChannelModel(latency_ms=100.0, jitter_ms=50.0)
         for _ in range(500):
-            t_arrive, _ = transmit(b"x", channel, rng, 0)
+            t_arrive = transmit(channel, rng, 0)
             assert 100_000 <= t_arrive <= 150_000
 
     @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms", "accounting_window_s"])
@@ -665,6 +670,24 @@ class TestReceive:
         assert ([(inst.source_agent, inst.state.x) for inst in aligned], stale) == ([(2, 4.0)], 0)
         assert decoded == [2]  # a skipped packet yields no records
         assert fused == {1: 200_000, 2: 100_000}
+
+
+class TestFuse:
+    def test_cuts_each_group_to_the_roi_once(self, monkeypatch):
+        # One contains call per ego detection, aligned cooperator instance and ground-truth object.
+        cfg = shipped("quickstart")
+        cfg = replace(cfg, pipeline=replace(cfg.pipeline, roi=RoiSpec(x_half=8.0, y_half=8.0)))
+        ego_spec, *coop_specs = cfg.agents
+        coop_dets, ego_all, gt_all = next(simulator.sense_frames(cfg))
+        sent = simulator._send(cfg, coop_specs, coop_dets, 0, np.random.default_rng(0))
+        coop_aligned, _ = simulator._receive([packet for _, packet, _ in sent], ego_spec.pose_at(0), 0, cfg.pipeline, {})
+        calls, real = [], RoiSpec.contains
+        monkeypatch.setattr(RoiSpec, "contains", lambda roi, state: calls.append(state) or real(roi, state))
+        tracks, gt, consumed, _ = simulator._fuse(
+            ego_all, coop_aligned, gt_all, TrackSet(timestamp=0, instances=()), TrackIdRegistry(), 0, cfg
+        )
+        assert len(calls) == len(ego_all) + len(coop_aligned) + len(gt_all)
+        assert 0 < consumed < len(coop_aligned) and 0 < len(gt) < len(gt_all)  # the cut drops some of each
 
 
 def _frame_bytes(run):

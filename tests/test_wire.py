@@ -234,6 +234,13 @@ class TestDecodeBoundary:
         with pytest.raises(ValueError):
             decode_packet(_tampered(mutate)).to_instances()
 
+    def test_zero_feature_raises_the_normalization_error(self):
+        def mutate(records):
+            records["feature"][1] = 0.0
+
+        with pytest.raises(ValueError, match="cannot normalize a feature of norm 0.0"):
+            decode_packet(_tampered(mutate)).to_instances()
+
     def test_untampered_records_decode(self):
         assert len(decode_packet(_tampered(lambda records: None)).to_instances()) == 2
 
