@@ -309,13 +309,13 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
         if translation.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {translation.shape}")
-        # Written so that NaN fails them: NaN compares false to everything.
-        drift = np.max(np.abs(rotation @ rotation.T - np.eye(3)))
+        # NaN fails each check (it compares false to everything); array methods skip np.max's dispatch cost.
+        drift = np.abs(rotation @ rotation.T - np.eye(3)).max()
         if not drift <= ROTATION_TOL:
             raise ValueError(f"rotation is not orthonormal, drift {drift:.3e}")
         if not abs(np.linalg.det(rotation) - 1.0) <= ROTATION_TOL:
             raise ValueError("rotation must have determinant +1")
-        if not np.all(np.isfinite(translation)):
+        if not np.isfinite(translation).all():
             raise ValueError("translation is not finite")
         rotation.setflags(write=False)
         translation.setflags(write=False)
