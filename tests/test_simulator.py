@@ -683,7 +683,7 @@ class TestFuse:
         coop_aligned, _ = simulator._receive([packet for _, packet, _ in sent], ego_spec.pose_at(0), 0, cfg.pipeline, {})
         calls, real = [], RoiSpec.contains
         monkeypatch.setattr(RoiSpec, "contains", lambda roi, state: calls.append(state) or real(roi, state))
-        tracks, gt, consumed, _ = simulator._fuse(
+        _, gt, consumed, _ = simulator._fuse(
             ego_all, coop_aligned, gt_all, TrackSet(timestamp=0, instances=()), TrackIdRegistry(), 0, cfg
         )
         assert len(calls) == len(ego_all) + len(coop_aligned) + len(gt_all)
