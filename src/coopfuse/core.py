@@ -45,6 +45,7 @@ HEADING_UNIT_TOL = 1e-6
 FEATURE_UNIT_TOL = 1e-6
 ROTATION_TOL = 1e-9
 DEGENERATE_TOL = 1e-12
+_IDENTITY = np.eye(3)
 
 
 class DegenerateHeading(ValueError):
@@ -278,15 +279,26 @@ def _check_non_negative(params: object, names: Sequence[str]) -> None:
             raise ValueError(f"{name} must be {problem}, got {value!r}")
 
 
+def _unit(column: np.ndarray) -> np.ndarray:
+    norm = math.sqrt(column.dot(column))  # np.linalg.norm's own formula, without its per-call checks
+    if not DEGENERATE_TOL <= norm < math.inf:  # NaN fails it too
+        raise ValueError(f"a rotation column of norm {norm!r} has no direction")
+    return column / norm
+
+
 def _orthonormalized(matrix: np.ndarray) -> np.ndarray:
-    # Gram-Schmidt on the first two columns; the third comes from the cross
-    # product, which also pins the determinant to +1.
-    c0 = matrix[:, 0] / np.linalg.norm(matrix[:, 0])
-    c1 = matrix[:, 1] - np.dot(matrix[:, 1], c0) * c0
-    c1 /= np.linalg.norm(c1)
+    # Gram-Schmidt on the first two columns, each checked before its projection (where inf warns); the
+    # third comes from the cross product, which also pins the determinant to +1.
+    c0, m1 = _unit(matrix[:, 0]), matrix[:, 1]
+    _unit(m1)
+    c1 = _unit(m1 - m1.dot(c0) * c0)
     (x0, y0, z0), (x1, y1, z1) = c0.tolist(), c1.tolist()
     # np.cross's products and differences, in its order, without its per-call cost.
-    return np.column_stack([c0, c1, (y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1)])
+    return np.array([(x0, x1, y0 * z1 - z0 * y1), (y0, y1, z0 * x1 - x0 * z1), (z0, z1, x0 * y1 - y0 * x1)])
+
+
+def _drift(rotation: np.ndarray) -> float:
+    return np.abs(rotation @ rotation.T - _IDENTITY).max()  # array methods skip np.max's dispatch cost
 
 
 def yaw_rotation(yaw: float) -> np.ndarray:
@@ -309,11 +321,12 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
         if translation.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {translation.shape}")
-        # NaN fails each check (it compares false to everything); array methods skip np.max's dispatch cost.
-        drift = np.abs(rotation @ rotation.T - np.eye(3)).max()
+        # NaN fails each check (it compares false to everything); a non-finite entry skips the product (inf warns).
+        (a, b, c), (d, e, f), (g, h, i) = rotation.tolist()
+        drift = _drift(rotation) if math.isfinite(a + b + c + d + e + f + g + h + i) else math.nan
         if not drift <= ROTATION_TOL:
             raise ValueError(f"rotation is not orthonormal, drift {drift:.3e}")
-        if not abs(np.linalg.det(rotation) - 1.0) <= ROTATION_TOL:
+        if not abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) <= ROTATION_TOL:
             raise ValueError("rotation must have determinant +1")
         if not np.isfinite(translation).all():
             raise ValueError("translation is not finite")
@@ -351,8 +364,7 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """The transform applying ``b`` first, then ``a``."""
     rotation = a.rotation @ b.rotation
     translation = a.rotation @ b.translation + a.translation
-    drift = np.max(np.abs(rotation @ rotation.T - np.eye(3)))
-    if drift > ROTATION_TOL:
+    if _drift(rotation) > ROTATION_TOL:
         rotation = _orthonormalized(rotation)
     return RigidTransform._trusted(rotation, translation)
 

@@ -513,21 +513,24 @@ class RunResult:
         return max(totals.values()) / window if totals else 0.0
 
 
-def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[GroundTruthObject, ...]:
+def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[tuple[GroundTruthObject, ...], ClassColumns]:
     local = transform_states(world.rows, invert(ego_pose)).tolist()
     ids, class_ids = world.object_ids.tolist(), world.class_ids.tolist()
-    return tuple(GroundTruthObject(i, c, StateVector._trusted(s)) for i, c, s in zip(ids, class_ids, local))
+    gt = tuple(GroundTruthObject(i, c, StateVector._trusted(s)) for i, c, s in zip(ids, class_ids, local))
+    return gt, _class_columns(gt)
 
 
-def _prefusion_error(
-    aligned: Sequence[Instance], gt: Sequence[GroundTruthObject]
-) -> float:
+def _class_columns(gt: Sequence[GroundTruthObject]) -> ClassColumns:
+    columns: ClassColumns = {}
+    for g in sorted(gt, key=lambda g: (g.state.x, g.state.y)):
+        columns.setdefault(g.class_id, []).append((g.state.x, g.state.y))
+    return columns
+
+
+def _prefusion_error(aligned: Sequence[Instance], columns: ClassColumns) -> float:
     # Nearest same-class reference distance; a proxy for true position error
     # that needs no oracle plumbed through the honest pipeline. Valid while
     # object clearance exceeds the alignment error.
-    columns: dict[int, list[tuple[float, float]]] = {}
-    for g in sorted(gt, key=lambda g: (g.state.x, g.state.y)):
-        columns.setdefault(g.class_id, []).append((g.state.x, g.state.y))
     errors = []  # in aligned order: np.mean's sum depends on the order
     for inst in aligned:
         column = columns.get(inst.class_id)
@@ -547,9 +550,10 @@ def _prefusion_error(
     return float(np.mean(errors)) if errors else math.nan
 
 
-# One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (in
-# agent_id order), the ego's detections (before the ROI) and the whole world in the ego frame.
-SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...]]
+# One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (agent_id order),
+# the ego's detections (before the ROI), the whole world in the ego frame and each class's sorted (x, y) positions.
+ClassColumns = dict[int, list[tuple[float, float]]]
+SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...], ClassColumns]
 
 
 class SceneRecord(NamedTuple):
@@ -577,7 +581,7 @@ def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
         yield (  # bound to no local, so a suspended generator keeps no frame alive
             tuple(sense(agent, world, agent.rng) for agent in coop_agents),
             tuple(sense(ego, world, ego.rng).instances()),
-            _frame_ground_truth(world, ego.spec.pose_at(world.time_us)),
+            *_frame_ground_truth(world, ego.spec.pose_at(world.time_us)),
         )
 
 
@@ -640,11 +644,11 @@ def _receive(
 
 def _fuse(
     ego_all: Sequence[Instance], coop_aligned: Sequence[Instance], gt_all: tuple[GroundTruthObject, ...],
-    prev_tracks: TrackSet, registry: TrackIdRegistry, t: Timestamp, cfg: ScenarioConfig,
+    columns: ClassColumns, prev_tracks: TrackSet, registry: TrackIdRegistry, t: Timestamp, cfg: ScenarioConfig,
 ) -> tuple[TrackSet, tuple[GroundTruthObject, ...], int, float]:
     """The ego's frame at ``t``: ROI, association, fusion and refinement against ``prev_tracks``.
-    Returns the track set, the ground truth in the ROI, the count of aligned cooperator instances
-    in the ROI and their prefusion error, in ``FrameRecord`` order. Each group is cut to the ROI once."""
+    Returns the track set, the ground truth in the ROI, the count of aligned cooperator instances in the ROI and
+    their prefusion error against ``columns``, in ``FrameRecord`` order. Each group is cut to the ROI once."""
     pipe = cfg.pipeline
     coop_in_roi = filter_roi(coop_aligned, pipe.roi)
     result = associate(filter_roi(ego_all, pipe.roi), coop_in_roi, pipe.r_int, pipe.weights)
@@ -656,9 +660,8 @@ def _fuse(
         fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, registry, t
     )
     tracks = refine_tracks(assembled, prev_tracks, cfg.tick_s, pipe.fusion)
-    # The error diagnostic compares against the whole world (gt_all) so that objects
-    # straddling the ROI edge don't get scored against a distant stranger.
-    return tracks, tuple(filter_roi(gt_all, pipe.roi)), len(coop_in_roi), _prefusion_error(coop_in_roi, gt_all)
+    # The error searches the whole world's columns, so an object astride the ROI edge meets no distant stranger.
+    return tracks, tuple(filter_roi(gt_all, pipe.roi)), len(coop_in_roi), _prefusion_error(coop_in_roi, columns)
 
 
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
@@ -676,7 +679,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
     fused: dict[int, Timestamp] = {}  # each sender's last fused send time
     frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
     for t in range(0, cfg.frame_count * seconds_to_micros(cfg.tick_s), seconds_to_micros(cfg.tick_s)):
-        coop_dets, ego_all, gt_all = next(frames_in)
+        coop_dets, ego_all, gt, columns = next(frames_in)
         for agent_id, packet, delivery in _send(cfg, coop_specs, coop_dets, t, channel_rng):
             if delivery is None:
                 events.append(SimEvent(t, "drop", agent_id, len(packet), -1))
@@ -690,6 +693,6 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         events += [events[i]._replace(t_us=t, kind="consume") for _, i, _ in due]  # the send's size and arrival
         coop_aligned, stale = _receive([packet for *_, packet in due], ego_spec.pose_at(t), t, cfg.pipeline, fused)
         prev_tracks = frames[-1].tracks if frames else TrackSet(timestamp=0, instances=())
-        frames.append(FrameRecord(t, *_fuse(ego_all, coop_aligned, gt_all, prev_tracks, registry, t, cfg), stale))
+        frames.append(FrameRecord(t, *_fuse(ego_all, coop_aligned, gt, columns, prev_tracks, registry, t, cfg), stale))
     sent = sum(e.size_bytes for e in events if e.kind in ("send", "drop"))
     return RunResult(cfg, frames, events, sent, sum(e.size_bytes for e in events if e.kind == "consume"))

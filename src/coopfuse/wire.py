@@ -108,8 +108,8 @@ class InstancePacket:
         return len(self.records)
 
     def sender_pose(self) -> RigidTransform:
-        """The sender pose, re-orthonormalized after f32 quantization and checked by ``RigidTransform``:
-        ValueError unless finite and orthonormal (nearly parallel columns are not). c0 x c1 pins det to +1."""
+        """The sender pose, re-orthonormalized after f32 quantization and checked by ``RigidTransform``. ValueError
+        if rotation column 0 or 1 is zero or non-finite, the two are (nearly) parallel or translation is not finite."""
         rot = _orthonormalized(self.header["rotation"].astype(np.float64).reshape(3, 3))
         return RigidTransform(rot, self.header["translation"].astype(np.float64))
 

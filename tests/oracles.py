@@ -111,6 +111,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def reference_orthonormalized(matrix: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on the first two columns, the third their cross product: the
+    first column over its ``np.linalg.norm``, the second less its projection on
+    that, over its own norm, stacked with ``np.column_stack``."""
+    c0 = matrix[:, 0] / np.linalg.norm(matrix[:, 0])
+    c1 = matrix[:, 1] - np.dot(matrix[:, 1], c0) * c0
+    c1 /= np.linalg.norm(c1)
+    return np.column_stack([c0, c1, np.cross(c0, c1)])
+
+
 def brute_force_greedy_match(preds, gts, dist_threshold):
     """Greedy matching written from its definition.
 

@@ -6,14 +6,16 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coopfuse.core import (
+    ROTATION_TOL,
     DegenerateHeading,
     Instance,
     RigidTransform,
     StateVector,
+    _orthonormalized,
     compose,
     greedy_nearest,
     invert,
@@ -23,7 +25,7 @@ from coopfuse.core import (
     relative_transform,
 )
 from conftest import make_state
-from oracles import brute_force_greedy_match, random_rotation, reference_pairs
+from oracles import brute_force_greedy_match, random_rotation, reference_orthonormalized, reference_pairs
 
 
 class TestNormalizeHeading:
@@ -150,6 +152,14 @@ class TestRigidTransform:
             RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_a_non_finite_rotation_entry(self, bad):
+        # inf times the zeros beside it would make R R^T warn, which the suite raises.
+        rotation = np.eye(3)
+        rotation[0, 0] = bad
+        with pytest.raises(ValueError, match="not orthonormal"):
+            RigidTransform(rotation, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_translation(self, bad):
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3), np.array([0.0, bad, 0.0]))
@@ -157,6 +167,44 @@ class TestRigidTransform:
     def test_rejects_nan_yaw(self):
         with pytest.raises(ValueError):
             RigidTransform.from_yaw(float("nan"))
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["rotation", "reflection", 1e-6, 1e-8, 1e-11, "nan", "inf"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_what_the_numpy_checks_accept(self, seed, kind):
+        # A float kind scales a rotation to that drift; NaN and inf go in one random entry.
+        rng = np.random.default_rng(seed)
+        rotation = random_rotation(rng)
+        if kind == "reflection":
+            rotation[:, rng.integers(3)] *= -1.0
+        elif kind in ("nan", "inf"):
+            rotation[tuple(rng.integers(3, size=2))] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+        elif kind != "rotation":
+            rotation *= math.sqrt(1.0 + kind)
+        with np.errstate(invalid="ignore"):
+            drift = np.abs(rotation @ rotation.T - np.eye(3)).max()
+            det_err = abs(np.linalg.det(rotation) - 1.0)
+        assume(not abs(drift - ROTATION_TOL) <= 1e-12 and not abs(det_err - ROTATION_TOL) <= 1e-12)
+        accepted = drift <= ROTATION_TOL and det_err <= ROTATION_TOL
+        try:
+            RigidTransform(rotation, np.zeros(3))
+        except ValueError:
+            assert not accepted
+        else:
+            assert accepted
+
+
+class TestOrthonormalized:
+    @given(seed=st.integers(0, 2**32 - 1), wobble=st.sampled_from([0.0, 1e-6, 1e-3]))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_reference_bit_for_bit_after_f32(self, seed, wobble):
+        # A header rotation as decode sees it: a near-rotation quantized to f32, then widened.
+        rng = np.random.default_rng(seed)
+        matrix = (random_rotation(rng) + wobble * rng.standard_normal((3, 3))).astype(np.float32).astype(np.float64)
+        assert _orthonormalized(matrix).tobytes() == reference_orthonormalized(matrix).tobytes()
 
 
 class TestComposeInvert:

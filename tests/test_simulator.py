@@ -16,7 +16,7 @@ from coopfuse.core import (
     GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
 )
 from coopfuse.association import RoiSpec
-from coopfuse.evaluation import compute_metrics, metrics_row
+from coopfuse.evaluation import compute_metrics, metrics_row, sweep_interaction_range
 from coopfuse.fusion import TrackIdRegistry, TrackSet
 from coopfuse.robustness import TransformNoiseParams
 from coopfuse.wire import InstancePacket, encode_packet
@@ -551,7 +551,7 @@ class TestPrefusionError:
         # Class 2 has no reference object, so some instances are skipped.
         instances = [make_instance(x=x, y=y, class_id=c, feature_seed=i) for i, (x, y, c) in enumerate(aligned)]
         objects = [GroundTruthObject(i, c, make_state(x=x, y=y)) for i, (x, y, c) in enumerate(gt)]
-        got = simulator._prefusion_error(instances, objects)
+        got = simulator._prefusion_error(instances, simulator._class_columns(objects))
         want = reference_prefusion_error(aligned, gt)
         assert got == want or (math.isnan(got) and math.isnan(want))
 
@@ -678,13 +678,13 @@ class TestFuse:
         cfg = shipped("quickstart")
         cfg = replace(cfg, pipeline=replace(cfg.pipeline, roi=RoiSpec(x_half=8.0, y_half=8.0)))
         ego_spec, *coop_specs = cfg.agents
-        coop_dets, ego_all, gt_all = next(simulator.sense_frames(cfg))
+        coop_dets, ego_all, gt_all, columns = next(simulator.sense_frames(cfg))
         sent = simulator._send(cfg, coop_specs, coop_dets, 0, np.random.default_rng(0))
         coop_aligned, _ = simulator._receive([packet for _, packet, _ in sent], ego_spec.pose_at(0), 0, cfg.pipeline, {})
         calls, real = [], RoiSpec.contains
         monkeypatch.setattr(RoiSpec, "contains", lambda roi, state: calls.append(state) or real(roi, state))
         _, gt, consumed, _ = simulator._fuse(
-            ego_all, coop_aligned, gt_all, TrackSet(timestamp=0, instances=()), TrackIdRegistry(), 0, cfg
+            ego_all, coop_aligned, gt_all, columns, TrackSet(timestamp=0, instances=()), TrackIdRegistry(), 0, cfg
         )
         assert len(calls) == len(ego_all) + len(coop_aligned) + len(gt_all)
         assert 0 < consumed < len(coop_aligned) and 0 < len(gt) < len(gt_all)  # the cut drops some of each
@@ -761,6 +761,16 @@ class TestRecordReplay:
         for point, vary in POINTS.items():  # one record serves every point, in turn
             point_cfg = vary(cfg)
             assert _outputs(run_scenario(point_cfg, record)) == _outputs(run_scenario(point_cfg)), point
+
+    def test_a_sweep_builds_the_class_columns_once_per_sensed_frame(self, monkeypatch):
+        # The prefusion error searches each frame's per-class ground-truth columns; the record keeps
+        # them, so the seven points of an r_int sweep share one build per frame.
+        cfg = shipped("range_study")
+        cfg = replace(cfg, duration_s=5 * cfg.tick_s)
+        builds, real = [], simulator._class_columns
+        monkeypatch.setattr(simulator, "_class_columns", lambda gt: builds.append(gt) or real(gt))
+        rows = sweep_interaction_range(cfg, [10, 20, 30, 40, 50, 60, 70], jobs=1)
+        assert len(rows) == 7 and len(builds) == cfg.frame_count == 5
 
     @pytest.mark.parametrize(
         "other",

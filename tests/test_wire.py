@@ -22,7 +22,7 @@ from coopfuse.wire import (
     serialize_packet,
 )
 from conftest import make_instance
-from oracles import random_rotation
+from oracles import random_rotation, reference_orthonormalized
 
 
 def random_packet_bytes(rng, count=None, dim=None):
@@ -145,6 +145,21 @@ class TestSenderPose:
         with pytest.raises(ValueError, match="not orthonormal"):
             decode_packet(self._with_rotation(rotation)).sender_pose()
 
+    @pytest.mark.parametrize(
+        "rotation",
+        [
+            np.zeros((3, 3)),
+            [[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # its projection on the first column warns
+            [[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]],
+            [[0.6, 0.6, 0.0], [0.8, 0.8, 0.0], [0.0, 0.0, 1.0]],
+        ],
+        ids=["zeros", "inf", "nan", "parallel"],
+    )
+    def test_a_column_without_direction_raises_value_error(self, rotation):
+        # The suite turns RuntimeWarning into an error, so a division or projection that warns fails here.
+        with pytest.raises(ValueError, match="has no direction"):
+            decode_packet(self._with_rotation(rotation)).sender_pose()
+
     def test_nan_rotation_is_rejected(self):
         rotation = np.eye(3)
         rotation[1, 0] = np.nan
@@ -155,11 +170,8 @@ class TestSenderPose:
         for _ in range(300):
             pose = RigidTransform(random_rotation(rng), rng.uniform(-100, 100, 3))
             header = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).header
-            m = header["rotation"].astype(np.float64).reshape(3, 3)
-            c0 = m[:, 0] / np.linalg.norm(m[:, 0])
-            c1 = m[:, 1] - np.dot(m[:, 1], c0) * c0
-            c1 /= np.linalg.norm(c1)
-            want = RigidTransform(np.column_stack([c0, c1, np.cross(c0, c1)]), header["translation"].astype(np.float64))
+            rotation = reference_orthonormalized(header["rotation"].astype(np.float64).reshape(3, 3))
+            want = RigidTransform(rotation, header["translation"].astype(np.float64))
             got = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).sender_pose()
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
