@@ -1,24 +1,26 @@
 """Cross-agent association and fusion on a hand-built scene.
 
 Two agents observe an overlapping set of objects with different noise.
-The remote view is cut to the ego region of interest first; the
-association chain then splits it at the interaction range, matches
-near-field pairs by the combined geometry + appearance cost, and the fusion
-stage blends the pairs and assembles one deduplicated track set.
+The association chain cuts the remote view to the ego region of interest,
+splits it at the interaction range and matches near-field pairs by the
+combined geometry + appearance cost. The remote view then crosses the wire
+as one packet, and one ``Receiver.step`` aligns, associates and fuses it
+with the ego's view into one deduplicated track set.
 """
 
 import numpy as np
 
 from coopfuse import (
-    FusionConfig,
     Instance,
+    InstanceBatch,
     MatchWeights,
+    PipelineConfig,
+    Receiver,
+    RigidTransform,
     RoiSpec,
     StateVector,
-    TrackIdRegistry,
-    assemble_output,
     associate,
-    coarse_fuse,
+    encode_packet,
     filter_roi,
 )
 from coopfuse.robustness import noisy_feature
@@ -62,14 +64,8 @@ print(f"ego-only instances:   {[i.track_id for i in result.unmatched_ego]}")
 print(f"coop near, unmatched: {[i.track_id for i in result.unmatched_coop_near]}")
 print(f"coop far passthrough: {[i.track_id for i in result.coop_far]}")
 
-registry = TrackIdRegistry()
-fused = []
-for e, c, _ in result.matched:
-    registry.record_match(c.source_agent, c.track_id, e.track_id)
-    fused.append(coarse_fuse(e, c))
-
-tracks = assemble_output(fused, result.unmatched_ego, result.unmatched_coop_near,
-                         result.coop_far, FusionConfig(), registry, timestamp=0)
+packet = encode_packet(InstanceBatch.of(coop_view), RigidTransform.identity(), 0, sender_id=1)
+tracks, _, _ = Receiver(PipelineConfig(), tick_s=0.5).step([packet], ego_view, RigidTransform.identity(), 0)
 print(f"\nassembled track set: {len(tracks.instances)} tracks")
 for inst in tracks.instances:
     origin = "remote" if inst.track_id >> 63 else "ego"

@@ -27,21 +27,16 @@ from .association import (
     RoiSpec,
     associate,
     filter_roi,
-    match,
 )
-from .fusion import (
-    FusionConfig,
-    TrackIdRegistry,
-    assemble_output,
-    coarse_fuse,
-    refine_tracks,
-)
+from .fusion import FusionConfig
 from .robustness import (
     ObservationNoiseParams,
     TransformNoiseParams,
 )
 from .wire import MalformedPacket, decode_packet, encode_packet
 from .simulator import (
+    PipelineConfig,
+    Receiver,
     ScenarioConfig,
     run_scenario,
     sense,

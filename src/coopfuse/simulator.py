@@ -2,11 +2,11 @@
 
 A world of constant-velocity (optionally constant-yaw-rate) objects is
 observed by agents with parametric sensors (``sense_frames``). Each frame of
-``run_scenario`` then runs three stages. ``_send`` serializes each remote
+``run_scenario`` then runs two stages. ``_send`` serializes each remote
 agent's top detections, with sender pose noise, into a packet that crosses a
-channel with latency, jitter and loss. ``_receive`` decodes what has arrived,
-keeps each sender's newest packet unless one as new was fused before, and
-aligns it to the ego. ``_fuse`` associates, fuses and tracks. The event
+channel with latency, jitter and loss. ``Receiver.step`` decodes what has
+arrived, keeps each sender's newest packet unless one as new was fused
+before, aligns it to the ego, then associates, fuses and tracks. The event
 loop is single-threaded and fully determined by the scenario seed.
 """
 
@@ -610,58 +610,58 @@ def _send(
     return sent
 
 
-def _receive(
-    packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp, pipeline: PipelineConfig,
-    fused: dict[int, Timestamp],
-) -> tuple[list[Instance], int]:
-    """Decode the packets consumed at ``t`` (in arrival order), keep each sender's newest by send
-    time (of equal ones, the later arrival) and align its records to the ego at ``t``, senders in
-    id order. A packet sent at or before its sender's last fused one (``fused``, by sender, which
-    this updates) is skipped. Returns the aligned instances and the count of records past the horizon."""
-    newest: dict[int, InstancePacket] = {}
-    for data in packets:
-        packet = decode_packet(data)
-        if packet.send_timestamp <= fused.get(packet.sender_id, -1):
-            continue
-        prior = newest.get(packet.sender_id)
-        if prior is None or packet.send_timestamp >= prior.send_timestamp:
-            newest[packet.sender_id] = packet
-    aligned: list[Instance] = []
-    stale = 0
-    for sender in sorted(newest):
-        packet = newest[sender]
-        fused[sender] = packet.send_timestamp
-        rel = relative_transform(ego_pose, packet.sender_pose())
-        for inst in packet.to_instances():
-            if not pipeline.compensate_latency:
-                inst = inst._trusted_replace(observed_at=t)
-            try:
-                aligned.append(align_instance(inst, rel, t, pipeline.alignment))
-            except HorizonExceeded:
-                stale += 1
-    return aligned, stale
+class Receiver:
+    """The ego's side of every frame: align, associate across agents and fuse. It keeps what one frame hands
+    the next: the track-id ``registry``, each sender's last fused send time (``fused_at``) and the ``tracks``."""
 
+    def __init__(self, pipeline: PipelineConfig, tick_s: float) -> None:
+        self.pipeline = pipeline
+        self.tick_s = tick_s
+        self.registry = TrackIdRegistry()
+        self.fused_at: dict[int, Timestamp] = {}
+        self.tracks = TrackSet(timestamp=0, instances=())
 
-def _fuse(
-    ego_all: Sequence[Instance], coop_aligned: Sequence[Instance], gt_all: tuple[GroundTruthObject, ...],
-    columns: ClassColumns, prev_tracks: TrackSet, registry: TrackIdRegistry, t: Timestamp, cfg: ScenarioConfig,
-) -> tuple[TrackSet, tuple[GroundTruthObject, ...], int, float]:
-    """The ego's frame at ``t``: ROI, association, fusion and refinement against ``prev_tracks``.
-    Returns the track set, the ground truth in the ROI, the count of aligned cooperator instances in the ROI and
-    their prefusion error against ``columns``, in ``FrameRecord`` order. Each group is cut to the ROI once."""
-    pipe = cfg.pipeline
-    coop_in_roi = filter_roi(coop_aligned, pipe.roi)
-    result = associate(filter_roi(ego_all, pipe.roi), coop_in_roi, pipe.r_int, pipe.weights)
-    fused = []
-    for ego_inst, coop_inst, _cost in result.matched:
-        registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
-        fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
-    assembled = assemble_output(
-        fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, registry, t
-    )
-    tracks = refine_tracks(assembled, prev_tracks, cfg.tick_s, pipe.fusion)
-    # The error searches the whole world's columns, so an object astride the ROI edge meets no distant stranger.
-    return tracks, tuple(filter_roi(gt_all, pipe.roi)), len(coop_in_roi), _prefusion_error(coop_in_roi, columns)
+    def step(
+        self, packets: Sequence[bytes], ego_detections: Sequence[Instance], ego_pose: RigidTransform, t: Timestamp
+    ) -> tuple[TrackSet, list[Instance], int]:
+        """The ego's frame at ``t`` from its detections and the packets consumed at ``t``, in arrival order. Each
+        sender's newest packet by send time (of equal ones, the later arrival) is aligned, senders in id order; one
+        sent at or before its sender's last fused one is skipped before any record is built. The detections and the
+        aligned instances are cut to the ROI once each, associated, fused and refined against the previous tracks.
+        Returns the tracks, the aligned cooperator instances in the ROI and the count of records past the horizon."""
+        pipe = self.pipeline
+        newest: dict[int, InstancePacket] = {}
+        for data in packets:
+            packet = decode_packet(data)
+            if packet.send_timestamp <= self.fused_at.get(packet.sender_id, -1):
+                continue
+            prior = newest.get(packet.sender_id)
+            if prior is None or packet.send_timestamp >= prior.send_timestamp:
+                newest[packet.sender_id] = packet
+        aligned: list[Instance] = []
+        stale = 0
+        for sender in sorted(newest):
+            packet = newest[sender]
+            self.fused_at[sender] = packet.send_timestamp
+            rel = relative_transform(ego_pose, packet.sender_pose())
+            for inst in packet.to_instances():
+                if not pipe.compensate_latency:
+                    inst = inst._trusted_replace(observed_at=t)
+                try:
+                    aligned.append(align_instance(inst, rel, t, pipe.alignment))
+                except HorizonExceeded:
+                    stale += 1
+        coop_in_roi = filter_roi(aligned, pipe.roi)
+        result = associate(filter_roi(ego_detections, pipe.roi), coop_in_roi, pipe.r_int, pipe.weights)
+        fused = []
+        for ego_inst, coop_inst, _cost in result.matched:
+            self.registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
+            fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
+        assembled = assemble_output(
+            fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, self.registry, t
+        )
+        self.tracks = refine_tracks(assembled, self.tracks, self.tick_s, pipe.fusion)
+        return self.tracks, coop_in_roi, stale
 
 
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
@@ -672,11 +672,10 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         raise ValueError("the record is of another scene than the config's")
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))  # world 0, agent 2 + id
     ego_spec, *coop_specs = sorted(cfg.agents, key=lambda a: not a.ego)  # the ego, then the others in id order
-    registry = TrackIdRegistry()
+    receiver = Receiver(cfg.pipeline, cfg.tick_s)
     inbox: list[tuple[Timestamp, int, bytes]] = []  # a heap of (arrival, index of the send event, packet)
     events: list[SimEvent] = []
     frames: list[FrameRecord] = []
-    fused: dict[int, Timestamp] = {}  # each sender's last fused send time
     frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
     for t in range(0, cfg.frame_count * seconds_to_micros(cfg.tick_s), seconds_to_micros(cfg.tick_s)):
         coop_dets, ego_all, gt, columns = next(frames_in)
@@ -691,8 +690,9 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         while inbox and inbox[0][0] <= t:
             due.append(heapq.heappop(inbox))
         events += [events[i]._replace(t_us=t, kind="consume") for _, i, _ in due]  # the send's size and arrival
-        coop_aligned, stale = _receive([packet for *_, packet in due], ego_spec.pose_at(t), t, cfg.pipeline, fused)
-        prev_tracks = frames[-1].tracks if frames else TrackSet(timestamp=0, instances=())
-        frames.append(FrameRecord(t, *_fuse(ego_all, coop_aligned, gt, columns, prev_tracks, registry, t, cfg), stale))
+        tracks, coop_in_roi, stale = receiver.step([packet for *_, packet in due], ego_all, ego_spec.pose_at(t), t)
+        # The error searches the whole world's columns, so an object astride the ROI edge meets no distant stranger.
+        gt = tuple(filter_roi(gt, cfg.pipeline.roi))
+        frames.append(FrameRecord(t, tracks, gt, len(coop_in_roi), _prefusion_error(coop_in_roi, columns), stale))
     sent = sum(e.size_bytes for e in events if e.kind in ("send", "drop"))
     return RunResult(cfg, frames, events, sent, sum(e.size_bytes for e in events if e.kind == "consume"))

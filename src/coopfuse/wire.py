@@ -109,9 +109,13 @@ class InstancePacket:
 
     def sender_pose(self) -> RigidTransform:
         """The sender pose, re-orthonormalized after f32 quantization and checked by ``RigidTransform``. ValueError
-        if rotation column 0 or 1 is zero or non-finite, the two are (nearly) parallel or translation is not finite."""
-        rot = _orthonormalized(self.header["rotation"].astype(np.float64).reshape(3, 3))
-        return RigidTransform(rot, self.header["translation"].astype(np.float64))
+        if rotation column 0 or 1 is zero or non-finite, the two are (nearly) parallel, column 2 is off their cross
+        product by more than 1e-6 (f32 leaves under 1e-7; a reflection or NaN is off) or translation is not finite."""
+        sent = self.header["rotation"].astype(np.float64).reshape(3, 3)
+        pose = RigidTransform(_orthonormalized(sent), self.header["translation"].astype(np.float64))
+        if not all(abs(d) <= 1e-6 for d in (sent[:, 2] - pose.rotation[:, 2]).tolist()):
+            raise ValueError(f"rotation column 2 {sent[:, 2].tolist()} is not the cross product of columns 0 and 1")
+        return pose
 
     def to_instances(self) -> list[Instance]:
         """Validated Instances, heading and feature renormalized after f32. Raises ValueError on records

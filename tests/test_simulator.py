@@ -17,9 +17,9 @@ from coopfuse.core import (
 )
 from coopfuse.association import RoiSpec
 from coopfuse.evaluation import compute_metrics, metrics_row, sweep_interaction_range
-from coopfuse.fusion import TrackIdRegistry, TrackSet
+from coopfuse.fusion import COOP_TRACK_FLAG
 from coopfuse.robustness import TransformNoiseParams
-from coopfuse.wire import InstancePacket, encode_packet
+from coopfuse.wire import InstancePacket, decode_packet, encode_packet
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
@@ -624,13 +624,28 @@ def _packet(sender, t_send, *xs):
     return encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), t_send, sender)
 
 
+def _record_decoded(monkeypatch):
+    """The sender of every packet whose records are built from now on, in order."""
+    decoded, real = [], InstancePacket.to_instances
+
+    def recording(packet):
+        decoded.append(packet.sender_id)
+        return real(packet)
+
+    monkeypatch.setattr(InstancePacket, "to_instances", recording)
+    return decoded
+
+
 class TestReceive:
-    """``_receive``: the newest packet per sender, senders in id order, records past the horizon counted."""
+    """``Receiver.step``: the newest packet per sender, senders in id order, records past the horizon counted."""
 
     PIPELINE = PipelineConfig()
 
+    def _receiver(self):
+        return simulator.Receiver(self.PIPELINE, tick_s=0.5)
+
     def _xs(self, packets, t=300_000):
-        aligned, stale = simulator._receive(packets, RigidTransform.identity(), t, self.PIPELINE, {})
+        _, aligned, stale = self._receiver().step(packets, [], RigidTransform.identity(), t)
         assert stale == 0
         return [(inst.source_agent, inst.state.x) for inst in aligned]
 
@@ -649,45 +664,70 @@ class TestReceive:
 
     def test_packet_past_the_horizon_is_all_stale(self):
         horizon_us = seconds_to_micros(self.PIPELINE.alignment.max_compensation_horizon)
-        aligned, stale = simulator._receive(
-            [_packet(1, 0, 1.0, 2.0, 3.0)], RigidTransform.identity(), horizon_us + 1, self.PIPELINE, {}
+        _, aligned, stale = self._receiver().step(
+            [_packet(1, 0, 1.0, 2.0, 3.0)], [], RigidTransform.identity(), horizon_us + 1
         )
         assert (aligned, stale) == ([], 3)
 
     def test_packet_no_newer_than_one_fused_before_is_skipped(self, monkeypatch):
-        fused = {}
-        simulator._receive([_packet(1, 200_000, 2.0)], RigidTransform.identity(), 300_000, self.PIPELINE, fused)
-        assert fused == {1: 200_000}
-        decoded, real = [], InstancePacket.to_instances
-
-        def recording(packet):
-            decoded.append(packet.sender_id)
-            return real(packet)
-
-        monkeypatch.setattr(InstancePacket, "to_instances", recording)
+        receiver = self._receiver()
+        receiver.step([_packet(1, 200_000, 2.0)], [], RigidTransform.identity(), 300_000)
+        assert receiver.fused_at == {1: 200_000}
+        decoded = _record_decoded(monkeypatch)
         late = [_packet(1, 100_000, 1.0), _packet(1, 200_000, 3.0), _packet(2, 100_000, 4.0)]
-        aligned, stale = simulator._receive(late, RigidTransform.identity(), 400_000, self.PIPELINE, fused)
+        _, aligned, stale = receiver.step(late, [], RigidTransform.identity(), 400_000)
         assert ([(inst.source_agent, inst.state.x) for inst in aligned], stale) == ([(2, 4.0)], 0)
         assert decoded == [2]  # a skipped packet yields no records
-        assert fused == {1: 200_000, 2: 100_000}
+        assert receiver.fused_at == {1: 200_000, 2: 100_000}
+
+
+class TestReceiverAcrossSteps:
+    """One ``Receiver`` over several frames, as ``run_scenario`` drives it."""
+
+    def test_a_remote_only_track_keeps_its_output_id(self):
+        receiver = simulator.Receiver(PipelineConfig(), tick_s=0.5)
+        first, _, _ = receiver.step([_packet(3, 0, 10.0, 20.0)], [], RigidTransform.identity(), 0)
+        remote = {inst.state.x: inst.track_id for inst in first.instances}
+        assert remote == {10.0: COOP_TRACK_FLAG + (3 << 48), 20.0: COOP_TRACK_FLAG + (3 << 48) + 1}
+        # Only the sender's track 2 (at x = 20) comes again; a fresh registry would give it the first ID.
+        again = make_instance(x=20.0, track_id=2, source_agent=3, observed_at=500_000)
+        packet = encode_packet(InstanceBatch.of([again]), RigidTransform.identity(), 500_000, 3)
+        second, _, _ = receiver.step([packet], [], RigidTransform.identity(), 500_000)
+        assert [inst.track_id for inst in second.instances] == [remote[20.0]]
+
+    def test_a_packet_no_newer_than_one_fused_in_an_earlier_step_builds_no_record(self, monkeypatch):
+        receiver = simulator.Receiver(PipelineConfig(), tick_s=0.5)
+        first, _, _ = receiver.step([_packet(1, 500_000, 2.0)], [], RigidTransform.identity(), 500_000)
+        assert len(first.instances) == 1
+        decoded = _record_decoded(monkeypatch)
+        # An older packet and a copy of the fused one arrive a frame later, as jitter above the tick allows.
+        late = [_packet(1, 0, 1.0), _packet(1, 500_000, 3.0)]
+        second, aligned, stale = receiver.step(late, [], RigidTransform.identity(), 1_000_000)
+        assert (decoded, aligned, stale, second.instances) == ([], [], 0, ())
+        assert receiver.fused_at == {1: 500_000}
 
 
 class TestFuse:
     def test_cuts_each_group_to_the_roi_once(self, monkeypatch):
         # One contains call per ego detection, aligned cooperator instance and ground-truth object.
         cfg = shipped("quickstart")
-        cfg = replace(cfg, pipeline=replace(cfg.pipeline, roi=RoiSpec(x_half=8.0, y_half=8.0)))
+        cfg = replace(cfg, duration_s=cfg.tick_s, channel=ChannelModel(),  # one frame, every packet delivered at once
+                      pipeline=replace(cfg.pipeline, roi=RoiSpec(x_half=8.0, y_half=8.0)))
         ego_spec, *coop_specs = cfg.agents
-        coop_dets, ego_all, gt_all, columns = next(simulator.sense_frames(cfg))
+        coop_dets, ego_all, gt_all, _ = next(simulator.sense_frames(cfg))
         sent = simulator._send(cfg, coop_specs, coop_dets, 0, np.random.default_rng(0))
-        coop_aligned, _ = simulator._receive([packet for _, packet, _ in sent], ego_spec.pose_at(0), 0, cfg.pipeline, {})
+        packets = [packet for _, packet, _ in sent]
+        aligned = sum(decode_packet(packet).count for packet in packets)
         calls, real = [], RoiSpec.contains
         monkeypatch.setattr(RoiSpec, "contains", lambda roi, state: calls.append(state) or real(roi, state))
-        _, gt, consumed, _ = simulator._fuse(
-            ego_all, coop_aligned, gt_all, columns, TrackSet(timestamp=0, instances=()), TrackIdRegistry(), 0, cfg
-        )
-        assert len(calls) == len(ego_all) + len(coop_aligned) + len(gt_all)
-        assert 0 < consumed < len(coop_aligned) and 0 < len(gt) < len(gt_all)  # the cut drops some of each
+        receiver = simulator.Receiver(cfg.pipeline, cfg.tick_s)
+        _, coop_in_roi, stale = receiver.step(packets, ego_all, ego_spec.pose_at(0), 0)
+        assert stale == 0 and len(calls) == len(ego_all) + aligned  # the step cuts its two groups
+        calls.clear()
+        (frame,) = run_scenario(cfg).frames  # and the run the ground truth
+        assert len(calls) == len(ego_all) + aligned + len(gt_all)
+        assert frame.coop_consumed == len(coop_in_roi)
+        assert 0 < frame.coop_consumed < aligned and 0 < len(frame.ground_truth) < len(gt_all)  # the cut drops some
 
 
 def _frame_bytes(run):

@@ -160,6 +160,14 @@ class TestSenderPose:
         with pytest.raises(ValueError, match="has no direction"):
             decode_packet(self._with_rotation(rotation)).sender_pose()
 
+    @pytest.mark.parametrize("column", [[np.nan, 0.0, 1.0], [0.0, 0.0, -1.0]], ids=["nan", "reflection"])
+    def test_a_third_column_off_the_cross_product_raises_value_error(self, column):
+        # Columns 0 and 1 are valid, so only column 2 is wrong: a NaN, or the identity mirrored through z = 0.
+        rotation = np.eye(3)
+        rotation[:, 2] = column
+        with pytest.raises(ValueError, match=r"^rotation column 2 .* is not the cross product of columns 0 and 1$"):
+            decode_packet(self._with_rotation(rotation)).sender_pose()
+
     def test_nan_rotation_is_rejected(self):
         rotation = np.eye(3)
         rotation[1, 0] = np.nan

@@ -134,6 +134,25 @@ def test_truncated_or_extended_packets_raise_malformed(case, data):
         decode_packet(payload + tail)
 
 
+unit = st.floats(-1.0, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.tuples(unit, unit, unit, unit).filter(lambda q: sum(v * v for v in q) > 1e-3), st.tuples(finite, finite, finite))
+def test_every_pose_encode_accepts_decodes(quaternion, translation):
+    # Any rotation, as a unit quaternion: its header's third column is the cross product of the first two within f32.
+    w, x, y, z = np.array(quaternion) / math.sqrt(sum(v * v for v in quaternion))
+    rotation = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    pose = RigidTransform(rotation, translation)
+    got = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).sender_pose()
+    np.testing.assert_allclose(got.rotation, pose.rotation, rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(got.translation, f32(pose.translation))
+
+
 def _one(track_id=1, class_id=0):
     return Instance(
         state=StateVector(0.0, 0.0, 0.0, 4.5, 1.9, 1.6, 0.0, 1.0, 0.0, 0.0, 0.0),
