@@ -41,6 +41,7 @@ NO_TRACK_ID = 0xFFFF_FFFF_FFFF_FFFF
 MAX_SENDER_ID = 0xFFFF
 MAX_RECORD_COUNT = MAX_FEATURE_DIM = 0xFFFF
 MAX_CLASS_ID = 0xFF
+MAX_F32 = float(np.finfo(np.float32).max)
 
 HEADER_DTYPE = np.dtype(
     [
@@ -86,7 +87,11 @@ def packet_size(count: int, feature_dim: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class InstancePacket:
-    """A packet as wire values: one ``HEADER_DTYPE`` header and the records."""
+    """A packet as wire values: one ``HEADER_DTYPE`` header and the records.
+
+    The packet keeps its sender pose and its validated instances from the first call that builds them, so every
+    replay of a ``SceneRecord`` that receives the same bytes shares one build. A call that raises keeps nothing,
+    and raises again at the next call."""
 
     header: np.void
     records: np.ndarray  # record_dtype(feature_dim), one entry per instance
@@ -111,6 +116,10 @@ class InstancePacket:
         """The sender pose, re-orthonormalized after f32 quantization and checked by ``RigidTransform``. ValueError
         if rotation column 0 or 1 is zero or non-finite, the two are (nearly) parallel, column 2 is off their cross
         product by more than 1e-6 (f32 leaves under 1e-7; a reflection or NaN is off) or translation is not finite."""
+        return self._pose
+
+    @functools.cached_property
+    def _pose(self) -> RigidTransform:
         sent = self.header["rotation"].astype(np.float64).reshape(3, 3)
         pose = RigidTransform(_orthonormalized(sent), self.header["translation"].astype(np.float64))
         if not all(abs(d) <= 1e-6 for d in (sent[:, 2] - pose.rotation[:, 2]).tolist()):
@@ -118,9 +127,13 @@ class InstancePacket:
         return pose
 
     def to_instances(self) -> list[Instance]:
-        """Validated Instances, heading and feature renormalized after f32. Raises ValueError on records
-        ``core._check_records`` rejects (one batch check) or a feature ``normalize_feature`` cannot normalize,
-        DegenerateHeading on a zero heading."""
+        """Validated Instances, heading and feature renormalized after f32, as a new list at every call. Raises
+        ValueError on records ``core._check_records`` rejects (one batch check) or a feature ``normalize_feature``
+        cannot normalize, DegenerateHeading on a zero heading."""
+        return list(self._instances)
+
+    @functools.cached_property
+    def _instances(self) -> tuple[Instance, ...]:
         recs = self.records
         states, features = recs["state"].astype(np.float64), recs["feature"].astype(np.float64)
         _check_records(states, features, recs["confidence"], self.send_timestamp)
@@ -132,7 +145,7 @@ class InstancePacket:
         confidences = np.where(recs["confidence"] < 0.0, 0.0, np.minimum(recs["confidence"], 1.0))
         batch = InstanceBatch(states, features, confidences, recs["class_id"], track_ids,
                               self.sender_id, self.send_timestamp)
-        return batch.instances()
+        return tuple(batch.instances())
 
 
 def serialize_packet(packet: InstancePacket) -> bytes:
@@ -146,7 +159,8 @@ def encode_packet(
     sender_id: int = 0,
 ) -> bytes:
     """Serialize a batch of instances plus the sender pose and timestamp (an
-    empty batch declares D = 0); raises ValueError on an ID, count or D its field cannot hold."""
+    empty batch declares D = 0); raises ValueError on an ID, count or D its field cannot hold, or a
+    finite translation or state value beyond f32's range (checked before any cast, once per column)."""
     if not 0 <= sender_id <= MAX_SENDER_ID:
         raise ValueError(f"sender_id {sender_id} does not fit the wire format")
     untracked = np.equal(instances.track_ids, None)
@@ -158,6 +172,12 @@ def encode_packet(
     feature_dim = instances.features.shape[1] if len(instances) else 0
     if len(instances) > MAX_RECORD_COUNT or feature_dim > MAX_FEATURE_DIM:
         raise ValueError(f"{len(instances)} records of D = {feature_dim} do not fit the wire format")
+    # No other column can overflow: rotation entries, a valid batch's confidences and its unit features lie in [-1, 1].
+    for name, column in (("translation", pose.translation), ("state", instances.states)):
+        if not np.abs(column).max(initial=0.0) <= MAX_F32:  # NaN and inf land here too, and go out as they are
+            big = column[np.abs(column) > MAX_F32]
+            if np.isfinite(big).any():
+                raise ValueError(f"{name} value {big[np.isfinite(big)][0]} does not fit the wire format")
     header = np.array(
         (MAGIC, VERSION, sender_id, t, pose.rotation.reshape(-1), pose.translation,
          len(instances), feature_dim),

@@ -79,6 +79,32 @@ def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch):
         assert holds is True, (label, lhs, rhs)
 
 
+def test_a_traced_sweep_decodes_each_distinct_packet_once(monkeypatch):
+    # The sweep's points share the scene record's decoded packets; every hooked call the identities
+    # count still runs once per point, so the decode count falls while all four identities hold.
+    from dataclasses import replace
+
+    from coopfuse import evaluation, load_scenario, simulator
+
+    cfg = load_scenario(ROOT / "configs" / "range_study.yaml")
+    cfg = replace(cfg, duration_s=5 * cfg.tick_s)
+    # r_int changes nothing a cooperator sends, so each of the 7 points receives these packets.
+    per_point = sum(e.kind == "consume" for e in simulator.run_scenario(cfg).events)
+    hooks = _benchmark_tracer(monkeypatch)
+    try:
+        with hooks.op(0, "op.test"):
+            evaluation.sweep_interaction_range(cfg, [10, 20, 30, 40, 50, 60, 70], jobs=1)
+    finally:
+        hooks.uninstall()
+    assert hooks.counts["simulator.run_scenario.frames"] == 7 * 5
+    assert 0 < hooks.counts["wire.decode.packets"] == per_point  # of 7 * per_point received
+    assert hooks.counts["wire.to_instances.records"] > 0 and hooks.broken_counters == set()
+    identities = hooks.check_identities()
+    assert len(identities) == 4
+    for label, lhs, rhs, holds in identities:
+        assert holds is True, (label, lhs, rhs)
+
+
 def test_the_harness_sweep_scores_inside_traced_trials(monkeypatch):
     # The benchmark's harness coverage is the share of a sweep spent in hooked calls: each scene must be
     # one traced trial that builds its scene and solves every alpha's assignment inside it.

@@ -801,6 +801,7 @@ class TestRecordReplay:
         for point, vary in POINTS.items():  # one record serves every point, in turn
             point_cfg = vary(cfg)
             assert _outputs(run_scenario(point_cfg, record)) == _outputs(run_scenario(point_cfg)), point
+        assert record.decoded  # the later points replayed packets the earlier ones decoded
 
     def test_a_sweep_builds_the_class_columns_once_per_sensed_frame(self, monkeypatch):
         # The prefusion error searches each frame's per-class ground-truth columns; the record keeps
@@ -811,6 +812,52 @@ class TestRecordReplay:
         monkeypatch.setattr(simulator, "_class_columns", lambda gt: builds.append(gt) or real(gt))
         rows = sweep_interaction_range(cfg, [10, 20, 30, 40, 50, 60, 70], jobs=1)
         assert len(rows) == 7 and len(builds) == cfg.frame_count == 5
+
+    def test_a_sweep_decodes_each_distinct_packet_once(self, monkeypatch):
+        # Every point receives the same packets (r_int changes nothing the cooperator sends), and
+        # the points share the record's decode of each.
+        cfg = shipped("range_study")
+        cfg = replace(cfg, duration_s=5 * cfg.tick_s)
+        received = sum(e.kind == "consume" for e in run_scenario(cfg).events)
+        decoded, real = [], simulator.decode_packet
+        monkeypatch.setattr(simulator, "decode_packet", lambda data: decoded.append(data) or real(data))
+        rows = sweep_interaction_range(cfg, [10, 20, 30, 40, 50, 60, 70], jobs=1)
+        assert len(rows) == 7 and 0 < len(decoded) == len(set(decoded)) == received
+
+    def test_streamed_runs_share_no_decode(self, monkeypatch):
+        cfg = replace(shipped("quickstart"), duration_s=1.0)
+        decoded, real = [], simulator.decode_packet
+        monkeypatch.setattr(simulator, "decode_packet", lambda data: decoded.append(data) or real(data))
+        received = sum(e.kind == "consume" for e in run_scenario(cfg).events)
+        run_scenario(cfg)
+        assert 0 < received and len(decoded) == 2 * received
+
+    @staticmethod
+    def _records_zero_width(packet: InstancePacket) -> bytes:
+        records = packet.records.copy()
+        records["state"][:, 4] = 0.0
+        return packet.header.tobytes() + records.tobytes()
+
+    @staticmethod
+    def _translation_nan(packet: InstancePacket) -> bytes:
+        header = packet.header.copy()
+        header["translation"][0] = np.nan
+        return header.tobytes() + packet.records.tobytes()
+
+    @pytest.mark.parametrize(
+        "tamper, error",
+        [("_records_zero_width", "box dimension"), ("_translation_nan", "translation is not finite")],
+        ids=["to_instances", "sender_pose"],
+    )
+    def test_a_packet_that_fails_fails_again_at_every_replay(self, monkeypatch, tamper, error):
+        real = simulator.encode_packet
+        tampered = getattr(self, tamper)
+        monkeypatch.setattr(simulator, "encode_packet", lambda *args: tampered(decode_packet(real(*args))))
+        cfg = replace(shipped("quickstart"), duration_s=1.0)
+        record = record_scene(cfg)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=error):
+                run_scenario(cfg, record)
 
     @pytest.mark.parametrize(
         "other",

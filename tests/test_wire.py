@@ -11,6 +11,7 @@ from coopfuse.wire import (
     HEADER_DTYPE,
     HEADER_SIZE,
     MAGIC,
+    MAX_F32,
     MAX_FEATURE_DIM,
     MAX_RECORD_COUNT,
     NO_TRACK_ID,
@@ -264,6 +265,16 @@ class TestDecodeBoundary:
     def test_untampered_records_decode(self):
         assert len(decode_packet(_tampered(lambda records: None)).to_instances()) == 2
 
+    def test_the_packet_builds_its_pose_and_instances_once(self):
+        # Replays of one scene record share a packet, so every call must get the same values.
+        packet = decode_packet(_tampered(lambda records: None))
+        first = packet.to_instances()
+        first.append(first.pop(0))
+        again = packet.to_instances()
+        assert again is not first and [i.track_id for i in again] == [1, 2]
+        assert all(a is b for a, b in zip(again, packet.to_instances()))
+        assert packet.sender_pose() is packet.sender_pose()
+
     def test_decoded_features_own_their_memory(self):
         # A view into the packet's array would keep every record's feature
         # alive for as long as any one decoded instance is kept.
@@ -288,6 +299,21 @@ class TestEncodePacket:
         widest = decode_packet(encode_packet(InstanceBatch.of([make_instance(dim=MAX_FEATURE_DIM)]),
                                              RigidTransform.identity(), 0, 0))
         assert widest.feature_dim == MAX_FEATURE_DIM
+
+    @pytest.mark.parametrize(
+        "instances, translation",
+        [([], [1e39, 0.0, 0.0]), ([make_instance(x=1e39)], [0.0, 0.0, 0.0])],
+        ids=["translation", "state-x"],
+    )
+    def test_rejects_a_finite_value_beyond_f32(self, instances, translation):
+        # Cast, it would go out as inf with only a RuntimeWarning, and the receiver would reject the whole packet.
+        with pytest.raises(ValueError, match="does not fit the wire format"):
+            encode_packet(InstanceBatch.of(instances), RigidTransform.from_yaw(0.0, translation), 0, 0)
+
+    def test_the_largest_f32_fits(self):
+        batch = InstanceBatch.of([make_instance(x=-MAX_F32)])
+        packet = decode_packet(encode_packet(batch, RigidTransform.from_yaw(0.0, [MAX_F32, 0.0, 0.0]), 0, 0))
+        assert packet.records["state"][0, 0] == -MAX_F32 and packet.header["translation"][0] == MAX_F32
 
     def test_quantizes_to_f32_exact_values(self):
         inst = make_instance(x=1.0 / 3.0, dim=4)
