@@ -651,7 +651,7 @@ class Receiver:
     def _align(self, packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp) -> tuple[list[Instance], int]:
         # Without a map, each sender's packet and the instances it keeps go once its records are aligned (hence the
         # del, the pop and a method apart from step): kept through association, they would survive into older GC
-        # generations and slow every collection (crowd lost 3% so).
+        # generations and slow every collection (by about 3% of a crowd run).
         pipe = self.pipeline
         newest: dict[int, InstancePacket] = {}
         decoded = {} if self.decoded is None else self.decoded

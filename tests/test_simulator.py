@@ -791,6 +791,18 @@ POINTS = {
 }
 
 
+def _zero_width_records(packet: InstancePacket) -> bytes:
+    records = packet.records.copy()
+    records["state"][:, 4] = 0.0
+    return packet.header.tobytes() + records.tobytes()
+
+
+def _nan_translation(packet: InstancePacket) -> bytes:
+    header = packet.header.copy()
+    header["translation"][0] = np.nan
+    return header.tobytes() + packet.records.tobytes()
+
+
 class TestRecordReplay:
     """A sweep senses its scene once (record_scene) and replays it at every point."""
 
@@ -832,27 +844,14 @@ class TestRecordReplay:
         run_scenario(cfg)
         assert 0 < received and len(decoded) == 2 * received
 
-    @staticmethod
-    def _records_zero_width(packet: InstancePacket) -> bytes:
-        records = packet.records.copy()
-        records["state"][:, 4] = 0.0
-        return packet.header.tobytes() + records.tobytes()
-
-    @staticmethod
-    def _translation_nan(packet: InstancePacket) -> bytes:
-        header = packet.header.copy()
-        header["translation"][0] = np.nan
-        return header.tobytes() + packet.records.tobytes()
-
     @pytest.mark.parametrize(
         "tamper, error",
-        [("_records_zero_width", "box dimension"), ("_translation_nan", "translation is not finite")],
+        [(_zero_width_records, "box dimension"), (_nan_translation, "translation is not finite")],
         ids=["to_instances", "sender_pose"],
     )
     def test_a_packet_that_fails_fails_again_at_every_replay(self, monkeypatch, tamper, error):
         real = simulator.encode_packet
-        tampered = getattr(self, tamper)
-        monkeypatch.setattr(simulator, "encode_packet", lambda *args: tampered(decode_packet(real(*args))))
+        monkeypatch.setattr(simulator, "encode_packet", lambda *args: tamper(decode_packet(real(*args))))
         cfg = replace(shipped("quickstart"), duration_s=1.0)
         record = record_scene(cfg)
         for _ in range(2):
