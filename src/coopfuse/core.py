@@ -21,8 +21,9 @@ records as one batch with ``_check_records``, then normalize the features
 with ``normalize_feature``.
 
 Shared operations live here once: ``normalize_feature``, the only feature
-normalization, and the nearest-neighbour rule that both continues sensing
-tracks and scores a run, ``pairs_within`` then ``greedy_nearest``.
+normalization; ``pairs_within`` then ``greedy_nearest``, which continue
+sensing tracks and score a run; and ``nearest`` over a sorted class column,
+which suppresses fusion duplicates and gives the prefusion error.
 """
 
 from __future__ import annotations
@@ -393,12 +394,23 @@ class GroundTruthObject(NamedTuple):
     state: StateVector
 
 
-def x_window(column: Sequence[tuple[float, ...]], x: float, radius: float) -> slice:
-    """The part of ``column`` (tuples sorted, x first) that may lie within ``radius`` of x:
-    hypot(dx, dy) >= |dx|, and the slack exceeds the rounding of x +- reach and of a
-    difference ``qx - x``, so the window drops no such point."""
-    reach = radius + (radius + abs(x)) * 2.0**-50
-    return slice(bisect.bisect_left(column, (x - reach,)), bisect.bisect_right(column, (x + reach, math.inf)))
+ClassColumns = dict[int, list[tuple[float, float]]]  # each class's (x, y) points, sorted, as ``nearest`` reads them
+
+
+def nearest(column: Sequence[tuple[float, float]], x: float, y: float, limit: float = math.inf) -> float:
+    """The least ``math.hypot(x - gx, y - gy)`` over an x-sorted column of ``(gx, gy)`` (inf if empty) when it is at
+    most ``limit``, else some distance above ``limit``. Each direction outward from x stops at the first ``|x - gx|``
+    above a reach, ``limit`` shrunk to the best found: ``hypot(dx, dy) >= |dx|`` for the same rounded ``x - gx``."""
+    split, best, reach = bisect.bisect_left(column, (x,)), math.inf, limit
+    for side in (column[split:], reversed(column[:split])):
+        for gx, gy in side:
+            dx = x - gx
+            if abs(dx) > reach:
+                break
+            d = math.hypot(dx, y - gy)
+            if d < best:
+                best, reach = d, min(d, reach)
+    return best
 
 
 def pairs_within(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .alignment import compensate_latency
-from .core import DegenerateHeading, Instance, StateVector, Timestamp, normalize_feature, x_window
+from .core import ClassColumns, DegenerateHeading, Instance, StateVector, Timestamp, nearest, normalize_feature
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -187,19 +187,18 @@ def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
     """Suppress same-class instances within ``radius`` of a stronger one.
 
     Instances are visited in descending confidence (stable under ties); an
-    instance is dropped when one kept before it, read from an x-sorted window,
-    is of its class and within the planar radius. Output is in visiting order.
+    instance is dropped when ``nearest`` finds one kept before it in its class's
+    sorted column within the planar radius. Output is in visiting order.
     """
     if not radius > 0:  # NaN fails it too
         raise ValueError("radius must be positive")
     kept: list[Instance] = []
-    by_x: list[tuple[float, float, int]] = []  # (x, y, class) of the kept instances, sorted
+    columns: ClassColumns = {}  # the sorted (x, y) of the kept instances, per class
     for inst in sorted(instances, key=lambda i: -i.confidence):
-        x, y, c = inst.state.x, inst.state.y, inst.class_id
-        near = by_x[x_window(by_x, x, radius)]
-        if not any(kc == c and math.hypot(kx - x, ky - y) <= radius for kx, ky, kc in near):
+        x, y, column = inst.state.x, inst.state.y, columns.setdefault(inst.class_id, [])
+        if nearest(column, x, y, radius) > radius:
             kept.append(inst)
-            bisect.insort(by_x, (x, y, c))
+            bisect.insort(column, (x, y))
     return kept
 
 

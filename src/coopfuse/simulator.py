@@ -12,7 +12,6 @@ loop is single-threaded and fully determined by the scenario seed.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import logging
@@ -25,6 +24,7 @@ import numpy as np
 from .alignment import AlignmentConfig, HorizonExceeded, align_instance, transform_states
 from .association import MatchWeights, RoiSpec, associate, filter_roi
 from .core import (
+    ClassColumns,
     GroundTruthObject,
     Instance,
     InstanceBatch,
@@ -35,6 +35,7 @@ from .core import (
     _check_records,
     greedy_nearest,
     invert,
+    nearest,
     normalize_feature,
     pairs_within,
     relative_transform,
@@ -191,15 +192,16 @@ class Agent:
         self._next_track_id = 1
 
 
-def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch:
+def sense(agent: Agent, world: World) -> InstanceBatch:
     """One sensing pass: detect, noise, and continue track identities.
 
     The pass is one batch of rows in the agent frame, with one uniform detect
     draw per object in range and field of view and one Gaussian draw per
-    detection, checked as one batch; no per-detection value is built. Each
-    quality mixes its near and far values by ``min(r / max_range, 1)``.
-    Persistent per-agent track IDs come from nearest-neighbor continuation
-    against the previous pass, predicted forward by the stored velocity.
+    detection, both from ``agent.rng``, checked as one batch; no per-detection
+    value is built. Each quality mixes its near and far values by
+    ``min(r / max_range, 1)``. Persistent per-agent track IDs come from
+    nearest-neighbor continuation against the previous pass, predicted
+    forward by the stored velocity.
     """
     spec = agent.spec
     sensor = spec.sensor
@@ -222,7 +224,7 @@ def sense(agent: Agent, world: World, rng: np.random.Generator) -> InstanceBatch
             if sensor.fov_deg == 360.0 or abs(math.atan2(ys[i], xs[i])) <= half_fov]
     detect_prob = sensor.detect_prob_near + (sensor.detect_prob_far - sensor.detect_prob_near) * frac[seen]
     noise = np.empty((len(seen), k + sensor.feature_dim))
-    random, standard_normal = rng.random, rng.standard_normal
+    random, standard_normal = agent.rng.random, agent.rng.standard_normal
     hits = []
     for i, p in zip(seen, detect_prob.tolist()):
         if random() < p:
@@ -322,7 +324,8 @@ def bev_baseline_cost(
     A square grid of side 2 * range / cell holds the scene; the cost is
     quadratic in range, which is the scaling the sparse format avoids.
     """
-    if range_m <= 0 or cell_m <= 0 or bytes_per_elem < 0 or rate_hz < 0 or channels < 0:
+    if not (0 < range_m < math.inf and 0 < cell_m < math.inf and 0 <= bytes_per_elem < math.inf
+            and 0 <= rate_hz < math.inf and 0 <= channels < math.inf):
         raise ValueError("grid parameters must be positive (counts non-negative)")
     side = 2.0 * range_m / cell_m
     return side * side * channels * bytes_per_elem * rate_hz
@@ -528,31 +531,14 @@ def _class_columns(gt: Sequence[GroundTruthObject]) -> ClassColumns:
 
 
 def _prefusion_error(aligned: Sequence[Instance], columns: ClassColumns) -> float:
-    # Nearest same-class reference distance; a proxy for true position error
-    # that needs no oracle plumbed through the honest pipeline. Valid while
-    # object clearance exceeds the alignment error.
-    errors = []  # in aligned order: np.mean's sum depends on the order
-    for inst in aligned:
-        column = columns.get(inst.class_id)
-        if not column:
-            continue
-        x, y = inst.state.x, inst.state.y
-        split = bisect.bisect_left(column, (x,))
-        best = math.inf
-        # Search outward from x; hypot(dx, dy) >= |dx|, so each direction
-        # stops at the first reference whose |dx| alone exceeds the best.
-        for side in (column[split:], reversed(column[:split])):
-            for gx, gy in side:
-                if abs(x - gx) > best:
-                    break
-                best = min(best, math.hypot(x - gx, y - gy))
-        errors.append(best)
+    # The mean nearest same-class reference distance in aligned order (np.mean's sum depends on it): a proxy for
+    # true position error that needs no oracle in the honest pipeline, valid while clearance exceeds alignment error.
+    errors = [nearest(columns[i.class_id], i.state.x, i.state.y) for i in aligned if columns.get(i.class_id)]
     return float(np.mean(errors)) if errors else math.nan
 
 
 # One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (agent_id order),
 # the ego's detections (before the ROI), the whole world in the ego frame and each class's sorted (x, y) positions.
-ClassColumns = dict[int, list[tuple[float, float]]]
 SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...], ClassColumns]
 
 
@@ -580,8 +566,8 @@ def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
         if k > 0:
             world = step_world(world, cfg.tick_s)
         yield (  # bound to no local, so a suspended generator keeps no frame alive
-            tuple(sense(agent, world, agent.rng) for agent in coop_agents),
-            tuple(sense(ego, world, ego.rng).instances()),
+            tuple(sense(agent, world) for agent in coop_agents),
+            tuple(sense(ego, world).instances()),
             *_frame_ground_truth(world, ego.spec.pose_at(world.time_us)),
         )
 
@@ -619,6 +605,8 @@ class Receiver:
     def __init__(
         self, pipeline: PipelineConfig, tick_s: float, decoded: Optional[dict[bytes, InstancePacket]] = None
     ) -> None:
+        if not 0 < tick_s < math.inf:  # NaN fails it too
+            raise ValueError(f"tick_s must be positive and finite, got {tick_s!r}")
         self.pipeline = pipeline
         self.tick_s = tick_s
         self.decoded = decoded

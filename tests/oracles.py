@@ -301,6 +301,14 @@ def reference_deduplicate(items, radius):
     return kept
 
 
+def reference_nearest(points, x, y):
+    """The least ``math.hypot(x - gx, y - gy)`` over every ``(gx, gy)`` in ``points``, in any order; inf if none."""
+    best = math.inf
+    for gx, gy in points:
+        best = min(best, math.hypot(x - gx, y - gy))
+    return best
+
+
 def reference_prefusion_error(aligned, gt):
     """Mean distance from each aligned point to its nearest same-class object.
 

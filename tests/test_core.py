@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopfuse.core import (
@@ -19,13 +19,16 @@ from coopfuse.core import (
     compose,
     greedy_nearest,
     invert,
+    nearest,
     normalize_feature,
     normalize_heading,
     pairs_within,
     relative_transform,
 )
 from conftest import make_state
-from oracles import brute_force_greedy_match, random_rotation, reference_orthonormalized, reference_pairs
+from oracles import (
+    brute_force_greedy_match, random_rotation, reference_nearest, reference_orthonormalized, reference_pairs,
+)
 
 
 class TestNormalizeHeading:
@@ -332,6 +335,37 @@ class TestNeighbours:
         for i, k, d in matched:
             expected[i] = (k, d)
         assert greedy_nearest(pairs, len(queries), limit) == expected
+
+
+# Half-metre coordinates (x ties, duplicate points and 3-4-5 distances abound) or arbitrary ones, whose differences round.
+COORDS = st.one_of(st.integers(-6, 6).map(lambda v: v / 2), st.floats(-100, 100))
+
+
+class TestNearest:
+    def test_a_point_past_a_rounded_window_edge(self):
+        # -1.7 - -3.7 is exactly 2.0 though -3.7 + 2.0 rounds below -1.7: the search compares the rounded difference.
+        assert nearest([(-3.7, 0.0)], -1.7, 0.0, 2.0) == 2.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(COORDS, COORDS), max_size=10), COORDS, COORDS,
+           st.one_of(GRID_RADII, st.just(math.inf)), st.booleans())
+    @example([], 0.0, 0.0, math.inf, False)  # an empty column
+    @example([], 0.0, 0.0, 1.0, False)
+    @example([(3.0, 4.0), (3.0, 4.0), (3.0, -4.0), (-3.0, 4.0)], 0.0, 0.0, 5.0, False)  # x ties, duplicates, at limit
+    @example([(0.5, 9.0), (0.5, 0.0), (0.5, 1.0)], 0.0, 0.0, math.inf, False)  # the nearest behind a tie in x
+    def test_equals_brute_force_up_to_the_limit(self, points, x, y, limit, limit_at_a_point):
+        if limit_at_a_point and points:  # a point exactly at the limit
+            limit = math.hypot(x - points[0][0], y - points[0][1])
+        got, want = nearest(sorted(points), x, y, limit), reference_nearest(points, x, y)
+        assert got == want if want <= limit else got > limit
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    @example(1e308, 1e308)
+    @example(5e-324, 5e-324)
+    def test_hypot_is_at_least_either_leg(self, dx, dy):
+        # What nearest, dedup and the prefusion error rest on: a point's |dx| bounds its distance from below.
+        assert math.hypot(dx, dy) >= max(abs(dx), abs(dy))
 
 
 class TestNormalizeFeature:

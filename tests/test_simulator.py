@@ -143,24 +143,24 @@ class TestSense:
         spec = AgentSpec(agent_id=0, ego=True, sensor=sensor, **spec_kw)
         return Agent(spec, np.random.default_rng(seed))
 
-    def test_object_behind_forward_fov_never_detected(self, rng):
+    def test_object_behind_forward_fov_never_detected(self):
         sensor = SensorModel(max_range=100.0, fov_deg=120.0, feature_dim=8)
         agent = self._agent(sensor)
         world = _world((0, 0, make_state(x=-10.0)))
         for _ in range(50):
-            assert sense(agent, world, rng).instances() == []
+            assert sense(agent, world).instances() == []
 
-    def test_out_of_range_never_detected(self, rng):
+    def test_out_of_range_never_detected(self):
         sensor = SensorModel(max_range=20.0, feature_dim=8)
         agent = self._agent(sensor)
         world = _world((0, 0, make_state(x=30.0)))
-        assert sense(agent, world, rng).instances() == []
+        assert sense(agent, world).instances() == []
 
-    def test_noise_free_detections_equal_truth_in_agent_frame(self, rng):
+    def test_noise_free_detections_equal_truth_in_agent_frame(self):
         sensor = SensorModel(max_range=100.0, feature_dim=8)
         agent = self._agent(sensor, x=5.0, y=-2.0, yaw_deg=90.0)
         obj = (3, 1, make_state(x=5.0, y=8.0, vx=2.0))
-        detections = sense(agent, _world(obj), rng).instances()
+        detections = sense(agent, _world(obj)).instances()
         assert len(detections) == 1
         det = detections[0]
         # Agent at (5, -2) facing +y: the object 10 m ahead appears at x=+10.
@@ -174,25 +174,24 @@ class TestSense:
                              detect_prob_far=0.9, feature_dim=4)
         agent = self._agent(sensor, seed=5)
         world = _world((0, 0, make_state(x=10.0)))
-        rng = np.random.default_rng(5)
-        hits = sum(bool(sense(agent, world, rng)) for _ in range(10_000))
+        hits = sum(bool(sense(agent, world)) for _ in range(10_000))
         assert hits / 10_000 == pytest.approx(0.9, abs=0.01)
 
-    def test_track_ids_stable_without_noise(self, rng):
+    def test_track_ids_stable_without_noise(self):
         sensor = SensorModel(max_range=100.0, feature_dim=8)
         agent = self._agent(sensor)
         world = _world(
             (0, 0, make_state(x=10.0, vx=2.0)),
             (1, 0, make_state(x=-10.0, vx=-1.0)),
         )
-        first = sense(agent, world, rng).instances()
+        first = sense(agent, world).instances()
         ids_first = [d.track_id for d in first]
         for _ in range(5):
             world = step_world(world, 0.5)
-            ids = [d.track_id for d in sense(agent, world, rng).instances()]
+            ids = [d.track_id for d in sense(agent, world).instances()]
             assert ids == ids_first
 
-    def test_confidence_decreases_with_range(self, rng):
+    def test_confidence_decreases_with_range(self):
         sensor = SensorModel(max_range=100.0, confidence_near=0.95,
                              confidence_far=0.5, feature_dim=4)
         agent = self._agent(sensor)
@@ -200,7 +199,7 @@ class TestSense:
             (0, 0, make_state(x=5.0)),
             (1, 0, make_state(x=90.0)),
         )
-        detections = sense(agent, world, rng).instances()
+        detections = sense(agent, world).instances()
         near = next(d for d in detections if d.state.x < 50)
         far = next(d for d in detections if d.state.x > 50)
         assert near.confidence > far.confidence
@@ -274,7 +273,7 @@ class TestSenseDraws:
             columns = (world.object_ids.tolist(), world.class_ids.tolist(), world.rows.tolist())
             objects = [(i, c, *row) for i, c, row in zip(*columns)]
             want = reference_detections(objects, agent_xy, sensor, reference_rng)
-            got = sense(agent, world, agent.rng).instances()
+            got = sense(agent, world).instances()
             assert len(got) == len(want)
             for inst, (class_id, state, confidence, feature) in zip(got, want):
                 assert inst.class_id == class_id and inst.confidence == confidence
@@ -292,14 +291,14 @@ class TestSenseDraws:
     def test_overflowing_position_noise_raises(self):
         agent, world = self._crowd(SensorModel(pos_noise_sigma=1e308, feature_dim=4))
         with pytest.raises(ValueError):
-            sense(agent, world, agent.rng)
+            sense(agent, world)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_feature_norm_raises(self):
         # Each feature value is finite, but their sum of squares is not.
         agent, world = self._crowd(SensorModel(feature_noise_sigma=1e300, feature_dim=4))
         with pytest.raises(ValueError, match="cannot normalize a feature of norm"):
-            sense(agent, world, agent.rng)
+            sense(agent, world)
 
     def test_checks_each_pass_once_as_a_batch(self, monkeypatch):
         agent, world = self._crowd(SensorModel(pos_noise_sigma=0.3, dim_noise_sigma=0.1, feature_dim=8))
@@ -321,7 +320,7 @@ class TestSenseDraws:
         monkeypatch.setattr(simulator, "_check_records", check_records)
         monkeypatch.setattr(StateVector, "__new__", state_new)
         monkeypatch.setattr(Instance, "__post_init__", instance_post_init)
-        sizes = [len(sense(agent, w, agent.rng)) for w in (world, empty, world)]
+        sizes = [len(sense(agent, w)) for w in (world, empty, world)]
         assert sizes == [20, 0, 20]
         assert counts == {"batch": 3, "state": 0, "instance": 0}
 
@@ -335,7 +334,7 @@ class TestSenseDraws:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(cls, "_trusted", classmethod(counting))
-        batches = [sense(agent, world, agent.rng) for _ in range(3)]
+        batches = [sense(agent, world) for _ in range(3)]
         assert [len(b) for b in batches] == [20, 20, 20]
         assert built == {Instance: 0, StateVector: 0}
         instances = batches[-1].instances()
@@ -360,7 +359,7 @@ class TestTrackContinuation:
                 *((i, c, make_state(x=x, y=y, vx=vx, vy=vy)) for i, (c, x, y, vx, vy) in enumerate(objects)),
                 time_us=k * 500_000,
             )
-            got = [inst.track_id for inst in sense(agent, world, agent.rng).instances()]
+            got = [inst.track_id for inst in sense(agent, world).instances()]
             want, next_id = reference_track_ids(
                 previous, [(c, x, y) for c, x, y, _vx, _vy in objects], 0.5 if k else 0.0, gate, next_id
             )
@@ -384,7 +383,7 @@ class TestTrackContinuation:
         for k in range(4):
             world = _world(*((i, c, make_state(x=x, y=y, vx=vx, vy=vy)) for i, (c, x, y, vx, vy) in enumerate(objects)),
                            time_us=k * 500_000)
-            got = sense(agent, world, agent.rng).track_ids.tolist()
+            got = sense(agent, world).track_ids.tolist()
             want, next_id = reference_track_ids(previous, [(c, x, y) for c, x, y, _, _ in objects], dt if k else 0.0,
                                                 gate, next_id)
             assert got == want
@@ -495,6 +494,15 @@ class TestBevBaselineCost:
 
     def test_zero_channels(self):
         assert bev_baseline_cost(50, 0.4, 0, 4, 2) == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(5))
+    def test_rejects_nan_and_inf(self, position, value):
+        # One NaN or inf argument at a time: range_m, cell_m, channels, bytes_per_elem or rate_hz.
+        args = [51.2, 0.4, 64, 4, 2.0]
+        args[position] = value
+        with pytest.raises(ValueError, match=r"^grid parameters must be positive \(counts non-negative\)$"):
+            bev_baseline_cost(*args)
 
 
 class TestBuildWorld:
@@ -705,6 +713,12 @@ class TestReceiverAcrossSteps:
         second, aligned, stale = receiver.step(late, [], RigidTransform.identity(), 1_000_000)
         assert (decoded, aligned, stale, second.instances) == ([], [], 0, ())
         assert receiver.fused_at == {1: 500_000}
+
+    @pytest.mark.parametrize("tick_s", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_tick_at_construction(self, tick_s):
+        # Checked once, here: an inf tick makes NaN tracks by the third step, and -1 fails only inside refine_tracks.
+        with pytest.raises(ValueError, match="^tick_s must be positive and finite"):
+            simulator.Receiver(PipelineConfig(), tick_s=tick_s)
 
 
 class TestFuse:
