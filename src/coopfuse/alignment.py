@@ -23,6 +23,7 @@ from .core import (
     RigidTransform,
     StateVector,
     Timestamp,
+    _check_finite_sign,
     micros_to_seconds,
     normalize_feature,
 )
@@ -57,8 +58,7 @@ class AlignmentConfig:
     max_compensation_horizon: float = DEFAULT_COMPENSATION_HORIZON
 
     def __post_init__(self) -> None:
-        if not self.max_compensation_horizon > 0:
-            raise ValueError("max_compensation_horizon must be positive")
+        _check_finite_sign(self, ("max_compensation_horizon",), positive=True)
 
 
 def compensate_latency(

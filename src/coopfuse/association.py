@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Instance, state_rows
+from .core import Instance, _check_finite_sign, state_rows
 
 _TIE_REL_TOL = 1e-9
 
@@ -35,10 +35,9 @@ class RoiSpec:
     z_max: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (self.x_half > 0 and self.y_half > 0):
-            raise ValueError("ROI half-extents must be positive")
-        if not self.z_min < self.z_max:
-            raise ValueError("ROI requires z_min < z_max")
+        _check_finite_sign(self, ("x_half", "y_half"), positive=True)
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError(f"ROI requires finite z_min < z_max, got ({self.z_min!r}, {self.z_max!r})")
 
     def contains(self, state) -> bool:
         return (
@@ -67,15 +66,14 @@ class MatchWeights:
     cost_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        weights = (self.w_pos, self.w_dim, self.w_heading, self.w_vel, self.alpha)
-        if not all(w >= 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        if not all(math.isfinite(w) for w in weights):
-            raise ValueError("weights must be finite")
-        if not any(w > 0 for w in weights):
+        weights = {name: getattr(self, name) for name in ("w_pos", "w_dim", "w_heading", "w_vel", "alpha")}
+        for name, w in weights.items():
+            if not 0 <= w < math.inf:
+                problem = "finite" if w == math.inf else "non-negative"
+                raise ValueError(f"weights must be {problem}, got {name}={w!r}")
+        if not any(w > 0 for w in weights.values()):
             raise ValueError("at least one weight must be positive")
-        if not self.cost_threshold > 0:
-            raise ValueError("cost_threshold must be positive")
+        _check_finite_sign(self, ("cost_threshold",), positive=True)
 
     def state_weights(self) -> np.ndarray:
         """Per-component weights in state-vector order."""

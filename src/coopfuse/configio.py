@@ -1,11 +1,11 @@
 """Scenario configuration files: YAML in, validated dataclasses out.
 
-The config dataclasses are the schema. Each YAML value is read through the
-type of the field it fills: nested dataclasses are mappings, tuples are
-lists, enums are their values, an int field takes only an int, a float
-field an int or a float, and a bool field only a bool. Every number must
-be finite. Unknown or ill-typed keys fail with the full key path in the
-message, so a config error is always attributable to one line of the file.
+The config dataclasses are the schema, and their constructors are the one
+rule for values: loading adds only type checks. Each YAML value is read
+through the type of the field it fills: nested dataclasses are mappings,
+tuples are lists, enums are their values, an int field takes only an int, a
+float field an int or a float, and a bool field only a bool. An unknown or
+ill-typed key fails with its full key path, a refused value with its section.
 
 The file puts ``ScenarioConfig``'s plain fields under ``scenario:`` and
 each field that holds config dataclasses (``agents``, ``channel``,
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -77,14 +76,6 @@ def _read(value: Any, tp, path: str) -> Any:
     return value
 
 
-def _check_finite(obj, path: str) -> None:
-    for name in _hints(type(obj)):
-        value = getattr(obj, name)
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
-            raise ConfigError(f"{path}: {name} must be finite, got {value!r}")
-
-
 def _build(cls, data: Any, path: str, key_paths: dict[str, str] | None = None):
     """Construct config dataclass ``cls`` from a mapping named ``path``.
 
@@ -101,12 +92,10 @@ def _build(cls, data: Any, path: str, key_paths: dict[str, str] | None = None):
         for key, value in data.items()
     }
     try:
-        obj = cls(**kwargs)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         message = str(exc)  # one starting with a section path (``agents[1]: ...``) names its place
         raise ConfigError(message if message.startswith(tuple(key_paths.values())) else f"{path}: {message}") from exc
-    _check_finite(obj, path)
-    return obj
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:

@@ -271,12 +271,12 @@ def _check_records(states: np.ndarray, features: np.ndarray, confidence: np.ndar
         raise ValueError("a record has a non-finite value, a box dimension <= 0 or a NaN confidence")
 
 
-def _check_non_negative(params: object, names: Sequence[str]) -> None:
-    """Raise ValueError unless each named field of ``params`` is finite and >= 0."""
+def _check_finite_sign(params: object, names: Sequence[str], positive: bool = False) -> None:
+    """Raise ValueError unless each named field of ``params`` is finite and >= 0 (> 0 if ``positive``)."""
     for name in names:
         value = getattr(params, name)
-        if not 0 <= value < math.inf:
-            problem = "non-negative" if math.isfinite(value) else "finite"
+        if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+            problem = ("positive" if positive else "non-negative") if math.isfinite(value) else "finite"
             raise ValueError(f"{name} must be {problem}, got {value!r}")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .alignment import compensate_latency
-from .core import ClassColumns, DegenerateHeading, Instance, StateVector, Timestamp, nearest, normalize_feature
+from .core import (ClassColumns, DegenerateHeading, Instance, StateVector, Timestamp, _check_finite_sign, nearest,
+                   normalize_feature)
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -29,11 +30,10 @@ class FusionConfig:
     confidence_fusion: str = "max"  # or "noisy_or"
 
     def __post_init__(self) -> None:
-        if not self.dedup_radius > 0:
-            raise ValueError("dedup_radius must be positive")
-        for gain in (self.smoothing_gain_pos, self.smoothing_gain_vel):
-            if not 0.0 < gain <= 1.0:
-                raise ValueError("smoothing gains must lie in (0, 1]")
+        _check_finite_sign(self, ("dedup_radius",), positive=True)
+        for name in ("smoothing_gain_pos", "smoothing_gain_vel"):
+            if not 0.0 < getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
         if not 0.0 <= self.output_confidence_threshold <= 1.0:
             raise ValueError("output_confidence_threshold must lie in [0, 1]")
         if self.confidence_fusion not in ("max", "noisy_or"):

@@ -24,7 +24,7 @@ from .core import (
     InstanceBatch,
     RigidTransform,
     StateVector,
-    _check_non_negative,
+    _check_finite_sign,
     compose,
     invert,
     normalize_feature,
@@ -49,7 +49,7 @@ class ObservationNoiseParams:
     other_range: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_non_negative(self, ("pos_range", "other_range"))
+        _check_finite_sign(self, ("pos_range", "other_range"))
         for name in ("pos_range", "other_range"):
             value = float(getattr(self, name))
             if not math.isfinite(value - -value):  # the span of the uniform draw
@@ -65,7 +65,7 @@ class TransformNoiseParams:
     three_axis: bool = False
 
     def __post_init__(self) -> None:
-        _check_non_negative(self, ("trans_sigma", "rot_sigma_deg"))
+        _check_finite_sign(self, ("trans_sigma", "rot_sigma_deg"))
 
 
 @lru_cache(maxsize=4096)

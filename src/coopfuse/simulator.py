@@ -31,7 +31,7 @@ from .core import (
     RigidTransform,
     StateVector,
     Timestamp,
-    _check_non_negative,
+    _check_finite_sign,
     _check_records,
     greedy_nearest,
     invert,
@@ -129,8 +129,7 @@ class SensorModel:
     track_gate: float = 4.0  # NN continuation radius, meters
 
     def __post_init__(self) -> None:
-        if not self.max_range > 0:
-            raise ValueError("max_range must be positive")
+        _check_finite_sign(self, ("max_range", "pos_noise_range_power"), positive=True)
         if not 0 < self.fov_deg <= 360:  # NaN fails it too
             raise ValueError(f"fov_deg must lie in (0, 360], got {self.fov_deg!r}")
         for name in ("detect_prob_near", "detect_prob_far", "confidence_near", "confidence_far"):
@@ -139,10 +138,8 @@ class SensorModel:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
             raise ValueError(f"feature_dim {self.feature_dim} outside [1, {MAX_FEATURE_DIM}] (u16 on the wire)")
-        if not self.pos_noise_range_power > 0:
-            raise ValueError("pos_noise_range_power must be positive")
-        _check_non_negative(self, ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
-                                   "feature_noise_sigma", "track_gate"))
+        _check_finite_sign(self, ("pos_noise_sigma", "pos_noise_far_factor", "vel_noise_sigma", "dim_noise_sigma",
+                                  "feature_noise_sigma", "track_gate"))
 
 
 @dataclass(frozen=True)
@@ -297,7 +294,7 @@ class ChannelModel:
     accounting_window_s: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_non_negative(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
+        _check_finite_sign(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
 
@@ -328,7 +325,10 @@ def bev_baseline_cost(
             and 0 <= rate_hz < math.inf and 0 <= channels < math.inf):
         raise ValueError("grid parameters must be positive (counts non-negative)")
     side = 2.0 * range_m / cell_m
-    return side * side * channels * bytes_per_elem * rate_hz
+    cost = side * side * channels * bytes_per_elem * rate_hz
+    if not math.isfinite(cost):  # an overflow, or an infinite side times 0 channels
+        raise ValueError(f"the cost of a grid of side {side!r} cells overflows")
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,7 @@ class PipelineConfig:
     transmit_confidence_min: float = 0.3
 
     def __post_init__(self) -> None:
-        if not self.r_int > 0:
-            raise ValueError("r_int must be positive")
+        _check_finite_sign(self, ("r_int",), positive=True)
         if self.transmit_top_k < 1:
             raise ValueError("transmit_top_k must be at least 1")
         if not 0.0 <= self.transmit_confidence_min <= 1.0:
@@ -385,14 +384,14 @@ class ScenarioConfig:
             raise ValueError(f"tick_s must be at least one microsecond, got {self.tick_s!r}")
         if not self.duration_s >= self.tick_s:
             raise ValueError("duration_s must be at least one tick")
-        if not 0 <= self.speed_range[0] <= self.speed_range[1]:
-            raise ValueError("speed_range must be non-negative and ordered")
-        for name in ("spawn_x", "spawn_y", "spawn_z", "yaw_rate_range"):
+        for name in ("spawn_x", "spawn_y", "spawn_z", "speed_range", "yaw_rate_range"):
             low, high = getattr(self, name)
             if not -math.inf < low <= high < math.inf:
                 problem = "ordered [low, high]" if math.isfinite(low) and math.isfinite(high) else "finite"
                 raise ValueError(f"{name} must be {problem}, got {(low, high)!r}")
-        _check_non_negative(self, ("min_clearance",))
+        if not self.speed_range[0] >= 0:
+            raise ValueError(f"speed_range must be non-negative, got {self.speed_range!r}")
+        _check_finite_sign(self, ("min_clearance",))
         if self.object_count < 1:
             raise ValueError("object_count must be at least 1")
         if self.seed < 0:
@@ -547,7 +546,7 @@ class SceneRecord(NamedTuple):
 
     scene: ScenarioConfig  # the config with its pipeline, channel and pose noise at the defaults
     frames: tuple[SensedFrame, ...]
-    decoded: dict[bytes, InstancePacket]  # every distinct packet its replays have received, decoded once
+    decoded: dict[bytes, InstancePacket]  # the packets its latest replay received, each decoded once
 
 
 def _scene(cfg: ScenarioConfig) -> ScenarioConfig:
@@ -600,7 +599,8 @@ def _send(
 class Receiver:
     """The ego's side of every frame: align, associate across agents and fuse. It keeps what one frame hands
     the next: the track-id ``registry``, each sender's last fused send time (``fused_at``) and the ``tracks``.
-    Given a ``decoded`` map (a ``SceneRecord``'s), it decodes only packets the map lacks and adds them to it."""
+    Given a ``decoded`` map (a ``SceneRecord``'s), it decodes only packets the map lacks, and it leaves in the map
+    only the packets it receives, so that replays at many sweep points do not grow it."""
 
     def __init__(
         self, pipeline: PipelineConfig, tick_s: float, decoded: Optional[dict[bytes, InstancePacket]] = None
@@ -610,6 +610,9 @@ class Receiver:
         self.pipeline = pipeline
         self.tick_s = tick_s
         self.decoded = decoded
+        self.earlier = dict(decoded or {})  # earlier receivers' packets; the map refills with this one's
+        if decoded:
+            decoded.clear()
         self.registry = TrackIdRegistry()
         self.fused_at: dict[int, Timestamp] = {}
         self.tracks = TrackSet(timestamp=0, instances=())
@@ -644,9 +647,7 @@ class Receiver:
         newest: dict[int, InstancePacket] = {}
         decoded = {} if self.decoded is None else self.decoded
         for data in packets:
-            packet = decoded.get(data)
-            if packet is None:
-                packet = decoded[data] = decode_packet(data)
+            packet = decoded[data] = decoded.get(data) or self.earlier.get(data) or decode_packet(data)
             if packet.send_timestamp <= self.fused_at.get(packet.sender_id, -1):
                 continue
             prior = newest.get(packet.sender_id)

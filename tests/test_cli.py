@@ -96,7 +96,7 @@ class TestRun:
         path.write_text(TINY + "pipeline: {r_int: .nan}\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert "pipeline: r_int must be positive" in capsys.readouterr().err
+        assert "pipeline: r_int must be finite" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
 

@@ -2,9 +2,14 @@
 
 import math
 import re
-from dataclasses import MISSING, fields, is_dataclass
+import tempfile
+import typing
+from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopfuse.configio import (
     ConfigError,
@@ -16,7 +21,7 @@ from coopfuse.configio import (
 from coopfuse.alignment import AlignmentConfig, FeatureAligner
 from coopfuse.association import MatchWeights, RoiSpec
 from coopfuse.fusion import FusionConfig
-from coopfuse.robustness import TransformNoiseParams
+from coopfuse.robustness import ObservationNoiseParams, TransformNoiseParams
 from coopfuse.simulator import (
     AgentSpec,
     ChannelModel,
@@ -332,3 +337,115 @@ class TestSchemaCoverage:
         path = tmp_path / "cfg.yaml"
         dump_scenario(EVERY_FIELD_SET, path)
         assert load_scenario(path) == EVERY_FIELD_SET
+
+
+def _held_classes(cls) -> list[type]:
+    """``cls`` and every config dataclass its fields hold, found through their types."""
+    found = [cls]
+    for tp in typing.get_type_hints(cls).values():
+        for held in (tp, *typing.get_args(tp)):
+            if is_dataclass(held) and held not in found:
+                found += [c for c in _held_classes(held) if c not in found]
+    return found
+
+
+# The scenario's classes and the perturbation harness's own noise config.
+CONFIG_CLASSES = [*_held_classes(ScenarioConfig), ObservationNoiseParams]
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _float_slots(cls) -> list[tuple[str, int | None]]:
+    """``(field, None)`` for each float field of ``cls`` and ``(field, i)`` for each side of a float pair."""
+    hints = typing.get_type_hints(cls)
+    slots = []
+    for f in fields(cls):
+        if hints[f.name] is float:
+            slots.append((f.name, None))
+        elif hints[f.name] == tuple[float, float]:
+            slots += [(f.name, 0), (f.name, 1)]
+    return slots
+
+
+FLOAT_SLOTS = [
+    (cls, name, side, bad) for cls in CONFIG_CLASSES for name, side in _float_slots(cls) for bad in NON_FINITE
+]
+
+
+def test_the_generated_cases_cover_every_config_class():
+    assert len(CONFIG_CLASSES) == 11
+    assert {cls for cls, *_ in FLOAT_SLOTS} == set(CONFIG_CLASSES)
+
+
+@pytest.mark.parametrize(
+    "cls,name,side,bad", FLOAT_SLOTS,
+    ids=[f"{c.__name__}.{n}{'' if i is None else f'[{i}]'}={b}" for c, n, i, b in FLOAT_SLOTS],
+)
+def test_every_float_field_rejects_non_finite_values(cls, name, side, bad):
+    """The constructors are the one rule: no float field of any config class holds NaN or an infinity."""
+    required = {f.name: 0 for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    value = bad
+    if side is not None:
+        value = list(getattr(cls(**required), name))
+        value[side] = bad
+        value = tuple(value)
+    with pytest.raises(ValueError) as caught:
+        cls(**required, **{name: value})
+    assert name in str(caught.value)
+
+
+def _float_paths(obj, prefix=()) -> list[tuple]:
+    """The path of every float in a config tree: field names, and indices into tuples."""
+    paths = []
+    for name, side in _float_slots(type(obj)):
+        paths.append((*prefix, name) if side is None else (*prefix, name, side))
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            paths += _float_paths(value, (*prefix, f.name))
+        elif isinstance(value, tuple) and value and is_dataclass(value[0]):
+            for i, item in enumerate(value):
+                paths += _float_paths(item, (*prefix, f.name, i))
+    return paths
+
+
+def _with(obj, path: tuple, value):
+    """``obj`` rebuilt through its constructors with ``value`` at ``path``."""
+    head, *rest = path
+    inner = _with(obj[head] if isinstance(head, int) else getattr(obj, head), rest, value) if rest else value
+    if isinstance(head, int):
+        return (*obj[:head], inner, *obj[head + 1:])
+    return replace(obj, **{head: inner})
+
+
+def _set_in_yaml(raw: dict, path: tuple, value) -> None:
+    """Put ``value`` at ``path`` in a parsed config file, whose plain fields sit under ``scenario:``."""
+    node = raw if path[0] in raw else raw["scenario"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+FLOAT_PATHS = _float_paths(EVERY_FIELD_SET)
+
+
+class TestOneRule:
+    """A value is valid in Python exactly when it is valid in a config file."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        path=st.sampled_from(FLOAT_PATHS),
+        value=st.one_of(st.sampled_from(NON_FINITE), st.floats(), st.floats(-100.0, 100.0)),
+    )
+    def test_python_and_yaml_accept_the_same_values(self, path, value):
+        try:
+            cfg = _with(EVERY_FIELD_SET, path, value)
+        except ValueError as refused:
+            raw = scenario_to_dict(EVERY_FIELD_SET)
+            _set_in_yaml(raw, path, value)
+            with pytest.raises(ConfigError) as caught:
+                scenario_from_dict(raw)
+            assert str(caught.value).endswith(str(refused))
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            dump_scenario(cfg, Path(tmp) / "cfg.yaml")
+            assert load_scenario(Path(tmp) / "cfg.yaml") == cfg

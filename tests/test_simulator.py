@@ -495,6 +495,12 @@ class TestBevBaselineCost:
     def test_zero_channels(self):
         assert bev_baseline_cost(50, 0.4, 0, 4, 2) == 0.0
 
+    @pytest.mark.parametrize("args", [(1e200, 0.4, 64, 4, 2.0), (1e308, 1e-308, 0, 4, 2.0)], ids=["inf", "nan"])
+    def test_rejects_a_cost_that_overflows(self, args):
+        # Finite arguments whose grid overflows: its side squared is inf, or inf times 0 channels is NaN.
+        with pytest.raises(ValueError, match="^the cost of a grid of side .* cells overflows$"):
+            bev_baseline_cost(*args)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("position", range(5))
     def test_rejects_nan_and_inf(self, position, value):
@@ -849,6 +855,15 @@ class TestRecordReplay:
         monkeypatch.setattr(simulator, "decode_packet", lambda data: decoded.append(data) or real(data))
         rows = sweep_interaction_range(cfg, [10, 20, 30, 40, 50, 60, 70], jobs=1)
         assert len(rows) == 7 and 0 < len(decoded) == len(set(decoded)) == received
+
+    def test_the_map_keeps_only_the_latest_replays_packets(self):
+        # Pose noise changes the bytes of every packet, so no replay below receives another's packets:
+        # the map holds the latest replay's 47, not every replay's.
+        cfg = shipped("range_study")
+        record = record_scene(cfg)
+        for sigma in (0.0, 0.2, 0.4, 0.8):
+            run = run_scenario(replace(cfg, pose_noise=replace(cfg.pose_noise, trans_sigma=sigma)), record)
+            assert len(record.decoded) == sum(e.kind == "consume" for e in run.events) == 47, sigma
 
     def test_streamed_runs_share_no_decode(self, monkeypatch):
         cfg = replace(shipped("quickstart"), duration_s=1.0)
