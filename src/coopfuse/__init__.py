@@ -34,13 +34,8 @@ from .robustness import (
     TransformNoiseParams,
 )
 from .wire import MalformedPacket, decode_packet, encode_packet
-from .simulator import (
-    PipelineConfig,
-    Receiver,
-    ScenarioConfig,
-    run_scenario,
-    sense,
-)
+from .receiver import PipelineConfig, Receiver
+from .simulator import ScenarioConfig, run_scenario, sense
 from .evaluation import (
     compute_metrics,
     sweep_interaction_range,

@@ -1,13 +1,11 @@
-"""Synthetic multi-agent scenarios over a lossy, latent channel.
+"""Synthetic multi-agent scenarios over a lossy, latent channel: the harness around the ego.
 
 A world of constant-velocity (optionally constant-yaw-rate) objects is
-observed by agents with parametric sensors (``sense_frames``). Each frame of
-``run_scenario`` then runs two stages. ``_send`` serializes each remote
-agent's top detections, with sender pose noise, into a packet that crosses a
-channel with latency, jitter and loss. ``Receiver.step`` decodes what has
-arrived, keeps each sender's newest packet unless one as new was fused
-before, aligns it to the ego, then associates, fuses and tracks. The event
-loop is single-threaded and fully determined by the scenario seed.
+observed by agents with parametric sensors (``sense_frames``). In each frame
+of ``run_scenario``, ``_send`` serializes each remote agent's top detections,
+with sender pose noise, into a packet that crosses a channel with latency,
+jitter and loss, and the ego's ``receiver.Receiver`` takes what has arrived.
+The event loop is single-threaded and fully determined by the scenario seed.
 """
 
 from __future__ import annotations
@@ -17,12 +15,12 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .alignment import AlignmentConfig, HorizonExceeded, align_instance, transform_states
-from .association import MatchWeights, RoiSpec, associate, filter_roi
+from .alignment import transform_states
+from .association import filter_roi
 from .core import (
     ClassColumns,
     GroundTruthObject,
@@ -38,13 +36,14 @@ from .core import (
     nearest,
     normalize_feature,
     pairs_within,
-    relative_transform,
     seconds_to_micros,
     yaw_rotation,
 )
-from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
+from .fusion import TrackSet
+from .receiver import PipelineConfig, Receiver
 from .robustness import TransformNoiseParams, embedding_table, perturb_transform
-from .wire import MAX_CLASS_ID, MAX_FEATURE_DIM, MAX_SENDER_ID, InstancePacket, decode_packet, encode_packet
+from .wire import (MAX_CLASS_ID, MAX_FEATURE_DIM, MAX_SENDER_ID, MAX_TIMESTAMP, InstancePacket, decode_packet,
+                   encode_packet)
 
 log = logging.getLogger(__name__)
 
@@ -295,6 +294,9 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         _check_finite_sign(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
+        for name in ("latency_ms", "jitter_ms"):
+            if getattr(self, name) > MAX_TIMESTAMP / 1e3:
+                raise ValueError(f"{name} must fit an i64 count of microseconds, got {getattr(self, name)!r}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
 
@@ -336,27 +338,6 @@ def bev_baseline_cost(
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the ego does with instances once they exist."""
-
-    roi: RoiSpec = field(default_factory=RoiSpec)
-    r_int: float = 30.0
-    weights: MatchWeights = field(default_factory=MatchWeights)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
-    compensate_latency: bool = True
-    transmit_top_k: int = 15
-    transmit_confidence_min: float = 0.3
-
-    def __post_init__(self) -> None:
-        _check_finite_sign(self, ("r_int",), positive=True)
-        if self.transmit_top_k < 1:
-            raise ValueError("transmit_top_k must be at least 1")
-        if not 0.0 <= self.transmit_confidence_min <= 1.0:
-            raise ValueError("transmit_confidence_min must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """A complete, seeded scenario: world, agents (a set, kept in agent_id order), channel, pipeline."""
 
@@ -382,8 +363,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite")
         if not self.tick_s >= 1e-6:  # the frame clock counts whole microseconds
             raise ValueError(f"tick_s must be at least one microsecond, got {self.tick_s!r}")
-        if not self.duration_s >= self.tick_s:
-            raise ValueError("duration_s must be at least one tick")
+        if not self.tick_s <= self.duration_s <= MAX_TIMESTAMP / 1e6:  # the wire's i64 microsecond send_timestamp
+            raise ValueError(f"duration_s must lie in [tick_s, {MAX_TIMESTAMP / 1e6:.0f}], got {self.duration_s!r}")
         for name in ("spawn_x", "spawn_y", "spawn_z", "speed_range", "yaw_rate_range"):
             low, high = getattr(self, name)
             if not -math.inf < low <= high < math.inf:
@@ -548,6 +529,18 @@ class SceneRecord(NamedTuple):
     frames: tuple[SensedFrame, ...]
     decoded: dict[bytes, InstancePacket]  # the packets its latest replay received, each decoded once
 
+    def replay_decoder(self) -> Callable[[bytes], InstancePacket]:
+        """A decode for one replay: each packet from the map, from the map as earlier replays left it, or from
+        ``decode_packet``. The map keeps only what it hands out, so replays at many sweep points do not grow it."""
+        decoded, earlier = self.decoded, dict(self.decoded)
+        decoded.clear()
+
+        def decode(data: bytes) -> InstancePacket:
+            packet = decoded[data] = decoded.get(data) or earlier.get(data) or decode_packet(data)
+            return packet
+
+        return decode
+
 
 def _scene(cfg: ScenarioConfig) -> ScenarioConfig:
     return replace(cfg, pipeline=PipelineConfig(), channel=ChannelModel(), pose_noise=None)
@@ -596,80 +589,6 @@ def _send(
     return sent
 
 
-class Receiver:
-    """The ego's side of every frame: align, associate across agents and fuse. It keeps what one frame hands
-    the next: the track-id ``registry``, each sender's last fused send time (``fused_at``) and the ``tracks``.
-    Given a ``decoded`` map (a ``SceneRecord``'s), it decodes only packets the map lacks, and it leaves in the map
-    only the packets it receives, so that replays at many sweep points do not grow it."""
-
-    def __init__(
-        self, pipeline: PipelineConfig, tick_s: float, decoded: Optional[dict[bytes, InstancePacket]] = None
-    ) -> None:
-        if not 0 < tick_s < math.inf:  # NaN fails it too
-            raise ValueError(f"tick_s must be positive and finite, got {tick_s!r}")
-        self.pipeline = pipeline
-        self.tick_s = tick_s
-        self.decoded = decoded
-        self.earlier = dict(decoded or {})  # earlier receivers' packets; the map refills with this one's
-        if decoded:
-            decoded.clear()
-        self.registry = TrackIdRegistry()
-        self.fused_at: dict[int, Timestamp] = {}
-        self.tracks = TrackSet(timestamp=0, instances=())
-
-    def step(
-        self, packets: Sequence[bytes], ego_detections: Sequence[Instance], ego_pose: RigidTransform, t: Timestamp
-    ) -> tuple[TrackSet, list[Instance], int]:
-        """The ego's frame at ``t`` from its detections and the packets consumed at ``t``, in arrival order. Each
-        sender's newest packet by send time (of equal ones, the later arrival) is aligned, senders in id order; one
-        sent at or before its sender's last fused one is skipped before any record is built. The detections and the
-        aligned instances are cut to the ROI once each, associated, fused and refined against the previous tracks.
-        Returns the tracks, the aligned cooperator instances in the ROI and the count of records past the horizon."""
-        pipe = self.pipeline
-        aligned, stale = self._align(packets, ego_pose, t)
-        coop_in_roi = filter_roi(aligned, pipe.roi)
-        result = associate(filter_roi(ego_detections, pipe.roi), coop_in_roi, pipe.r_int, pipe.weights)
-        fused = []
-        for ego_inst, coop_inst, _cost in result.matched:
-            self.registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
-            fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
-        assembled = assemble_output(
-            fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, self.registry, t
-        )
-        self.tracks = refine_tracks(assembled, self.tracks, self.tick_s, pipe.fusion)
-        return self.tracks, coop_in_roi, stale
-
-    def _align(self, packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp) -> tuple[list[Instance], int]:
-        # Without a map, each sender's packet and the instances it keeps go once its records are aligned (hence the
-        # del, the pop and a method apart from step): kept through association, they would survive into older GC
-        # generations and slow every collection (by about 3% of a crowd run).
-        pipe = self.pipeline
-        newest: dict[int, InstancePacket] = {}
-        decoded = {} if self.decoded is None else self.decoded
-        for data in packets:
-            packet = decoded[data] = decoded.get(data) or self.earlier.get(data) or decode_packet(data)
-            if packet.send_timestamp <= self.fused_at.get(packet.sender_id, -1):
-                continue
-            prior = newest.get(packet.sender_id)
-            if prior is None or packet.send_timestamp >= prior.send_timestamp:
-                newest[packet.sender_id] = packet
-        del decoded
-        aligned: list[Instance] = []
-        stale = 0
-        for sender in sorted(newest):
-            packet = newest.pop(sender)
-            self.fused_at[sender] = packet.send_timestamp
-            rel = relative_transform(ego_pose, packet.sender_pose())
-            for inst in packet.to_instances():
-                if not pipe.compensate_latency:
-                    inst = inst._trusted_replace(observed_at=t)
-                try:
-                    aligned.append(align_instance(inst, rel, t, pipe.alignment))
-                except HorizonExceeded:
-                    stale += 1
-        return aligned, stale
-
-
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
     """One run, fully determined by the seed: each frame sensed (or replayed from ``sensed``) and staged."""
     if not cfg.agents:
@@ -678,7 +597,7 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         raise ValueError("the record is of another scene than the config's")
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))  # world 0, agent 2 + id
     ego_spec, *coop_specs = sorted(cfg.agents, key=lambda a: not a.ego)  # the ego, then the others in id order
-    receiver = Receiver(cfg.pipeline, cfg.tick_s, None if sensed is None else sensed.decoded)
+    receiver = Receiver(cfg.pipeline, cfg.tick_s, None if sensed is None else sensed.replay_decoder())
     inbox: list[tuple[Timestamp, int, bytes]] = []  # a heap of (arrival, index of the send event, packet)
     events: list[SimEvent] = []
     frames: list[FrameRecord] = []

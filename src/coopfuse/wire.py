@@ -39,6 +39,7 @@ MAGIC = 0x4B475121
 VERSION = 1
 NO_TRACK_ID = 0xFFFF_FFFF_FFFF_FFFF
 MAX_SENDER_ID = 0xFFFF
+MAX_TIMESTAMP = 2**63 - 1
 MAX_RECORD_COUNT = MAX_FEATURE_DIM = 0xFFFF
 MAX_CLASS_ID = 0xFF
 MAX_F32 = float(np.finfo(np.float32).max)
@@ -90,8 +91,7 @@ class InstancePacket:
     """A packet as wire values: one ``HEADER_DTYPE`` header and the records.
 
     The packet keeps its sender pose and its validated instances from the first call that builds them, so every
-    replay of a ``SceneRecord`` that receives the same bytes shares one build. A call that raises keeps nothing,
-    and raises again at the next call."""
+    holder of the packet shares one build. A call that raises keeps nothing, and raises again at the next call."""
 
     header: np.void
     records: np.ndarray  # record_dtype(feature_dim), one entry per instance

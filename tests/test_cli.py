@@ -261,7 +261,8 @@ class TestInputBoundary:
         "key,value,message",
         [("seed", "-3", "scenario: seed must be non-negative"),
          ("object_count", "2.5", "scenario.object_count: expected int, got 2.5"),
-         ("tick_s", "4.0e-07", "scenario: tick_s must be at least one microsecond, got 4e-07")],
+         ("tick_s", "4.0e-07", "scenario: tick_s must be at least one microsecond, got 4e-07"),
+         ("duration_s", "1.0e+300", "scenario: duration_s must lie in [tick_s, 9223372036855], got 1e+300")],
     )
     def test_validate_config_rejects_bad_scenario_value(self, tmp_path, capsys, key, value, message):
         path = tmp_path / "bad.yaml"

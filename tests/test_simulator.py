@@ -10,21 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopfuse import simulator
+from coopfuse import receiver, simulator
 from coopfuse.configio import load_scenario
-from coopfuse.core import (
-    GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, seconds_to_micros, state_rows,
-)
+from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
 from coopfuse.association import RoiSpec
 from coopfuse.evaluation import compute_metrics, metrics_row, sweep_interaction_range
-from coopfuse.fusion import COOP_TRACK_FLAG
 from coopfuse.robustness import TransformNoiseParams
-from coopfuse.wire import InstancePacket, decode_packet, encode_packet
+from coopfuse.wire import MAX_TIMESTAMP, InstancePacket, decode_packet
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
     ChannelModel,
-    PipelineConfig,
     ScenarioConfig,
     SensorModel,
     World,
@@ -484,6 +480,14 @@ class TestTransmit:
         with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
             ChannelModel(**{name: value})
 
+    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms"])
+    @pytest.mark.parametrize("value", [1e300, 1.7e308])
+    def test_channel_rejects_times_beyond_an_i64_count_of_microseconds(self, name, value):
+        # 1.7e308 ms is finite, but its microseconds overflow to inf and the arrival time cannot be an integer.
+        with pytest.raises(ValueError, match=f"^{name} must fit an i64 count of microseconds"):
+            ChannelModel(**{name: value})
+        assert getattr(ChannelModel(**{name: MAX_TIMESTAMP / 1e3}), name) == MAX_TIMESTAMP / 1e3
+
 
 class TestBevBaselineCost:
     def test_plug_in(self):
@@ -632,101 +636,6 @@ class TestRunScenario:
                 assert abs(gt.state.y) <= roi.y_half
 
 
-def _packet(sender, t_send, *xs):
-    """An encoded packet from ``sender`` sent at ``t_send`` (us) from the origin: one record at rest at each x."""
-    instances = [make_instance(x=x, track_id=k + 1, source_agent=sender, observed_at=t_send) for k, x in enumerate(xs)]
-    return encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), t_send, sender)
-
-
-def _record_decoded(monkeypatch):
-    """The sender of every packet whose records are built from now on, in order."""
-    decoded, real = [], InstancePacket.to_instances
-
-    def recording(packet):
-        decoded.append(packet.sender_id)
-        return real(packet)
-
-    monkeypatch.setattr(InstancePacket, "to_instances", recording)
-    return decoded
-
-
-class TestReceive:
-    """``Receiver.step``: the newest packet per sender, senders in id order, records past the horizon counted."""
-
-    PIPELINE = PipelineConfig()
-
-    def _receiver(self):
-        return simulator.Receiver(self.PIPELINE, tick_s=0.5)
-
-    def _xs(self, packets, t=300_000):
-        _, aligned, stale = self._receiver().step(packets, [], RigidTransform.identity(), t)
-        assert stale == 0
-        return [(inst.source_agent, inst.state.x) for inst in aligned]
-
-    def test_newer_send_time_wins_whichever_arrives_first(self):
-        old, new = _packet(1, 100_000, 1.0), _packet(1, 200_000, 2.0)
-        assert self._xs([old, new]) == self._xs([new, old]) == [(1, 2.0)]
-
-    def test_equal_send_times_the_later_arrival_wins(self):
-        first, second = _packet(1, 100_000, 1.0), _packet(1, 100_000, 2.0)
-        assert self._xs([first, second]) == [(1, 2.0)]
-        assert self._xs([second, first]) == [(1, 1.0)]
-
-    def test_output_is_grouped_by_ascending_sender(self):
-        packets = [_packet(3, 100_000, 3.0, 3.5), _packet(1, 200_000, 1.0, 1.5), _packet(2, 0, 2.0, 2.5)]
-        assert self._xs(packets) == [(1, 1.0), (1, 1.5), (2, 2.0), (2, 2.5), (3, 3.0), (3, 3.5)]
-
-    def test_packet_past_the_horizon_is_all_stale(self):
-        horizon_us = seconds_to_micros(self.PIPELINE.alignment.max_compensation_horizon)
-        _, aligned, stale = self._receiver().step(
-            [_packet(1, 0, 1.0, 2.0, 3.0)], [], RigidTransform.identity(), horizon_us + 1
-        )
-        assert (aligned, stale) == ([], 3)
-
-    def test_packet_no_newer_than_one_fused_before_is_skipped(self, monkeypatch):
-        receiver = self._receiver()
-        receiver.step([_packet(1, 200_000, 2.0)], [], RigidTransform.identity(), 300_000)
-        assert receiver.fused_at == {1: 200_000}
-        decoded = _record_decoded(monkeypatch)
-        late = [_packet(1, 100_000, 1.0), _packet(1, 200_000, 3.0), _packet(2, 100_000, 4.0)]
-        _, aligned, stale = receiver.step(late, [], RigidTransform.identity(), 400_000)
-        assert ([(inst.source_agent, inst.state.x) for inst in aligned], stale) == ([(2, 4.0)], 0)
-        assert decoded == [2]  # a skipped packet yields no records
-        assert receiver.fused_at == {1: 200_000, 2: 100_000}
-
-
-class TestReceiverAcrossSteps:
-    """One ``Receiver`` over several frames, as ``run_scenario`` drives it."""
-
-    def test_a_remote_only_track_keeps_its_output_id(self):
-        receiver = simulator.Receiver(PipelineConfig(), tick_s=0.5)
-        first, _, _ = receiver.step([_packet(3, 0, 10.0, 20.0)], [], RigidTransform.identity(), 0)
-        remote = {inst.state.x: inst.track_id for inst in first.instances}
-        assert remote == {10.0: COOP_TRACK_FLAG + (3 << 48), 20.0: COOP_TRACK_FLAG + (3 << 48) + 1}
-        # Only the sender's track 2 (at x = 20) comes again; a fresh registry would give it the first ID.
-        again = make_instance(x=20.0, track_id=2, source_agent=3, observed_at=500_000)
-        packet = encode_packet(InstanceBatch.of([again]), RigidTransform.identity(), 500_000, 3)
-        second, _, _ = receiver.step([packet], [], RigidTransform.identity(), 500_000)
-        assert [inst.track_id for inst in second.instances] == [remote[20.0]]
-
-    def test_a_packet_no_newer_than_one_fused_in_an_earlier_step_builds_no_record(self, monkeypatch):
-        receiver = simulator.Receiver(PipelineConfig(), tick_s=0.5)
-        first, _, _ = receiver.step([_packet(1, 500_000, 2.0)], [], RigidTransform.identity(), 500_000)
-        assert len(first.instances) == 1
-        decoded = _record_decoded(monkeypatch)
-        # An older packet and a copy of the fused one arrive a frame later, as jitter above the tick allows.
-        late = [_packet(1, 0, 1.0), _packet(1, 500_000, 3.0)]
-        second, aligned, stale = receiver.step(late, [], RigidTransform.identity(), 1_000_000)
-        assert (decoded, aligned, stale, second.instances) == ([], [], 0, ())
-        assert receiver.fused_at == {1: 500_000}
-
-    @pytest.mark.parametrize("tick_s", [math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_a_non_finite_or_non_positive_tick_at_construction(self, tick_s):
-        # Checked once, here: an inf tick makes NaN tracks by the third step, and -1 fails only inside refine_tracks.
-        with pytest.raises(ValueError, match="^tick_s must be positive and finite"):
-            simulator.Receiver(PipelineConfig(), tick_s=tick_s)
-
-
 class TestFuse:
     def test_cuts_each_group_to_the_roi_once(self, monkeypatch):
         # One contains call per ego detection, aligned cooperator instance and ground-truth object.
@@ -867,8 +776,8 @@ class TestRecordReplay:
 
     def test_streamed_runs_share_no_decode(self, monkeypatch):
         cfg = replace(shipped("quickstart"), duration_s=1.0)
-        decoded, real = [], simulator.decode_packet
-        monkeypatch.setattr(simulator, "decode_packet", lambda data: decoded.append(data) or real(data))
+        decoded, real = [], receiver.decode_packet
+        monkeypatch.setattr(receiver, "decode_packet", lambda data: decoded.append(data) or real(data))
         received = sum(e.kind == "consume" for e in run_scenario(cfg).events)
         run_scenario(cfg)
         assert 0 < received and len(decoded) == 2 * received
@@ -975,6 +884,13 @@ class TestScenarioConfigValidation:
         # An agent at rest would be blamed for 0 * inf = nan if the duration were not checked first.
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ScenarioConfig(**{name: value}, agents=(AgentSpec(agent_id=0, ego=True),))
+
+    @pytest.mark.parametrize("value", [1e300, 1.7e308])
+    def test_rejects_a_duration_beyond_the_wires_i64_microseconds(self, value):
+        # At 1e300 s the frame count is above 1e299, so the run would never end.
+        with pytest.raises(ValueError, match=r"^duration_s must lie in \[tick_s, 9223372036855\]"):
+            ScenarioConfig(duration_s=value)
+        assert ScenarioConfig(duration_s=MAX_TIMESTAMP / 1e6).duration_s == MAX_TIMESTAMP / 1e6
 
     def test_rejects_bad_tick(self):
         with pytest.raises(ValueError):
