@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import platform
 import sys
@@ -25,7 +24,7 @@ import numpy
 import scipy
 import yaml
 
-from . import __version__
+from . import MatchWeights, PipelineConfig, __version__
 from .configio import ConfigError, load_scenario, scenario_to_dict
 from .evaluation import (
     DEFAULT_LATENCY_SWEEP_MS,
@@ -39,8 +38,8 @@ from .evaluation import (
     sweep_latency,
     write_csv,
 )
-from .robustness import ALPHA_SWEEP_COLUMNS, alpha_sweep_rows
-from .simulator import SimEvent, bev_baseline_cost, run_scenario
+from .robustness import ALPHA_SWEEP_COLUMNS, HARNESS_COST_THRESHOLD, alpha_sweep_rows
+from .simulator import ChannelModel, ScenarioConfig, SimEvent, bev_baseline_cost, run_scenario
 from .wire import packet_size
 
 log = logging.getLogger("coopfuse")
@@ -63,24 +62,23 @@ def _configure_logging() -> None:
     )
 
 
-def _float_list(low: float, strict: bool = False):
-    """A parser of comma-separated finite numbers, each >= ``low`` (> if ``strict``)."""
+def _held_by(config, parse=float, listed=False):
+    """A parser of one value by ``parse`` (of one or more comma-separated ones if ``listed``), each judged by
+    ``config(value)``, which builds the config type that holds it. A ValueError of ``parse`` or of that type is
+    argparse's usage error, with its own message."""
 
-    def parse(text: str) -> list[float]:
+    def check(text: str):
         try:
-            values = [float(part) for part in text.split(",") if part.strip() != ""]
+            values = [parse(part) for part in text.split(",") if part.strip() != ""] if listed else [parse(text)]
+            for value in values:
+                config(value)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text!r}") from exc
+            raise argparse.ArgumentTypeError(str(exc)) from exc
         if not values:  # an empty list would fall back to the command's default sweep
             raise argparse.ArgumentTypeError(f"expected at least one number: {text!r}")
-        if not all(math.isfinite(v) for v in values):
-            raise argparse.ArgumentTypeError(f"numbers must be finite: {text!r}")
-        if not all(v > low if strict else v >= low for v in values):
-            bound = f"{'>' if strict else '>='} {low:g}"
-            raise argparse.ArgumentTypeError(f"numbers must be {bound}: {text!r}")
-        return values
+        return values if listed else values[0]
 
-    return parse
+    return check
 
 
 def _int_at_least(low: int):
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="scenario YAML path")
-        p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the config seed")
+        p.add_argument("--seed", type=_held_by(lambda v: ScenarioConfig(seed=v), int), help="override the config seed")
         p.add_argument("--out", default="out", help="output directory (default: out)")
 
     common(sub.add_parser("run", help="run one scenario and write metrics"))
@@ -109,17 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-rint", help="sweep the interaction range")
     common(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
-    p.add_argument(
-        "--r-int", type=_float_list(0.0, strict=True), default=list(DEFAULT_RANGE_SWEEP),
-        help="comma-separated ranges in meters",
-    )
+    p.add_argument("--r-int", type=_held_by(lambda v: PipelineConfig(r_int=v), listed=True),
+                   default=list(DEFAULT_RANGE_SWEEP), help="comma-separated ranges in meters")
 
     p = sub.add_parser("sweep-latency", help="sweep the channel latency")
     common(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel sweep points (default 1)")
-    p.add_argument(
-        "--latency-ms", type=_float_list(0.0), default=list(DEFAULT_LATENCY_SWEEP_MS), help="comma-separated latencies"
-    )
+    p.add_argument("--latency-ms", type=_held_by(lambda v: ChannelModel(latency_ms=v), listed=True),
+                   default=list(DEFAULT_LATENCY_SWEEP_MS), help="comma-separated latencies")
     p.add_argument(
         "--no-compensation",
         action="store_true",
@@ -128,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", help="perturbation-harness association sweep")
     common(p)
-    p.add_argument("--alpha", type=_float_list(0.0), default=[0.0, 0.5, 1.0, 2.0], help="appearance weights to sweep")
+    p.add_argument(
+        "--alpha", type=_held_by(lambda v: MatchWeights(alpha=v, cost_threshold=HARNESS_COST_THRESHOLD), listed=True),
+        default=[0.0, 0.5, 1.0, 2.0], help="appearance weights to sweep",
+    )
     p.add_argument("--scenes", type=_int_at_least(1), default=200, help="seeded scenes (default 200)")
 
     p = sub.add_parser("bench-bandwidth", help="transmission-cost accounting")

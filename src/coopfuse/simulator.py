@@ -42,8 +42,8 @@ from .core import (
 from .fusion import TrackSet
 from .receiver import PipelineConfig, Receiver
 from .robustness import TransformNoiseParams, embedding_table, perturb_transform
-from .wire import (MAX_CLASS_ID, MAX_FEATURE_DIM, MAX_SENDER_ID, MAX_TIMESTAMP, InstancePacket, decode_packet,
-                   encode_packet)
+from .wire import (MAX_CLASS_ID, MAX_F32, MAX_FEATURE_DIM, MAX_RECORD_COUNT, MAX_SENDER_ID, MAX_TIMESTAMP,
+                   InstancePacket, decode_packet, encode_packet)
 
 log = logging.getLogger(__name__)
 
@@ -294,8 +294,8 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         _check_finite_sign(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
-        for name in ("latency_ms", "jitter_ms"):
-            if getattr(self, name) > MAX_TIMESTAMP / 1e3:
+        for name, micros_per_unit in (("latency_ms", 1e3), ("jitter_ms", 1e3), ("accounting_window_s", 1e6)):
+            if getattr(self, name) > MAX_TIMESTAMP / micros_per_unit:
                 raise ValueError(f"{name} must fit an i64 count of microseconds, got {getattr(self, name)!r}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
@@ -373,8 +373,10 @@ class ScenarioConfig:
         if not self.speed_range[0] >= 0:
             raise ValueError(f"speed_range must be non-negative, got {self.speed_range!r}")
         _check_finite_sign(self, ("min_clearance",))
-        if self.object_count < 1:
-            raise ValueError("object_count must be at least 1")
+        if not 1 <= self.object_count <= MAX_RECORD_COUNT:  # one sensing pass fits one packet
+            raise ValueError(
+                f"object_count {self.object_count} outside [1, {MAX_RECORD_COUNT}] (u16 record count on the wire)"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 1 <= self.class_count <= MAX_CLASS_ID + 1:
@@ -386,9 +388,13 @@ class ScenarioConfig:
             if a.agent_id in first_index:
                 raise ValueError(f"agents[{first_index[a.agent_id]}] and agents[{i}] share agent_id {a.agent_id}")
             first_index[a.agent_id] = i
-            # Motion is linear, so a position finite at both ends is finite throughout.
-            if not math.isfinite(a.x + a.vx * self.duration_s) or not math.isfinite(a.y + a.vy * self.duration_s):
+            # Motion is linear, so a position finite (a cooperator's within f32, its type on the wire) at both ends
+            # is so throughout. The ego's pose never goes on the wire.
+            end_x, end_y = a.x + a.vx * self.duration_s, a.y + a.vy * self.duration_s
+            if not math.isfinite(end_x) or not math.isfinite(end_y):
                 raise ValueError(f"agents[{i}]: position at duration_s is not finite")
+            if not a.ego and (reach := max(map(abs, (a.x, a.y, a.z, end_x, end_y)))) > MAX_F32:
+                raise ValueError(f"agents[{i}]: a cooperator's position must stay within f32's range, got {reach!r}")
         egos = [a for a in self.agents if a.ego]
         if self.agents and len(egos) != 1:
             raise ValueError("exactly one agent must be marked ego")

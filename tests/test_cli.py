@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coopfuse.association import MatchWeights
 from coopfuse.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from coopfuse.evaluation import DEFAULT_LATENCY_SWEEP_MS, DEFAULT_RANGE_SWEEP
+from coopfuse.receiver import PipelineConfig
+from coopfuse.robustness import HARNESS_COST_THRESHOLD
+from coopfuse.simulator import ChannelModel, ScenarioConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 QUICKSTART = str(CONFIG_DIR / "quickstart.yaml")
@@ -63,6 +67,13 @@ class TestValidateConfig:
         path.write_text(TINY.replace("x: 15.0,", "x: 1.7e+308, vx: 1.0e+308,"))
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
         assert "config error: agents[1]: position at duration_s is not finite" in capsys.readouterr().err
+
+    def test_cooperator_beyond_f32_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(TINY.replace("x: 15.0,", "x: 4.0e+38,"))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        message = "config error: agents[1]: a cooperator's position must stay within f32's range, got 4e+38"
+        assert message in capsys.readouterr().err
 
 
 class TestRun:
@@ -200,7 +211,37 @@ class TestRobustnessAndBandwidth:
         assert np.max(np.abs(residuals)) < 1e-6
 
 
+# Each flag a config field holds: its command, how its text is parsed, and the config type that judges it.
+HELD_FLAGS = {
+    "--r-int": ("sweep-rint", float, lambda v: PipelineConfig(r_int=v)),
+    "--latency-ms": ("sweep-latency", float, lambda v: ChannelModel(latency_ms=v)),
+    "--alpha": ("robustness", float, lambda v: MatchWeights(alpha=v, cost_threshold=HARNESS_COST_THRESHOLD)),
+    "--seed": ("run", int, lambda v: ScenarioConfig(seed=v)),
+}
+EDGE_NUMBERS = ["0", "-0.0", "-1", "5e-324", "1e20", "1e300", "inf", "nan"]
+EDGE_INTEGERS = ["0", "-0", "-1", str(10**20), str(10**300)]
+
+
 class TestInputBoundary:
+    @pytest.mark.parametrize("flag,value", [
+        (flag, value) for flag in HELD_FLAGS for value in (EDGE_INTEGERS if flag == "--seed" else EDGE_NUMBERS)
+    ])
+    def test_each_flag_value_is_judged_by_its_config_type(self, tiny_config, tmp_path, capsys, flag, value):
+        command, parse, config = HELD_FLAGS[flag]
+        out = tmp_path / "out"
+        argv = [command, "--config", tiny_config, "--out", str(out), f"{flag}={value}"]
+        try:
+            config(parse(value))
+        except ValueError as refused:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_CONFIG
+            assert f"error: argument {flag}: {refused}" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        parsed = getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+        assert parsed == (parse(value) if flag == "--seed" else [parse(value)])
+
     @pytest.mark.parametrize(
         "args",
         [["robustness", "--alpha", "inf"], ["sweep-rint", "--r-int", "10,inf"],

@@ -124,6 +124,27 @@ class TestWireBoundFields:
         assert cfg.agents[1].agent_id == 65535
         assert cfg.class_count == 256
 
+    @pytest.mark.parametrize("count", [65536, 2**63])
+    def test_object_count_beyond_the_u16_record_count_rejected(self, count):
+        raw = _two_agents()
+        raw["scenario"]["object_count"] = count
+        with pytest.raises(ConfigError, match=rf"^scenario: object_count {count} outside \[1, 65535\] \(u16 record"):
+            scenario_from_dict(raw)
+
+    def test_cooperator_beyond_f32_rejected_ego_accepted(self):
+        raw = _two_agents()
+        raw["agents"][1]["x"] = 4e38
+        with pytest.raises(ConfigError, match=r"^agents\[1\]: a cooperator's position must stay within f32's range"):
+            scenario_from_dict(raw)
+        raw = _two_agents()
+        raw["agents"][0]["x"] = 4e38
+        assert scenario_from_dict(raw).agents[0].x == 4e38
+
+    def test_accounting_window_beyond_an_i64_count_of_microseconds_rejected(self):
+        raw = {**_two_agents(), "channel": {"accounting_window_s": 1.7e308}}
+        with pytest.raises(ConfigError, match="^channel: accounting_window_s must fit an i64 count of microseconds"):
+            scenario_from_dict(raw)
+
 
 NAN = math.nan
 NAN_FIELDS = [

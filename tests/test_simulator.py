@@ -16,7 +16,7 @@ from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
 from coopfuse.association import RoiSpec
 from coopfuse.evaluation import compute_metrics, metrics_row, sweep_interaction_range
 from coopfuse.robustness import TransformNoiseParams
-from coopfuse.wire import MAX_TIMESTAMP, InstancePacket, decode_packet
+from coopfuse.wire import MAX_F32, MAX_RECORD_COUNT, MAX_TIMESTAMP, InstancePacket, decode_packet
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
@@ -480,13 +480,23 @@ class TestTransmit:
         with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
             ChannelModel(**{name: value})
 
-    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms"])
+    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms", "accounting_window_s"])
     @pytest.mark.parametrize("value", [1e300, 1.7e308])
     def test_channel_rejects_times_beyond_an_i64_count_of_microseconds(self, name, value):
-        # 1.7e308 ms is finite, but its microseconds overflow to inf and the arrival time cannot be an integer.
+        # 1.7e308 is finite, but its microseconds overflow to inf: the arrival time, or peak_bps_sent's
+        # window, cannot be an integer.
         with pytest.raises(ValueError, match=f"^{name} must fit an i64 count of microseconds"):
             ChannelModel(**{name: value})
-        assert getattr(ChannelModel(**{name: MAX_TIMESTAMP / 1e3}), name) == MAX_TIMESTAMP / 1e3
+        widest = MAX_TIMESTAMP / (1e6 if name == "accounting_window_s" else 1e3)
+        assert getattr(ChannelModel(**{name: widest}), name) == widest
+
+    def test_the_longest_accounting_window_is_accounted(self):
+        widest = MAX_TIMESTAMP / 1e6
+        cfg = shipped("quickstart")
+        cfg = replace(cfg, duration_s=2 * cfg.tick_s, channel=replace(cfg.channel, accounting_window_s=widest))
+        result = run_scenario(cfg)
+        sent = sum(e.size_bytes for e in result.events if e.kind in ("send", "drop"))
+        assert 0 < result.peak_bps_sent() == sent / widest
 
 
 class TestBevBaselineCost:
@@ -913,8 +923,31 @@ class TestScenarioConfigValidation:
         runaway = AgentSpec(agent_id=1, **{axis: 1.7e308, f"v{axis}": 1e308})
         with pytest.raises(ValueError, match=r"^agents\[1\]: position at duration_s is not finite"):
             ScenarioConfig(duration_s=10.0, agents=(AgentSpec(agent_id=0, ego=True), runaway))
-        returning = replace(runaway, **{f"v{axis}": -1e307})
-        ScenarioConfig(duration_s=10.0, agents=(AgentSpec(agent_id=0, ego=True), returning))
+        # The ego's pose never goes on the wire, so finite at both ends is all it needs.
+        returning = AgentSpec(agent_id=0, ego=True, **{axis: 1.7e308, f"v{axis}": -1e307})
+        ScenarioConfig(duration_s=10.0, agents=(returning, AgentSpec(agent_id=1)))
+
+    @pytest.mark.parametrize("pose", [{"x": 4e38}, {"y": -4e38}, {"z": 4e38}, {"x": 3e38, "vx": 1e37}])
+    def test_rejects_a_cooperator_beyond_f32_at_either_end(self, pose):
+        # encode_packet would refuse its translation in the first frame that reached it.
+        coop = AgentSpec(agent_id=1, **pose)
+        message = r"^agents\[1\]: a cooperator's position must stay within f32's range, got 4e\+38$"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(duration_s=10.0, agents=(AgentSpec(agent_id=0, ego=True), coop))
+        ScenarioConfig(duration_s=10.0, agents=(replace(coop, agent_id=0, ego=True), AgentSpec(agent_id=1)))
+
+    def test_a_cooperator_within_f32_runs(self):
+        cfg = shipped("quickstart")
+        far = replace(cfg.agents[1], x=MAX_F32 * 0.9, vx=0.0, vy=0.0)
+        cfg = replace(cfg, duration_s=2 * cfg.tick_s, agents=(cfg.agents[0], far, *cfg.agents[2:]))
+        assert sum(e.kind == "send" for e in run_scenario(cfg).events) > 0
+
+    @pytest.mark.parametrize("count", [0, MAX_RECORD_COUNT + 1, 2**63])
+    def test_object_count_is_bounded_by_the_u16_record_count(self, count):
+        # 2**63 used to fail in numpy and 2**31 to run out of memory; 65,536 was still running after 10 s.
+        with pytest.raises(ValueError, match=rf"^object_count {count} outside \[1, 65535\] \(u16 record count"):
+            ScenarioConfig(object_count=count)
+        assert ScenarioConfig(object_count=MAX_RECORD_COUNT).object_count == MAX_RECORD_COUNT
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
