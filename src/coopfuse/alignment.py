@@ -152,21 +152,23 @@ def align_instance(
     rel: RigidTransform,
     t_ego: Timestamp,
     cfg: AlignmentConfig,
+    compensate: bool = True,
 ) -> Instance:
     """Bring a remote instance into the ego frame at the ego timestamp.
 
-    Latency compensation runs first in the sender's frame, then the state
-    is projected through ``rel``, the sender-to-ego transform (see
+    Latency compensation runs first in the sender's frame (with
+    ``compensate`` off, over dt = 0, which leaves the state as it is), then
+    the state is projected through ``rel``, the sender-to-ego transform (see
     ``relative_transform``; build it once per packet). The feature passes
-    through the configured aligner. The result is stamped ``t_ego``;
-    identity fields are kept.
+    through the configured aligner. The result is stamped ``t_ego`` either
+    way; identity fields are kept.
 
     Raises:
         HorizonExceeded, DegenerateHeading: propagated from the two steps.
         ValueError: from ``compensate_latency``, if the instance is from the
-            future (observed_at > t_ego).
+            future (observed_at > t_ego) and ``compensate`` is on.
     """
-    dt = micros_to_seconds(t_ego - inst.observed_at)
+    dt = micros_to_seconds(t_ego - inst.observed_at) if compensate else 0.0
     state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
         feature = rotate_feature_pairs(inst.feature, rel.yaw)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Instance, _check_finite_sign, state_rows
+from .core import Instance, _check_finite_sign, _unsigned_zeros, state_rows
 
 _TIE_REL_TOL = 1e-9
 
@@ -35,6 +35,7 @@ class RoiSpec:
     z_max: float = 3.0
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("x_half", "y_half"), positive=True)
         if not -math.inf < self.z_min < self.z_max < math.inf:
             raise ValueError(f"ROI requires finite z_min < z_max, got ({self.z_min!r}, {self.z_max!r})")
@@ -66,6 +67,7 @@ class MatchWeights:
     cost_threshold: float = 5.0
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         weights = {name: getattr(self, name) for name in ("w_pos", "w_dim", "w_heading", "w_vel", "alpha")}
         for name, w in weights.items():
             if not 0 <= w < math.inf:

@@ -9,13 +9,14 @@ exact; conversion to float seconds happens only at the kinematics boundary.
 Values are validated once, where they enter: the public constructors,
 sensing, wire decode and config loading. A value derived from valid ones (a
 transformed, compensated, fused or smoothed state, a composed or inverted
-transform, a relabelled instance) is built unchecked by the type's private
-``_trusted`` (or ``Instance._trusted_replace``), which only package code
-calls. A ``StateVector`` is a named tuple of its 11 floats, equal to the
-plain tuple of its components; its ``_trusted`` and the named tuple's
-``_make`` and ``_replace`` skip the checks. ``Instance`` stays a slotted
-dataclass with identity equality, whose ``_trusted`` sets the slots through
-their descriptors: a per-record value is one small object with no dict. The
+transform, a relabelled or smoothed instance, a refined track set) is built
+unchecked, in one call, by the type's private ``_trusted``, which only
+package code calls. A ``StateVector`` is a named tuple of its 11 floats,
+equal to the plain tuple of its components; its ``_trusted`` and the named
+tuple's ``_make`` and ``_replace`` skip the checks. ``Instance`` stays a
+slotted dataclass with identity equality, whose ``_trusted`` sets the slots
+through their descriptors: a per-record value is one small object with no
+dict. The
 rules for a valid value live here alone: sensing and wire decode check their
 records as one batch with ``_check_records``, then normalize the features
 with ``normalize_feature``.
@@ -30,9 +31,8 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -187,17 +187,9 @@ class Instance:
         _SET_SOURCE_AGENT(self, source_agent), _SET_OBSERVED_AT(self, observed_at)
         return self
 
-    def _trusted_replace(self, **changes) -> Instance:
-        """A copy with the named fields changed to values derived from valid ones; unchecked."""
-        copy = Instance._trusted(*_INSTANCE_FIELDS(self))
-        for name, value in changes.items():
-            Instance.__dict__[name].__set__(copy, value)
-        return copy
-
 
 _SET_STATE, _SET_FEATURE, _SET_CONFIDENCE, _SET_CLASS_ID, _SET_TRACK_ID, _SET_SOURCE_AGENT, _SET_OBSERVED_AT = (
     Instance.__dict__[name].__set__ for name in Instance.__slots__)
-_INSTANCE_FIELDS = operator.attrgetter(*Instance.__slots__)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -278,6 +270,18 @@ def _check_finite_sign(params: object, names: Sequence[str], positive: bool = Fa
         if not (0 < value < math.inf if positive else 0 <= value < math.inf):
             problem = ("positive" if positive else "non-negative") if math.isfinite(value) else "finite"
             raise ValueError(f"{name} must be {problem}, got {value!r}")
+
+
+def _unsigned_zeros(config: object) -> None:
+    """Store each float field of the frozen dataclass ``config`` (or float in a tuple of floats) that equals
+    zero as 0.0: -0.0 passes every range rule, and would reach the output and the config hash as zero's second
+    spelling."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and value == 0.0:
+            object.__setattr__(config, f.name, 0.0)
+        elif isinstance(value, tuple) and value and all(isinstance(v, float) for v in value):
+            object.__setattr__(config, f.name, tuple(0.0 if v == 0.0 else v for v in value))
 
 
 def _unit(column: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
 over a set of distance thresholds, and a tracking accuracy score swept
 over an 11-point recall grid. Every metric derives from one table of
-greedy matches per distinct distance threshold, picked by ``greedy_nearest``
-from one ``pairs_within`` scan per frame (the rule that continues sensing
+greedy matches per distinct distance threshold, picked by one
+``greedy_nearest`` over the whole run from one ``pairs_within`` scan per
+frame, the pairs numbered across the run (the rule that continues sensing
 tracks). The claims these support are trends and properties, not
 leaderboard numbers, and every output is deterministic given the scenario
 seed.
@@ -18,11 +19,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
-from .core import GroundTruthObject, Instance, greedy_nearest, pairs_within
+from .core import greedy_nearest, pairs_within
 from .simulator import FrameRecord, RunResult, ScenarioConfig, SceneRecord, record_scene, run_scenario
 
 DETECTION_THRESHOLDS = (0.5, 1.0, 2.0, 4.0)
@@ -55,9 +56,6 @@ class MetricsReport:
     coop_prefusion_err: float = math.nan
 
 
-Scan = tuple[list[Instance], tuple[GroundTruthObject, ...], list[tuple[int, int, float]]]
-
-
 @dataclass(frozen=True)
 class Hits:
     """One distance threshold's greedy matches over a run, one row per prediction.
@@ -79,30 +77,46 @@ class Hits:
     total_gt: int
 
 
-def _scan(frame: FrameRecord, radius: float) -> Scan:
-    """The frame's predictions in matching order (descending confidence,
-    stable), its objects and their same-class ``(prediction, object,
-    distance)`` pairs within ``radius``."""
-    order = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
-    sides = [(np.array([o.state[:2] for o in group]).reshape(-1, 2), np.array([o.class_id for o in group]))
-             for group in (order, frame.ground_truth)]
-    return order, frame.ground_truth, pairs_within(*sides[0], *sides[1], radius)
+def _hits(frames: Sequence[FrameRecord], radii: Collection[float]) -> dict[float, Hits]:
+    """Greedy confidence-ordered one-to-one matching by planar distance, one ``Hits`` per radius.
 
-
-def _hits(scans: Sequence[Scan], threshold: float) -> Hits:
-    """Greedy confidence-ordered one-to-one matching by planar distance, frame by frame."""
-    confidence, matched, object_id, track_id, distances, duplicates = [], [], [], [], [], 0
-    for order, gt_objects, pairs in scans:
-        picks = greedy_nearest(pairs, len(order), threshold)
-        rows = sorted(range(len(picks)), key=lambda i: picks[i] is None)  # matched first, stable
-        confidence += [order[i].confidence for i in rows]
-        matched += [picks[i] is not None for i in rows]
-        object_id += [-1 if picks[i] is None else gt_objects[picks[i][0]].object_id for i in rows]
-        track_id += [order[i].track_id for i in rows]
-        distances += [pick[1] for pick in picks if pick is not None]
-        duplicates += len({i for i, _, d in pairs if d <= threshold and picks[i] is None})
-    return Hits(np.array(confidence, float), np.array(matched, bool), np.array(object_id, np.int64),
-                np.array(track_id, object), distances, duplicates, sum(len(scan[1]) for scan in scans))
+    Each frame's predictions are visited by descending confidence (stable)
+    and paired with its objects once, within the largest radius. The pairs
+    are indexed run-wide, predictions and objects each numbered across the
+    frames, so one ``greedy_nearest`` per radius matches every frame: no two
+    frames share a prediction or an object index.
+    """
+    order, objects, pairs = [], [], []  # the run's predictions in visiting order, its objects, their pairs
+    for frame in frames:
+        visits = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
+        sides = [(np.array([o.state[:2] for o in group]).reshape(-1, 2), np.array([o.class_id for o in group]))
+                 for group in (visits, frame.ground_truth)]
+        first, first_object = len(order), len(objects)
+        pairs += [(i + first, j + first_object, d) for i, j, d in pairs_within(*sides[0], *sides[1], max(radii))]
+        order += visits
+        objects += frame.ground_truth
+    frame_of = np.repeat(np.arange(len(frames)), [len(frame.tracks.instances) for frame in frames])
+    confidence = np.array([p.confidence for p in order], float)
+    track_id = np.array([p.track_id for p in order], object)
+    object_ids = np.array([o.object_id for o in objects], np.int64)
+    pair_rows = np.array(pairs, float).reshape(-1, 3)
+    pair_query, pair_distance = pair_rows[:, 0].astype(np.intp), pair_rows[:, 2]
+    hits = {}
+    for radius in radii:
+        picks = greedy_nearest(pairs, len(order), radius)
+        found = [(i, *pick) for i, pick in enumerate(picks) if pick is not None]
+        rows, refs, distances = (list(column) for column in zip(*found)) if found else ([], [], [])
+        matched = np.zeros(len(order), bool)
+        matched[rows] = True
+        object_id = np.full(len(order), -1, np.int64)
+        object_id[rows] = object_ids[refs]
+        near = np.zeros(len(order), bool)
+        near[pair_query[pair_distance <= radius]] = True
+        rank = np.lexsort((~matched, frame_of))  # stable: each frame's matched rows first, in visiting order
+        # Matched rows in row order are in visiting order across the run, as ``distances`` is.
+        hits[radius] = Hits(confidence[rank], matched[rank], object_id[rank], track_id[rank], distances,
+                            int(np.count_nonzero(near & ~matched)), len(objects))
+    return hits
 
 
 def _ranks(hits: Hits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,8 +186,7 @@ def compute_metrics(
     if not thresholds or not all(0.0 < thr < math.inf for thr in thresholds):
         raise ValueError(f"need one or more finite thresholds > 0, got {tuple(thresholds)!r}")
     radii = {*thresholds, TRACKING_THRESHOLD}
-    scans = [_scan(frame, max(radii)) for frame in run.frames]
-    hits = {thr: _hits(scans, thr) for thr in radii}
+    hits = _hits(run.frames, radii)
     ranks = {thr: _ranks(hits[thr]) for thr in radii}
     ap_per = {thr: _interpolated_ap(*ranks[thr][1:]) for thr in thresholds}
     tracked = hits[TRACKING_THRESHOLD]
@@ -240,17 +253,16 @@ def sweep_latency(
     if compensation not in ("both", "off"):
         raise ValueError("compensation must be 'both' or 'off'")
     modes = (True, False) if compensation == "both" else (False,)
-    keys = [(float(latency), mode) for latency in sorted(latencies_ms) for mode in modes]
     sensed = record_scene(base_cfg)
     points = [
-        (replace(base_cfg, channel=replace(base_cfg.channel, latency_ms=latency),
+        (replace(base_cfg, channel=replace(base_cfg.channel, latency_ms=float(latency)),
                  pipeline=replace(base_cfg.pipeline, compensate_latency=mode)), sensed)
-        for latency, mode in keys
+        for latency in sorted(latencies_ms) for mode in modes
     ]
-    return [
-        {"latency_ms": latency, "compensated": int(mode), "ap": m.ap, "rmse": m.rmse_pos,
-         "coop_prefusion_err": m.coop_prefusion_err}
-        for (latency, mode), m in zip(keys, _map_points(points, jobs))
+    return [  # each point's values as its config holds them
+        {"latency_ms": cfg.channel.latency_ms, "compensated": int(cfg.pipeline.compensate_latency), "ap": m.ap,
+         "rmse": m.rmse_pos, "coop_prefusion_err": m.coop_prefusion_err}
+        for (cfg, _), m in zip(points, _map_points(points, jobs))
     ]
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .alignment import compensate_latency
-from .core import (ClassColumns, DegenerateHeading, Instance, StateVector, Timestamp, _check_finite_sign, nearest,
-                   normalize_feature)
+from .core import (ClassColumns, DegenerateHeading, Instance, StateVector, Timestamp, _check_finite_sign,
+                   _unsigned_zeros, nearest, normalize_feature)
 
 COOP_TRACK_FLAG = 1 << 63
 _AGENT_SHIFT = 48
@@ -30,6 +29,7 @@ class FusionConfig:
     confidence_fusion: str = "max"  # or "noisy_or"
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("dedup_radius",), positive=True)
         for name in ("smoothing_gain_pos", "smoothing_gain_vel"):
             if not 0.0 < getattr(self, name) <= 1.0:
@@ -53,6 +53,13 @@ class TrackSet:
             raise ValueError("every track-set instance needs a track_id")
         if len(set(ids)) != len(ids):
             raise ValueError("track_ids must be unique within a frame")
+
+    @classmethod
+    def _trusted(cls, timestamp: Timestamp, instances: tuple[Instance, ...]) -> TrackSet:
+        """The track set of instances whose IDs are set and unique, unchecked."""
+        self = object.__new__(cls)
+        self.__dict__.update(timestamp=timestamp, instances=instances)
+        return self
 
 
 class TrackIdRegistry:
@@ -157,7 +164,7 @@ def refine_tracks(
     Each current instance whose ID existed previously is corrected toward
     its constant-velocity prediction: position moves by gain_pos times the
     innovation, velocity by gain_vel times innovation / dt. New tracks pass
-    through unchanged.
+    through unchanged. Every ID is kept, so the result is built unchecked.
     """
     if not dt > 0:  # NaN fails it too
         raise ValueError("dt must be positive")
@@ -169,18 +176,19 @@ def refine_tracks(
         if prev is None:
             refined.append(inst)
             continue
-        pred = compensate_latency(prev.state, dt, max_horizon=math.inf)
-        s, p, v = inst.state, pred, prev.state
-        ix, iy, iz = s.x - p.x, s.y - p.y, s.z - p.z
+        s, v = inst.state, prev.state
+        px, py, pz = v.x + v.vx * dt, v.y + v.vy * dt, v.z + v.vz * dt  # as ``compensate_latency`` predicts
+        ix, iy, iz = s.x - px, s.y - py, s.z - pz
         state = StateVector._trusted(
             (
-                p.x + gain_pos * ix, p.y + gain_pos * iy, p.z + gain_pos * iz,
+                px + gain_pos * ix, py + gain_pos * iy, pz + gain_pos * iz,
                 s.l, s.w, s.h, s.sin_yaw, s.cos_yaw,
                 v.vx + gain_vel * ix / dt, v.vy + gain_vel * iy / dt, v.vz + gain_vel * iz / dt,
             )
         )
-        refined.append(inst._trusted_replace(state=state))
-    return replace(current, instances=tuple(refined))
+        refined.append(Instance._trusted(state, inst.feature, inst.confidence, inst.class_id, inst.track_id,
+                                         inst.source_agent, inst.observed_at))
+    return TrackSet._trusted(current.timestamp, tuple(refined))
 
 
 def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
@@ -202,6 +210,11 @@ def deduplicate(instances: Sequence[Instance], radius: float) -> list[Instance]:
     return kept
 
 
+def _relabelled(inst: Instance, track_id: int) -> Instance:
+    return Instance._trusted(inst.state, inst.feature, inst.confidence, inst.class_id, track_id, inst.source_agent,
+                             inst.observed_at)
+
+
 def assemble_output(
     fused: Sequence[Instance],
     unmatched_ego: Sequence[Instance],
@@ -220,14 +233,12 @@ def assemble_output(
     combined: list[Instance] = []
     for inst in list(fused) + list(unmatched_ego):
         if inst.track_id is None:
-            tid = ids.resolve(inst.source_agent, None, taken)
-            inst = inst._trusted_replace(track_id=tid)
+            inst = _relabelled(inst, ids.resolve(inst.source_agent, None, taken))
         combined.append(inst)
         taken.add(inst.track_id)
     for inst in list(unmatched_coop_near) + list(coop_far):
-        tid = ids.resolve(inst.source_agent, inst.track_id, taken)
-        combined.append(inst._trusted_replace(track_id=tid))
-        taken.add(tid)
+        combined.append(_relabelled(inst, ids.resolve(inst.source_agent, inst.track_id, taken)))
+        taken.add(combined[-1].track_id)
     survivors = [
         inst
         for inst in deduplicate(combined, cfg.dedup_radius)

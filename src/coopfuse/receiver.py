@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 from .alignment import AlignmentConfig, HorizonExceeded, align_instance
 from .association import MatchWeights, RoiSpec, associate, filter_roi
-from .core import Instance, RigidTransform, Timestamp, _check_finite_sign, relative_transform
+from .core import Instance, RigidTransform, Timestamp, _check_finite_sign, _unsigned_zeros, relative_transform
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .wire import InstancePacket, decode_packet
 
@@ -33,6 +33,7 @@ class PipelineConfig:
     transmit_confidence_min: float = 0.3
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("r_int",), positive=True)
         if self.transmit_top_k < 1:
             raise ValueError("transmit_top_k must be at least 1")
@@ -100,10 +101,8 @@ class Receiver:
             self.fused_at[sender] = packet.send_timestamp
             rel = relative_transform(ego_pose, packet.sender_pose())
             for inst in packet.to_instances():
-                if not pipe.compensate_latency:
-                    inst = inst._trusted_replace(observed_at=t)
                 try:
-                    aligned.append(align_instance(inst, rel, t, pipe.alignment))
+                    aligned.append(align_instance(inst, rel, t, pipe.alignment, pipe.compensate_latency))
                 except HorizonExceeded:
                     stale += 1
         return aligned, stale

@@ -25,6 +25,7 @@ from .core import (
     RigidTransform,
     StateVector,
     _check_finite_sign,
+    _unsigned_zeros,
     compose,
     invert,
     normalize_feature,
@@ -49,6 +50,7 @@ class ObservationNoiseParams:
     other_range: float = 0.5
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("pos_range", "other_range"))
         for name in ("pos_range", "other_range"):
             value = float(getattr(self, name))
@@ -65,6 +67,7 @@ class TransformNoiseParams:
     three_axis: bool = False
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("trans_sigma", "rot_sigma_deg"))
 
 
@@ -302,15 +305,16 @@ def alpha_sweep_rows(
     if len(alphas) == 0 or scenes < 1:
         raise ValueError(f"need an alpha and a scene, got {len(alphas)} alphas, {scenes} scenes")
     weights = [MatchWeights(alpha=a, cost_threshold=HARNESS_COST_THRESHOLD) for a in alphas]
+    noise = ObservationNoiseParams(), TransformNoiseParams()  # built once: every scene draws with the defaults
     scores = np.array([  # (scene, alpha, (accuracy, precision, recall))
         run_denoising_trial(
             make_cluttered_objects(object_count, spacing, np.random.default_rng(scene_seed ^ 0xC1_0770)),
-            scene_seed, ObservationNoiseParams(), TransformNoiseParams(), weights, feature_dim=feature_dim,
+            scene_seed, *noise, weights, feature_dim=feature_dim,
         )
         for scene_seed in range(seed, seed + scenes)
     ])
     rows = []
-    for alpha, per_alpha in zip(alphas, scores.transpose(1, 2, 0).copy()):  # each mean over a contiguous row
+    for w, per_alpha in zip(weights, scores.transpose(1, 2, 0).copy()):  # each mean over a contiguous row
         means = (float(np.mean(column)) for column in per_alpha)
-        rows.append(dict(zip(ALPHA_SWEEP_COLUMNS, (float(alpha), *means))))
+        rows.append(dict(zip(ALPHA_SWEEP_COLUMNS, (float(w.alpha), *means))))
     return rows

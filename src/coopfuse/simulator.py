@@ -31,6 +31,7 @@ from .core import (
     Timestamp,
     _check_finite_sign,
     _check_records,
+    _unsigned_zeros,
     greedy_nearest,
     invert,
     nearest,
@@ -128,6 +129,7 @@ class SensorModel:
     track_gate: float = 4.0  # NN continuation radius, meters
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("max_range", "pos_noise_range_power"), positive=True)
         if not 0 < self.fov_deg <= 360:  # NaN fails it too
             raise ValueError(f"fov_deg must lie in (0, 360], got {self.fov_deg!r}")
@@ -156,6 +158,7 @@ class AgentSpec:
     sensor: SensorModel = field(default_factory=SensorModel)
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         if not 0 <= self.agent_id <= MAX_SENDER_ID:
             raise ValueError(f"agent_id {self.agent_id} outside [0, {MAX_SENDER_ID}] (u16 on the wire)")
         for name in ("x", "y", "z", "yaw_deg", "vx", "vy"):
@@ -293,6 +296,7 @@ class ChannelModel:
     accounting_window_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         _check_finite_sign(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
         for name, micros_per_unit in (("latency_ms", 1e3), ("jitter_ms", 1e3), ("accounting_window_s", 1e6)):
             if getattr(self, name) > MAX_TIMESTAMP / micros_per_unit:
@@ -358,6 +362,7 @@ class ScenarioConfig:
     pose_noise: Optional[TransformNoiseParams] = None  # sender localization error
 
     def __post_init__(self) -> None:
+        _unsigned_zeros(self)
         for name in ("duration_s", "tick_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")

@@ -261,21 +261,23 @@ class TestAlignInstance:
             [out.state.vx, out.state.vy], [0.0, 1.0], atol=1e-12
         )
 
-    def test_state_equals_compensation_then_the_batch_transform_exactly(self, rng):
+    @pytest.mark.parametrize("compensate", [True, False])
+    def test_state_equals_compensation_then_the_batch_transform_exactly(self, rng, compensate):
         # align_instance moves each record through a one-row body; its bits must be those of
-        # the constant-velocity step followed by the batch transform.
+        # the constant-velocity step (none with compensation off) followed by the batch transform.
         for k in range(200):
             rotation = random_rotation(rng) if k % 2 else RigidTransform.from_yaw(rng.uniform(-3, 3)).rotation
             rel = RigidTransform(rotation, rng.uniform(-100, 100, 3))
             x, y, yaw, vx, vy = rng.uniform(-50, 50, 5)
             inst = make_instance(x=x, y=y, z=0.7, yaw=yaw, vx=vx, vy=vy, observed_at=10_000)
             t_ego = inst.observed_at + (int(rng.integers(1, 2_000_000)) if k % 4 else 0)
-            s, dt = inst.state, micros_to_seconds(t_ego - inst.observed_at)
+            s, dt = inst.state, micros_to_seconds(t_ego - inst.observed_at) if compensate else 0.0
             moved = [s.x + s.vx * dt, s.y + s.vy * dt, s.z + s.vz * dt] if dt else [s.x, s.y, s.z]
             row = np.array([*moved, s.l, s.w, s.h, s.sin_yaw, s.cos_yaw, s.vx, s.vy, s.vz])
             want = transform_states(row[None], rel)[0]
-            got = align_instance(inst, rel, t_ego, AlignmentConfig()).state
-            assert [getattr(got, n).hex() for n in StateVector._fields] == [v.hex() for v in want]
+            got = align_instance(inst, rel, t_ego, AlignmentConfig(), compensate)
+            assert [getattr(got.state, n).hex() for n in StateVector._fields] == [v.hex() for v in want]
+            assert got.observed_at == t_ego
 
     def test_rejects_future_instances(self):
         rel = self._rel()
@@ -288,6 +290,8 @@ class TestAlignInstance:
         inst = make_instance(observed_at=0)
         with pytest.raises(HorizonExceeded):
             align_instance(inst, rel, seconds_to_micros(3.0), AlignmentConfig())
+        # Without compensation a record has no age to exceed the horizon: it is aligned as it was sensed.
+        assert align_instance(inst, rel, seconds_to_micros(3.0), AlignmentConfig(), compensate=False).state == inst.state
 
     def test_identity_aligner_keeps_cosine_similarity(self, rng):
         rel = self._rel(ego_yaw=0.8, coop_xy=(12.0, -7.0))

@@ -285,12 +285,15 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "args,csv",
         [(["sweep-latency", "--latency-ms", "0", "--no-compensation", "--jobs", "1"], "latency_sweep.csv"),
-         (["robustness", "--alpha", "0", "--scenes", "2"], "robustness.csv")],
-        ids=["latency-zero", "alpha-zero"],
+         (["robustness", "--alpha", "0", "--scenes", "2"], "robustness.csv"),
+         (["sweep-latency", "--latency-ms=-0.0", "--no-compensation"], "latency_sweep.csv"),
+         (["robustness", "--alpha=-0.0", "--scenes", "2"], "robustness.csv")],
+        ids=["latency-zero", "alpha-zero", "latency-negative-zero", "alpha-negative-zero"],
     )
     def test_range_bounds_themselves_are_accepted(self, tiny_config, tmp_path, args, csv):
+        # Each row carries the value its config holds: a negative zero is stored, and written, as 0.0.
         assert main(args + ["--config", tiny_config, "--out", str(tmp_path)]) == EXIT_OK
-        assert (tmp_path / csv).exists()
+        assert (tmp_path / csv).read_text().splitlines()[1].split(",")[0] == "0.0"
 
     def test_seed_flag_rejects_negative(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -328,6 +331,15 @@ class TestInputBoundary:
         path = CONFIG_DIR.parent / config
         assert main(["bench-bandwidth", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads((tmp_path / "manifest.json").read_text())["config_sha256"] == digest
+
+    def test_a_negative_zero_hashes_as_zero(self, tmp_path):
+        digests = []
+        for zero in ("0.0", "-0.0"):
+            path = tmp_path / f"{zero}.yaml"
+            path.write_text(TINY + f"channel: {{latency_ms: {zero}}}\n")
+            assert main(["bench-bandwidth", "--config", str(path), "--out", str(tmp_path / zero)]) == EXIT_OK
+            digests.append(json.loads((tmp_path / zero / "manifest.json").read_text())["config_sha256"])
+        assert digests[0] == digests[1]
 
 
 COMMAND_FLAGS = {

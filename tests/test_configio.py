@@ -403,15 +403,37 @@ def test_the_generated_cases_cover_every_config_class():
 )
 def test_every_float_field_rejects_non_finite_values(cls, name, side, bad):
     """The constructors are the one rule: no float field of any config class holds NaN or an infinity."""
-    required = {f.name: 0 for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    value = bad
-    if side is not None:
-        value = list(getattr(cls(**required), name))
-        value[side] = bad
-        value = tuple(value)
     with pytest.raises(ValueError) as caught:
-        cls(**required, **{name: value})
+        _in_slot(cls, name, side, bad)
     assert name in str(caught.value)
+
+
+def _in_slot(cls, name, side, value):
+    """``cls`` built with ``value`` in one float slot, every other field at its default (a required one 0)."""
+    required = {f.name: 0 for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    if side is not None:
+        pair = list(getattr(cls(**required), name))
+        pair[side] = value
+        value = tuple(pair)
+    return cls(**required, **{name: value})
+
+
+ZERO_SLOTS = sorted({(cls, name, side) for cls, name, side, _ in FLOAT_SLOTS}, key=repr)
+
+
+@pytest.mark.parametrize(
+    "cls,name,side", ZERO_SLOTS, ids=[f"{c.__name__}.{n}{'' if i is None else f'[{i}]'}" for c, n, i in ZERO_SLOTS],
+)
+def test_every_float_field_stores_a_negative_zero_as_zero(cls, name, side):
+    """-0.0 passes every range rule that 0.0 passes, so a config holds either as 0.0: one output, one hash."""
+    try:
+        cfg = _in_slot(cls, name, side, -0.0)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _in_slot(cls, name, side, 0.0)
+        return
+    stored = getattr(cfg, name) if side is None else getattr(cfg, name)[side]
+    assert (stored, math.copysign(1.0, stored)) == (0.0, 1.0)
 
 
 def _float_paths(obj, prefix=()) -> list[tuple]:

@@ -2,7 +2,6 @@
 
 import math
 import pickle
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,18 +125,6 @@ class TestInstance:
         inst = Instance(make_state(), feature, 0.5, 0, None, 0, 0)
         with pytest.raises(ValueError):
             inst.feature[0] = 0.0
-
-    def test_trusted_replace_changes_only_the_named_fields(self):
-        feature = np.zeros(4)
-        feature[0] = 1.0
-        inst = Instance(make_state(x=3.0), feature, 0.5, 2, 7, 1, 40)
-        before = {f.name: getattr(inst, f.name) for f in fields(Instance)}
-        changes = {"track_id": None, "observed_at": 90}
-        changed = inst._trusted_replace(**changes)
-        assert not hasattr(changed, "__dict__")  # every field lives in a slot
-        for name, value in before.items():
-            assert getattr(changed, name) is changes.get(name, value), name
-            assert getattr(inst, name) is value, name
 
 
 class TestRigidTransform:

@@ -53,7 +53,8 @@ def test_every_benchmark_hook_resolves(monkeypatch):
         hooks.uninstall()
 
 
-def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch):
+@pytest.mark.parametrize("compensate", [True, False])
+def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch, compensate):
     # The benchmark's counters read the hooked calls' arguments and results (transmit's arrival time,
     # associate's matches, ...); a signature change must leave every counter and identity working.
     from dataclasses import replace
@@ -62,7 +63,8 @@ def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch):
 
     cfg = load_scenario(ROOT / "configs" / "quickstart.yaml")
     alignment = replace(cfg.pipeline.alignment, max_compensation_horizon=0.6)
-    cfg = replace(cfg, duration_s=6.0, pipeline=replace(cfg.pipeline, alignment=alignment),
+    pipeline = replace(cfg.pipeline, alignment=alignment, compensate_latency=compensate)
+    cfg = replace(cfg, duration_s=6.0, pipeline=pipeline,
                   channel=replace(cfg.channel, latency_ms=150.0, jitter_ms=600.0, drop_prob=0.2))
     hooks = _benchmark_tracer(monkeypatch)
     try:
@@ -70,7 +72,11 @@ def test_a_traced_lossy_run_breaks_no_counter_or_identity(monkeypatch):
             run = simulator.run_scenario(cfg)  # the module attribute, which the tracer has wrapped
     finally:
         hooks.uninstall()
-    assert any(e.kind == "drop" for e in run.events) and sum(f.stale_dropped for f in run.frames) > 0
+    assert any(e.kind == "drop" for e in run.events)
+    if compensate:
+        assert sum(f.stale_dropped for f in run.frames) > 0
+    else:  # uncompensated records are aligned over dt = 0, so none is stale
+        assert hooks.counts["alignment.align.aligned"] == hooks.counts["wire.to_instances.records"] > 0
     assert hooks.counts["simulator.transmit.packets"] > 0 and hooks.counts["association.associate.matched"] > 0
     assert hooks.broken_counters == set()
     identities = hooks.check_identities()

@@ -242,8 +242,7 @@ class TestScoringOracle:
     def test_scores_equal_brute_force(self, frames):
         lib_frames = _library_frames(frames)
         for frame, (preds, gts) in zip(lib_frames, frames):
-            for thr in DETECTION_THRESHOLDS:
-                hits = evaluation._hits([evaluation._scan(frame, thr)], thr)
+            for thr, hits in evaluation._hits([frame], DETECTION_THRESHOLDS).items():
                 pairs, unmatched, free = brute_force_greedy_match(preds, gts, thr)
                 # Matched rows first, then unmatched, each in visiting order.
                 assert hits.matched.tolist() == [True] * len(pairs) + [False] * len(unmatched)
@@ -267,7 +266,34 @@ class TestScoringOracle:
         )
         assert report.rmse_pos == pytest.approx(expected["rmse"], abs=1e-12, nan_ok=True)
 
-    def test_compute_metrics_matches_each_frame_once_per_threshold(self, monkeypatch):
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(plain_frames(), st.integers(0, 5))
+    def test_a_run_matches_as_its_frames_in_turn(self, frames, empty_at):
+        # Frames reuse object ids 0-3 and track ids, and one has no prediction and no object.
+        frames = frames[:empty_at] + [([], [])] + frames[empty_at:]
+        hits = evaluation._hits(_library_frames(frames), DETECTION_THRESHOLDS)
+        for thr in DETECTION_THRESHOLDS:
+            expected = {"matched": [], "confidence": [], "track_id": [], "object_id": [], "distances": [],
+                        "duplicates": 0}
+            for preds, gts in frames:
+                pairs, unmatched, _ = brute_force_greedy_match(preds, gts, thr)
+                rows = [i for i, _, _ in pairs] + unmatched  # matched first, each in visiting order
+                expected["matched"] += [True] * len(pairs) + [False] * len(unmatched)
+                expected["confidence"] += [preds[i][2] for i in rows]
+                expected["track_id"] += [preds[i][4] for i in rows]
+                expected["object_id"] += [gts[k][0] for _, k, _ in pairs] + [-1] * len(unmatched)
+                expected["distances"] += [d for _, _, d in pairs]
+                expected["duplicates"] += sum(
+                    any(cls == preds[i][3] and math.hypot(preds[i][0] - x, preds[i][1] - y) <= thr
+                        for _, x, y, cls in gts)
+                    for i in unmatched
+                )
+            got = hits[thr]
+            columns = {name: getattr(got, name).tolist() for name in ("matched", "confidence", "track_id", "object_id")}
+            assert {**columns, "distances": got.distances, "duplicates": got.duplicates} == expected
+            assert got.total_gt == sum(len(gts) for _, gts in frames)
+
+    def test_compute_metrics_matches_the_run_once_per_threshold(self, monkeypatch):
         calls = []
         real = evaluation.greedy_nearest
 
@@ -278,20 +304,22 @@ class TestScoringOracle:
         monkeypatch.setattr(evaluation, "greedy_nearest", counting)
         run = run_scenario(shipped("quickstart"))
         compute_metrics(run)
-        assert len(calls) == len(run.frames) * len({0.5, 1.0, 2.0, 4.0})
+        assert len(calls) == len({0.5, 1.0, 2.0, 4.0})
+        assert all(count == sum(len(frame.tracks.instances) for frame in run.frames) for _, count, _ in calls)
 
-    def test_compute_metrics_scans_each_frame_once(self, monkeypatch):
+    def test_compute_metrics_pairs_each_frame_once(self, monkeypatch):
         scans = []
-        real = evaluation._scan
+        real = evaluation.pairs_within
 
         def counting(*args):
             scans.append(args)
             return real(*args)
 
-        monkeypatch.setattr(evaluation, "_scan", counting)
+        monkeypatch.setattr(evaluation, "pairs_within", counting)
         run = run_scenario(shipped("quickstart"))
         compute_metrics(run)
         assert len(scans) == len(run.frames)
+        assert [len(queries) for queries, *_ in scans] == [len(frame.tracks.instances) for frame in run.frames]
 
     def test_compute_metrics_ranks_each_radius_once(self, monkeypatch):
         ranked = []
