@@ -165,9 +165,11 @@ def align_instance(
 
     Raises:
         HorizonExceeded, DegenerateHeading: propagated from the two steps.
-        ValueError: from ``compensate_latency``, if the instance is from the
-            future (observed_at > t_ego) and ``compensate`` is on.
+        ValueError: if the instance is from the future (observed_at > t_ego),
+            whether ``compensate`` is on or off.
     """
+    if inst.observed_at > t_ego:
+        raise ValueError(f"observed_at {inst.observed_at} is after t_ego {t_ego}")
     dt = micros_to_seconds(t_ego - inst.observed_at) if compensate else 0.0
     state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
     if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:

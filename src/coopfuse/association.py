@@ -148,13 +148,13 @@ def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     rows, witness = linear_sum_assignment(cost)
     best = float(cost[rows, witness].sum())
     tol = _TIE_REL_TOL * max(1.0, abs(best))
-    # Any total through a penalised cell exceeds best + tol; inf cells stay forbidden.
-    penalty = (float(np.abs(cost[np.isfinite(cost)]).max()) + 1.0) * (n + 1)
-    witness, free, fixed = witness.tolist(), list(range(cost.shape[1])), 0.0
+    witness, free, fixed, penalty = witness.tolist(), list(range(cost.shape[1])), 0.0, None
     for i in range(n):
         # While a free real column lies left of row i's witness, re-solve rows i.. with row i
         # barred from the witness and the columns right of it; an optimal completion moves the witness.
         while free[0] < min(witness[i], m):
+            if penalty is None:  # Any total through a penalised cell exceeds best + tol; inf cells stay forbidden.
+                penalty = (float(np.abs(cost[np.isfinite(cost)]).max()) + 1.0) * (n + 1)
             sub = cost[i:, free]
             sub[0, bisect_left(free, min(witness[i], m)):] += penalty
             sub_rows, sub_cols = linear_sum_assignment(sub)

@@ -11,9 +11,11 @@ sensing, wire decode and config loading. A value derived from valid ones (a
 transformed, compensated, fused or smoothed state, a composed or inverted
 transform, a relabelled or smoothed instance, a refined track set) is built
 unchecked, in one call, by the type's private ``_trusted``, which only
-package code calls. A ``StateVector`` is a named tuple of its 11 floats,
-equal to the plain tuple of its components; its ``_trusted`` and the named
-tuple's ``_make`` and ``_replace`` skip the checks. ``Instance`` stays a
+package code calls. ``RigidTransform._trusted`` takes ownership of the
+fresh or read-only arrays it is given, with no copy. A ``StateVector`` is
+a named tuple of its 11 floats, equal to the plain tuple of its
+components; its ``_trusted`` and the named tuple's ``_make`` and
+``_replace`` skip the checks. ``Instance`` stays a
 slotted dataclass with identity equality, whose ``_trusted`` sets the slots
 through their descriptors: a per-record value is one small object with no
 dict. The
@@ -30,6 +32,7 @@ which suppresses fusion duplicates and gives the prefusion error.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -129,7 +132,7 @@ class StateVector(namedtuple("StateVector", "x y z l w h sin_yaw cos_yaw vx vy v
 
 def state_rows(states: Iterable[StateVector]) -> np.ndarray:
     """The states as an (N, 11) float64 array, components in declaration order."""
-    return np.array(list(states), dtype=np.float64).reshape(-1, 11)
+    return np.fromiter(itertools.chain.from_iterable(states), np.float64).reshape(-1, 11)
 
 
 def normalize_feature(values: np.ndarray) -> np.ndarray:
@@ -342,12 +345,12 @@ class RigidTransform:
 
     @classmethod
     def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> RigidTransform:
-        """The transform of a rotation and translation derived from valid ones, unchecked."""
+        """The transform of a float64 rotation and translation derived from valid ones, unchecked. It keeps the two
+        arrays as they are, made read-only, so each must be fresh or already read-only."""
         self = object.__new__(cls)
-        for name, value in (("rotation", rotation), ("translation", translation)):
-            value = np.array(value, dtype=np.float64)
-            value.setflags(write=False)
-            self.__dict__[name] = value
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        self.__dict__.update(rotation=rotation, translation=translation)
         return self
 
     @classmethod

@@ -15,6 +15,7 @@ seed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -77,6 +78,12 @@ class Hits:
     total_gt: int
 
 
+def _columns(group: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) planar positions and the class ids of predictions or objects, as ``pairs_within`` takes them."""
+    xy = np.fromiter(itertools.chain.from_iterable([o.state[:2] for o in group]), np.float64, 2 * len(group))
+    return xy.reshape(-1, 2), np.fromiter([o.class_id for o in group], np.int64, len(group))
+
+
 def _hits(frames: Sequence[FrameRecord], radii: Collection[float]) -> dict[float, Hits]:
     """Greedy confidence-ordered one-to-one matching by planar distance, one ``Hits`` per radius.
 
@@ -89,10 +96,9 @@ def _hits(frames: Sequence[FrameRecord], radii: Collection[float]) -> dict[float
     order, objects, pairs = [], [], []  # the run's predictions in visiting order, its objects, their pairs
     for frame in frames:
         visits = sorted(frame.tracks.instances, key=lambda p: -p.confidence)
-        sides = [(np.array([o.state[:2] for o in group]).reshape(-1, 2), np.array([o.class_id for o in group]))
-                 for group in (visits, frame.ground_truth)]
         first, first_object = len(order), len(objects)
-        pairs += [(i + first, j + first_object, d) for i, j, d in pairs_within(*sides[0], *sides[1], max(radii))]
+        found = pairs_within(*_columns(visits), *_columns(frame.ground_truth), max(radii))
+        pairs += [(i + first, j + first_object, d) for i, j, d in found]
         order += visits
         objects += frame.ground_truth
     frame_of = np.repeat(np.arange(len(frames)), [len(frame.tracks.instances) for frame in frames])

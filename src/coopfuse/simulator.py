@@ -164,12 +164,15 @@ class AgentSpec:
         for name in ("x", "y", "z", "yaw_deg", "vx", "vy"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        rotation = yaw_rotation(math.radians(self.yaw_deg))
+        rotation.setflags(write=False)
+        object.__setattr__(self, "_rotation", rotation)  # read-only, shared by every pose
 
     def pose_at(self, t: Timestamp) -> RigidTransform:
         """The agent's pose (agent frame -> global frame) at time ``t``."""
         t_s = t / 1e6
-        position = (self.x + self.vx * t_s, self.y + self.vy * t_s, self.z)
-        return RigidTransform._trusted(yaw_rotation(math.radians(self.yaw_deg)), position)
+        position = np.array((self.x + self.vx * t_s, self.y + self.vy * t_s, self.z))
+        return RigidTransform._trusted(self._rotation, position)
 
 
 class _Tracks(NamedTuple):
@@ -525,7 +528,8 @@ def _prefusion_error(aligned: Sequence[Instance], columns: ClassColumns) -> floa
     # The mean nearest same-class reference distance in aligned order (np.mean's sum depends on it): a proxy for
     # true position error that needs no oracle in the honest pipeline, valid while clearance exceeds alignment error.
     errors = [nearest(columns[i.class_id], i.state.x, i.state.y) for i in aligned if columns.get(i.class_id)]
-    return float(np.mean(errors)) if errors else math.nan
+    # np.mean's own formula (its pairwise sum, then one division), without its Python wrapper.
+    return float(np.add.reduce(np.array(errors))) / len(errors) if errors else math.nan
 
 
 # One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (agent_id order),
@@ -589,13 +593,14 @@ def _send(
     pipe = cfg.pipeline
     sent = []
     for spec, detections in zip(coop_specs, coop_dets):
-        eligible = np.flatnonzero(detections.confidences >= pipe.transmit_confidence_min)
-        # Most confident first; a stable sort keeps equally confident ones in sensing order.
-        ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
+        # Most confident first; a stable sort keeps equally confident ones in sensing order. The ranking leads
+        # with the detections at or above the threshold, so the packet takes its first min(eligible, top_k).
+        ranked = np.argsort(-detections.confidences, kind="stable")
+        eligible = np.count_nonzero(detections.confidences >= pipe.transmit_confidence_min)
         sent_pose = spec.pose_at(t)
         if cfg.pose_noise is not None:
             sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
-        packet = encode_packet(detections[ranked[: pipe.transmit_top_k]], sent_pose, t, spec.agent_id)
+        packet = encode_packet(detections[ranked[: min(eligible, pipe.transmit_top_k)]], sent_pose, t, spec.agent_id)
         sent.append((spec.agent_id, packet, transmit(cfg.channel, channel_rng, t)))
     return sent
 

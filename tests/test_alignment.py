@@ -280,10 +280,13 @@ class TestAlignInstance:
             assert got.observed_at == t_ego
 
     def test_rejects_future_instances(self):
+        # A record stamped after t_ego is out of time order, with compensation on or off.
         rel = self._rel()
         inst = make_instance(observed_at=100)
-        with pytest.raises(ValueError):
-            align_instance(inst, rel, 0, AlignmentConfig())
+        for compensate in (True, False):
+            with pytest.raises(ValueError, match="^observed_at 100 is after t_ego 99$"):
+                align_instance(inst, rel, 99, AlignmentConfig(), compensate)
+            assert align_instance(inst, rel, 100, AlignmentConfig(), compensate).observed_at == 100
 
     def test_stale_instances_raise_horizon(self):
         rel = self._rel()

@@ -23,6 +23,7 @@ from coopfuse.core import (
     normalize_heading,
     pairs_within,
     relative_transform,
+    state_rows,
 )
 from conftest import make_state
 from oracles import (
@@ -250,6 +251,30 @@ class TestComposeInvert:
             np.testing.assert_allclose(twice.translation, a.translation, atol=1e-9)
 
 
+class TestOwnership:
+    """A derived transform keeps the arrays it is built from, read-only; the public constructor copies."""
+
+    def test_derived_transforms_hold_read_only_arrays(self):
+        a, b = RigidTransform.from_yaw(0.4, (1.0, 2.0, 3.0)), RigidTransform.from_yaw(-1.2, (0.5, 0.0, -4.0))
+        for t in (compose(a, b), invert(a), RigidTransform.identity()):
+            for array in (t.rotation, t.translation):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7.0
+
+    def test_invert_keeps_the_transposed_rotation_without_a_copy(self):
+        t = RigidTransform.from_yaw(0.4, (1.0, 2.0, 3.0))
+        assert invert(t).rotation.base is t.rotation
+
+    def test_the_public_constructor_copies(self):
+        rotation, translation = np.eye(3), np.array([1.0, 2.0, 3.0])
+        t = RigidTransform(rotation, translation)
+        assert rotation.flags.writeable and translation.flags.writeable
+        assert not np.shares_memory(t.rotation, rotation) and not np.shares_memory(t.translation, translation)
+        rotation[0, 0], translation[0] = 5.0, 9.0
+        assert t.rotation[0, 0] == 1.0 and t.translation[0] == 1.0
+
+
 class TestRelativeTransform:
     def test_same_pose_gives_identity(self):
         pose = RigidTransform.from_yaw(0.3, (5.0, 6.0, 0.0))
@@ -381,3 +406,20 @@ class TestNormalizeFeature:
     def test_rejects_a_degenerate_or_non_finite_norm(self, values):
         with pytest.raises(ValueError, match="cannot normalize a feature of norm"):
             normalize_feature(np.array(values))
+
+
+# Any finite float, with both zeros and the extremes drawn often.
+_COMPONENT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+class TestStateRows:
+    @given(states=st.lists(st.tuples(*[_COMPONENT] * 11).map(StateVector._trusted), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_array_of_the_states_bit_for_bit(self, states):
+        want = np.array(list(states), dtype=np.float64).reshape(-1, 11)
+        for given_as in (states, iter(states)):
+            got = state_rows(given_as)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()

@@ -67,6 +67,13 @@ class TestReceive:
         )
         assert (aligned, stale) == ([], 3)
 
+    @pytest.mark.parametrize("compensate", [True, False])
+    def test_a_packet_sent_after_the_frame_raises(self, compensate):
+        # The channel never delivers such a packet; hostile bytes can, and compensation off does not hide it.
+        receiver = Receiver(PipelineConfig(compensate_latency=compensate), tick_s=0.5)
+        with pytest.raises(ValueError, match="^observed_at 300001 is after t_ego 300000$"):
+            receiver.step([_packet(1, 300_001, 1.0)], [], RigidTransform.identity(), 300_000)
+
     def test_packet_no_newer_than_one_fused_before_is_skipped(self, monkeypatch):
         receiver = self._receiver()
         receiver.step([_packet(1, 200_000, 2.0)], [], RigidTransform.identity(), 300_000)

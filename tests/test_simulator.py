@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from coopfuse import receiver, simulator
 from coopfuse.configio import load_scenario
-from coopfuse.core import GroundTruthObject, Instance, StateVector, state_rows
+from coopfuse.core import GroundTruthObject, Instance, InstanceBatch, RigidTransform, StateVector, state_rows
 from coopfuse.association import RoiSpec
 from coopfuse.evaluation import compute_metrics, metrics_row, sweep_interaction_range
-from coopfuse.robustness import TransformNoiseParams
-from coopfuse.wire import MAX_F32, MAX_RECORD_COUNT, MAX_TIMESTAMP, InstancePacket, decode_packet
+from coopfuse.receiver import PipelineConfig
+from coopfuse.robustness import TransformNoiseParams, perturb_transform
+from coopfuse.wire import MAX_F32, MAX_RECORD_COUNT, MAX_TIMESTAMP, InstancePacket, decode_packet, encode_packet
 from coopfuse.simulator import (
     Agent,
     AgentSpec,
@@ -582,6 +583,60 @@ class TestPrefusionError:
         got = simulator._prefusion_error(instances, simulator._class_columns(objects))
         want = reference_prefusion_error(aligned, gt)
         assert got == want or (math.isnan(got) and math.isnan(want))
+
+    @given(errors=st.integers(1, 200).flatmap(lambda n: st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_mean_bit_for_bit(self, errors):
+        # One reference object at the origin: an instance at (e, 0) is e away. Up to 200 errors cross numpy's
+        # 8-wide unrolled pairwise blocks, so a sum in any other order shows.
+        instances = [make_instance(x=e, dim=2) for e in errors]
+        columns = simulator._class_columns([GroundTruthObject(0, 0, make_state())])
+        assert simulator._prefusion_error(instances, columns).hex() == float(np.mean(errors)).hex()
+
+
+# Ties, values exactly at a threshold and both zeros, in columns of up to 40 rows: an unstable sort shows.
+_CONFIDENCES = st.integers(0, 40).flatmap(
+    lambda n: st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.3, 0.5, 0.9, 1.0]), min_size=n, max_size=n)
+)
+
+
+class TestSend:
+    @given(
+        confidences=_CONFIDENCES,
+        threshold=st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]),
+        top_k=st.integers(1, 45),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_packet_equals_the_threshold_then_stable_rank_rule(self, confidences, threshold, top_k):
+        spec = AgentSpec(agent_id=4, x=3.0, yaw_deg=30.0, vx=1.0)
+        cfg = ScenarioConfig(
+            agents=(AgentSpec(agent_id=0, ego=True), spec),
+            pipeline=PipelineConfig(transmit_top_k=top_k, transmit_confidence_min=threshold),
+        )
+        n, t = len(confidences), 500_000
+        detections = InstanceBatch(
+            state_rows(make_state(x=float(i)) for i in range(n)), np.tile(np.eye(1, 4), (n, 1)),
+            np.array(confidences), np.arange(n) % 3, np.array([i + 1 for i in range(n)], dtype=object), 4, t,
+        )
+        ((agent_id, packet, _),) = simulator._send(cfg, [spec], [detections], t, np.random.default_rng(0))
+        eligible = np.flatnonzero(detections.confidences >= threshold)
+        ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
+        assert (agent_id, packet) == (4, encode_packet(detections[ranked[:top_k]], spec.pose_at(t), t, 4))
+
+
+class TestPoseOwnership:
+    def test_poses_share_one_read_only_rotation(self):
+        spec = AgentSpec(agent_id=1, x=2.0, yaw_deg=35.0, vx=1.5)
+        first, second = spec.pose_at(0), spec.pose_at(1_000_000)
+        assert first.rotation is second.rotation
+        assert second.translation.tolist() == [3.5, 0.0, 0.0] and first.translation.tolist() == [2.0, 0.0, 0.0]
+        noised = perturb_transform(first, np.random.default_rng(0), TransformNoiseParams(0.5, 2.0, three_axis=True))
+        for t in (first, second, noised):
+            for array in (t.rotation, t.translation):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 7.0
+        assert spec.pose_at(0).rotation.tolist() == RigidTransform.from_yaw(math.radians(35.0)).rotation.tolist()
 
 
 class TestRunScenario:
