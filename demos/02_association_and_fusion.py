@@ -64,8 +64,9 @@ print(f"ego-only instances:   {[i.track_id for i in result.unmatched_ego]}")
 print(f"coop near, unmatched: {[i.track_id for i in result.unmatched_coop_near]}")
 print(f"coop far passthrough: {[i.track_id for i in result.coop_far]}")
 
-packet = encode_packet(InstanceBatch.of(coop_view), RigidTransform.identity(), 0, sender_id=1)
-tracks, _, _ = Receiver(PipelineConfig(), tick_s=0.5).step([packet], ego_view, RigidTransform.identity(), 0)
+# The packet's sender and send time are the batch's origin: agent 1 at t = 0.
+packet = encode_packet(InstanceBatch.of(coop_view), RigidTransform.identity())
+tracks, _, _ = Receiver(PipelineConfig()).step([packet], ego_view, RigidTransform.identity(), 0)
 print(f"\nassembled track set: {len(tracks.instances)} tracks")
 for inst in tracks.instances:
     origin = "remote" if inst.track_id >> 63 else "ego"

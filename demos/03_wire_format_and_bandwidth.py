@@ -23,11 +23,12 @@ for k in range(15):
                         vx=float(rng.uniform(-15, 15)), vy=0.0, vz=0.0)
     instances.append(Instance(state=state, feature=identity_embedding(k, FEATURE_DIM),
                               confidence=0.9, class_id=0, track_id=k,
-                              source_agent=1, observed_at=0))
+                              source_agent=1, observed_at=500_000))
 
 pose = RigidTransform.from_yaw(0.5, (30.0, -10.0, 0.0))
-# The packet's records are filled column by column from one batch.
-data = encode_packet(InstanceBatch.of(instances), pose, t=500_000, sender_id=1)
+# The packet's records are filled column by column from one batch; its header's sender and
+# send time are the batch's origin (agent 1 at t = 0.5 s), which decode stamps on every record.
+data = encode_packet(InstanceBatch.of(instances), pose)
 print(f"header: {HEADER_SIZE} B, record (D={FEATURE_DIM}): {record_size(FEATURE_DIM)} B")
 print(f"packet with {len(instances)} instances: {len(data)} B "
       f"(= {packet_size(len(instances), FEATURE_DIM)} by the formula)")

@@ -8,13 +8,13 @@ live in ``simulator``, which drives one ``Receiver`` per run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .alignment import AlignmentConfig, HorizonExceeded, align_instance
 from .association import MatchWeights, RoiSpec, associate, filter_roi
-from .core import Instance, RigidTransform, Timestamp, _check_finite_sign, _unsigned_zeros, relative_transform
+from .core import (Instance, RigidTransform, Timestamp, _check_finite_sign, _unsigned_zeros, micros_to_seconds,
+                   relative_transform)
 from .fusion import FusionConfig, TrackIdRegistry, TrackSet, assemble_output, coarse_fuse, refine_tracks
 from .wire import InstancePacket, decode_packet
 
@@ -46,13 +46,8 @@ class Receiver:
     the next: the track-id ``registry``, each sender's last fused send time (``fused_at``) and the ``tracks``.
     It turns each packet's bytes into an ``InstancePacket`` with ``decode`` if given, else ``decode_packet``."""
 
-    def __init__(
-        self, pipeline: PipelineConfig, tick_s: float, decode: Optional[Callable[[bytes], InstancePacket]] = None
-    ) -> None:
-        if not 0 < tick_s < math.inf:  # NaN fails it too
-            raise ValueError(f"tick_s must be positive and finite, got {tick_s!r}")
+    def __init__(self, pipeline: PipelineConfig, *, decode: Optional[Callable[[bytes], InstancePacket]] = None) -> None:
         self.pipeline = pipeline
-        self.tick_s = tick_s
         self.decode = decode
         self.registry = TrackIdRegistry()
         self.fused_at: dict[int, Timestamp] = {}
@@ -64,8 +59,9 @@ class Receiver:
         """The ego's frame at ``t`` from its detections and the packets consumed at ``t``, in arrival order. Each
         sender's newest packet by send time (of equal ones, the later arrival) is aligned, senders in id order; one
         sent at or before its sender's last fused one is skipped before any record is built. The detections and the
-        aligned instances are cut to the ROI once each, associated, fused and refined against the previous tracks.
-        Returns the tracks, the aligned cooperator instances in the ROI and the count of records past the horizon."""
+        aligned instances are cut to the ROI once each, associated, fused and refined against the previous step's
+        tracks over the time since (none if it left none; ValueError if ``t`` is not later). Returns the tracks, the
+        aligned cooperator instances in the ROI and the count of records past the horizon."""
         pipe = self.pipeline
         aligned, stale = self._align(packets, ego_pose, t)
         coop_in_roi = filter_roi(aligned, pipe.roi)
@@ -74,11 +70,13 @@ class Receiver:
         for ego_inst, coop_inst, _cost in result.matched:
             self.registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
             fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
-        assembled = assemble_output(
+        tracks = assemble_output(
             fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, self.registry, t
         )
-        self.tracks = refine_tracks(assembled, self.tracks, self.tick_s, pipe.fusion)
-        return self.tracks, coop_in_roi, stale
+        if self.tracks.instances:
+            tracks = refine_tracks(tracks, self.tracks, micros_to_seconds(t - self.tracks.timestamp), pipe.fusion)
+        self.tracks = tracks
+        return tracks, coop_in_roi, stale
 
     def _align(self, packets: Sequence[bytes], ego_pose: RigidTransform, t: Timestamp) -> tuple[list[Instance], int]:
         # Each sender's packet and the instances it keeps go once its records are aligned, unless ``decode`` keeps

@@ -34,6 +34,7 @@ from .core import (
     _unsigned_zeros,
     greedy_nearest,
     invert,
+    micros_to_seconds,
     nearest,
     normalize_feature,
     pairs_within,
@@ -489,16 +490,20 @@ class RunResult:
 
     @property
     def bps_sent(self) -> float:
-        return self.bytes_sent / self.config.duration_s
+        return self.bytes_sent / self._span_s
 
     @property
     def bps_received(self) -> float:
-        return self.bytes_received / self.config.duration_s
+        return self.bytes_received / self._span_s
+
+    @property
+    def _span_s(self) -> float:  # the simulated frames' span on the run's microsecond clock: frame_count ticks
+        return micros_to_seconds(self.config.frame_count * seconds_to_micros(self.config.tick_s))
 
     def peak_bps_sent(self, window_s: Optional[float] = None) -> float:
         """Highest tumbling-window send rate; the burstiness complement to
         the whole-run average. Window defaults to the channel's accounting
-        window, falling back to the full duration."""
+        window, falling back to the frames' whole span."""
         window = window_s if window_s is not None else self.config.channel.accounting_window_s
         if window <= 0:
             return self.bps_sent
@@ -532,9 +537,10 @@ def _prefusion_error(aligned: Sequence[Instance], columns: ClassColumns) -> floa
     return float(np.add.reduce(np.array(errors))) / len(errors) if errors else math.nan
 
 
-# One frame as sensed, which no pipeline, channel or pose noise changes: each cooperator's pass (agent_id order),
-# the ego's detections (before the ROI), the whole world in the ego frame and each class's sorted (x, y) positions.
-SensedFrame = tuple[tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...], ClassColumns]
+# One frame as sensed, which no pipeline, channel or pose noise changes: its time, each cooperator's pass (agent_id
+# order), the ego's detections (before the ROI), the whole world in the ego frame and each class's sorted (x, y).
+SensedFrame = tuple[Timestamp, tuple[InstanceBatch, ...], tuple[Instance, ...], tuple[GroundTruthObject, ...],
+                    ClassColumns]
 
 
 class SceneRecord(NamedTuple):
@@ -573,6 +579,7 @@ def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
         if k > 0:
             world = step_world(world, cfg.tick_s)
         yield (  # bound to no local, so a suspended generator keeps no frame alive
+            world.time_us,
             tuple(sense(agent, world) for agent in coop_agents),
             tuple(sense(ego, world).instances()),
             *_frame_ground_truth(world, ego.spec.pose_at(world.time_us)),
@@ -600,7 +607,7 @@ def _send(
         sent_pose = spec.pose_at(t)
         if cfg.pose_noise is not None:
             sent_pose = perturb_transform(sent_pose, channel_rng, cfg.pose_noise)
-        packet = encode_packet(detections[ranked[: min(eligible, pipe.transmit_top_k)]], sent_pose, t, spec.agent_id)
+        packet = encode_packet(detections[ranked[: min(eligible, pipe.transmit_top_k)]], sent_pose)
         sent.append((spec.agent_id, packet, transmit(cfg.channel, channel_rng, t)))
     return sent
 
@@ -613,13 +620,11 @@ def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> R
         raise ValueError("the record is of another scene than the config's")
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))  # world 0, agent 2 + id
     ego_spec, *coop_specs = sorted(cfg.agents, key=lambda a: not a.ego)  # the ego, then the others in id order
-    receiver = Receiver(cfg.pipeline, cfg.tick_s, None if sensed is None else sensed.replay_decoder())
+    receiver = Receiver(cfg.pipeline, decode=None if sensed is None else sensed.replay_decoder())
     inbox: list[tuple[Timestamp, int, bytes]] = []  # a heap of (arrival, index of the send event, packet)
     events: list[SimEvent] = []
     frames: list[FrameRecord] = []
-    frames_in = iter(sense_frames(cfg) if sensed is None else sensed.frames)
-    for t in range(0, cfg.frame_count * seconds_to_micros(cfg.tick_s), seconds_to_micros(cfg.tick_s)):
-        coop_dets, ego_all, gt, columns = next(frames_in)
+    for t, coop_dets, ego_all, gt, columns in sense_frames(cfg) if sensed is None else sensed.frames:
         for agent_id, packet, delivery in _send(cfg, coop_specs, coop_dets, t, channel_rng):
             if delivery is None:
                 events.append(SimEvent(t, "drop", agent_id, len(packet), -1))

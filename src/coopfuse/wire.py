@@ -11,8 +11,9 @@ Layout (all little-endian, no padding), as packed numpy structured dtypes:
                                                               -> 57 + 4D bytes
 
 A packet is a header plus a record array over exactly the f32 values that
-live on the wire, so encode/decode round-trips are bit-exact. Conversion
-to and from ``Instance`` (which is float64 and validated) happens at the
+live on the wire, so encode/decode round-trips are bit-exact. The header's
+sender and time are the batch's origin, and decode stamps them on each record.
+Conversion to and from ``Instance`` (float64 and validated) happens at the
 edges: values round to f32 on the way out, and headings and features are
 renormalized on the way in.
 """
@@ -152,17 +153,12 @@ def serialize_packet(packet: InstancePacket) -> bytes:
     return packet.header.tobytes() + packet.records.tobytes()
 
 
-def encode_packet(
-    instances: InstanceBatch,
-    pose: RigidTransform,
-    t: Timestamp,
-    sender_id: int = 0,
-) -> bytes:
-    """Serialize a batch of instances plus the sender pose and timestamp (an
-    empty batch declares D = 0); raises ValueError on an ID, count or D its field cannot hold, or a
-    finite translation or state value beyond f32's range (checked before any cast, once per column)."""
-    if not 0 <= sender_id <= MAX_SENDER_ID:
-        raise ValueError(f"sender_id {sender_id} does not fit the wire format")
+def encode_packet(instances: InstanceBatch, pose: RigidTransform) -> bytes:
+    """Serialize a batch of instances and the sender pose, sent by the batch's ``source_agent`` at its ``observed_at``
+    (an empty batch declares D = 0). Raises ValueError on an ID, count or D its field cannot hold, or a finite
+    translation or state value beyond f32's range (checked before any cast, once per column)."""
+    if not 0 <= instances.source_agent <= MAX_SENDER_ID:
+        raise ValueError(f"sender_id {instances.source_agent} does not fit the wire format")
     # The ids checked as Python values: object-dtype ufuncs cost microseconds a call for a packet's few ids.
     track_ids = instances.track_ids.tolist()
     for i in track_ids:
@@ -181,7 +177,7 @@ def encode_packet(
             if np.isfinite(big).any():
                 raise ValueError(f"{name} value {big[np.isfinite(big)][0]} does not fit the wire format")
     header = np.array(
-        (MAGIC, VERSION, sender_id, t, pose.rotation.reshape(-1), pose.translation,
+        (MAGIC, VERSION, instances.source_agent, instances.observed_at, pose.rotation.reshape(-1), pose.translation,
          len(instances), feature_dim),
         dtype=HEADER_DTYPE,
     )

@@ -2,7 +2,6 @@
 
 import ast
 import gc
-import math
 import weakref
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from conftest import make_instance
 def _packet(sender, t_send, *xs):
     """An encoded packet from ``sender`` sent at ``t_send`` (us) from the origin: one record at rest at each x."""
     instances = [make_instance(x=x, track_id=k + 1, source_agent=sender, observed_at=t_send) for k, x in enumerate(xs)]
-    return encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), t_send, sender)
+    return encode_packet(InstanceBatch.of(instances), RigidTransform.identity())
 
 
 def _record_decoded(monkeypatch):
@@ -40,7 +39,7 @@ class TestReceive:
     PIPELINE = PipelineConfig()
 
     def _receiver(self):
-        return Receiver(self.PIPELINE, tick_s=0.5)
+        return Receiver(self.PIPELINE)
 
     def _xs(self, packets, t=300_000):
         _, aligned, stale = self._receiver().step(packets, [], RigidTransform.identity(), t)
@@ -70,7 +69,7 @@ class TestReceive:
     @pytest.mark.parametrize("compensate", [True, False])
     def test_a_packet_sent_after_the_frame_raises(self, compensate):
         # The channel never delivers such a packet; hostile bytes can, and compensation off does not hide it.
-        receiver = Receiver(PipelineConfig(compensate_latency=compensate), tick_s=0.5)
+        receiver = Receiver(PipelineConfig(compensate_latency=compensate))
         with pytest.raises(ValueError, match="^observed_at 300001 is after t_ego 300000$"):
             receiver.step([_packet(1, 300_001, 1.0)], [], RigidTransform.identity(), 300_000)
 
@@ -90,18 +89,18 @@ class TestReceiverAcrossSteps:
     """One ``Receiver`` over several frames, as ``run_scenario`` drives it."""
 
     def test_a_remote_only_track_keeps_its_output_id(self):
-        receiver = Receiver(PipelineConfig(), tick_s=0.5)
+        receiver = Receiver(PipelineConfig())
         first, _, _ = receiver.step([_packet(3, 0, 10.0, 20.0)], [], RigidTransform.identity(), 0)
         remote = {inst.state.x: inst.track_id for inst in first.instances}
         assert remote == {10.0: COOP_TRACK_FLAG + (3 << 48), 20.0: COOP_TRACK_FLAG + (3 << 48) + 1}
         # Only the sender's track 2 (at x = 20) comes again; a fresh registry would give it the first ID.
         again = make_instance(x=20.0, track_id=2, source_agent=3, observed_at=500_000)
-        packet = encode_packet(InstanceBatch.of([again]), RigidTransform.identity(), 500_000, 3)
+        packet = encode_packet(InstanceBatch.of([again]), RigidTransform.identity())
         second, _, _ = receiver.step([packet], [], RigidTransform.identity(), 500_000)
         assert [inst.track_id for inst in second.instances] == [remote[20.0]]
 
     def test_a_packet_no_newer_than_one_fused_in_an_earlier_step_builds_no_record(self, monkeypatch):
-        receiver = Receiver(PipelineConfig(), tick_s=0.5)
+        receiver = Receiver(PipelineConfig())
         first, _, _ = receiver.step([_packet(1, 500_000, 2.0)], [], RigidTransform.identity(), 500_000)
         assert len(first.instances) == 1
         decoded = _record_decoded(monkeypatch)
@@ -111,11 +110,35 @@ class TestReceiverAcrossSteps:
         assert (decoded, aligned, stale, second.instances) == ([], [], 0, ())
         assert receiver.fused_at == {1: 500_000}
 
-    @pytest.mark.parametrize("tick_s", [math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_a_non_finite_or_non_positive_tick_at_construction(self, tick_s):
-        # Checked once, here: an inf tick makes NaN tracks by the third step, and -1 fails only inside refine_tracks.
-        with pytest.raises(ValueError, match="^tick_s must be positive and finite"):
-            Receiver(PipelineConfig(), tick_s=tick_s)
+    def test_smooths_over_the_time_since_the_previous_step(self):
+        # As TestRefineTracks::test_hand_alpha_beta_update, over 0.3 s: the track at x = 0 moving at 10 m/s is
+        # predicted to 3.0 and seen at 4.0, so x = 3.0 + 0.6 * 1.0 and vx = 10 + 0.4 * 1.0 / 0.3.
+        receiver = Receiver(PipelineConfig())
+        first, _, _ = receiver.step([], [make_instance(x=0.0, vx=10.0)], RigidTransform.identity(), 0)
+        assert [(inst.state.x, inst.state.vx) for inst in first.instances] == [(0.0, 10.0)]
+        seen = make_instance(x=4.0, vx=10.0, observed_at=300_000)
+        second, _, _ = receiver.step([], [seen], RigidTransform.identity(), 300_000)
+        (track,) = second.instances
+        assert track.state.x == pytest.approx(3.6)
+        assert track.state.vx == pytest.approx(10.0 + 0.4 / 0.3)
+
+    @pytest.mark.parametrize("t", [500_000, 499_999, 0])
+    def test_a_step_not_after_the_tracked_time_raises(self, t):
+        receiver = Receiver(PipelineConfig())
+        receiver.step([], [make_instance()], RigidTransform.identity(), 500_000)
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            receiver.step([], [make_instance()], RigidTransform.identity(), t)
+
+    def test_a_step_after_a_trackless_one_refines_nothing(self):
+        # No tracks to smooth against, so no time since them: the step's output is its assembled tracks.
+        receiver = Receiver(PipelineConfig())
+        receiver.step([], [], RigidTransform.identity(), 500_000)
+        tracks, _, _ = receiver.step([], [make_instance(x=2.0, vx=10.0)], RigidTransform.identity(), 0)
+        assert [(inst.state.x, inst.state.vx) for inst in tracks.instances] == [(2.0, 10.0)]
+
+    def test_a_tick_is_no_longer_a_parameter(self):
+        with pytest.raises(TypeError):
+            Receiver(PipelineConfig(), 0.5)
 
 
 class TestStreamedPackets:
@@ -136,7 +159,7 @@ class TestStreamedPackets:
 
         monkeypatch.setattr(receiver, "decode_packet", decode)
         monkeypatch.setattr(receiver, "associate", associate)
-        step = Receiver(PipelineConfig(), tick_s=0.5).step
+        step = Receiver(PipelineConfig()).step
         gc.disable()
         try:
             _, aligned, _ = step([_packet(1, 100_000, 1.0, 2.0), _packet(2, 100_000, 3.0)], [],

@@ -621,7 +621,7 @@ class TestSend:
         ((agent_id, packet, _),) = simulator._send(cfg, [spec], [detections], t, np.random.default_rng(0))
         eligible = np.flatnonzero(detections.confidences >= threshold)
         ranked = eligible[np.argsort(-detections.confidences[eligible], kind="stable")]
-        assert (agent_id, packet) == (4, encode_packet(detections[ranked[:top_k]], spec.pose_at(t), t, 4))
+        assert (agent_id, packet) == (4, encode_packet(detections[ranked[:top_k]], spec.pose_at(t)))
 
 
 class TestPoseOwnership:
@@ -691,6 +691,28 @@ class TestRunScenario:
         assert result.peak_bps_sent(1.0) >= result.bps_sent - 1e-9
         assert result.peak_bps_sent() == result.bps_sent  # window defaults off
 
+    @pytest.mark.parametrize("durations", [(1.0, 1.25), (1.5, 1.3)], ids=["2-frames", "3-frames"])
+    def test_bandwidth_is_over_the_frames_the_run_simulated(self, durations):
+        # Each pair rounds to the same whole ticks, so both runs send the same bytes in the same frames.
+        a, b = (run_scenario(replace(shipped("quickstart"), duration_s=d)) for d in durations)
+        assert (len(a.frames), a.bytes_sent, a.bytes_received) == (len(b.frames), b.bytes_sent, b.bytes_received)
+        assert (a.bps_sent, a.bps_received, a.peak_bps_sent()) == (b.bps_sent, b.bps_received, b.peak_bps_sent())
+        assert a.bps_sent == a.bytes_sent / (len(a.frames) * 0.5)
+
+    def test_a_tick_of_no_whole_microseconds_keeps_one_clock(self):
+        # 1/30 s is 33,333.3 us; the world steps 33,333 us a frame, and so do the frames, sends and detections.
+        cfg = replace(shipped("latency_study"), tick_s=1 / 30, duration_s=1.0)
+        ticks = [33_333 * k for k in range(30)]
+        sensed = list(simulator.sense_frames(cfg))
+        assert [t for t, *_ in sensed] == ticks
+        for t, coop_dets, ego_all, *_ in sensed:
+            assert {batch.observed_at for batch in coop_dets} | {inst.observed_at for inst in ego_all} == {t}
+        run = run_scenario(cfg)
+        assert [frame.t_us for frame in run.frames] == ticks
+        assert sorted({e.t_us for e in run.events if e.kind in ("send", "drop")}) == ticks
+        replay = run_scenario(cfg, record_scene(cfg))
+        assert replay.events == run.events and _frame_bytes(replay) == _frame_bytes(run)
+
     def test_frame_ground_truth_inside_roi(self):
         cfg = shipped("range_study")
         result = run_scenario(cfg)
@@ -708,13 +730,14 @@ class TestFuse:
         cfg = replace(cfg, duration_s=cfg.tick_s, channel=ChannelModel(),  # one frame, every packet delivered at once
                       pipeline=replace(cfg.pipeline, roi=RoiSpec(x_half=8.0, y_half=8.0)))
         ego_spec, *coop_specs = cfg.agents
-        coop_dets, ego_all, gt_all, _ = next(simulator.sense_frames(cfg))
+        t, coop_dets, ego_all, gt_all, _ = next(simulator.sense_frames(cfg))
+        assert t == 0
         sent = simulator._send(cfg, coop_specs, coop_dets, 0, np.random.default_rng(0))
         packets = [packet for _, packet, _ in sent]
         aligned = sum(decode_packet(packet).count for packet in packets)
         calls, real = [], RoiSpec.contains
         monkeypatch.setattr(RoiSpec, "contains", lambda roi, state: calls.append(state) or real(roi, state))
-        receiver = simulator.Receiver(cfg.pipeline, cfg.tick_s)
+        receiver = simulator.Receiver(cfg.pipeline)
         _, coop_in_roi, stale = receiver.step(packets, ego_all, ego_spec.pose_at(0), 0)
         assert stale == 0 and len(calls) == len(ego_all) + aligned  # the step cuts its two groups
         calls.clear()

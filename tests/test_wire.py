@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def random_packet_bytes(rng, count=None, dim=None):
     pose = RigidTransform.from_yaw(float(rng.uniform(-math.pi, math.pi)),
                                    rng.uniform(-50, 50, 3))
     t = int(rng.integers(0, 10**9))
-    return encode_packet(InstanceBatch.of(instances), pose, t, sender_id=int(rng.integers(0, 100)))
+    batch = replace(InstanceBatch.of(instances), source_agent=int(rng.integers(0, 100)), observed_at=t)
+    return encode_packet(batch, pose)
 
 
 class TestSizes:
@@ -71,7 +73,7 @@ class TestSizes:
 class TestRoundTrip:
     def test_empty_packet(self):
         pose = RigidTransform.from_yaw(0.3, (1.0, 2.0, 0.0))
-        data = encode_packet(InstanceBatch.of([]), pose, 12345, sender_id=7)
+        data = encode_packet(replace(InstanceBatch.of([]), source_agent=7, observed_at=12345), pose)
         assert len(data) == HEADER_SIZE
         packet = decode_packet(data)
         assert packet.count == 0
@@ -94,9 +96,9 @@ class TestRoundTrip:
 
     def test_instances_survive_with_f32_precision(self):
         inst = make_instance(x=10.123456, y=-3.25, yaw=0.7, vx=12.5,
-                             confidence=0.625, track_id=99, dim=16)
+                             confidence=0.625, track_id=99, source_agent=3, observed_at=777, dim=16)
         pose = RigidTransform.from_yaw(1.0, (30.0, -20.0, 0.0))
-        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), pose, 777, sender_id=3))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), pose))
         out = packet.to_instances()[0]
         assert out.track_id == 99
         assert out.source_agent == 3
@@ -108,7 +110,7 @@ class TestRoundTrip:
 
     def test_untracked_sentinel(self):
         inst = make_instance(track_id=None, dim=4)
-        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity(), 0))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity()))
         assert packet.records["track_id"][0] == NO_TRACK_ID
         assert packet.to_instances()[0].track_id is None
 
@@ -116,12 +118,12 @@ class TestRoundTrip:
         for _ in range(50):
             pose = RigidTransform.from_yaw(float(rng.uniform(-math.pi, math.pi)),
                                            rng.uniform(-100, 100, 3))
-            packet = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0))
+            packet = decode_packet(encode_packet(InstanceBatch.of([]), pose))
             recovered = packet.sender_pose()  # validates orthonormality internally
             np.testing.assert_allclose(recovered.rotation, pose.rotation, atol=1e-6)
 
     def test_sender_pose_rejects_nan_translation(self):
-        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity(), 0))
+        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity()))
         offset = HEADER_DTYPE.fields["translation"][1]
         data[offset:offset + 4] = np.float32(np.nan).tobytes()
         with pytest.raises(ValueError):
@@ -131,7 +133,7 @@ class TestRoundTrip:
 class TestSenderPose:
     @staticmethod
     def _with_rotation(rotation) -> bytes:
-        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity(), 0))
+        data = bytearray(encode_packet(InstanceBatch.of([]), RigidTransform.identity()))
         offset = HEADER_DTYPE.fields["rotation"][1]
         data[offset:offset + 36] = np.asarray(rotation, dtype=np.float32).tobytes()
         return bytes(data)
@@ -178,10 +180,10 @@ class TestSenderPose:
     def test_equals_the_validated_build_bit_for_bit(self, rng):
         for _ in range(300):
             pose = RigidTransform(random_rotation(rng), rng.uniform(-100, 100, 3))
-            header = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).header
+            header = decode_packet(encode_packet(InstanceBatch.of([]), pose)).header
             rotation = reference_orthonormalized(header["rotation"].astype(np.float64).reshape(3, 3))
             want = RigidTransform(rotation, header["translation"].astype(np.float64))
-            got = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).sender_pose()
+            got = decode_packet(encode_packet(InstanceBatch.of([]), pose)).sender_pose()
             assert got.rotation.tobytes() == want.rotation.tobytes()
             assert got.translation.tobytes() == want.translation.tobytes()
 
@@ -219,8 +221,9 @@ class TestMalformed:
 
 def _tampered(mutate) -> bytes:
     """Two valid records, encoded, with ``mutate`` applied to the record array."""
-    instances = [make_instance(x=3.0, yaw=0.4, dim=8), make_instance(y=-2.0, track_id=2, dim=8)]
-    packet = decode_packet(encode_packet(InstanceBatch.of(instances), RigidTransform.identity(), 5, 1))
+    origin = {"source_agent": 1, "observed_at": 5}
+    instances = [make_instance(x=3.0, yaw=0.4, dim=8, **origin), make_instance(y=-2.0, track_id=2, dim=8, **origin)]
+    packet = decode_packet(encode_packet(InstanceBatch.of(instances), RigidTransform.identity()))
     records = packet.records.copy()
     mutate(records)
     return packet.header.tobytes() + records.tobytes()
@@ -287,7 +290,7 @@ class TestEncodePacket:
         a = make_instance(dim=8, feature_seed=1)
         b = make_instance(dim=16, feature_seed=2)
         with pytest.raises(ValueError):
-            encode_packet(InstanceBatch.of([a, b]), RigidTransform.identity(), 0, 0)
+            encode_packet(InstanceBatch.of([a, b]), RigidTransform.identity())
 
     def test_rejects_a_count_or_dim_its_u16_fields_cannot_hold(self):
         one = InstanceBatch.of([make_instance(dim=1)])
@@ -295,9 +298,9 @@ class TestEncodePacket:
         too_wide = InstanceBatch.of([make_instance(dim=MAX_FEATURE_DIM + 1)])
         for batch in (too_many, too_wide):
             with pytest.raises(ValueError, match="do not fit the wire format"):
-                encode_packet(batch, RigidTransform.identity(), 0, 0)
+                encode_packet(batch, RigidTransform.identity())
         widest = decode_packet(encode_packet(InstanceBatch.of([make_instance(dim=MAX_FEATURE_DIM)]),
-                                             RigidTransform.identity(), 0, 0))
+                                             RigidTransform.identity()))
         assert widest.feature_dim == MAX_FEATURE_DIM
 
     @pytest.mark.parametrize(
@@ -308,15 +311,15 @@ class TestEncodePacket:
     def test_rejects_a_finite_value_beyond_f32(self, instances, translation):
         # Cast, it would go out as inf with only a RuntimeWarning, and the receiver would reject the whole packet.
         with pytest.raises(ValueError, match="does not fit the wire format"):
-            encode_packet(InstanceBatch.of(instances), RigidTransform.from_yaw(0.0, translation), 0, 0)
+            encode_packet(InstanceBatch.of(instances), RigidTransform.from_yaw(0.0, translation))
 
     def test_the_largest_f32_fits(self):
         batch = InstanceBatch.of([make_instance(x=-MAX_F32)])
-        packet = decode_packet(encode_packet(batch, RigidTransform.from_yaw(0.0, [MAX_F32, 0.0, 0.0]), 0, 0))
+        packet = decode_packet(encode_packet(batch, RigidTransform.from_yaw(0.0, [MAX_F32, 0.0, 0.0])))
         assert packet.records["state"][0, 0] == -MAX_F32 and packet.header["translation"][0] == MAX_F32
 
     def test_quantizes_to_f32_exact_values(self):
         inst = make_instance(x=1.0 / 3.0, dim=4)
-        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity(), 0, 0))
+        packet = decode_packet(encode_packet(InstanceBatch.of([inst]), RigidTransform.identity()))
         stored = float(packet.records["state"][0, 0])
         assert stored == float(np.float32(1.0 / 3.0))

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 @st.composite
 def packets(draw, max_count=60):
-    """(instances, pose, t, sender_id) with every field drawn at random."""
+    """(instances, pose, t, sender_id) with every field drawn at random, each instance sender_id's at t."""
+    t = draw(st.integers(0, 2**63 - 1))
+    sender_id = draw(st.integers(0, 0xFFFF))
     count = draw(st.integers(0, max_count))
     dim = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -54,14 +57,17 @@ def packets(draw, max_count=60):
                 confidence=draw(st.floats(0.0, 1.0)),
                 class_id=draw(class_ids),
                 track_id=draw(track_ids),
-                source_agent=0,
-                observed_at=0,
+                source_agent=sender_id,
+                observed_at=t,
             )
         )
     pose = RigidTransform.from_yaw(draw(st.floats(-math.pi, math.pi)), rng.uniform(-1e3, 1e3, 3))
-    t = draw(st.integers(0, 2**63 - 1))
-    sender_id = draw(st.integers(0, 0xFFFF))
     return instances, pose, t, sender_id
+
+
+def _batch(instances, t, sender_id) -> InstanceBatch:
+    """The instances as one batch sent by ``sender_id`` at ``t``, also when there are none."""
+    return replace(InstanceBatch.of(instances), source_agent=sender_id, observed_at=t)
 
 
 def f32(values) -> np.ndarray:
@@ -72,7 +78,7 @@ def f32(values) -> np.ndarray:
 @given(packets())
 def test_encode_decode_is_f32_exact(case):
     instances, pose, t, sender_id = case
-    data = encode_packet(InstanceBatch.of(instances), pose, t, sender_id)
+    data = encode_packet(_batch(instances, t, sender_id), pose)
     packet = decode_packet(data)
     assert serialize_packet(packet) == data
     assert (packet.sender_id, packet.send_timestamp, packet.count) == (sender_id, t, len(instances))
@@ -124,8 +130,8 @@ def test_arbitrary_bodies_behind_a_valid_prefix(count, dim, body):
 @PROPERTY_SETTINGS
 @given(packets(max_count=4), st.data())
 def test_truncated_or_extended_packets_raise_malformed(case, data):
-    instances, *header = case
-    payload = encode_packet(InstanceBatch.of(instances), *header)
+    instances, pose, t, sender_id = case
+    payload = encode_packet(_batch(instances, t, sender_id), pose)
     cut = data.draw(st.integers(0, len(payload) - 1))
     with pytest.raises(MalformedPacket):
         decode_packet(payload[:cut])
@@ -148,7 +154,7 @@ def test_every_pose_encode_accepts_decodes(quaternion, translation):
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
     ]
     pose = RigidTransform(rotation, translation)
-    got = decode_packet(encode_packet(InstanceBatch.of([]), pose, 0)).sender_pose()
+    got = decode_packet(encode_packet(InstanceBatch.of([]), pose)).sender_pose()
     np.testing.assert_allclose(got.rotation, pose.rotation, rtol=0, atol=1e-6)
     np.testing.assert_array_equal(got.translation, f32(pose.translation))
 
@@ -170,7 +176,7 @@ def _one(track_id=1, class_id=0):
 def test_out_of_range_track_id_rejected_at_encode(track_id):
     batch = InstanceBatch.of([_one(), _one(track_id=track_id)])
     with pytest.raises(ValueError, match=rf"^track_id {track_id} does not fit the wire format$"):
-        encode_packet(batch, RigidTransform.identity(), 0)
+        encode_packet(batch, RigidTransform.identity())
 
 
 @PROPERTY_SETTINGS
@@ -178,7 +184,7 @@ def test_out_of_range_track_id_rejected_at_encode(track_id):
 def test_out_of_range_class_id_rejected_at_encode(class_id):
     batch = InstanceBatch.of([_one(), _one(class_id=class_id)])
     with pytest.raises(ValueError, match=rf"^class_id {class_id} does not fit the wire format$"):
-        encode_packet(batch, RigidTransform.identity(), 0)
+        encode_packet(batch, RigidTransform.identity())
 
 
 @PROPERTY_SETTINGS
@@ -186,7 +192,22 @@ def test_out_of_range_class_id_rejected_at_encode(class_id):
 def test_encode_equals_reference_packing(case):
     instances, pose, t, sender_id = case
     want = reference_packet(instances, pose.rotation.tolist(), pose.translation.tolist(), t, sender_id)
-    assert encode_packet(InstanceBatch.of(instances), pose, t, sender_id) == want
+    assert encode_packet(_batch(instances, t, sender_id), pose) == want
+
+
+@PROPERTY_SETTINGS
+@given(packets(max_count=20))
+def test_the_header_and_every_decoded_record_carry_the_batchs_origin(case):
+    instances, pose, t, sender_id = case
+    packet = decode_packet(encode_packet(_batch(instances, t, sender_id), pose))
+    assert (packet.sender_id, packet.send_timestamp) == (sender_id, t)
+    assert [(d.source_agent, d.observed_at) for d in packet.to_instances()] == [(sender_id, t)] * len(instances)
+
+
+def test_a_sender_id_beyond_u16_is_rejected_at_encode():
+    for sender_id in (-1, 0x10000):
+        with pytest.raises(ValueError, match=rf"^sender_id {sender_id} does not fit the wire format$"):
+            encode_packet(_batch([], 0, sender_id), RigidTransform.identity())
 
 
 @pytest.mark.parametrize(
@@ -196,7 +217,7 @@ def test_encode_equals_reference_packing(case):
 )
 def test_encode_edge_rows_equal_reference_packing(instances):
     pose = RigidTransform.from_yaw(0.3, (1.0, -2.0, 0.5))
-    data = encode_packet(InstanceBatch.of(instances), pose, 42, 7)
+    data = encode_packet(_batch(instances, 42, 7), pose)
     assert data == reference_packet(instances, pose.rotation.tolist(), pose.translation.tolist(), 42, 7)
     header = decode_packet(data).header
     assert (int(header["count"]), int(header["feature_dim"])) == (len(instances), 1 if instances else 0)
