@@ -23,7 +23,8 @@ from coopfuse import (
     encode_packet,
     filter_roi,
 )
-from coopfuse.robustness import noisy_feature
+from coopfuse.core import normalize_feature
+from coopfuse.robustness import identity_embedding
 
 rng = np.random.default_rng(0)
 
@@ -37,7 +38,7 @@ def view(object_ids, offsets, source, conf, track_base):
                             vx=5.0, vy=0.0, vz=0.0)
         instances.append(Instance(
             state=state,
-            feature=noisy_feature(oid, 32, 0.3, rng),
+            feature=normalize_feature(identity_embedding(oid, 32) + 0.3 * rng.standard_normal(32)),
             confidence=conf,
             class_id=0,
             track_id=track_base + k,

@@ -133,8 +133,10 @@ def _cost_matrix(egos: Sequence[Instance], coops: Sequence[Instance], w: MatchWe
 def solve_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Minimum-total-cost one-to-one assignment over a cost matrix.
 
-    Returns min(n, m) (row, col) pairs sorted by row; inf cells are
-    forbidden. When several assignments tie on total cost, the
+    Returns min(n, m) (row, col) pairs sorted by row. inf cells are
+    forbidden: when no min(n, m) pairs with distinct rows and columns
+    avoid them, scipy's ``ValueError: cost matrix is infeasible``
+    propagates. When several assignments tie on total cost, the
     lexicographically smallest pair list wins, so the output is a stable
     contract under ties.
     """

@@ -117,10 +117,6 @@ class StateVector(namedtuple("StateVector", "x y z l w h sin_yaw cos_yaw vx vy v
     # The state of 11 plain floats derived from valid states, unchecked.
     _trusted = classmethod(tuple.__new__)
 
-    def as_array(self) -> np.ndarray:
-        """The 11 components as a float64 array, in declaration order."""
-        return np.array(self)
-
     @property
     def yaw(self) -> float:
         return math.atan2(self.sin_yaw, self.cos_yaw)

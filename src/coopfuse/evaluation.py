@@ -2,7 +2,7 @@
 
 Metrics are deliberately simplified relative to full benchmark suites:
 center-distance greedy matching, 11-point interpolated average precision
-over a set of distance thresholds, and a tracking accuracy score swept
+over fixed distance thresholds, and a tracking accuracy score swept
 over an 11-point recall grid. Every metric derives from one table of
 greedy matches per distinct distance threshold, picked by one
 ``greedy_nearest`` over the whole run from one ``pairs_within`` scan per
@@ -45,8 +45,6 @@ METRICS_COLUMNS = (
 @dataclass
 class MetricsReport:
     ap: float
-    ap_per_threshold: dict[float, float]
-    pr_curves: dict[float, tuple[tuple[float, ...], tuple[float, ...]]]
     mota_like: float
     amota_like: float
     id_switches: int
@@ -181,28 +179,18 @@ def _tracking(hits: Hits, confidences: np.ndarray, recalls: np.ndarray) -> tuple
     return mota, float(np.mean(motas)), idsw
 
 
-def compute_metrics(
-    run: RunResult, thresholds: Sequence[float] = DETECTION_THRESHOLDS
-) -> MetricsReport:
-    """Full metric report for one scenario run.
-
-    Raises:
-        ValueError: for no thresholds, or one that is not a finite number > 0.
-    """
-    if not thresholds or not all(0.0 < thr < math.inf for thr in thresholds):
-        raise ValueError(f"need one or more finite thresholds > 0, got {tuple(thresholds)!r}")
-    radii = {*thresholds, TRACKING_THRESHOLD}
+def compute_metrics(run: RunResult) -> MetricsReport:
+    """Full metric report for one scenario run: AP averaged over ``DETECTION_THRESHOLDS``, tracking scored at
+    ``TRACKING_THRESHOLD``."""
+    radii = {*DETECTION_THRESHOLDS, TRACKING_THRESHOLD}
     hits = _hits(run.frames, radii)
     ranks = {thr: _ranks(hits[thr]) for thr in radii}
-    ap_per = {thr: _interpolated_ap(*ranks[thr][1:]) for thr in thresholds}
     tracked = hits[TRACKING_THRESHOLD]
     mota, amota, idsw = _tracking(tracked, *ranks[TRACKING_THRESHOLD][:2])
     rmse = float(np.sqrt(np.mean(np.square(tracked.distances)))) if tracked.distances else math.nan
     prefusion = [rec.coop_prefusion_err for rec in run.frames if not math.isnan(rec.coop_prefusion_err)]
     return MetricsReport(
-        ap=float(np.mean(list(ap_per.values()))),
-        ap_per_threshold=ap_per,
-        pr_curves={thr: (tuple(ranks[thr][1].tolist()), tuple(ranks[thr][2].tolist())) for thr in ap_per},
+        ap=float(np.mean([_interpolated_ap(*ranks[thr][1:]) for thr in DETECTION_THRESHOLDS])),
         mota_like=mota,
         amota_like=amota,
         id_switches=idsw,

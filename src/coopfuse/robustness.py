@@ -82,15 +82,6 @@ def identity_embedding(object_id: int, dim: int) -> np.ndarray:
     return normalize_feature(rng.standard_normal(dim))
 
 
-def noisy_feature(object_id: int, dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """An identity embedding blurred by Gaussian noise, renormalized and read-only.
-
-    Raises:
-        ValueError: when the blurred vector's norm is zero or overflows.
-    """
-    return _blurred_features([object_id], dim, sigma, rng.standard_normal((1, dim)))[0]
-
-
 @lru_cache(maxsize=4)  # a scene's agents, or a harness scene's two views, share one table
 def embedding_table(object_ids: tuple[int, ...], dim: int) -> np.ndarray:
     """The objects' identity embeddings as one read-only (objects, dim) table."""
@@ -105,25 +96,11 @@ def _blurred_features(object_ids: Sequence[int], dim: int, sigma: float, noise: 
     return normalize_feature(embedding_table(tuple(object_ids), dim) + sigma * noise)
 
 
-def perturb_observation(
-    state: StateVector, rng: np.random.Generator, p: ObservationNoiseParams
-) -> StateVector:
-    """Apply hard-bounded uniform noise to every state component.
-
-    Position components move by at most ±pos_range each, all others by at
-    most ±other_range. The heading is renormalized afterwards and the
-    dimensions are clamped away from zero, so the result is valid unless a
-    sum overflows.
-
-    Raises:
-        ValueError: when a perturbed component is not finite.
-    """
-    return StateVector._trusted(_perturbed_states(np.array([state]), rng.random((1, 11)), p)[0].tolist())
-
-
 def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoiseParams) -> np.ndarray:
     """The ``(n, 11)`` state rows under ``p``'s noise, from one ``rng.random(11)`` row of ``unit`` each:
-    ``rng.uniform(-r, r, k)`` is ``-r + (r - -r) * rng.random(k)``, bit for bit and on the same stream."""
+    ``rng.uniform(-r, r, k)`` is ``-r + (r - -r) * rng.random(k)``, bit for bit and on the same stream.
+    Positions move by at most ±pos_range, the rest by at most ±other_range; the heading is renormalized and
+    the dimensions clamped away from zero, so each row is a valid state unless a sum overflows (ValueError)."""
     half = np.repeat((p.pos_range, p.other_range), (3, 8))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
         moved = rows + (-half + (half + half) * unit)

@@ -586,8 +586,14 @@ def sense_frames(cfg: ScenarioConfig) -> Iterator[SensedFrame]:
         )
 
 
+def _require_agents(cfg: ScenarioConfig) -> None:
+    if not cfg.agents:
+        raise ValueError("scenario needs at least one (ego) agent")
+
+
 def record_scene(cfg: ScenarioConfig) -> SceneRecord:
     """Sense ``cfg``'s scene once, for ``run_scenario`` to replay under any pipeline, channel or pose noise."""
+    _require_agents(cfg)
     return SceneRecord(_scene(cfg), tuple(sense_frames(cfg)), {})
 
 
@@ -614,8 +620,7 @@ def _send(
 
 def run_scenario(cfg: ScenarioConfig, sensed: Optional[SceneRecord] = None) -> RunResult:
     """One run, fully determined by the seed: each frame sensed (or replayed from ``sensed``) and staged."""
-    if not cfg.agents:
-        raise ValueError("scenario needs at least one (ego) agent")
+    _require_agents(cfg)
     if sensed is not None and sensed.scene != _scene(cfg):
         raise ValueError("the record is of another scene than the config's")
     channel_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))  # world 0, agent 2 + id

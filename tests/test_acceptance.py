@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coopfuse import robustness
 from coopfuse.alignment import transform_state
 from coopfuse.association import solve_assignment
 from coopfuse.core import RigidTransform, StateVector, compose, invert
@@ -24,13 +25,7 @@ from coopfuse.evaluation import (
     sweep_latency,
     write_csv,
 )
-from coopfuse.robustness import (
-    ObservationNoiseParams,
-    TransformNoiseParams,
-    alpha_sweep_rows,
-    perturb_observation,
-    perturb_transform,
-)
+from coopfuse.robustness import ObservationNoiseParams, TransformNoiseParams, alpha_sweep_rows, perturb_transform
 from coopfuse.simulator import bev_baseline_cost, run_scenario
 from coopfuse.wire import decode_packet, packet_size, record_size, serialize_packet
 from conftest import make_state, shipped
@@ -110,7 +105,7 @@ def test_02_transform_algebra():
             )
             t = RigidTransform.from_yaw(yaw[k, 1], translations[half + k])
             back = transform_state(transform_state(state, t), invert(t))
-            worst = max(worst, float(np.max(np.abs(back.as_array() - state.as_array()))))
+            worst = max(worst, float(np.max(np.abs(np.array(back) - np.array(state)))))
         assert worst <= 1e-9, worst
 
 
@@ -178,10 +173,9 @@ def test_06_noise_model_fidelity():
         rng = np.random.default_rng(6006)
         state = make_state(x=1.0, y=-2.0, z=0.3, vx=4.0)
         obs = ObservationNoiseParams()  # (-2 m, 2 m) positions, (-0.5, 0.5) rest
-        deltas = np.empty((n, 3))
-        for k in range(n):
-            out = perturb_observation(state, rng, obs)
-            deltas[k] = (out.x - state.x, out.y - state.y, out.z - state.z)
+        # One rng.random(11) row per observation, as the harness draws a scene's states.
+        out = robustness._perturbed_states(np.repeat(np.array([state]), n, axis=0), rng.random((n, 11)), obs)
+        deltas = out[:, :3] - state[:3]
         assert np.all(np.abs(deltas) <= 2.0), np.abs(deltas).max()
 
         tf = TransformNoiseParams()  # sigma 1.0 m, 2.0 deg

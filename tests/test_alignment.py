@@ -78,7 +78,7 @@ class TestCompensateLatency:
             a, b = rng.uniform(0, 0.9, 2)
             lhs = compensate_latency(compensate_latency(state, a), b)
             rhs = compensate_latency(state, a + b)
-            np.testing.assert_allclose(lhs.as_array(), rhs.as_array(), atol=1e-9)
+            np.testing.assert_allclose(np.array(lhs), np.array(rhs), atol=1e-9)
 
 
 class TestTransformState:
@@ -104,7 +104,7 @@ class TestTransformState:
     def test_identity(self):
         state = make_state(x=1, y=2, z=0.5, yaw=0.3, vx=4)
         out = transform_state(state, RigidTransform.identity())
-        np.testing.assert_allclose(out.as_array(), state.as_array(), atol=1e-15)
+        np.testing.assert_allclose(np.array(out), np.array(state), atol=1e-15)
 
     def test_translation_moves_position_only(self):
         state = make_state(x=1.0, yaw=0.3, vx=4.0, vy=-1.0)
@@ -139,7 +139,7 @@ class TestTransformState:
             )
             t = RigidTransform.from_yaw(rng.uniform(-math.pi, math.pi), rng.uniform(-30, 30, 3))
             back = transform_state(transform_state(state, t), invert(t))
-            np.testing.assert_allclose(back.as_array(), state.as_array(), atol=1e-9)
+            np.testing.assert_allclose(np.array(back), np.array(state), atol=1e-9)
 
     def test_degenerate_heading_for_tipping_rotation(self):
         # Rotate the plane onto its side: the heading loses its xy component.
@@ -239,7 +239,7 @@ class TestAlignInstance:
         rel = self._rel()
         inst = make_instance(x=5.0, vx=10.0)
         out = align_instance(inst, rel, 0, AlignmentConfig())
-        np.testing.assert_allclose(out.state.as_array(), inst.state.as_array(), atol=1e-12)
+        np.testing.assert_allclose(np.array(out.state), np.array(inst.state), atol=1e-12)
         np.testing.assert_array_equal(out.feature, inst.feature)
         assert out.track_id == inst.track_id
         assert out.source_agent == inst.source_agent
@@ -408,4 +408,4 @@ class TestRigidMotionInvariance:
 
         assert groups(moved[2]) == groups(base[2])
         for a, b in zip(base[0] + base[1], moved[0] + moved[1]):
-            np.testing.assert_allclose(b.state.as_array(), a.state.as_array(), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(np.array(b.state), np.array(a.state), rtol=0, atol=1e-9)

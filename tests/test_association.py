@@ -175,6 +175,19 @@ class TestSolveAssignment:
         assert solve_assignment(np.array([[1.0, math.inf], [math.inf, 2.0]])) == [(0, 0), (1, 1)]
         assert solve_assignment(np.array([[math.inf, 1.0, 1.0]])) == [(0, 1)]
         assert solve_assignment(np.array([[math.inf], [1.0], [1.0]])) == [(1, 0)]
+        # Rows left out take no column, so only one row needs a finite cell.
+        assert solve_assignment(np.array([[math.inf], [math.inf], [1.0]])) == [(2, 0)]
+
+    @pytest.mark.parametrize("cost", [
+        [[1.0, math.inf], [math.inf, math.inf]],
+        [[math.inf, math.inf]],
+        [[1.0, math.inf], [1.0, math.inf]],
+        [[math.inf, math.inf], [math.inf, math.inf], [1.0, 2.0]],
+    ])
+    def test_no_min_n_m_pairs_off_the_inf_cells_raises(self, cost):
+        # Demoting a row of forbidden cells is the caller's job; scipy's error propagates.
+        with pytest.raises(ValueError, match="^cost matrix is infeasible$"):
+            solve_assignment(np.array(cost))
 
     def test_a_nan_cell_raises(self):
         with pytest.raises(ValueError):

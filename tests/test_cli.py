@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coopfuse.association import MatchWeights
-from coopfuse.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from coopfuse.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, build_parser, main
 from coopfuse.evaluation import DEFAULT_LATENCY_SWEEP_MS, DEFAULT_RANGE_SWEEP
 from coopfuse.receiver import PipelineConfig
 from coopfuse.robustness import HARNESS_COST_THRESHOLD
@@ -152,6 +152,15 @@ class TestSweeps:
         rows = (out / "latency_sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 1
         assert rows[0].split(",")[1] == "0"
+
+    @pytest.mark.parametrize("command", ["run", "sweep-rint", "sweep-latency"])
+    def test_a_scene_without_agents_fails_with_one_message(self, tmp_path, caplog, command):
+        # The config is valid, and every command that runs it refuses it with the same message.
+        path = tmp_path / "agentless.yaml"
+        path.write_text(TINY.split("agents:")[0])
+        assert main(["validate-config", "--config", str(path)]) == EXIT_OK
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert "ValueError: scenario needs at least one (ego) agent" in caplog.text
 
 
 class TestRobustnessAndBandwidth:

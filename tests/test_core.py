@@ -74,7 +74,7 @@ class TestStateVector:
         values = [np.float64(1.5), np.float32(2.0), 0, 4, 2, 1.5, 0.0, np.float64(1.0), 3, 0.5, 0.0]
         state = StateVector(*values)
         assert [type(getattr(state, name)) for name in StateVector._fields] == [float] * 11
-        assert state.as_array().tolist() == [float(v) for v in values]
+        assert np.array(state).tolist() == [float(v) for v in values]
 
     def test_repr_keeps_the_field_by_field_format(self):
         # The benchmark's crowd digest hashes this repr.

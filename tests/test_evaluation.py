@@ -34,11 +34,12 @@ def _run(frames):
 
 
 def _curve(frame, thr):
-    """``compute_metrics``' (recalls, precisions) at ``thr`` for one frame: one
-    entry per prediction, most confident first. A prediction matched raises the
-    recall, an unmatched one lowers the precision, and a final recall below 1
-    means some object was missed."""
-    return compute_metrics(_run([frame]), thresholds=(thr,)).pr_curves[thr]
+    """The (recalls, precisions) that ``compute_metrics`` ranks at ``thr`` for one
+    frame: one entry per prediction, most confident first. A prediction matched
+    raises the recall, an unmatched one lowers the precision, and a final recall
+    below 1 means some object was missed."""
+    _, recalls, precisions = evaluation._ranks(evaluation._hits([frame], (thr,))[thr])
+    return tuple(recalls.tolist()), tuple(precisions.tolist())
 
 
 def _gt_obj(object_id, x=0.0, y=0.0, class_id=0):
@@ -125,15 +126,6 @@ class TestComputeAp:
         dup = make_instance(x=0.3, confidence=0.95, track_id=999, feature_seed=50)
         frames_dup = [_frame([*first.tracks.instances, dup], first.ground_truth, first.t_us)] + frames[1:]
         assert compute_metrics(_run(frames_dup)).ap <= compute_metrics(_run(frames)).ap + 1e-12
-
-    @pytest.mark.parametrize(
-        "thresholds", [(), (math.nan,), (-1.0,), (0.0,), (math.inf,), (0.5, math.nan)],
-        ids=["none", "nan", "negative", "zero", "inf", "one-of-two-nan"],
-    )
-    def test_rejects_thresholds_it_cannot_score(self, thresholds):
-        # No threshold averaged an empty slice to nan; the others matched nothing and scored AP 0.
-        with pytest.raises(ValueError, match="finite thresholds > 0"):
-            compute_metrics(_run(_perfect_frames()), thresholds)
 
 
 def _tracking(frames):
@@ -254,12 +246,11 @@ class TestScoringOracle:
         expected = brute_force_scores(frames, DETECTION_THRESHOLDS, TRACKING_THRESHOLD)
         report = compute_metrics(_run(lib_frames))
         total_gt = sum(len(gts) for _, gts in frames)
-        for thr in DETECTION_THRESHOLDS:
+        for thr, hits in evaluation._hits(lib_frames, DETECTION_THRESHOLDS).items():
             tp_cum = list(itertools.accumulate(is_tp for _, is_tp in _ranked_hits(frames, thr)))
-            recalls = tuple(t / total_gt if total_gt else 0.0 for t in tp_cum)
-            precisions = tuple(t / rank for rank, t in enumerate(tp_cum, start=1))
-            assert report.pr_curves[thr] == (recalls, precisions)
-            assert all(type(v) is float for curve in report.pr_curves[thr] for v in curve)
+            recalls = [t / total_gt if total_gt else 0.0 for t in tp_cum]
+            precisions = [t / rank for rank, t in enumerate(tp_cum, start=1)]
+            assert [column.tolist() for column in evaluation._ranks(hits)[1:]] == [recalls, precisions]
         assert report.id_switches == expected["id_switches"]
         assert (report.mota_like, report.amota_like, report.ap, report.duplicate_rate) == pytest.approx(
             (expected["mota"], expected["amota"], expected["ap"], expected["duplicate_rate"]), abs=1e-12
@@ -357,6 +348,11 @@ class TestCsvAndSweeps:
         with pytest.raises(ValueError, match="compensation"):
             sweep_latency(shipped("quickstart"), [0.0], compensation=compensation)
 
+    @pytest.mark.parametrize("sweep", [sweep_interaction_range, sweep_latency])
+    def test_a_scene_without_agents_is_refused(self, sweep):
+        with pytest.raises(ValueError, match=r"^scenario needs at least one \(ego\) agent$"):
+            sweep(ScenarioConfig())
+
     def test_parallel_sweep_pickles_the_scene_once_per_worker(self, monkeypatch):
         # Tasks are pickled in this process; pickle memoises the record within one chunk.
         pickled = []
@@ -389,4 +385,3 @@ class TestCsvAndSweeps:
         assert 0.0 <= metrics.amota_like <= 1.0
         assert metrics.duplicate_rate >= 0.0
         assert metrics.bps_sent > 0
-        assert set(metrics.pr_curves) == {0.5, 1.0, 2.0, 4.0}

@@ -29,7 +29,7 @@ class TestCoarseFuse:
         a = make_instance(x=3.0, confidence=0.8, feature_seed=4)
         b = make_instance(x=3.0, confidence=0.8, feature_seed=4)
         out = coarse_fuse(a, b)
-        np.testing.assert_allclose(out.state.as_array(), a.state.as_array(), atol=1e-12)
+        np.testing.assert_allclose(np.array(out.state), np.array(a.state), atol=1e-12)
         np.testing.assert_allclose(out.feature, a.feature, atol=1e-12)
 
     def test_equal_confidence_averages(self):
@@ -58,7 +58,7 @@ class TestCoarseFuse:
         a = make_instance(x=1.0, confidence=0.6, track_id=1, feature_seed=1)
         b = make_instance(x=4.0, confidence=0.8, track_id=9, source_agent=2, feature_seed=2)
         ab, ba = coarse_fuse(a, b), coarse_fuse(b, a)
-        np.testing.assert_allclose(ab.state.as_array(), ba.state.as_array(), atol=1e-12)
+        np.testing.assert_allclose(np.array(ab.state), np.array(ba.state), atol=1e-12)
         np.testing.assert_allclose(ab.feature, ba.feature, atol=1e-12)
         assert ab.confidence == ba.confidence
         assert ab.track_id == 1 and ba.track_id == 9

@@ -23,7 +23,6 @@ from coopfuse.robustness import (
     identity_embedding,
     make_cluttered_objects,
     match_accuracy,
-    perturb_observation,
     perturb_transform,
     run_denoising_trial,
 )
@@ -33,6 +32,12 @@ from oracles import reference_cluttered_rows, reference_denoising_views
 
 def _components(state):
     return tuple(getattr(state, name) for name in StateVector._fields)
+
+
+def _perturbed(state, rng, params, n=1):
+    """``n`` draws of ``state`` under ``params`` as ``(n, 11)`` rows, one ``rng.random(11)`` row each, as the
+    harness draws a scene's states."""
+    return robustness._perturbed_states(np.repeat(np.array([state]), n, axis=0), rng.random((n, 11)), params)
 
 
 class TestPerturbObservation:
@@ -65,61 +70,54 @@ class TestPerturbObservation:
         widest = np.finfo(float).max / 2  # its span is the largest finite float
         params = ObservationNoiseParams(pos_range=widest, other_range=widest)
         for seed in range(20):
-            out = perturb_observation(make_state(), np.random.default_rng(seed), params)
-            assert all(map(math.isfinite, out))
-            assert max(abs(out.x), abs(out.y), abs(out.z), abs(out.vx), abs(out.vy), abs(out.vz)) <= widest
+            out = _perturbed(make_state(), np.random.default_rng(seed), params)
+            assert np.isfinite(out).all()
+            assert np.abs(out[:, [0, 1, 2, 8, 9, 10]]).max() <= widest
 
     def test_zero_noise_is_identity(self, rng):
         state = make_state(x=3.0, yaw=0.4, vx=2.0)
-        out = perturb_observation(state, rng, ObservationNoiseParams(0.0, 0.0))
-        assert out == state
+        out = _perturbed(state, rng, ObservationNoiseParams(0.0, 0.0))
+        assert out.tolist() == [list(state)]
 
     def test_hard_position_bound(self, rng):
         params = ObservationNoiseParams(pos_range=2.0, other_range=0.5)
         state = make_state(x=5.0, y=-3.0, z=0.5)
-        for _ in range(2000):
-            out = perturb_observation(state, rng, params)
-            assert abs(out.x - state.x) <= 2.0
-            assert abs(out.y - state.y) <= 2.0
-            assert abs(out.z - state.z) <= 2.0
+        out = _perturbed(state, rng, params, 2000)
+        assert np.all(np.abs(out[:, :3] - state[:3]) <= 2.0)
 
     def test_result_always_valid(self, rng):
         params = ObservationNoiseParams(pos_range=2.0, other_range=0.5)
         tiny = make_state(l=0.3, w=0.3, h=0.3)
-        for _ in range(500):
-            out = perturb_observation(tiny, rng, params)
-            assert out.l > 0 and out.w > 0 and out.h > 0
-            assert abs(out.sin_yaw**2 + out.cos_yaw**2 - 1.0) < 1e-9
+        out = _perturbed(tiny, rng, params, 500)
+        assert np.all(out[:, 3:6] > 0)
+        assert np.all(np.abs(out[:, 6] ** 2 + out[:, 7] ** 2 - 1.0) < 1e-9)
 
     def test_overflowing_sum_is_rejected(self):
         # A finite range and a finite state whose sum overflows to inf on this seed's first draw.
         state = make_state(x=1.7e308)
-        with pytest.raises(ValueError):
-            perturb_observation(state, np.random.default_rng(0), ObservationNoiseParams(pos_range=8e307))
+        with pytest.raises(ValueError, match="^perturbed state is not finite$"):
+            _perturbed(state, np.random.default_rng(0), ObservationNoiseParams(pos_range=8e307))
 
-    def test_returns_plain_floats_that_revalidate(self, rng):
+    def test_every_row_revalidates_as_a_state(self, rng):
         params = ObservationNoiseParams(pos_range=2.0, other_range=0.9)
-        for _ in range(200):
-            out = perturb_observation(make_state(x=4.0, yaw=1.1, vx=3.0, l=0.3), rng, params)
-            values = _components(out)
-            assert all(type(v) is float for v in values)
-            assert StateVector(*values) == out
+        for row in _perturbed(make_state(x=4.0, yaw=1.1, vx=3.0, l=0.3), rng, params, 200).tolist():
+            assert list(StateVector(*row)) == row
 
     def test_mean_displacement_near_zero(self):
         rng = np.random.default_rng(3)
         state = make_state()
         params = ObservationNoiseParams()
         n = 20_000
-        dx = np.array([perturb_observation(state, rng, params).x for _ in range(n)])
+        dx = _perturbed(state, rng, params, n)[:, 0] - state.x
         # 3 standard errors for a uniform(-2, 2) sample mean.
         assert abs(dx.mean()) < 3 * (2 / math.sqrt(3)) / math.sqrt(n)
 
     def test_deterministic_given_seed(self):
         state = make_state(x=1.0)
         params = ObservationNoiseParams()
-        a = perturb_observation(state, np.random.default_rng(99), params)
-        b = perturb_observation(state, np.random.default_rng(99), params)
-        assert a == b
+        a = _perturbed(state, np.random.default_rng(99), params)
+        b = _perturbed(state, np.random.default_rng(99), params)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestPerturbTransform:
@@ -212,7 +210,7 @@ class TestSceneGeneration:
         np.testing.assert_allclose(corrupted.rotation, true_t.rotation, atol=1e-12)
         for e, c in zip(ego_view.instances(), coop_view.instances()):
             aligned = transform_state(c.state, corrupted)
-            np.testing.assert_allclose(aligned.as_array(), e.state.as_array(), atol=1e-9)
+            np.testing.assert_allclose(np.array(aligned), np.array(e.state), atol=1e-9)
             np.testing.assert_allclose(e.feature, c.feature, atol=1e-12)
 
     def test_oracle_cardinality(self, rng):
@@ -321,7 +319,7 @@ class TestSceneGeneration:
             )
             views.append((ego.instances() + coop.instances(), corrupted))
         for a, b in zip(views[0][0], views[1][0]):
-            np.testing.assert_array_equal(a.state.as_array(), b.state.as_array())
+            np.testing.assert_array_equal(np.array(a.state), np.array(b.state))
             np.testing.assert_array_equal(a.feature, b.feature)
         np.testing.assert_array_equal(views[0][1].rotation, views[1][1].rotation)
 

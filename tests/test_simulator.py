@@ -652,7 +652,7 @@ class TestRunScenario:
             assert len(fa.tracks.instances) == len(fb.tracks.instances)
             for ia, ib in zip(fa.tracks.instances, fb.tracks.instances):
                 assert ia.track_id == ib.track_id
-                np.testing.assert_array_equal(ia.state.as_array(), ib.state.as_array())
+                np.testing.assert_array_equal(np.array(ia.state), np.array(ib.state))
 
     def test_causality_under_latency(self):
         cfg = shipped("latency_study", seed=1)
@@ -750,7 +750,7 @@ class TestFuse:
 def _frame_bytes(run):
     """Each frame's tracks as (track ID, state bytes, feature bytes)."""
     return [
-        [(i.track_id, i.state.as_array().tobytes(), i.feature.tobytes()) for i in frame.tracks.instances]
+        [(i.track_id, np.array(i.state).tobytes(), i.feature.tobytes()) for i in frame.tracks.instances]
         for frame in run.frames
     ]
 
@@ -788,7 +788,7 @@ def _outputs(run):
     every track (identity, confidence, state and feature bytes) and every ground-truth object."""
     frames = [
         (f.t_us, f.coop_consumed, repr(f.coop_prefusion_err), f.stale_dropped,
-         [(g.object_id, g.class_id, g.state.as_array().tobytes()) for g in f.ground_truth],
+         [(g.object_id, g.class_id, np.array(g.state).tobytes()) for g in f.ground_truth],
          [(i.track_id, i.class_id, i.source_agent, i.observed_at, repr(i.confidence)) for i in f.tracks.instances])
         for f in run.frames
     ]
@@ -902,6 +902,12 @@ class TestRecordReplay:
         record = record_scene(replace(cfg, duration_s=4 * cfg.tick_s))
         with pytest.raises(ValueError, match="another scene"):
             run_scenario(other(replace(cfg, duration_s=4 * cfg.tick_s)), record)
+
+    @pytest.mark.parametrize("make", [record_scene, run_scenario])
+    def test_a_scene_without_agents_is_refused_before_sensing(self, monkeypatch, make):
+        monkeypatch.setattr(simulator, "build_world", lambda *args: pytest.fail("sensed a scene without agents"))
+        with pytest.raises(ValueError, match=r"^scenario needs at least one \(ego\) agent$"):
+            make(ScenarioConfig())
 
 
 def _listed(name: str) -> ScenarioConfig:

@@ -104,7 +104,7 @@ class TestRoundTrip:
         assert out.source_agent == 3
         assert out.observed_at == 777
         assert out.confidence == pytest.approx(0.625)  # exactly representable
-        np.testing.assert_allclose(out.state.as_array(), inst.state.as_array(),
+        np.testing.assert_allclose(np.array(out.state), np.array(inst.state),
                                    rtol=1e-6, atol=1e-4)
         assert abs(np.linalg.norm(out.feature) - 1.0) < 1e-9
 

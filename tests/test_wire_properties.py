@@ -90,7 +90,7 @@ def test_encode_decode_is_f32_exact(case):
         assert int(recs["track_id"][k]) == expected_tid
         assert int(recs["class_id"][k]) == inst.class_id
         assert recs["confidence"][k] == np.float32(inst.confidence)
-        np.testing.assert_array_equal(recs["state"][k], f32(inst.state.as_array()))
+        np.testing.assert_array_equal(recs["state"][k], f32(np.array(inst.state)))
         np.testing.assert_array_equal(recs["feature"][k], f32(inst.feature))
     decoded = packet.to_instances()
     assert [d.track_id for d in decoded] == [i.track_id for i in instances]
