@@ -11,7 +11,6 @@ ground truth; alignment moves each record through its one-row case, ``transform_
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .core import (
     Timestamp,
     _check_finite_sign,
     micros_to_seconds,
-    normalize_feature,
 )
 
 DEFAULT_COMPENSATION_HORIZON = 2.0
@@ -35,26 +33,8 @@ class HorizonExceeded(ValueError):
     """Data is older than the trusted extrapolation horizon; drop, don't guess."""
 
 
-class FeatureAligner(enum.Enum):
-    """How appearance features respond to a change of viewpoint.
-
-    IDENTITY passes features through untouched (they are treated as
-    viewpoint-invariant). YAW_CONDITIONED rotates consecutive coordinate
-    pairs of the feature by the relative yaw, a parameter-free stand-in
-    for a learned rotation-conditioned encoder with the same interface.
-    """
-
-    IDENTITY = "identity"
-    YAW_CONDITIONED = "yaw_conditioned"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise ValueError(f"unknown aligner {value!r}")
-
-
 @dataclass(frozen=True)
 class AlignmentConfig:
-    feature_aligner: FeatureAligner = FeatureAligner.IDENTITY
     max_compensation_horizon: float = DEFAULT_COMPENSATION_HORIZON
 
     def __post_init__(self) -> None:
@@ -128,25 +108,6 @@ def transform_state(state: StateVector, t: RigidTransform) -> StateVector:
     return StateVector._trusted((px + tx, py + ty, pz + tz, l, w, h, hy / norm, hx / norm, *velocity))
 
 
-def rotate_feature_pairs(feature: np.ndarray, yaw: float) -> np.ndarray:
-    """Rotate consecutive feature coordinate pairs by ``yaw``, renormalized, into a new read-only array.
-
-    Odd trailing coordinate (if any) is left untouched. At yaw = 0 this is
-    the identity.
-    """
-    out = np.array(feature, dtype=np.float64)
-    if yaw == 0.0:
-        out.setflags(write=False)
-        return out
-    pair_count = out.shape[0] // 2
-    if pair_count:
-        c, s = math.cos(yaw), math.sin(yaw)
-        pairs = out[: 2 * pair_count].reshape(pair_count, 2)
-        rotated = pairs @ np.array([[c, s], [-s, c]])
-        out[: 2 * pair_count] = rotated.reshape(-1)
-    return normalize_feature(out)
-
-
 def align_instance(
     inst: Instance,
     rel: RigidTransform,
@@ -160,8 +121,8 @@ def align_instance(
     ``compensate`` off, over dt = 0, which leaves the state as it is), then
     the state is projected through ``rel``, the sender-to-ego transform (see
     ``relative_transform``; build it once per packet). The feature passes
-    through the configured aligner. The result is stamped ``t_ego`` either
-    way; identity fields are kept.
+    through unchanged. The result is stamped ``t_ego`` either way; identity
+    fields are kept.
 
     Raises:
         HorizonExceeded, DegenerateHeading: propagated from the two steps.
@@ -172,13 +133,9 @@ def align_instance(
         raise ValueError(f"observed_at {inst.observed_at} is after t_ego {t_ego}")
     dt = micros_to_seconds(t_ego - inst.observed_at) if compensate else 0.0
     state = transform_state(compensate_latency(inst.state, dt, cfg.max_compensation_horizon), rel)
-    if cfg.feature_aligner is FeatureAligner.YAW_CONDITIONED:
-        feature = rotate_feature_pairs(inst.feature, rel.yaw)
-    else:
-        feature = inst.feature
     return Instance._trusted(
         state=state,
-        feature=feature,
+        feature=inst.feature,
         confidence=inst.confidence,
         class_id=inst.class_id,
         track_id=inst.track_id,

@@ -3,9 +3,10 @@
 The config dataclasses are the schema, and their constructors are the one
 rule for values: loading adds only type checks. Each YAML value is read
 through the type of the field it fills: nested dataclasses are mappings,
-tuples are lists, enums are their values, an int field takes only an int, a
-float field an int or a float, and a bool field only a bool. An unknown or
-ill-typed key fails with its full key path, a refused value with its section.
+tuples are lists, an int field takes only an int, a float field an int or a
+float, and a bool field only a bool. An unknown or ill-typed key fails with
+its full key path, a refused value with its section. A retired field's key
+loads, and is dropped, only at the value the program now always uses.
 
 The file puts ``ScenarioConfig``'s plain fields under ``scenario:`` and
 each field that holds config dataclasses (``agents``, ``channel``,
@@ -14,7 +15,6 @@ each field that holds config dataclasses (``agents``, ``channel``,
 
 from __future__ import annotations
 
-import enum
 import functools
 import typing
 from dataclasses import fields, is_dataclass
@@ -28,6 +28,10 @@ from .simulator import ScenarioConfig
 
 class ConfigError(ValueError):
     """A configuration file problem, with the offending key in the message."""
+
+
+# Each retired field's key path: its old type, and the one value it still loads at.
+_RETIRED = {"channel.accounting_window_s": (float, 0.0), "pipeline.alignment.feature_aligner": (str, "identity")}
 
 
 @functools.cache
@@ -64,11 +68,6 @@ def _read(value: Any, tp, path: str) -> Any:
         elif not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise ConfigError(f"{path}: expected a [low, high] pair")
         return tuple(_read(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
-    if isinstance(tp, type) and issubclass(tp, enum.Enum):
-        try:
-            return tp(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
     if tp is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if type(value) is not tp:
@@ -84,6 +83,10 @@ def _build(cls, data: Any, path: str, key_paths: dict[str, str] | None = None):
     data = _require_mapping(data, path)
     hints = _hints(cls)
     key_paths = key_paths or {}
+    for key in [key for key in data if f"{path}.{key}" in _RETIRED]:
+        tp, only = _RETIRED[f"{path}.{key}"]
+        if _read(data.pop(key), tp, f"{path}.{key}") != only:
+            raise ConfigError(f"{path}.{key}: retired, loads only as {only!r}")
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
@@ -137,8 +140,6 @@ def _dump(value: Any) -> Any:
         return {name: _dump(v) for name, v in dumped if v is not None}
     if isinstance(value, tuple):
         return [_dump(v) for v in value]
-    if isinstance(value, enum.Enum):
-        return value.value
     return value
 
 

@@ -72,7 +72,8 @@ class TrackIdRegistry:
     ``a + 32768`` apart; from agent 32768 up an ID passes 64 bits, which is
     fine, as output IDs never go on the wire. When a remote track has
     previously been fused with an ego track, its ego ID is reused for
-    continuity unless that ID is already present in the current frame.
+    continuity. No ID already in the current frame is returned: the alias
+    gives way to the fresh ID, and that to a one-frame ID (a repeated id).
     """
 
     def __init__(self) -> None:
@@ -98,7 +99,9 @@ class TrackIdRegistry:
             return alias
         if key not in self._fresh:
             self._fresh[key] = self._allocate(source_agent)
-        return self._fresh[key]
+        if self._fresh[key] not in taken:
+            return self._fresh[key]
+        return self._allocate(source_agent)  # a track id repeated in one frame: a one-frame ID, as if untracked
 
 
 def _fuse_confidence(c_ego: float, c_coop: float, mode: str) -> float:

@@ -287,23 +287,17 @@ def _continue_tracks(agent: Agent, t: Timestamp, class_ids: np.ndarray, rows: np
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """One-way channel: fixed latency plus uniform jitter, Bernoulli loss.
-
-    ``accounting_window_s`` sets the tumbling-window length for burst-rate
-    byte accounting (see RunResult.peak_bps_sent); 0 means whole-run
-    averages only.
-    """
+    """One-way channel: fixed latency plus uniform jitter, Bernoulli loss."""
 
     latency_ms: float = 0.0
     jitter_ms: float = 0.0
     drop_prob: float = 0.0
-    accounting_window_s: float = 0.0
 
     def __post_init__(self) -> None:
         _unsigned_zeros(self)
-        _check_finite_sign(self, ("latency_ms", "jitter_ms", "accounting_window_s"))
-        for name, micros_per_unit in (("latency_ms", 1e3), ("jitter_ms", 1e3), ("accounting_window_s", 1e6)):
-            if getattr(self, name) > MAX_TIMESTAMP / micros_per_unit:
+        _check_finite_sign(self, ("latency_ms", "jitter_ms"))
+        for name in ("latency_ms", "jitter_ms"):
+            if getattr(self, name) > MAX_TIMESTAMP / 1e3:
                 raise ValueError(f"{name} must fit an i64 count of microseconds, got {getattr(self, name)!r}")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
@@ -499,20 +493,6 @@ class RunResult:
     @property
     def _span_s(self) -> float:  # the simulated frames' span on the run's microsecond clock: frame_count ticks
         return micros_to_seconds(self.config.frame_count * seconds_to_micros(self.config.tick_s))
-
-    def peak_bps_sent(self, window_s: Optional[float] = None) -> float:
-        """Highest tumbling-window send rate; the burstiness complement to
-        the whole-run average. Window defaults to the channel's accounting
-        window, falling back to the frames' whole span."""
-        window = window_s if window_s is not None else self.config.channel.accounting_window_s
-        if window <= 0:
-            return self.bps_sent
-        window_us = seconds_to_micros(window)
-        totals: dict[int, int] = {}
-        for e in self.events:
-            if e.kind in ("send", "drop"):
-                totals[e.t_us // window_us] = totals.get(e.t_us // window_us, 0) + e.size_bytes
-        return max(totals.values()) / window if totals else 0.0
 
 
 def _frame_ground_truth(world: World, ego_pose: RigidTransform) -> tuple[tuple[GroundTruthObject, ...], ClassColumns]:

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from coopfuse.alignment import (
     AlignmentConfig,
-    FeatureAligner,
     HorizonExceeded,
     align_instance,
     compensate_latency,
-    rotate_feature_pairs,
     transform_state,
     transform_states,
 )
@@ -207,28 +205,6 @@ class TestTransformStatesRows:
             transform_states(state_rows([*others, tipped]), t)
 
 
-class TestFeaturePairRotation:
-    def test_zero_yaw_is_identity(self, rng):
-        feature = rng.standard_normal(16)
-        feature /= np.linalg.norm(feature)
-        out = rotate_feature_pairs(feature, 0.0)
-        np.testing.assert_array_equal(out, feature)
-        assert out is not feature and not out.flags.writeable
-
-    def test_preserves_unit_norm(self, rng):
-        for _ in range(50):
-            feature = rng.standard_normal(33)  # odd length: last coordinate rides along
-            feature /= np.linalg.norm(feature)
-            out = rotate_feature_pairs(feature, rng.uniform(-math.pi, math.pi))
-            assert abs(np.linalg.norm(out) - 1.0) < 1e-6
-
-    def test_full_turn_recovers(self, rng):
-        feature = rng.standard_normal(8)
-        feature /= np.linalg.norm(feature)
-        out = rotate_feature_pairs(feature, 2 * math.pi)
-        np.testing.assert_allclose(out, feature, atol=1e-12)
-
-
 class TestAlignInstance:
     def _rel(self, ego_yaw=0.0, coop_xy=(0.0, 0.0), t=0):
         ego = RigidTransform.from_yaw(ego_yaw)
@@ -296,26 +272,10 @@ class TestAlignInstance:
         # Without compensation a record has no age to exceed the horizon: it is aligned as it was sensed.
         assert align_instance(inst, rel, seconds_to_micros(3.0), AlignmentConfig(), compensate=False).state == inst.state
 
-    def test_identity_aligner_keeps_cosine_similarity(self, rng):
+    def test_feature_passes_through_unchanged(self):
         rel = self._rel(ego_yaw=0.8, coop_xy=(12.0, -7.0))
-        a = make_instance(feature_seed=1, dim=16)
-        b = make_instance(feature_seed=2, dim=16)
-        before = float(np.dot(a.feature, b.feature))
-        cfg = AlignmentConfig(feature_aligner=FeatureAligner.IDENTITY)
-        a2 = align_instance(a, rel, 0, cfg)
-        b2 = align_instance(b, rel, 0, cfg)
-        assert float(np.dot(a2.feature, b2.feature)) == pytest.approx(before, abs=1e-12)
-
-    def test_yaw_conditioned_aligner_unit_norm_and_zero_yaw_identity(self):
-        cfg = AlignmentConfig(feature_aligner=FeatureAligner.YAW_CONDITIONED)
-        rel = self._rel(ego_yaw=0.0, coop_xy=(3.0, 4.0))  # zero relative yaw
-        inst = make_instance(feature_seed=3, dim=16)
-        out = align_instance(inst, rel, 0, cfg)
-        np.testing.assert_allclose(out.feature, inst.feature, atol=1e-12)
-        rotated = align_instance(inst, self._rel(ego_yaw=1.0, coop_xy=(3.0, 4.0)), 0, cfg)
-        assert abs(np.linalg.norm(rotated.feature) - 1.0) < 1e-6
-        assert not np.allclose(rotated.feature, inst.feature)
-        assert not out.feature.flags.writeable and not rotated.feature.flags.writeable
+        inst = make_instance(feature_seed=1, dim=16)
+        assert align_instance(inst, rel, 0, AlignmentConfig()).feature is inst.feature
 
     def test_never_alters_dimensions(self, rng):
         cfg = AlignmentConfig()

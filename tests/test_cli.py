@@ -75,6 +75,21 @@ class TestValidateConfig:
         message = "config error: agents[1]: a cooperator's position must stay within f32's range, got 4e+38"
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [("channel.accounting_window_s", "false"), ("channel.accounting_window_s", "1.0"),
+         ("pipeline.alignment.feature_aligner", "yaw_conditioned"), ("pipeline.alignment.feature_aligner", "magic")],
+    )
+    def test_a_retired_key_at_another_value_is_a_config_error(self, tmp_path, capsys, path, value):
+        key = path.rsplit(".", 1)[1]
+        crowd = (CONFIG_DIR.parent / "perfbench" / "configs" / "crowd.yaml").read_text()
+        bad = re.sub(rf"^( *{key}): .*$", rf"\1: {value}", crowd, count=1, flags=re.M)
+        assert f"{key}: {value}\n" in bad
+        config = tmp_path / "bad.yaml"
+        config.write_text(bad)
+        assert main(["validate-config", "--config", str(config)]) == EXIT_CONFIG
+        assert f"config error: {path}: " in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_outputs(self, tiny_config, tmp_path):
@@ -327,13 +342,13 @@ class TestInputBoundary:
         "config,digest",
         [
             ("configs/quickstart.yaml",
-             "bf7e539c4240d6c24b39818a1c8dda6c69fab8eaa5d84cd4898a5c1b00f0813a"),
+             "76c6f2aebf30d71031fba13b03d802884ce1237217fbc8e7e215be2e51654d82"),
             ("configs/latency_study.yaml",
-             "5abedc9fc74e9b6a648d1e92734c81edf94d8a4ccb2f46f545a66f2451c3112e"),
+             "e1af66b15c470e67386f3a992bfd4a157cd7e824232bbbfb27b8a1418b695f0a"),
             ("configs/range_study.yaml",
-             "c4e5fad2c6c6b7e08acd1e5f5687a90227632ae21656bad9b046bb894574b73a"),
+             "21f960ec2ea6821676c246bd69822440d4e5669a36d4354cd9067aa78cba486c"),
             ("perfbench/configs/crowd.yaml",
-             "0eb1851542a3fa67d6a3ebc4b68e3343a0a9ce34b3c3b6c88c13aea70c4b6a56"),
+             "ec73630acfe947f652acf73095d2b1fe564be195f82a63a446a5e8fda4bcaafd"),
         ],
     )
     def test_manifest_config_hash_is_stable(self, tmp_path, config, digest):

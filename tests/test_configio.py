@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from coopfuse.configio import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from coopfuse.alignment import AlignmentConfig, FeatureAligner
+from coopfuse.alignment import AlignmentConfig
 from coopfuse.association import MatchWeights, RoiSpec
 from coopfuse.fusion import FusionConfig
 from coopfuse.robustness import ObservationNoiseParams, TransformNoiseParams
@@ -29,7 +30,7 @@ from coopfuse.simulator import (
     ScenarioConfig,
     SensorModel,
 )
-from conftest import shipped
+from conftest import CONFIG_DIR, shipped
 
 MINIMAL = """
 scenario:
@@ -79,10 +80,10 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="scenario.speed_range"):
             scenario_from_dict({"scenario": {"speed_range": [1, 2, 3]}})
 
-    def test_unknown_aligner(self):
-        with pytest.raises(ConfigError, match="feature_aligner"):
+    def test_retired_aligner_at_another_value(self):
+        with pytest.raises(ConfigError, match=r"^pipeline\.alignment\.feature_aligner: retired, loads only as 'identity'"):
             scenario_from_dict(
-                {"scenario": {}, "pipeline": {"alignment": {"feature_aligner": "magic"}}}
+                {"scenario": {}, "pipeline": {"alignment": {"feature_aligner": "yaw_conditioned"}}}
             )
 
 
@@ -140,11 +141,6 @@ class TestWireBoundFields:
         raw["agents"][0]["x"] = 4e38
         assert scenario_from_dict(raw).agents[0].x == 4e38
 
-    def test_accounting_window_beyond_an_i64_count_of_microseconds_rejected(self):
-        raw = {**_two_agents(), "channel": {"accounting_window_s": 1.7e308}}
-        with pytest.raises(ConfigError, match="^channel: accounting_window_s must fit an i64 count of microseconds"):
-            scenario_from_dict(raw)
-
 
 NAN = math.nan
 NAN_FIELDS = [
@@ -157,7 +153,6 @@ NAN_FIELDS = [
     ("agents[0].sensor", "pos_noise_range_power", NAN),
     ("channel", "latency_ms", NAN),
     ("channel", "jitter_ms", NAN),
-    ("channel", "accounting_window_s", NAN),
     ("pipeline", "r_int", NAN),
     ("pipeline.roi", "x_half", NAN),
     ("pipeline.roi", "y_half", NAN),
@@ -230,6 +225,73 @@ class TestRoundTrip:
             path = tmp_path / "cfg.yaml"
             dump_scenario(cfg, path)
             assert load_scenario(path) == cfg
+
+
+CROWD = CONFIG_DIR.parent / "perfbench" / "configs" / "crowd.yaml"
+RETIRED_LINES = ("  accounting_window_s: 0.0\n", "    feature_aligner: identity\n")
+
+
+class TestRetiredKeys:
+    """A retired field's key loads only at the one value the program now always uses, and is dropped."""
+
+    def test_a_file_that_sets_them_loads_as_one_without_them(self, tmp_path):
+        text = CROWD.read_text()
+        assert [text.count(line) for line in RETIRED_LINES] == [1, 1]
+        path = tmp_path / "crowd.yaml"
+        path.write_text(text.replace(RETIRED_LINES[0], "").replace(RETIRED_LINES[1], ""))
+        cfg = load_scenario(CROWD)
+        assert cfg == load_scenario(path)
+        dumped = scenario_to_dict(cfg)
+        assert "accounting_window_s" not in dumped["channel"]
+        assert "feature_aligner" not in dumped["pipeline"]["alignment"]
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+    def test_the_window_loads_at_any_zero(self, zero):
+        assert scenario_from_dict({"channel": {"accounting_window_s": zero}}) == scenario_from_dict({})
+
+    def test_the_aligner_loads_at_identity(self):
+        raw = {"pipeline": {"alignment": {"feature_aligner": "identity"}}}
+        assert scenario_from_dict(raw) == scenario_from_dict({})
+
+    def test_a_file_of_every_field_with_them_loads_as_before(self, tmp_path):
+        # A file written from the old full example: every field set, both retired keys at their one value.
+        raw = scenario_to_dict(EVERY_FIELD_SET)
+        raw["channel"]["accounting_window_s"] = 0.0
+        raw["pipeline"]["alignment"]["feature_aligner"] = "identity"
+        path = tmp_path / "every.yaml"
+        path.write_text(yaml.safe_dump(raw, sort_keys=False))
+        assert load_scenario(path) == EVERY_FIELD_SET
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("channel", "accounting_window_s", False), ("channel", "accounting_window_s", 1.0),
+         ("channel", "accounting_window_s", NAN), ("channel", "accounting_window_s", math.inf),
+         ("channel", "accounting_window_s", -math.inf), ("channel", "accounting_window_s", None),
+         ("pipeline.alignment", "feature_aligner", "magic"),
+         ("pipeline.alignment", "feature_aligner", "yaw_conditioned"),
+         ("pipeline.alignment", "feature_aligner", None)],
+    )
+    def test_any_other_value_is_refused_with_its_key_path(self, section, key, value):
+        raw = scenario_to_dict(shipped("quickstart"))
+        node = raw
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: "):
+            scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("pipeline.alignment", "accounting_window_s", 0.0), ("channel", "feature_aligner", "identity")],
+    )
+    def test_outside_its_own_section_a_retired_key_is_unknown(self, section, key, value):
+        raw = scenario_to_dict(shipped("quickstart"))
+        node = raw
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: unknown key$"):
+            scenario_from_dict(raw)
 
 
 NON_FINITE_FIELDS = [
@@ -313,7 +375,7 @@ EVERY_FIELD_SET = ScenarioConfig(
                   vx=0.5 + k, vy=-0.5 + k, ego=k == 1, sensor=_sensor(k))
         for k in range(3)
     ),
-    channel=ChannelModel(latency_ms=80.0, jitter_ms=20.0, drop_prob=0.05, accounting_window_s=1.0),
+    channel=ChannelModel(latency_ms=80.0, jitter_ms=20.0, drop_prob=0.05),
     pipeline=PipelineConfig(
         roi=RoiSpec(x_half=40.0, y_half=30.0, z_min=-2.0, z_max=4.0),
         r_int=25.0,
@@ -321,8 +383,7 @@ EVERY_FIELD_SET = ScenarioConfig(
                              alpha=1.5, cost_threshold=7.0),
         fusion=FusionConfig(dedup_radius=1.5, smoothing_gain_pos=0.5, smoothing_gain_vel=0.3,
                             output_confidence_threshold=0.4, confidence_fusion="noisy_or"),
-        alignment=AlignmentConfig(feature_aligner=FeatureAligner.YAW_CONDITIONED,
-                                  max_compensation_horizon=1.5),
+        alignment=AlignmentConfig(max_compensation_horizon=1.5),
         compensate_latency=False, transmit_top_k=20, transmit_confidence_min=0.2,
     ),
     pose_noise=TransformNoiseParams(trans_sigma=0.5, rot_sigma_deg=1.0, three_axis=True),

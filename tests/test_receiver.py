@@ -103,6 +103,20 @@ class TestReceiverAcrossSteps:
         second, _, _ = receiver.step([packet], [], RigidTransform.identity(), 500_000)
         assert [inst.track_id for inst in second.instances] == [remote[20.0]]
 
+    def test_a_track_id_repeated_within_a_packet_gets_a_one_frame_id(self):
+        # Two records 15 m apart carry the sender's track 7: the first takes track 7's ID, the second one of its own
+        # for this frame, as an untracked record does. On the next frame track 7 keeps its ID.
+        receiver = Receiver(PipelineConfig())
+        twins = [make_instance(x=x, track_id=7, source_agent=1) for x in (10.0, 25.0)]
+        packet = encode_packet(InstanceBatch.of(twins), RigidTransform.identity())
+        first, _, _ = receiver.step([packet], [], RigidTransform.identity(), 0)
+        fresh = COOP_TRACK_FLAG + (1 << 48)
+        assert sorted((inst.state.x, inst.track_id) for inst in first.instances) == [(10.0, fresh), (25.0, fresh + 1)]
+        again = make_instance(x=10.0, track_id=7, source_agent=1, observed_at=500_000)
+        packet = encode_packet(InstanceBatch.of([again]), RigidTransform.identity())
+        second, _, _ = receiver.step([packet], [], RigidTransform.identity(), 500_000)
+        assert [inst.track_id for inst in second.instances] == [fresh]
+
     def test_a_packet_no_newer_than_one_fused_in_an_earlier_step_builds_no_record(self, monkeypatch):
         receiver = Receiver(PipelineConfig())
         first, _, _ = receiver.step([_packet(1, 500_000, 2.0)], [], RigidTransform.identity(), 500_000)

@@ -474,30 +474,21 @@ class TestTransmit:
             t_arrive = transmit(channel, rng, 0)
             assert 100_000 <= t_arrive <= 150_000
 
-    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms", "accounting_window_s"])
+    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
     def test_channel_rejects_non_finite_or_negative_times(self, name, value):
         problem = "non-negative" if value == -1.0 else "finite"
         with pytest.raises(ValueError, match=f"^{name} must be {problem}"):
             ChannelModel(**{name: value})
 
-    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms", "accounting_window_s"])
+    @pytest.mark.parametrize("name", ["latency_ms", "jitter_ms"])
     @pytest.mark.parametrize("value", [1e300, 1.7e308])
     def test_channel_rejects_times_beyond_an_i64_count_of_microseconds(self, name, value):
-        # 1.7e308 is finite, but its microseconds overflow to inf: the arrival time, or peak_bps_sent's
-        # window, cannot be an integer.
+        # 1.7e308 is finite, but its microseconds overflow to inf: the arrival time cannot be an integer.
         with pytest.raises(ValueError, match=f"^{name} must fit an i64 count of microseconds"):
             ChannelModel(**{name: value})
-        widest = MAX_TIMESTAMP / (1e6 if name == "accounting_window_s" else 1e3)
+        widest = MAX_TIMESTAMP / 1e3
         assert getattr(ChannelModel(**{name: widest}), name) == widest
-
-    def test_the_longest_accounting_window_is_accounted(self):
-        widest = MAX_TIMESTAMP / 1e6
-        cfg = shipped("quickstart")
-        cfg = replace(cfg, duration_s=2 * cfg.tick_s, channel=replace(cfg.channel, accounting_window_s=widest))
-        result = run_scenario(cfg)
-        sent = sum(e.size_bytes for e in result.events if e.kind in ("send", "drop"))
-        assert 0 < result.peak_bps_sent() == sent / widest
 
 
 class TestBevBaselineCost:
@@ -685,18 +676,12 @@ class TestRunScenario:
             assert run.bytes_sent == size["send"] + size["drop"], point
             assert run.bytes_received == size["consume"], point
 
-    def test_peak_bps_at_least_average(self):
-        cfg = shipped("quickstart")
-        result = run_scenario(cfg)
-        assert result.peak_bps_sent(1.0) >= result.bps_sent - 1e-9
-        assert result.peak_bps_sent() == result.bps_sent  # window defaults off
-
     @pytest.mark.parametrize("durations", [(1.0, 1.25), (1.5, 1.3)], ids=["2-frames", "3-frames"])
     def test_bandwidth_is_over_the_frames_the_run_simulated(self, durations):
         # Each pair rounds to the same whole ticks, so both runs send the same bytes in the same frames.
         a, b = (run_scenario(replace(shipped("quickstart"), duration_s=d)) for d in durations)
         assert (len(a.frames), a.bytes_sent, a.bytes_received) == (len(b.frames), b.bytes_sent, b.bytes_received)
-        assert (a.bps_sent, a.bps_received, a.peak_bps_sent()) == (b.bps_sent, b.bps_received, b.peak_bps_sent())
+        assert (a.bps_sent, a.bps_received) == (b.bps_sent, b.bps_received)
         assert a.bps_sent == a.bytes_sent / (len(a.frames) * 0.5)
 
     def test_a_tick_of_no_whole_microseconds_keeps_one_clock(self):
