@@ -31,7 +31,8 @@ class ConfigError(ValueError):
 
 
 # Each retired field's key path: its old type, and the one value it still loads at.
-_RETIRED = {"channel.accounting_window_s": (float, 0.0), "pipeline.alignment.feature_aligner": (str, "identity")}
+_RETIRED = {"channel.accounting_window_s": (float, 0.0), "pipeline.alignment.feature_aligner": (str, "identity"),
+            "pipeline.fusion.confidence_fusion": (str, "max"), "pose_noise.three_axis": (bool, False)}
 
 
 @functools.cache

@@ -26,7 +26,6 @@ class FusionConfig:
     smoothing_gain_pos: float = 0.6
     smoothing_gain_vel: float = 0.4
     output_confidence_threshold: float = 0.3
-    confidence_fusion: str = "max"  # or "noisy_or"
 
     def __post_init__(self) -> None:
         _unsigned_zeros(self)
@@ -36,8 +35,6 @@ class FusionConfig:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if not 0.0 <= self.output_confidence_threshold <= 1.0:
             raise ValueError("output_confidence_threshold must lie in [0, 1]")
-        if self.confidence_fusion not in ("max", "noisy_or"):
-            raise ValueError("confidence_fusion must be 'max' or 'noisy_or'")
 
 
 @dataclass(frozen=True)
@@ -104,18 +101,13 @@ class TrackIdRegistry:
         return self._allocate(source_agent)  # a track id repeated in one frame: a one-frame ID, as if untracked
 
 
-def _fuse_confidence(c_ego: float, c_coop: float, mode: str) -> float:
-    if mode == "noisy_or":
-        return 1.0 - (1.0 - c_ego) * (1.0 - c_coop)
-    return max(c_ego, c_coop)
-
-
-def coarse_fuse(ego: Instance, coop: Instance, confidence_fusion: str = "max") -> Instance:
+def coarse_fuse(ego: Instance, coop: Instance) -> Instance:
     """Blend a matched pair into one instance, keeping the ego identity.
 
     All state components are confidence-weighted averages, except the
     heading, which is fused as a weighted vector sum of (cos, sin) and
-    renormalized. The feature is the renormalized weighted average.
+    renormalized. The feature is the renormalized weighted average. The
+    confidence is the higher of the two.
 
     Raises:
         DegenerateHeading: when opposing headings with equal weight cancel.
@@ -151,7 +143,7 @@ def coarse_fuse(ego: Instance, coop: Instance, confidence_fusion: str = "max") -
     return Instance._trusted(
         state=state,
         feature=feature,
-        confidence=_fuse_confidence(ego.confidence, coop.confidence, confidence_fusion),
+        confidence=max(ego.confidence, coop.confidence),
         class_id=ego.class_id,
         track_id=ego.track_id,
         source_agent=ego.source_agent,

@@ -58,10 +58,11 @@ class Receiver:
     ) -> tuple[TrackSet, list[Instance], int]:
         """The ego's frame at ``t`` from its detections and the packets consumed at ``t``, in arrival order. Each
         sender's newest packet by send time (of equal ones, the later arrival) is aligned, senders in id order; one
-        sent at or before its sender's last fused one is skipped before any record is built. The detections and the
-        aligned instances are cut to the ROI once each, associated, fused and refined against the previous step's
-        tracks over the time since (none if it left none; ValueError if ``t`` is not later). Returns the tracks, the
-        aligned cooperator instances in the ROI and the count of records past the horizon."""
+        sent at or before its sender's last fused one is skipped before any record is built, and one sent after ``t``
+        raises ValueError before any state changes. The detections and the aligned instances are cut to the ROI once
+        each, associated, fused and refined against the previous step's tracks over the time since (none if it left
+        none; ValueError if ``t`` is not later). Returns the tracks, the aligned cooperator instances in the ROI and
+        the count of records past the horizon."""
         pipe = self.pipeline
         aligned, stale = self._align(packets, ego_pose, t)
         coop_in_roi = filter_roi(aligned, pipe.roi)
@@ -69,7 +70,7 @@ class Receiver:
         fused = []
         for ego_inst, coop_inst, _cost in result.matched:
             self.registry.record_match(coop_inst.source_agent, coop_inst.track_id, ego_inst.track_id)
-            fused.append(coarse_fuse(ego_inst, coop_inst, pipe.fusion.confidence_fusion))
+            fused.append(coarse_fuse(ego_inst, coop_inst))
         tracks = assemble_output(
             fused, result.unmatched_ego, result.unmatched_coop_near, result.coop_far, pipe.fusion, self.registry, t
         )
@@ -87,6 +88,8 @@ class Receiver:
         newest: dict[int, InstancePacket] = {}
         for data in packets:
             packet = decode_packet(data) if self.decode is None else self.decode(data)
+            if packet.send_timestamp > t:  # checked here, as an empty packet reaches no ``align_instance``
+                raise ValueError(f"observed_at {packet.send_timestamp} is after t_ego {t}")
             if packet.send_timestamp <= self.fused_at.get(packet.sender_id, -1):
                 continue
             prior = newest.get(packet.sender_id)

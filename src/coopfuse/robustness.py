@@ -60,11 +60,10 @@ class ObservationNoiseParams:
 
 @dataclass(frozen=True)
 class TransformNoiseParams:
-    """Gaussian corruption of a relative transform (yaw-only by default)."""
+    """Gaussian corruption of a relative transform: ``trans_sigma`` per translation axis, ``rot_sigma_deg`` of yaw."""
 
     trans_sigma: float = 1.0
     rot_sigma_deg: float = 2.0
-    three_axis: bool = False
 
     def __post_init__(self) -> None:
         _unsigned_zeros(self)
@@ -117,22 +116,14 @@ def _perturbed_states(rows: np.ndarray, unit: np.ndarray, p: ObservationNoisePar
 def perturb_transform(
     t: RigidTransform, rng: np.random.Generator, p: TransformNoiseParams
 ) -> RigidTransform:
-    """Left-compose a small random rigid motion onto a transform. Its rotations are orthonormal
+    """Left-compose a small random rigid motion onto a transform. Its rotation, a yaw, is orthonormal
     by construction; only the translation is checked (a huge finite sigma overflows to inf)."""
     translation = rng.normal(0.0, p.trans_sigma, 3) if p.trans_sigma > 0 else np.zeros(3)
     if not np.isfinite(translation).all():
         raise ValueError("translation is not finite")
     sigma_rad = math.radians(p.rot_sigma_deg)
-    if p.three_axis:
-        angles = rng.normal(0.0, sigma_rad, 3) if sigma_rad > 0 else np.zeros(3)
-        cy, sy = math.cos(angles[1]), math.sin(angles[1])
-        cx, sx = math.cos(angles[0]), math.sin(angles[0])
-        pitch = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-        roll = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-        rotation = yaw_rotation(float(angles[2])) @ (pitch @ roll)
-    else:
-        yaw = float(rng.normal(0.0, sigma_rad)) if sigma_rad > 0 else 0.0
-        rotation = yaw_rotation(yaw)
+    yaw = float(rng.normal(0.0, sigma_rad)) if sigma_rad > 0 else 0.0
+    rotation = yaw_rotation(yaw)
     return compose(RigidTransform._trusted(rotation, translation), t)
 
 
@@ -202,15 +193,13 @@ def run_denoising_trial(
     obs_p: ObservationNoiseParams,
     tf_p: TransformNoiseParams,
     weights: Sequence[MatchWeights],
-    true_transform: Optional[RigidTransform] = None,
     feature_dim: int = 64,
-    feature_noise_sigma: float = 0.3,
 ) -> list[tuple[float, float, float]]:
     """One seeded scene, its coop view aligned through the corrupted transform, matched and
     scored at each of ``weights``: one (accuracy, precision, recall) per weight. The views
     stay columns: the same cost parts and solve-then-demote pick as ``association.match``."""
     ego, coop, corrupted = generate_denoising_scene(
-        gt_objects, np.random.default_rng(seed), obs_p, tf_p, true_transform, feature_dim, feature_noise_sigma
+        gt_objects, np.random.default_rng(seed), obs_p, tf_p, feature_dim=feature_dim
     )
     diff, dist = _cost_parts(ego.states, ego.features, transform_states(coop.states, corrupted), coop.features)
     return [

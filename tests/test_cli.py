@@ -342,13 +342,13 @@ class TestInputBoundary:
         "config,digest",
         [
             ("configs/quickstart.yaml",
-             "76c6f2aebf30d71031fba13b03d802884ce1237217fbc8e7e215be2e51654d82"),
+             "aac952d39a98c43f8ad572de6eb383c2153304cc32df04492723a0ed453731b5"),
             ("configs/latency_study.yaml",
-             "e1af66b15c470e67386f3a992bfd4a157cd7e824232bbbfb27b8a1418b695f0a"),
+             "2e11559569f2a1ed288e46af287b39e31afebd3a106bfed24d83e0746c1b7762"),
             ("configs/range_study.yaml",
-             "21f960ec2ea6821676c246bd69822440d4e5669a36d4354cd9067aa78cba486c"),
+             "1fb5c8721031cafce40901a62a6214afebef475157a2dbfef9bab5fd72c0eb3b"),
             ("perfbench/configs/crowd.yaml",
-             "ec73630acfe947f652acf73095d2b1fe564be195f82a63a446a5e8fda4bcaafd"),
+             "7fd6d2e17d5d531307d276704dcd3a069ba5448c68e05fc00eed35435c9ad076"),
         ],
     )
     def test_manifest_config_hash_is_stable(self, tmp_path, config, digest):

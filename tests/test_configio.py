@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopfuse.configio import (
+    _RETIRED,
     ConfigError,
     dump_scenario,
     load_scenario,
@@ -228,7 +229,16 @@ class TestRoundTrip:
 
 
 CROWD = CONFIG_DIR.parent / "perfbench" / "configs" / "crowd.yaml"
-RETIRED_LINES = ("  accounting_window_s: 0.0\n", "    feature_aligner: identity\n")
+RETIRED_LINES = ("  accounting_window_s: 0.0\n", "    feature_aligner: identity\n", "    confidence_fusion: max\n",
+                 "  three_axis: false\n")
+
+
+def _section(raw: dict, section: str) -> dict:
+    """The mapping at the dotted ``section`` of ``raw``, made empty where it is missing."""
+    node = raw
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    return node
 
 
 class TestRetiredKeys:
@@ -236,28 +246,42 @@ class TestRetiredKeys:
 
     def test_a_file_that_sets_them_loads_as_one_without_them(self, tmp_path):
         text = CROWD.read_text()
-        assert [text.count(line) for line in RETIRED_LINES] == [1, 1]
+        assert [text.count(line) for line in RETIRED_LINES] == [1, 1, 1, 1]
+        for line in RETIRED_LINES:
+            text = text.replace(line, "")
         path = tmp_path / "crowd.yaml"
-        path.write_text(text.replace(RETIRED_LINES[0], "").replace(RETIRED_LINES[1], ""))
+        path.write_text(text)
         cfg = load_scenario(CROWD)
         assert cfg == load_scenario(path)
         dumped = scenario_to_dict(cfg)
         assert "accounting_window_s" not in dumped["channel"]
         assert "feature_aligner" not in dumped["pipeline"]["alignment"]
+        assert "confidence_fusion" not in dumped["pipeline"]["fusion"]
+        assert "three_axis" not in dumped["pose_noise"]
 
     @pytest.mark.parametrize("zero", [0, 0.0, -0.0])
     def test_the_window_loads_at_any_zero(self, zero):
         assert scenario_from_dict({"channel": {"accounting_window_s": zero}}) == scenario_from_dict({})
 
-    def test_the_aligner_loads_at_identity(self):
-        raw = {"pipeline": {"alignment": {"feature_aligner": "identity"}}}
-        assert scenario_from_dict(raw) == scenario_from_dict({})
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("pipeline.alignment", "feature_aligner", "identity"), ("pipeline.fusion", "confidence_fusion", "max"),
+         ("pose_noise", "three_axis", False)],
+    )
+    def test_a_named_key_loads_at_its_one_value(self, section, key, value):
+        raw = {}
+        _section(raw, section)
+        without = scenario_from_dict(raw)
+        _section(raw, section)[key] = value
+        assert scenario_from_dict(raw) == without
 
     def test_a_file_of_every_field_with_them_loads_as_before(self, tmp_path):
-        # A file written from the old full example: every field set, both retired keys at their one value.
+        # A file written from the old full example: every field set, every retired key at its one value.
         raw = scenario_to_dict(EVERY_FIELD_SET)
         raw["channel"]["accounting_window_s"] = 0.0
         raw["pipeline"]["alignment"]["feature_aligner"] = "identity"
+        raw["pipeline"]["fusion"]["confidence_fusion"] = "max"
+        raw["pose_noise"]["three_axis"] = False
         path = tmp_path / "every.yaml"
         path.write_text(yaml.safe_dump(raw, sort_keys=False))
         assert load_scenario(path) == EVERY_FIELD_SET
@@ -269,29 +293,35 @@ class TestRetiredKeys:
          ("channel", "accounting_window_s", -math.inf), ("channel", "accounting_window_s", None),
          ("pipeline.alignment", "feature_aligner", "magic"),
          ("pipeline.alignment", "feature_aligner", "yaw_conditioned"),
-         ("pipeline.alignment", "feature_aligner", None)],
+         ("pipeline.alignment", "feature_aligner", None),
+         ("pipeline.fusion", "confidence_fusion", "noisy_or"), ("pipeline.fusion", "confidence_fusion", 1),
+         ("pipeline.fusion", "confidence_fusion", None), ("pose_noise", "three_axis", True),
+         ("pose_noise", "three_axis", 1), ("pose_noise", "three_axis", 0), ("pose_noise", "three_axis", None)],
     )
     def test_any_other_value_is_refused_with_its_key_path(self, section, key, value):
-        raw = scenario_to_dict(shipped("quickstart"))
-        node = raw
-        for part in section.split("."):
-            node = node[part]
-        node[key] = value
+        raw = scenario_to_dict(shipped("range_study"))
+        _section(raw, section)[key] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: "):
             scenario_from_dict(raw)
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("pipeline.alignment", "accounting_window_s", 0.0), ("channel", "feature_aligner", "identity")],
+        [("pipeline.alignment", "accounting_window_s", 0.0), ("channel", "feature_aligner", "identity"),
+         ("pipeline.alignment", "confidence_fusion", "max"), ("channel", "three_axis", False)],
     )
     def test_outside_its_own_section_a_retired_key_is_unknown(self, section, key, value):
-        raw = scenario_to_dict(shipped("quickstart"))
-        node = raw
-        for part in section.split("."):
-            node = node[part]
-        node[key] = value
+        raw = scenario_to_dict(shipped("range_study"))
+        _section(raw, section)[key] = value
         with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{key}: unknown key$"):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.name)
+    def test_no_shipped_config_sets_one(self, path):
+        # The worked examples stay migrated; only perfbench's crowd.yaml and users' files lean on the table.
+        raw = yaml.safe_load(path.read_text())
+        for key_path in _RETIRED:
+            section, key = key_path.rsplit(".", 1)
+            assert key not in _section(raw, section), key_path
 
 
 NON_FINITE_FIELDS = [
@@ -382,11 +412,11 @@ EVERY_FIELD_SET = ScenarioConfig(
         weights=MatchWeights(w_pos=2.0, w_dim=0.25, w_heading=0.75, w_vel=0.125,
                              alpha=1.5, cost_threshold=7.0),
         fusion=FusionConfig(dedup_radius=1.5, smoothing_gain_pos=0.5, smoothing_gain_vel=0.3,
-                            output_confidence_threshold=0.4, confidence_fusion="noisy_or"),
+                            output_confidence_threshold=0.4),
         alignment=AlignmentConfig(max_compensation_horizon=1.5),
         compensate_latency=False, transmit_top_k=20, transmit_confidence_min=0.2,
     ),
-    pose_noise=TransformNoiseParams(trans_sigma=0.5, rot_sigma_deg=1.0, three_axis=True),
+    pose_noise=TransformNoiseParams(trans_sigma=0.5, rot_sigma_deg=1.0),
 )
 
 
@@ -415,7 +445,7 @@ class TestSchemaCoverage:
         seen, changed = set(), set()
         _field_coverage(EVERY_FIELD_SET, seen, changed)
         assert seen - changed == set(), "give every config field a non-default value"
-        assert {"TransformNoiseParams.three_axis", "AgentSpec.ego", "SensorModel.track_gate"} <= seen
+        assert {"TransformNoiseParams.rot_sigma_deg", "AgentSpec.ego", "SensorModel.track_gate"} <= seen
         path = tmp_path / "cfg.yaml"
         dump_scenario(EVERY_FIELD_SET, path)
         assert load_scenario(path) == EVERY_FIELD_SET

@@ -72,11 +72,6 @@ class TestCoarseFuse:
         assert out.source_agent == 0
         assert out.confidence == pytest.approx(0.9)  # max rule
 
-    def test_noisy_or_confidence(self):
-        a = make_instance(confidence=0.5, feature_seed=1)
-        b = make_instance(confidence=0.5, feature_seed=1)
-        assert coarse_fuse(a, b, "noisy_or").confidence == pytest.approx(0.75)
-
     def test_heading_fuses_as_vectors(self):
         a = make_instance(yaw=0.0, confidence=0.5, feature_seed=1)
         b = make_instance(yaw=math.pi / 2, confidence=0.5, feature_seed=1)

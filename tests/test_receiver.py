@@ -22,7 +22,8 @@ from conftest import make_instance
 def _packet(sender, t_send, *xs):
     """An encoded packet from ``sender`` sent at ``t_send`` (us) from the origin: one record at rest at each x."""
     instances = [make_instance(x=x, track_id=k + 1, source_agent=sender, observed_at=t_send) for k, x in enumerate(xs)]
-    return encode_packet(InstanceBatch.of(instances), RigidTransform.identity())
+    batch = replace(InstanceBatch.of(instances), source_agent=sender, observed_at=t_send)
+    return encode_packet(batch, RigidTransform.identity())
 
 
 def _record_decoded(monkeypatch):
@@ -76,6 +77,16 @@ class TestReceive:
         receiver = Receiver(PipelineConfig(compensate_latency=compensate))
         with pytest.raises(ValueError, match="^observed_at 300001 is after t_ego 300000$"):
             receiver.step([_packet(1, 300_001, 1.0)], [], RigidTransform.identity(), 300_000)
+
+    @pytest.mark.parametrize("xs", [(), (1.0,)], ids=["empty", "one-record"])
+    def test_a_packet_sent_after_the_frame_leaves_its_sender_heard(self, xs):
+        # Such a packet used to set its sender's last fused time to its own send time first, muting the sender.
+        receiver = self._receiver()
+        with pytest.raises(ValueError, match="^observed_at 10000000 is after t_ego 200000$"):
+            receiver.step([_packet(1, 10_000_000, *xs)], [], RigidTransform.identity(), 200_000)
+        assert receiver.fused_at == {}
+        _, aligned, _ = receiver.step([_packet(1, 300_000, 2.0)], [], RigidTransform.identity(), 300_000)
+        assert [(inst.source_agent, inst.state.x) for inst in aligned] == [(1, 2.0)]
 
     def test_packet_no_newer_than_one_fused_before_is_skipped(self, monkeypatch):
         receiver = self._receiver()

@@ -621,7 +621,7 @@ class TestPoseOwnership:
         first, second = spec.pose_at(0), spec.pose_at(1_000_000)
         assert first.rotation is second.rotation
         assert second.translation.tolist() == [3.5, 0.0, 0.0] and first.translation.tolist() == [2.0, 0.0, 0.0]
-        noised = perturb_transform(first, np.random.default_rng(0), TransformNoiseParams(0.5, 2.0, three_axis=True))
+        noised = perturb_transform(first, np.random.default_rng(0), TransformNoiseParams(0.5, 2.0))
         for t in (first, second, noised):
             for array in (t.rotation, t.translation):
                 assert not array.flags.writeable
